@@ -1,12 +1,10 @@
 //! Engine micro-benchmarks: the substrate operations ACQUIRE is built on
-//! (scans, hash joins, band joins, cell queries, grid-index construction).
+//! (scans, hash joins, band joins, cell queries).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use acq_datagen::{synthetic, GenConfig};
-use acq_engine::{
-    band_join, hash_equi_join, index::BitmapGridIndex, CellRange, ExecStats, Executor, Relation,
-};
+use acq_engine::{band_join, hash_equi_join, CellRange, ExecStats, Executor, Relation};
 use acq_query::{
     AcqQuery, AggConstraint, AggregateSpec, CmpOp, ColRef, Interval, Predicate, RefineSide,
 };
@@ -87,31 +85,5 @@ fn bench_cell_queries(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_grid_index_build(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine_grid_index");
-    group.sample_size(10);
-    for rows in [10_000usize, 100_000] {
-        let cat = synthetic::numeric_catalog(&GenConfig::uniform(rows), 2).unwrap();
-        let table = cat.table("t").unwrap();
-        group.throughput(Throughput::Elements(rows as u64));
-        group.bench_with_input(BenchmarkId::new("build_32bins", rows), &rows, |b, _| {
-            b.iter(|| BitmapGridIndex::build(&table, &[1, 2], 32));
-        });
-        let idx = BitmapGridIndex::build(&table, &[1, 2], 32);
-        group.bench_with_input(BenchmarkId::new("box_probe", rows), &rows, |b, _| {
-            b.iter(|| {
-                let mut probes = 0u64;
-                idx.box_maybe_occupied(&[(100.0, 200.0), (400.0, 500.0)], &mut probes)
-            });
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_joins,
-    bench_cell_queries,
-    bench_grid_index_build
-);
+criterion_group!(benches, bench_joins, bench_cell_queries);
 criterion_main!(benches);

@@ -62,10 +62,11 @@ use acq_obs::{
     FlightRecorder, Metrics, QueryRegistry, QuerySummary, DEFAULT_RECORDER_CADENCE,
     DEFAULT_RECORDER_CAPACITY,
 };
+use acq_query::AcqQuery;
 use acq_serve::{alerts::parse_alerts, AlertEngine, ServeConfig, Server};
 use acquire_core::{
-    run_acquire_observed, run_acquire_progress, AcquireConfig, CancellationToken, EvalLayerKind,
-    Obs, ProgressSink, DEFAULT_PROGRESS_CAPACITY,
+    run_acquire, run_acquire_progress, AcqOutcome, AcquireConfig, CancellationToken, CoreError,
+    EvalLayerKind, Obs, ProgressSink, DEFAULT_PROGRESS_CAPACITY,
 };
 
 /// Report format version. v2 added `pr`, `obs_overhead` and the embedded
@@ -292,6 +293,18 @@ fn pruning_ablation(workload_name: &'static str, spec: &WorkloadSpec) -> PruneRe
     }
 }
 
+/// One uncancellable library run of `query` with `obs` attached.
+fn run_observed(
+    exec: &mut Executor,
+    query: &AcqQuery,
+    cfg: &AcquireConfig,
+    kind: EvalLayerKind,
+    obs: &Obs,
+) -> Result<AcqOutcome, CoreError> {
+    let cancel = CancellationToken::new();
+    run_acquire_progress(exec, query, cfg, kind, &cancel, obs, None)
+}
+
 /// Result of the instrumented run: overhead measurement plus the metrics
 /// snapshot JSON to embed in the report.
 struct ObsReport {
@@ -321,16 +334,13 @@ fn observed_run(spec: &WorkloadSpec) -> ObsReport {
     let mut snapshot = None;
     for _ in 0..3 {
         let mut exec = Executor::new(workload.catalog.clone());
-        let (out, ms) = measure(|| {
-            run_acquire_observed(&mut exec, &workload.query, &cfg, kind, &Obs::disabled())
-        });
+        let (out, ms) = measure(|| run_acquire(&mut exec, &workload.query, &cfg, kind));
         out.expect("uninstrumented run");
         plain_ms = plain_ms.min(ms);
 
         let obs = Obs::enabled();
         let mut exec = Executor::new(workload.catalog.clone());
-        let (out, ms) =
-            measure(|| run_acquire_observed(&mut exec, &workload.query, &cfg, kind, &obs));
+        let (out, ms) = measure(|| run_observed(&mut exec, &workload.query, &cfg, kind, &obs));
         let out = out.expect("instrumented run");
         observed_ms = observed_ms.min(ms);
 
@@ -397,8 +407,7 @@ fn recorder_run(spec: &WorkloadSpec) -> RecorderReport {
     for _ in 0..3 {
         let obs = Obs::enabled();
         let mut exec = Executor::new(workload.catalog.clone());
-        let (out, ms) =
-            measure(|| run_acquire_observed(&mut exec, &workload.query, &cfg, kind, &obs));
+        let (out, ms) = measure(|| run_observed(&mut exec, &workload.query, &cfg, kind, &obs));
         out.expect("recorder-less run");
         plain_ms = plain_ms.min(ms);
 
@@ -476,9 +485,7 @@ fn serve_mode_run(spec: &WorkloadSpec) -> ServeReport {
     let mut served_ms = f64::INFINITY;
     for _ in 0..3 {
         let mut exec = Executor::new(workload.catalog.clone());
-        let (out, ms) = measure(|| {
-            run_acquire_observed(&mut exec, &workload.query, &cfg, kind, &Obs::disabled())
-        });
+        let (out, ms) = measure(|| run_acquire(&mut exec, &workload.query, &cfg, kind));
         out.expect("uninstrumented run");
         plain_ms = plain_ms.min(ms);
 
@@ -487,8 +494,8 @@ fn serve_mode_run(spec: &WorkloadSpec) -> ServeReport {
             let id = registry.begin("bench serve-mode workload".to_string(), 1);
             let obs = Obs::with_trace(SERVE_TRACE_CAPACITY);
             obs.set_query_id(id);
-            let out = run_acquire_observed(&mut exec, &workload.query, &cfg, kind, &obs)
-                .expect("served run");
+            let out =
+                run_observed(&mut exec, &workload.query, &cfg, kind, &obs).expect("served run");
             let snap = obs.snapshot().expect("enabled handle has a snapshot");
             process_metrics.absorb_snapshot(&snap);
             registry.finish(
@@ -723,8 +730,7 @@ fn ops_run(specs: &[(&'static str, WorkloadSpec)]) -> OpsReport {
         for _ in 0..3 {
             let obs = Obs::enabled();
             let mut exec = Executor::new(workload.catalog.clone());
-            let (out, ms) =
-                measure(|| run_acquire_observed(&mut exec, &workload.query, &cfg, kind, &obs));
+            let (out, ms) = measure(|| run_observed(&mut exec, &workload.query, &cfg, kind, &obs));
             out.expect("plain run");
             plain_ms = plain_ms.min(ms);
 
@@ -732,8 +738,8 @@ fn ops_run(specs: &[(&'static str, WorkloadSpec)]) -> OpsReport {
             let mut exec = Executor::new(workload.catalog.clone());
             id += 1;
             let (accepted, ms) = measure(|| {
-                let out = run_acquire_observed(&mut exec, &workload.query, &cfg, kind, &obs)
-                    .expect("ops run");
+                let out =
+                    run_observed(&mut exec, &workload.query, &cfg, kind, &obs).expect("ops run");
                 process_metrics.absorb_snapshot(&obs.snapshot().expect("enabled handle"));
                 let record = format!(
                     "{{\"v\":1,\"kind\":\"query\",\"at_ms\":{},\"id\":{id},\"status\":200,\

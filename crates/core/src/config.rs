@@ -67,13 +67,11 @@ pub struct AcquireConfig {
     /// unsatisfiable constraints over predicates with unknown domains). The
     /// search returns the closest query found when it is reached.
     pub max_explored: u64,
-    /// Worker threads used by the cached/indexed evaluation layers when
-    /// scoring the base relation (1 = serial; results are identical either
-    /// way).
-    pub threads: usize,
     /// Worker threads used by the Explore phase to evaluate the cell
-    /// sub-queries of one Expand layer concurrently. Outcomes are
-    /// bit-identical for every setting; see [`Parallelism`].
+    /// sub-queries of one Expand layer concurrently, and by the cached /
+    /// indexed evaluation layers to score the base relation at
+    /// construction. Outcomes are bit-identical for every setting; see
+    /// [`Parallelism`].
     pub parallelism: Parallelism,
     /// Use best-first expansion keyed by the actual QScore instead of
     /// Algorithm 1's L1-layered BFS. Exact ordering for any `Lp`/weighted
@@ -107,7 +105,6 @@ impl Default for AcquireConfig {
             max_layers: 100_000,
             max_units_per_dim: 100_000,
             max_explored: 50_000_000,
-            threads: 1,
             parallelism: Parallelism::Serial,
             exact_lp_order: false,
             budget: ExecutionBudget::default(),
@@ -136,9 +133,6 @@ impl AcquireConfig {
             return Err(CoreError::Config(
                 "max_units_per_dim must be positive".into(),
             ));
-        }
-        if self.threads == 0 {
-            return Err(CoreError::Config("threads must be at least 1".into()));
         }
         if self.parallelism == Parallelism::Fixed(0) {
             return Err(CoreError::Config(
@@ -203,7 +197,6 @@ impl AcquireConfig {
     /// phase. This is what the CLI's `--threads` maps to.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
         self.parallelism = if threads <= 1 {
             Parallelism::Serial
         } else {
@@ -260,15 +253,15 @@ mod tests {
     }
 
     #[test]
-    fn with_threads_sets_both_knobs() {
+    fn with_threads_sets_the_parallelism_knob() {
         let c = AcquireConfig::default().with_threads(4);
-        assert_eq!(c.threads, 4);
         assert_eq!(c.parallelism, Parallelism::Fixed(4));
+        assert_eq!(c.parallelism.workers(), 4);
         c.validate().unwrap();
         let c = AcquireConfig::default().with_threads(1);
         assert_eq!(c.parallelism, Parallelism::Serial);
         let c = AcquireConfig::default().with_threads(0);
-        assert_eq!(c.threads, 1);
         assert_eq!(c.parallelism, Parallelism::Serial);
+        assert_eq!(c.parallelism.workers(), 1);
     }
 }

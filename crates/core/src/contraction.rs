@@ -25,9 +25,7 @@ use acq_query::{AcqQuery, AggErrorFn, AggFunc, CmpOp, Interval, RefineSide};
 use crate::config::AcquireConfig;
 use crate::driver::isolated;
 use crate::error::CoreError;
-use crate::eval::{
-    CachedScoreEvaluator, EvalLayerKind, EvaluationLayer, GridIndexEvaluator, ScanEvaluator,
-};
+use crate::eval::{prepare_layer, EvalLayerKind, EvaluationLayer};
 use crate::expand::{BfsExpander, Expander, LinfExpander};
 use crate::explore::Explorer;
 use crate::govern::{CancellationToken, FaultPolicy, Governor, InterruptReason, Termination};
@@ -89,23 +87,14 @@ fn spans(original: &AcqQuery, contraction: &AcqQuery) -> Vec<f64> {
 }
 
 /// Runs the §7.2 contraction search against a caller-built evaluation layer
-/// (which must have been constructed for [`contraction_query`]'s output).
+/// (which must have been constructed for [`contraction_query`]'s output),
+/// with an externally owned [`CancellationToken`]; budgets, cancellation,
+/// and fault handling behave exactly as in [`crate::acquire_progress`].
 ///
 /// Returns an [`AcqOutcome`] whose `pscores`/`qscore` measure refinement
 /// **with respect to the original query** (the contraction amounts) and
 /// whose SQL renders the contracted queries.
-pub fn contract<E: EvaluationLayer>(
-    eval: &mut E,
-    original: &AcqQuery,
-    cfg: &AcquireConfig,
-) -> Result<AcqOutcome, CoreError> {
-    contract_with(eval, original, cfg, &CancellationToken::new())
-}
-
-/// [`contract`] with an externally owned [`CancellationToken`]; budgets,
-/// cancellation, and fault handling behave exactly as in
-/// [`crate::acquire_with`].
-pub fn contract_with<E: EvaluationLayer>(
+pub fn contract_with<E: EvaluationLayer + ?Sized>(
     eval: &mut E,
     original: &AcqQuery,
     cfg: &AcquireConfig,
@@ -294,26 +283,12 @@ pub fn run_contraction_with(
     kind: EvalLayerKind,
     cancel: &CancellationToken,
 ) -> Result<AcqOutcome, CoreError> {
+    // `contract_with` re-derives `Q'_min` from the original, so the original
+    // needs its domains too (the seam's own fill then finds them set).
     let mut query = query.clone();
     exec.populate_domains(&mut query)?;
-    let cq = contraction_query(&query)?;
-    let space = RefinedSpace::new(&cq, cfg)?;
-    let caps = space.caps();
-    match kind {
-        EvalLayerKind::Scan => {
-            let mut eval = ScanEvaluator::new(exec, &cq, &caps)?;
-            contract_with(&mut eval, &query, cfg, cancel)
-        }
-        EvalLayerKind::CachedScore => {
-            let mut eval = CachedScoreEvaluator::with_threads(exec, &cq, &caps, cfg.threads)?;
-            contract_with(&mut eval, &query, cfg, cancel)
-        }
-        EvalLayerKind::GridIndex => {
-            let mut eval =
-                GridIndexEvaluator::with_threads(exec, &cq, &caps, space.step(), cfg.threads)?;
-            contract_with(&mut eval, &query, cfg, cancel)
-        }
-    }
+    let (_, mut eval) = prepare_layer(exec, &contraction_query(&query)?, cfg, kind)?;
+    contract_with(&mut *eval, &query, cfg, cancel)
 }
 
 #[cfg(test)]

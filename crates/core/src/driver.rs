@@ -32,9 +32,7 @@ use acq_query::AcqQuery;
 
 use crate::config::AcquireConfig;
 use crate::error::CoreError;
-use crate::eval::{
-    CachedScoreEvaluator, EvalLayerKind, EvaluationLayer, GridIndexEvaluator, ScanEvaluator,
-};
+use crate::eval::{prepare_layer, EvalLayerKind, EvaluationLayer};
 use crate::expand::{BestFirstExpander, BfsExpander, Expander, LinfExpander};
 use crate::explore::Explorer;
 use crate::govern::{CancellationToken, FaultPolicy, Governor, InterruptReason, Termination};
@@ -73,53 +71,22 @@ pub(crate) fn isolated<T>(f: impl FnOnce() -> EngineResult<T>) -> Result<T, Core
 /// least [`RefinedSpace::caps`] for this query and configuration (which
 /// [`run_acquire`] guarantees).
 ///
-/// Equivalent to [`acquire_with`] with a token nobody can cancel; the
-/// configured [`AcquireConfig::budget`] still applies.
-pub fn acquire<E: EvaluationLayer>(
+/// The short form of [`acquire_progress`]: a token nobody can cancel,
+/// observability off, no progress sink. The configured
+/// [`AcquireConfig::budget`] still applies.
+pub fn acquire<E: EvaluationLayer + ?Sized>(
     eval: &mut E,
     query: &AcqQuery,
     cfg: &AcquireConfig,
 ) -> Result<AcqOutcome, CoreError> {
-    acquire_with(eval, query, cfg, &CancellationToken::new())
-}
-
-/// Runs ACQUIRE with an externally owned [`CancellationToken`].
-///
-/// The search checks the token (and the configured budget) cooperatively
-/// once per grid query; on interrupt it returns `Ok` with everything found
-/// so far — the answer set, the closest-so-far query, and a
-/// [`Termination::Interrupted`] status naming the reason — making the
-/// driver an anytime algorithm.
-pub fn acquire_with<E: EvaluationLayer>(
-    eval: &mut E,
-    query: &AcqQuery,
-    cfg: &AcquireConfig,
-    cancel: &CancellationToken,
-) -> Result<AcqOutcome, CoreError> {
-    acquire_observed(eval, query, cfg, cancel, &Obs::disabled())
-}
-
-/// Runs ACQUIRE with an externally owned [`CancellationToken`] and an
-/// [`Obs`] observability handle.
-///
-/// With a disabled handle (the default everywhere) this *is*
-/// [`acquire_with`]: every instrument call short-circuits on a null check.
-/// With an enabled handle the driver records phase spans (expand layer N,
-/// speculative pool, repartition), per-layer gauges (frontier batch size,
-/// store occupancy, budget headroom), per-cell execution latency, and the
-/// event counters of [`acq_obs::Metrics`]. All deterministic instruments
-/// are committed from this serial loop — in emission order, exactly where
-/// `explored` advances — so snapshot counters are reproducible for any
-/// thread count (see DESIGN.md). The outcome itself is bit-identical with
-/// observability on or off.
-pub fn acquire_observed<E: EvaluationLayer>(
-    eval: &mut E,
-    query: &AcqQuery,
-    cfg: &AcquireConfig,
-    cancel: &CancellationToken,
-    obs: &Obs,
-) -> Result<AcqOutcome, CoreError> {
-    acquire_progress(eval, query, cfg, cancel, obs, None)
+    acquire_progress(
+        eval,
+        query,
+        cfg,
+        &CancellationToken::new(),
+        &Obs::disabled(),
+        None,
+    )
 }
 
 /// The serial progress commit: the single place the driver pushes into a
@@ -132,16 +99,34 @@ fn emit_progress(sink: &ProgressSink, start: Instant, mut event: ProgressEvent) 
     sink.try_push(event);
 }
 
-/// [`acquire_observed`] with an optional live [`ProgressSink`].
+/// Runs ACQUIRE with an externally owned [`CancellationToken`], an [`Obs`]
+/// observability handle and an optional live [`ProgressSink`] — the full
+/// form every other entry point forwards to.
 ///
-/// With a sink attached the driver emits a [`ProgressEvent`] at every
-/// serial layer-boundary commit and one terminal event when the search
-/// ends. Emission is **observational only**: the sink is wait-free
+/// **Cancellation.** The search checks the token (and the configured
+/// budget) cooperatively once per grid query; on interrupt it returns `Ok`
+/// with everything found so far — the answer set, the closest-so-far query,
+/// and a [`Termination::Interrupted`] status naming the reason — making the
+/// driver an anytime algorithm.
+///
+/// **Observability.** With a disabled handle every instrument call
+/// short-circuits on a null check. With an enabled handle the driver
+/// records phase spans (expand layer N, speculative pool, repartition),
+/// per-layer gauges (frontier batch size, store occupancy, budget
+/// headroom), per-cell execution latency, and the event counters of
+/// [`acq_obs::Metrics`]. All deterministic instruments are committed from
+/// this serial loop — in emission order, exactly where `explored` advances
+/// — so snapshot counters are reproducible for any thread count (see
+/// DESIGN.md). The outcome itself is bit-identical with observability on or
+/// off.
+///
+/// **Progress.** With a sink attached the driver emits a [`ProgressEvent`]
+/// at every serial layer-boundary commit and one terminal event when the
+/// search ends. Emission is **observational only**: the sink is wait-free
 /// (try-push, drop-counted — a slow or absent reader costs the commit path
 /// nothing), no event ever feeds back into the search, and the outcome is
-/// bit-identical to a run without the sink for every thread count. With
-/// `None` this *is* [`acquire_observed`].
-pub fn acquire_progress<E: EvaluationLayer>(
+/// bit-identical to a run without the sink for every thread count.
+pub fn acquire_progress<E: EvaluationLayer + ?Sized>(
     eval: &mut E,
     query: &AcqQuery,
     cfg: &AcquireConfig,
@@ -569,41 +554,23 @@ pub fn run_acquire(
     cfg: &AcquireConfig,
     kind: EvalLayerKind,
 ) -> Result<AcqOutcome, CoreError> {
-    run_acquire_observed(exec, query, cfg, kind, &Obs::disabled())
+    run_acquire_progress(
+        exec,
+        query,
+        cfg,
+        kind,
+        &CancellationToken::new(),
+        &Obs::disabled(),
+        None,
+    )
 }
 
-/// [`run_acquire`] with an [`Obs`] observability handle: builds the
-/// requested evaluation layer and runs [`acquire_observed`] with a token
-/// nobody can cancel.
-pub fn run_acquire_observed(
-    exec: &mut Executor,
-    query: &AcqQuery,
-    cfg: &AcquireConfig,
-    kind: EvalLayerKind,
-    obs: &Obs,
-) -> Result<AcqOutcome, CoreError> {
-    run_acquire_cancellable(exec, query, cfg, kind, &CancellationToken::new(), obs)
-}
-
-/// [`run_acquire_observed`] with an externally owned [`CancellationToken`]:
-/// the entry point for long-running hosts (the serve binary) whose graceful
-/// shutdown must interrupt in-flight searches cooperatively.
-pub fn run_acquire_cancellable(
-    exec: &mut Executor,
-    query: &AcqQuery,
-    cfg: &AcquireConfig,
-    kind: EvalLayerKind,
-    cancel: &CancellationToken,
-    obs: &Obs,
-) -> Result<AcqOutcome, CoreError> {
-    run_acquire_progress(exec, query, cfg, kind, cancel, obs, None)
-}
-
-/// [`run_acquire_cancellable`] with an optional live [`ProgressSink`]: the
-/// entry point for hosts (the serve binary, the CLI's `--progress`) that
-/// stream the refinement trajectory while the search runs. With `None`
-/// this *is* [`run_acquire_cancellable`]; see [`acquire_progress`] for the
-/// emission contract.
+/// The full form of [`run_acquire`]: builds the requested evaluation layer
+/// and runs [`acquire_progress`] with the caller's [`CancellationToken`],
+/// [`Obs`] handle and optional [`ProgressSink`]. The entry point for
+/// long-running hosts (the serve binary, the CLI's `--progress`) whose
+/// graceful shutdown must interrupt in-flight searches cooperatively and
+/// which stream the refinement trajectory while the search runs.
 pub fn run_acquire_progress(
     exec: &mut Executor,
     query: &AcqQuery,
@@ -613,27 +580,8 @@ pub fn run_acquire_progress(
     obs: &Obs,
     progress: Option<&ProgressSink>,
 ) -> Result<AcqOutcome, CoreError> {
-    let mut query = query.clone();
-    exec.populate_domains(&mut query)?;
-    let space = RefinedSpace::new(&query, cfg)?;
-    let caps = space.caps();
-    let cancel = cancel.clone();
-    exec.set_zone_pruning(cfg.zone_pruning);
-    match kind {
-        EvalLayerKind::Scan => {
-            let mut eval = ScanEvaluator::new(exec, &query, &caps)?;
-            acquire_progress(&mut eval, &query, cfg, &cancel, obs, progress)
-        }
-        EvalLayerKind::CachedScore => {
-            let mut eval = CachedScoreEvaluator::with_threads(exec, &query, &caps, cfg.threads)?;
-            acquire_progress(&mut eval, &query, cfg, &cancel, obs, progress)
-        }
-        EvalLayerKind::GridIndex => {
-            let mut eval =
-                GridIndexEvaluator::with_threads(exec, &query, &caps, space.step(), cfg.threads)?;
-            acquire_progress(&mut eval, &query, cfg, &cancel, obs, progress)
-        }
-    }
+    let (query, mut eval) = prepare_layer(exec, query, cfg, kind)?;
+    acquire_progress(&mut *eval, &query, cfg, cancel, obs, progress)
 }
 
 #[cfg(test)]

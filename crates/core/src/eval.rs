@@ -21,7 +21,9 @@
 use acq_engine::{AggState, CellRange, EngineResult, ExecStats, Executor, Relation, ResolvedQuery};
 use acq_query::AcqQuery;
 
-use crate::space::GridPoint;
+use crate::config::AcquireConfig;
+use crate::error::CoreError;
+use crate::space::{GridPoint, RefinedSpace};
 
 /// Deferred work accounting for one speculatively executed cell query.
 ///
@@ -131,6 +133,45 @@ pub enum EvalLayerKind {
     GridIndex,
 }
 
+/// A prepared evaluation layer of whichever [`EvalLayerKind`] was asked for.
+pub(crate) type PreparedLayer<'e> = Box<dyn EvaluationLayer + Send + 'e>;
+
+/// The one place a layer is built from an [`EvalLayerKind`]: fills `query`'s
+/// predicate domains from catalog statistics, sizes the refined space,
+/// applies `cfg.zone_pruning` to the executor and constructs the layer with
+/// the space's caps, scoring on `cfg.parallelism`'s workers. Returns the
+/// domain-populated query the layer was built for beside it.
+/// [`crate::run_acquire_progress`], [`crate::run_contraction_with`] and
+/// [`crate::Session::new`] all come through here, so every path honours the
+/// same configuration.
+pub(crate) fn prepare_layer<'e>(
+    exec: &'e mut Executor,
+    query: &AcqQuery,
+    cfg: &AcquireConfig,
+    kind: EvalLayerKind,
+) -> Result<(AcqQuery, PreparedLayer<'e>), CoreError> {
+    let mut query = query.clone();
+    exec.populate_domains(&mut query)?;
+    let space = RefinedSpace::new(&query, cfg)?;
+    let caps = space.caps();
+    exec.set_zone_pruning(cfg.zone_pruning);
+    let threads = cfg.parallelism.workers();
+    let eval: PreparedLayer<'e> = match kind {
+        EvalLayerKind::Scan => Box::new(ScanEvaluator::new(exec, &query, &caps)?),
+        EvalLayerKind::CachedScore => Box::new(CachedScoreEvaluator::with_threads(
+            exec, &query, &caps, threads,
+        )?),
+        EvalLayerKind::GridIndex => Box::new(GridIndexEvaluator::with_threads(
+            exec,
+            &query,
+            &caps,
+            space.step(),
+            threads,
+        )?),
+    };
+    Ok((query, eval))
+}
+
 // ---------------------------------------------------------------------------
 // ScanEvaluator
 // ---------------------------------------------------------------------------
@@ -155,7 +196,9 @@ impl<'a> ScanEvaluator<'a> {
 
 impl EvaluationLayer for ScanEvaluator<'_> {
     fn cell_aggregate(&mut self, cell: &[CellRange]) -> EngineResult<AggState> {
-        self.exec.cell_aggregate(&self.rq, &self.rel, cell)
+        let (state, cost) = self.cell_aggregate_shared(cell)?;
+        self.commit_cell_cost(&cost);
+        Ok(state)
     }
 
     fn full_aggregate(&mut self, bounds: &[f64]) -> EngineResult<AggState> {
@@ -224,72 +267,61 @@ struct ScoreMatrix {
 }
 
 impl ScoreMatrix {
-    /// Scores every admissible tuple using `threads` worker threads.
-    /// Deterministic: each thread scores a contiguous row chunk and the
-    /// chunks are concatenated in order, so the matrix is identical to a
-    /// serial build. Falls back to the serial path for `threads <= 1`.
-    fn build_with_threads(
+    /// Scores every admissible tuple on `threads` worker threads (the
+    /// calling thread alone for `threads <= 1` or a tiny relation).
+    /// Deterministic: each worker scores one contiguous row chunk and the
+    /// chunks are concatenated in order, so the matrix is identical for
+    /// every thread count.
+    fn build(
         exec: &mut Executor,
         rq: &ResolvedQuery,
         rel: &Relation,
         threads: usize,
     ) -> EngineResult<Self> {
-        if threads <= 1 || rel.len() < 2 * threads {
-            return Self::build(exec, rq, rel);
-        }
         let d = rq.dims();
         let n = rel.len();
-        let chunk = n.div_ceil(threads);
-        let parts: Vec<EngineResult<(Vec<f64>, Vec<f64>)>> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for t in 0..threads {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(n);
-                handles.push(scope.spawn(move || -> EngineResult<(Vec<f64>, Vec<f64>)> {
-                    let bound = rq.bind(rel)?;
-                    let mut scores = Vec::new();
-                    let mut vals = Vec::new();
-                    let mut row_scores = vec![0.0; d];
-                    for row in lo..hi {
-                        if bound.score_into(rel, row, &mut row_scores) {
-                            scores.extend_from_slice(&row_scores);
-                            vals.push(bound.agg_value(rel, row));
-                        }
-                    }
-                    Ok((scores, vals))
-                }));
+        let score_chunk = |lo: usize, hi: usize| -> EngineResult<(Vec<f64>, Vec<f64>)> {
+            let bound = rq.bind(rel)?;
+            let mut scores = Vec::with_capacity((hi - lo) * d);
+            let mut vals = Vec::with_capacity(hi - lo);
+            let mut row_scores = vec![0.0; d];
+            for row in lo..hi {
+                if bound.score_into(rel, row, &mut row_scores) {
+                    scores.extend_from_slice(&row_scores);
+                    vals.push(bound.agg_value(rel, row));
+                }
             }
-            handles
-                .into_iter()
-                // A worker panic propagates as a panic on this thread (the
-                // driver's isolation layer turns it into a typed error).
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        });
-        let mut scores = Vec::with_capacity(n * d);
-        let mut vals = Vec::with_capacity(n);
-        for part in parts {
-            let (s, v) = part?;
-            scores.extend(s);
-            vals.extend(v);
-        }
+            Ok((scores, vals))
+        };
+        let (scores, vals) = if threads <= 1 || n < 2 * threads {
+            score_chunk(0, n)?
+        } else {
+            let chunk = n.div_ceil(threads);
+            let score_chunk = &score_chunk;
+            let parts: Vec<EngineResult<(Vec<f64>, Vec<f64>)>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|t| {
+                        let hi = ((t + 1) * chunk).min(n);
+                        scope.spawn(move || score_chunk((t * chunk).min(hi), hi))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    // A worker panic propagates as a panic on this thread (the
+                    // driver's isolation layer turns it into a typed error).
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            });
+            let mut scores = Vec::with_capacity(n * d);
+            let mut vals = Vec::with_capacity(n);
+            for part in parts {
+                let (s, v) = part?;
+                scores.extend(s);
+                vals.extend(v);
+            }
+            (scores, vals)
+        };
         exec.stats_mut().tuples_scanned += n as u64;
-        Ok(Self::finalize(scores, vals, d))
-    }
-
-    fn build(exec: &mut Executor, rq: &ResolvedQuery, rel: &Relation) -> EngineResult<Self> {
-        let d = rq.dims();
-        let bound = rq.bind(rel)?;
-        let mut scores = Vec::with_capacity(rel.len() * d);
-        let mut vals = Vec::with_capacity(rel.len());
-        let mut row_scores = vec![0.0; d];
-        for row in 0..rel.len() {
-            if bound.score_into(rel, row, &mut row_scores) {
-                scores.extend_from_slice(&row_scores);
-                vals.push(bound.agg_value(rel, row));
-            }
-        }
-        exec.stats_mut().tuples_scanned += rel.len() as u64;
         Ok(Self::finalize(scores, vals, d))
     }
 
@@ -484,7 +516,7 @@ impl<'a> CachedScoreEvaluator<'a> {
     ) -> EngineResult<Self> {
         let rq = exec.resolve(query)?;
         let rel = exec.base_relation(&rq, caps)?;
-        let matrix = ScoreMatrix::build_with_threads(exec, &rq, &rel, threads)?;
+        let matrix = ScoreMatrix::build(exec, &rq, &rel, threads)?;
         let zone_pruning = exec.zone_pruning();
         Ok(Self {
             exec,
@@ -497,11 +529,8 @@ impl<'a> CachedScoreEvaluator<'a> {
 
 impl EvaluationLayer for CachedScoreEvaluator<'_> {
     fn cell_aggregate(&mut self, cell: &[CellRange]) -> EngineResult<AggState> {
-        let mut state = self.empty_state()?;
-        let cost = self
-            .matrix
-            .cell_scan_into(cell, &mut state, self.zone_pruning);
-        cost.apply(self.exec.stats_mut());
+        let (state, cost) = self.cell_aggregate_shared(cell)?;
+        self.commit_cell_cost(&cost);
         Ok(state)
     }
 
@@ -593,7 +622,7 @@ impl<'a> GridIndexEvaluator<'a> {
         assert!(step > 0.0 && step.is_finite(), "grid step must be positive");
         let rq = exec.resolve(query)?;
         let rel = exec.base_relation(&rq, caps)?;
-        let matrix = ScoreMatrix::build_with_threads(exec, &rq, &rel, threads)?;
+        let matrix = ScoreMatrix::build(exec, &rq, &rel, threads)?;
         let mut cells: crate::fasthash::FastMap<GridPoint, CellBucket> =
             crate::fasthash::FastMap::default();
         let mut point = vec![0u32; rq.dims()];
@@ -656,23 +685,8 @@ impl<'a> GridIndexEvaluator<'a> {
 
 impl EvaluationLayer for GridIndexEvaluator<'_> {
     fn cell_aggregate(&mut self, cell: &[CellRange]) -> EngineResult<AggState> {
-        let point = Self::point_of_cell(cell, self.step);
-        let mut state = AggState::empty(&self.rq.query.constraint.spec, self.exec.uda_registry())?;
-        let stats = self.exec.stats_mut();
-        stats.cell_queries += 1;
-        stats.index_probes += 1;
-        match self.cells.get(&point) {
-            None => {
-                // Provably empty: skipped without execution (§7.4).
-                stats.cells_skipped += 1;
-            }
-            Some(bucket) => {
-                stats.tuples_scanned += bucket.rows.len() as u64;
-                for &i in &bucket.rows {
-                    state.update(self.matrix.vals[i as usize]);
-                }
-            }
-        }
+        let (state, cost) = self.cell_aggregate_shared(cell)?;
+        self.commit_cell_cost(&cost);
         Ok(state)
     }
 

@@ -43,7 +43,7 @@ impl Explorer {
     /// `layer` is the query-layer `point` is investigated in (used for store
     /// eviction). Panics if a required neighbour was never investigated —
     /// that would violate the Expand phase's containment order (Theorem 3).
-    pub fn compute_aggregate<E: EvaluationLayer>(
+    pub fn compute_aggregate<E: EvaluationLayer + ?Sized>(
         &mut self,
         eval: &mut E,
         space: &RefinedSpace,

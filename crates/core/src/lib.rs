@@ -22,7 +22,7 @@
 //! * the **driver** — [`acquire`] / [`run_acquire`], Algorithm 4 with the
 //!   aggregate-error threshold `δ`, proximity threshold `γ`, answer-layer
 //!   collection, and cell repartitioning for overshooting queries;
-//! * **contraction** (§7.2) — [`contract`] / [`run_contraction`] handles
+//! * **contraction** (§7.2) — [`contract_with`] / [`run_contraction`] handles
 //!   queries that return too much by searching the space between `Q'_min`
 //!   (every predicate at its minimum) and `Q`, minimising refinement with
 //!   respect to `Q`;
@@ -38,9 +38,10 @@
 //!   concurrently ([`ParallelCells`]), while the Eq. 17 merges, answer
 //!   collection and accounting stay in serial emission order, so outcomes
 //!   are bit-identical to a serial run for every thread count;
-//! * **observability** — [`acquire_observed`] / [`run_acquire_observed`]
-//!   thread an [`Obs`] handle (re-exported from `acq-obs`) through the
-//!   pipeline: phase spans, per-layer gauges, cell-latency histograms,
+//! * **observability** — [`acquire_progress`] / [`run_acquire_progress`]
+//!   (the full forms of the two entry points above) thread an [`Obs`] handle
+//!   (re-exported from `acq-obs`) through the pipeline: phase spans,
+//!   per-layer gauges, cell-latency histograms,
 //!   worker utilisation, and an at-most-once violation counter, with JSON
 //!   and Prometheus snapshot sinks. Deterministic instruments commit in
 //!   serial emission order, so snapshots are reproducible for any thread
@@ -51,7 +52,6 @@
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-mod bitmap_eval;
 mod config;
 mod contraction;
 mod driver;
@@ -73,15 +73,9 @@ mod space;
 mod store;
 
 pub use acq_obs::{MetricsSnapshot, Obs};
-pub use bitmap_eval::BitmapIndexEvaluator;
 pub use config::{AcquireConfig, Parallelism};
-pub use contraction::{
-    contract, contract_with, contraction_query, run_contraction, run_contraction_with,
-};
-pub use driver::{
-    acquire, acquire_observed, acquire_progress, acquire_with, run_acquire,
-    run_acquire_cancellable, run_acquire_observed, run_acquire_progress,
-};
+pub use contraction::{contract_with, contraction_query, run_contraction, run_contraction_with};
+pub use driver::{acquire, acquire_progress, run_acquire, run_acquire_progress};
 pub use error::CoreError;
 pub use estimate::HistogramEstimator;
 pub use eval::{

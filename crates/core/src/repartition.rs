@@ -32,7 +32,7 @@ pub struct RepartitionHit {
 /// Bisects the cell of `point` for up to `depth` iterations, returning the
 /// candidate with the smallest aggregate error (which the caller checks
 /// against `δ`). Returns `None` when the cell is degenerate (the origin).
-pub fn repartition<E: EvaluationLayer>(
+pub fn repartition<E: EvaluationLayer + ?Sized>(
     eval: &mut E,
     space: &RefinedSpace,
     point: &GridPoint,

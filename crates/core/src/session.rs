@@ -11,7 +11,7 @@
 //! use acq_engine::{Catalog, DataType, Executor, Field, TableBuilder, Value};
 //! use acq_query::{AcqQuery, AggConstraint, AggregateSpec, CmpOp, ColRef, Interval,
 //!                 Predicate, RefineSide};
-//! use acquire_core::{AcquireConfig, Session};
+//! use acquire_core::{AcquireConfig, EvalLayerKind, Session};
 //!
 //! let mut b = TableBuilder::new("t", vec![Field::new("x", DataType::Float)])?;
 //! for i in 0..1000 {
@@ -31,7 +31,8 @@
 //!     .build()?;
 //!
 //! let mut exec = Executor::new(catalog);
-//! let mut session = Session::new(&mut exec, &query, &AcquireConfig::default())?;
+//! let mut session = Session::new(&mut exec, &query, &AcquireConfig::default(),
+//!                                EvalLayerKind::GridIndex)?;
 //! let a = session.run(150.0)?; // first budget
 //! let b = session.run(400.0)?; // Alice doubles the budget — no re-scan
 //! assert!(a.satisfied && b.satisfied);
@@ -44,16 +45,15 @@ use acq_obs::Obs;
 use acq_query::AcqQuery;
 
 use crate::config::AcquireConfig;
-use crate::driver::acquire_observed;
+use crate::driver::acquire_progress;
 use crate::error::CoreError;
-use crate::eval::GridIndexEvaluator;
+use crate::eval::{prepare_layer, EvalLayerKind, PreparedLayer};
 use crate::govern::{CancellationToken, ExecutionBudget};
 use crate::result::AcqOutcome;
-use crate::space::RefinedSpace;
 
 /// A prepared ACQ whose aggregate target can be varied interactively; the
-/// evaluation layer (base relation, score matrix, cell buckets) is built
-/// once at construction.
+/// evaluation layer (base relation, and for the cached layers the score
+/// matrix and cell buckets) is built once at construction.
 ///
 /// Each session owns a [`CancellationToken`]: hand a clone of
 /// [`Session::cancellation_token`] to another thread (say, a UI) and it can
@@ -61,30 +61,35 @@ use crate::space::RefinedSpace;
 /// closest-so-far outcome. Cancellation is sticky — further runs return
 /// immediately-interrupted outcomes until [`Session::reset_cancellation`]
 /// issues a fresh token.
-#[derive(Debug)]
 pub struct Session<'e> {
-    eval: GridIndexEvaluator<'e>,
+    eval: PreparedLayer<'e>,
     query: AcqQuery,
     cfg: AcquireConfig,
     cancel: CancellationToken,
     obs: Obs,
 }
 
+impl std::fmt::Debug for Session<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Session")
+            .field("layer", &self.eval.kind_name())
+            .field("query", &self.query)
+            .field("cfg", &self.cfg)
+            .finish_non_exhaustive()
+    }
+}
+
 impl<'e> Session<'e> {
-    /// Prepares the session: resolves the query, fills predicate domains,
-    /// materialises the base relation and buckets every tuple by grid cell.
+    /// Prepares the session: fills predicate domains, materialises the base
+    /// relation and builds the `kind` evaluation layer over it — the same
+    /// construction [`crate::run_acquire`] performs per call.
     pub fn new(
         exec: &'e mut Executor,
         query: &AcqQuery,
         cfg: &AcquireConfig,
+        kind: EvalLayerKind,
     ) -> Result<Self, CoreError> {
-        cfg.validate()?;
-        let mut query = query.clone();
-        exec.populate_domains(&mut query)?;
-        query.validate_with_norm(&cfg.norm)?;
-        let space = RefinedSpace::new(&query, cfg)?;
-        let caps = space.caps();
-        let eval = GridIndexEvaluator::new(exec, &query, &caps, space.step())?;
+        let (query, eval) = prepare_layer(exec, query, cfg, kind)?;
         Ok(Self {
             eval,
             query,
@@ -137,12 +142,13 @@ impl<'e> Session<'e> {
     /// Runs the search for a new aggregate target over the prepared layer.
     pub fn run(&mut self, target: f64) -> Result<AcqOutcome, CoreError> {
         self.query.constraint.target = target;
-        acquire_observed(
-            &mut self.eval,
+        acquire_progress(
+            &mut *self.eval,
             &self.query,
             &self.cfg,
             &self.cancel,
             &self.obs,
+            None,
         )
     }
 
@@ -161,7 +167,6 @@ impl<'e> Session<'e> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::EvaluationLayer;
     use acq_engine::{Catalog, DataType, Field, TableBuilder, Value};
     use acq_query::{AggConstraint, AggregateSpec, CmpOp, ColRef, Interval, Predicate, RefineSide};
 
@@ -203,7 +208,13 @@ mod tests {
     #[test]
     fn successive_targets_reuse_the_prepared_layer() {
         let (mut exec, q) = setup();
-        let mut session = Session::new(&mut exec, &q, &AcquireConfig::default()).unwrap();
+        let mut session = Session::new(
+            &mut exec,
+            &q,
+            &AcquireConfig::default(),
+            EvalLayerKind::GridIndex,
+        )
+        .unwrap();
         let scanned_after_build = session.eval.stats().tuples_scanned;
 
         let a = session.run(800.0).unwrap();
@@ -225,18 +236,13 @@ mod tests {
     fn session_matches_one_shot_runs() {
         let (mut exec, q) = setup();
         let cfg = AcquireConfig::default();
-        let mut session = Session::new(&mut exec, &q, &cfg).unwrap();
+        let mut session = Session::new(&mut exec, &q, &cfg, EvalLayerKind::GridIndex).unwrap();
         let via_session = session.run(800.0).unwrap();
 
         let (mut exec2, mut q2) = setup();
         q2.constraint.target = 800.0;
-        let one_shot = crate::driver::run_acquire(
-            &mut exec2,
-            &q2,
-            &cfg,
-            crate::eval::EvalLayerKind::GridIndex,
-        )
-        .unwrap();
+        let one_shot =
+            crate::driver::run_acquire(&mut exec2, &q2, &cfg, EvalLayerKind::GridIndex).unwrap();
         assert_eq!(via_session.satisfied, one_shot.satisfied);
         assert_eq!(
             via_session.best().map(|r| (r.qscore, r.aggregate)),
@@ -247,7 +253,13 @@ mod tests {
     #[test]
     fn delta_can_vary_per_run() {
         let (mut exec, q) = setup();
-        let mut session = Session::new(&mut exec, &q, &AcquireConfig::default()).unwrap();
+        let mut session = Session::new(
+            &mut exec,
+            &q,
+            &AcquireConfig::default(),
+            EvalLayerKind::GridIndex,
+        )
+        .unwrap();
         let loose = session.run_with_delta(777.0, 0.1).unwrap();
         let tight = session.run_with_delta(777.0, 0.001).unwrap();
         assert!(loose.satisfied);

@@ -28,9 +28,9 @@ use acquire_core::expand::{BfsExpander, Expander};
 use acquire_core::explore::Explorer;
 use acquire_core::govern::Termination;
 use acquire_core::{
-    acquire, acquire_with, AcquireConfig, CachedScoreEvaluator, CancellationToken, CoreError,
-    EvaluationLayer, ExecutionBudget, FaultInjectingLayer, FaultPolicy, FaultSchedule,
-    GridIndexEvaluator, InterruptReason, RefinedSpace, Session,
+    acquire, acquire_progress, AcquireConfig, CachedScoreEvaluator, CancellationToken, CoreError,
+    EvalLayerKind, EvaluationLayer, ExecutionBudget, FaultInjectingLayer, FaultPolicy,
+    FaultSchedule, GridIndexEvaluator, InterruptReason, Obs, RefinedSpace, Session,
 };
 
 /// 1000 rows: x = 0.0, 0.1, …, 99.9 and y = i mod 100.
@@ -95,7 +95,7 @@ fn run_with(
     let space = RefinedSpace::new(&query, cfg).unwrap();
     let caps = space.caps();
     let mut eval = GridIndexEvaluator::new(&mut exec, &query, &caps, space.step()).unwrap();
-    acquire_with(&mut eval, &query, cfg, cancel).unwrap()
+    acquire_progress(&mut eval, &query, cfg, cancel, &Obs::disabled(), None).unwrap()
 }
 
 // ---------------------------------------------------------------------------
@@ -352,7 +352,8 @@ fn cancellation_mid_run_equals_budget_truncation() {
         let caps = space.caps();
         let inner = GridIndexEvaluator::new(&mut exec, &q, &caps, space.step()).unwrap();
         let mut eval = RecordingLayer::cancelling(inner, k, token.clone());
-        let cancelled = acquire_with(&mut eval, &q, &cfg, &token).unwrap();
+        let cancelled =
+            acquire_progress(&mut eval, &q, &cfg, &token, &Obs::disabled(), None).unwrap();
 
         let budget_cfg =
             AcquireConfig::default().with_budget(ExecutionBudget::unlimited().with_max_explored(k));
@@ -505,7 +506,13 @@ fn fault_free_schedule_changes_nothing() {
 fn session_cancellation_is_sticky_until_reset() {
     let mut exec = Executor::new(catalog());
     let query = ge_query(800.0);
-    let mut session = Session::new(&mut exec, &query, &AcquireConfig::default()).unwrap();
+    let mut session = Session::new(
+        &mut exec,
+        &query,
+        &AcquireConfig::default(),
+        EvalLayerKind::GridIndex,
+    )
+    .unwrap();
 
     let token = session.cancellation_token();
     token.cancel();
@@ -534,7 +541,13 @@ fn session_cancellation_is_sticky_until_reset() {
 fn session_budget_applies_per_run() {
     let mut exec = Executor::new(catalog());
     let query = ge_query(800.0);
-    let mut session = Session::new(&mut exec, &query, &AcquireConfig::default()).unwrap();
+    let mut session = Session::new(
+        &mut exec,
+        &query,
+        &AcquireConfig::default(),
+        EvalLayerKind::GridIndex,
+    )
+    .unwrap();
     session.set_budget(ExecutionBudget::unlimited().with_max_explored(1));
     let capped = session.run(800.0).unwrap();
     assert_eq!(capped.explored, 1);

@@ -4,7 +4,7 @@ use acq_engine::{Catalog, DataType, Executor, Field, TableBuilder, Value};
 use acq_query::{
     AcqQuery, AggConstraint, AggregateSpec, CmpOp, ColRef, Interval, Norm, Predicate, RefineSide,
 };
-use acquire_core::{run_contraction, AcquireConfig, EvalLayerKind};
+use acquire_core::{run_contraction, AcqOutcome, AcquireConfig, EvalLayerKind};
 
 fn catalog() -> Catalog {
     let mut b = TableBuilder::new(
@@ -138,4 +138,40 @@ fn lt_constraint_is_strict_about_direction() {
     assert!(out.satisfied);
     // HingeRelativeAbove: anything at or below the budget is error 0.
     assert!(out.best().unwrap().aggregate <= 500.0 * 1.05);
+}
+
+#[test]
+fn contraction_honours_the_zone_pruning_setting() {
+    let run = |zone_pruning: bool| {
+        let cfg = AcquireConfig::default().with_zone_pruning(zone_pruning);
+        let mut exec = Executor::new(catalog());
+        run_contraction(
+            &mut exec,
+            &overshooting(CmpOp::Le, 900.0),
+            &cfg,
+            EvalLayerKind::CachedScore,
+        )
+        .unwrap()
+    };
+    let (on, off) = (run(true), run(false));
+    let answers = |out: &AcqOutcome| -> Vec<(String, u64, u64)> {
+        out.queries
+            .iter()
+            .map(|r| (r.sql.clone(), r.aggregate.to_bits(), r.qscore.to_bits()))
+            .collect()
+    };
+    assert!(on.satisfied);
+    assert_eq!(answers(&on), answers(&off));
+    assert_eq!(on.explored, off.explored);
+    assert!(
+        on.stats.zones_pruned > 0,
+        "pruning never fired: {}",
+        on.stats
+    );
+    assert_eq!(
+        off.stats.zones_pruned + off.stats.zones_full + off.stats.zones_scanned,
+        0,
+        "pruning ran although the configuration turned it off: {}",
+        off.stats
+    );
 }

@@ -12,8 +12,8 @@ use acq_query::{
     RefineSide,
 };
 use acquire_core::{
-    acquire_observed, AcqOutcome, AcquireConfig, CachedScoreEvaluator, CancellationToken, Obs,
-    Parallelism, RefinedSpace, Session,
+    acquire_progress, AcqOutcome, AcquireConfig, CachedScoreEvaluator, CancellationToken,
+    EvalLayerKind, Obs, Parallelism, RefinedSpace, Session,
 };
 
 fn catalog() -> Catalog {
@@ -66,7 +66,7 @@ fn run_with(obs: &Obs, cfg: &AcquireConfig) -> AcqOutcome {
     let space = RefinedSpace::new(&q, cfg).unwrap();
     let caps = space.caps();
     let mut eval = CachedScoreEvaluator::new(&mut exec, &q, &caps).unwrap();
-    acquire_observed(&mut eval, &q, cfg, &CancellationToken::new(), obs).unwrap()
+    acquire_progress(&mut eval, &q, cfg, &CancellationToken::new(), obs, None).unwrap()
 }
 
 /// Every observable field, floats as raw bits.
@@ -284,7 +284,7 @@ fn session_threads_its_observability_handle_through_runs() {
     let mut exec = Executor::new(catalog());
     let q = query(800.0);
     let cfg = AcquireConfig::default();
-    let mut session = Session::new(&mut exec, &q, &cfg).unwrap();
+    let mut session = Session::new(&mut exec, &q, &cfg, EvalLayerKind::GridIndex).unwrap();
     assert!(
         !session.observability().is_enabled(),
         "sessions default to a disabled handle"

@@ -25,10 +25,10 @@ use acq_query::{
 };
 use acquire_core::govern::Termination;
 use acquire_core::{
-    acquire_observed, acquire_progress, acquire_with, AcqOutcome, AcquireConfig,
-    CachedScoreEvaluator, CancellationToken, CellCost, CoreError, EvaluationLayer, ExecutionBudget,
+    acquire, acquire_progress, run_acquire, AcqOutcome, AcquireConfig, CachedScoreEvaluator,
+    CancellationToken, CellCost, CoreError, EvalLayerKind, EvaluationLayer, ExecutionBudget,
     FaultInjectingLayer, FaultPolicy, FaultSchedule, GridIndexEvaluator, Obs, ParallelCells,
-    Parallelism, ProgressSink, RefinedQueryResult, RefinedSpace,
+    Parallelism, ProgressSink, RefinedQueryResult, RefinedSpace, Session,
 };
 
 // ---------------------------------------------------------------------------
@@ -156,11 +156,11 @@ fn run_layer(
     match layer {
         Layer::Cached => {
             let mut eval = CachedScoreEvaluator::new(&mut exec, &query, &caps).unwrap();
-            acquire_with(&mut eval, &query, cfg, cancel)
+            acquire_progress(&mut eval, &query, cfg, cancel, &Obs::disabled(), None)
         }
         Layer::Grid => {
             let mut eval = GridIndexEvaluator::new(&mut exec, &query, &caps, space.step()).unwrap();
-            acquire_with(&mut eval, &query, cfg, cancel)
+            acquire_progress(&mut eval, &query, cfg, cancel, &Obs::disabled(), None)
         }
     }
 }
@@ -222,6 +222,63 @@ fn budget_interrupts_are_identical_across_thread_counts() {
     for par in parallel_settings() {
         let cfg = serial_cfg.clone().with_parallelism(par);
         assert_eq!(fingerprint(&run(Layer::Grid, &query, &cfg)), baseline);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The layer-construction seam
+// ---------------------------------------------------------------------------
+
+/// `Session::new` and `run_acquire` build their layer in one place: a
+/// session's first run is a one-shot run bit for bit (stats included), and
+/// a later run adds exactly its own search on top — the prepared layer is
+/// never rebuilt.
+#[test]
+fn session_and_one_shot_runs_build_the_same_layer_once() {
+    let (t1, t2) = (400.0, 800.0);
+    for kind in [
+        EvalLayerKind::Scan,
+        EvalLayerKind::CachedScore,
+        EvalLayerKind::GridIndex,
+    ] {
+        for par in [Parallelism::Serial, Parallelism::Fixed(2)] {
+            let ctx = format!("{kind:?}, {par:?}");
+            let cfg = AcquireConfig::default().with_parallelism(par);
+            let one_shot = |target: f64, cfg: &AcquireConfig| {
+                let mut exec = Executor::new(catalog());
+                run_acquire(&mut exec, &ge_query(target), cfg, kind).unwrap()
+            };
+            // A search cut off before its first cell costs exactly the prepare.
+            let cut = AcquireConfig {
+                max_explored: 0,
+                ..cfg.clone()
+            };
+            let prepare = one_shot(t1, &cut).stats;
+            assert_eq!(prepare.cell_queries, 0, "{ctx}");
+            assert!(prepare.tuples_scanned > 0, "{ctx}: prepare scans the table");
+            let (first, second) = (one_shot(t1, &cfg), one_shot(t2, &cfg));
+            assert!(first.explored > 8 && second.explored > first.explored);
+
+            let mut exec = Executor::new(catalog());
+            let mut session = Session::new(&mut exec, &ge_query(t1), &cfg, kind).unwrap();
+            assert_eq!(
+                fingerprint(&session.run(t1).unwrap()),
+                fingerprint(&first),
+                "{ctx}"
+            );
+            let again = session.run(t2).unwrap();
+            assert_eq!(
+                outcome_fingerprint(&again),
+                outcome_fingerprint(&second),
+                "{ctx}"
+            );
+            // Session counters accumulate: one prepare plus both searches.
+            let mut with_second_prepare = again.stats;
+            with_second_prepare += prepare;
+            let mut both_one_shots = first.stats;
+            both_one_shots += second.stats;
+            assert_eq!(with_second_prepare, both_one_shots, "{ctx}: re-scanned");
+        }
     }
 }
 
@@ -388,7 +445,7 @@ fn run_faulted(
     let caps = space.caps();
     let inner = CachedScoreEvaluator::new(&mut exec, &query, &caps).unwrap();
     let mut eval = FaultInjectingLayer::new(inner, schedule.clone());
-    acquire_with(&mut eval, &query, &cfg, &CancellationToken::new())
+    acquire(&mut eval, &query, &cfg)
 }
 
 #[test]
@@ -524,7 +581,7 @@ fn run_cancelling(after: u64, cfg: &AcquireConfig) -> AcqOutcome {
     let token = CancellationToken::new();
     let inner = CachedScoreEvaluator::new(&mut exec, &query, &caps).unwrap();
     let mut eval = CancelAfterCommits::new(inner, after, token.clone());
-    acquire_with(&mut eval, &query, cfg, &token).unwrap()
+    acquire_progress(&mut eval, &query, cfg, &token, &Obs::disabled(), None).unwrap()
 }
 
 #[test]
@@ -651,7 +708,7 @@ fn no_cell_is_ever_executed_twice_under_parallelism() {
         let inner = CachedScoreEvaluator::new(&mut exec, &query, &caps).unwrap();
         let eval = CountingLayer::new(FaultInjectingLayer::new(inner, schedule));
         let mut eval = eval;
-        let out = acquire_with(&mut eval, &query, &cfg, &CancellationToken::new()).unwrap();
+        let out = acquire(&mut eval, &query, &cfg).unwrap();
         assert!(out.explored > 0 || out.termination.interrupt_reason().is_some());
         if budget.is_none() && !faulty {
             // Tight budgets clamp batches below the parallel threshold, and
@@ -727,11 +784,11 @@ fn run_observed(
     match layer {
         Layer::Cached => {
             let mut eval = CachedScoreEvaluator::new(&mut exec, &query, &caps).unwrap();
-            acquire_observed(&mut eval, &query, cfg, cancel, obs)
+            acquire_progress(&mut eval, &query, cfg, cancel, obs, None)
         }
         Layer::Grid => {
             let mut eval = GridIndexEvaluator::new(&mut exec, &query, &caps, space.step()).unwrap();
-            acquire_observed(&mut eval, &query, cfg, cancel, obs)
+            acquire_progress(&mut eval, &query, cfg, cancel, obs, None)
         }
     }
 }
@@ -802,8 +859,15 @@ fn metrics_match_ground_truth_under_budgets_and_faults() {
             let inner = CachedScoreEvaluator::new(&mut exec, &query, &caps).unwrap();
             let mut eval =
                 FaultInjectingLayer::with_observability(inner, schedule.clone(), obs.clone());
-            let out =
-                acquire_observed(&mut eval, &query, &cfg, &CancellationToken::new(), &obs).unwrap();
+            let out = acquire_progress(
+                &mut eval,
+                &query,
+                &cfg,
+                &CancellationToken::new(),
+                &obs,
+                None,
+            )
+            .unwrap();
             assert_metrics_ground_truth(&obs, &out, &format!("faults seed {seed}, {par:?}"));
         }
     }
@@ -884,7 +948,7 @@ fn metrics_match_ground_truth_under_mid_run_cancellation() {
             let obs = Obs::enabled();
             let inner = CachedScoreEvaluator::new(&mut exec, &query, &caps).unwrap();
             let mut eval = CancelAfterCommits::new(inner, k, token.clone());
-            let out = acquire_observed(&mut eval, &query, &cfg, &token, &obs).unwrap();
+            let out = acquire_progress(&mut eval, &query, &cfg, &token, &obs, None).unwrap();
             assert_eq!(out.explored, k, "cancel after {k} commits");
             assert_metrics_ground_truth(&obs, &out, &format!("cancel after {k}, {par:?}"));
         }

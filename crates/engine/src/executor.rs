@@ -496,78 +496,6 @@ impl Executor {
         Ok(state)
     }
 
-    /// Cell query restricted to candidate rows (used by index-backed
-    /// evaluation layers, §7.4). Does not bump the cell-query counter.
-    ///
-    /// Every candidate is visited (and counted in `tuples_scanned`: the
-    /// index already pruned the rest), but when the kernel plan applies the
-    /// per-candidate predicate evaluation is skipped for candidates whose
-    /// zone block classifies as fully-outside or fully-inside the cell.
-    pub fn cell_aggregate_rows(
-        &mut self,
-        rq: &ResolvedQuery,
-        rel: &Relation,
-        cell: &[CellRange],
-        rows: impl Iterator<Item = usize>,
-    ) -> EngineResult<AggState> {
-        assert_eq!(cell.len(), rq.dims(), "one range per flexible predicate");
-        let mut state = AggState::empty(&rq.query.constraint.spec, &self.uda)?;
-        if self.zone_pruning {
-            if let Some(plan) = KernelPlan::build(rq, rel, cell) {
-                let mut scan = CellScan::default();
-                let nblocks = rel.tables()[0].num_rows().div_ceil(ZONE_BLOCK);
-                let mut classes: Vec<Option<BlockClass>> = vec![None; nblocks];
-                // Qualifying base rows in candidate order; folding them at
-                // the end preserves the scalar path's update order exactly.
-                let mut quals: Vec<u32> = Vec::new();
-                for row in rows {
-                    scan.tuples_scanned += 1;
-                    let base = rel.base_row(row, 0) as usize;
-                    let b = base / ZONE_BLOCK;
-                    let cls = match classes[b] {
-                        Some(c) => c,
-                        None => {
-                            let c = plan.classify_block(b);
-                            match c {
-                                BlockClass::Skip => scan.zones_pruned += 1,
-                                BlockClass::Full => scan.zones_full += 1,
-                                BlockClass::Scan => scan.zones_scanned += 1,
-                            }
-                            classes[b] = Some(c);
-                            c
-                        }
-                    };
-                    match cls {
-                        BlockClass::Skip => {}
-                        BlockClass::Full => quals.push(base as u32),
-                        BlockClass::Scan => {
-                            if plan.row_qualifies(base) {
-                                quals.push(base as u32);
-                            }
-                        }
-                    }
-                }
-                plan.fold_gather(&mut state, &quals);
-                self.commit_scan(&scan);
-                return Ok(state);
-            }
-        }
-        let bound = rq.bind(rel)?;
-        let mut scores = vec![0.0; rq.dims()];
-        let mut scanned = 0u64;
-        for row in rows {
-            scanned += 1;
-            if !bound.score_into(rel, row, &mut scores) {
-                continue;
-            }
-            if scores.iter().zip(cell).all(|(s, r)| r.contains(*s)) {
-                state.update(bound.agg_value(rel, row));
-            }
-        }
-        self.stats.tuples_scanned += scanned;
-        Ok(state)
-    }
-
     /// Shared-state variant of [`Executor::cell_aggregate`] for concurrent
     /// cell evaluation: takes `&self`, touches no work counters, and returns
     /// the scan accounting (tuples + zone-block classes) so the caller can
@@ -1231,30 +1159,6 @@ mod tests {
         assert_eq!(scan.zones_pruned, s.zones_pruned);
         assert_eq!(scan.zones_full, s.zones_full);
         assert_eq!(scan.zones_scanned, s.zones_scanned);
-    }
-
-    #[test]
-    fn candidate_rows_use_zone_classes() {
-        let mut ex = Executor::new(sorted_catalog());
-        let rq = ex.resolve(&sorted_query(AggregateSpec::count())).unwrap();
-        let rel = ex.base_relation(&rq, &[f64::INFINITY]).unwrap();
-        let cell = vec![CellRange::Zero];
-        // Candidates spanning a straddling block (0) and a skip block (4).
-        let candidates: Vec<usize> = vec![0, 50, 100, 101, 4500];
-        ex.reset_stats();
-        let a = ex
-            .cell_aggregate_rows(&rq, &rel, &cell, candidates.clone().into_iter())
-            .unwrap();
-        let s = ex.stats();
-        assert_eq!(a.value(), Some(3.0)); // y in {0, 50, 100}
-        assert_eq!(s.tuples_scanned, candidates.len() as u64);
-        assert_eq!(s.zones_scanned, 1);
-        assert_eq!(s.zones_pruned, 1);
-        ex.set_zone_pruning(false);
-        let b = ex
-            .cell_aggregate_rows(&rq, &rel, &cell, candidates.into_iter())
-            .unwrap();
-        assert_eq!(a.value(), b.value());
     }
 
     #[test]

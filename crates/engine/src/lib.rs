@@ -18,13 +18,13 @@
 //! * mergeable aggregate states ([`AggState`]) implementing the
 //!   optimal-substructure "+" of §2.6 (COUNT/SUM/MIN/MAX, AVG as SUM+COUNT,
 //!   and registered user-defined aggregates);
-//! * the §7.4 bitmap grid index ([`index::BitmapGridIndex`]) that lets an
-//!   evaluation layer skip empty cells without executing them;
 //! * per-column block min/max **zone maps** built at table load time
 //!   ([`zone`]): the cell path classifies each block against the cell's
 //!   score band as skip / fully-inside / straddling, so most tuples are
 //!   never read ([`ExecStats`] reports `zones_pruned` / `zones_full` /
-//!   `zones_scanned`);
+//!   `zones_scanned`). This is the engine's share of the §7.4 idea —
+//!   prove a region empty without executing it; the score-space grid index
+//!   lives in `acquire-core`'s `GridIndexEvaluator`;
 //! * [`ExecStats`] work counters (queries issued, tuples scanned, rows
 //!   joined) so experiments can report machine-independent costs.
 //!
@@ -41,7 +41,6 @@ mod column;
 pub mod csv;
 mod error;
 mod executor;
-pub mod index;
 mod join;
 mod relation;
 mod sampling;

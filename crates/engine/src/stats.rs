@@ -19,7 +19,7 @@ pub struct ExecStats {
     pub tuples_scanned: u64,
     /// Output rows produced by join operators.
     pub rows_joined: u64,
-    /// Probes into a bitmap grid index.
+    /// Probes into a grid index (§7.4).
     pub index_probes: u64,
     /// Cell queries skipped because the index proved them empty (§7.4).
     pub cells_skipped: u64,

@@ -1,14 +1,13 @@
 //! Property tests for the engine substrate: joins against nested-loop
-//! references, aggregate-state algebra, cell-query partitioning, and the
-//! bitmap grid index.
+//! references, aggregate-state algebra, and cell-query partitioning.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use acq_engine::{
-    band_join, hash_equi_join, index::BitmapGridIndex, AggState, Catalog, CellRange, DataType,
-    ExecStats, Executor, Field, Relation, Table, TableBuilder, Value,
+    band_join, hash_equi_join, AggState, Catalog, CellRange, DataType, ExecStats, Executor, Field,
+    Relation, Table, TableBuilder, Value,
 };
 use acq_query::{
     AcqQuery, AggConstraint, AggregateSpec, CmpOp, ColRef, Interval, Predicate, RefineSide,
@@ -173,49 +172,5 @@ proptest! {
             .unwrap();
         prop_assert_eq!(total, full);
         prop_assert_eq!(full, vals.len() as f64);
-    }
-
-    // ---------------------------------------------------------------------
-    // Bitmap grid index vs brute force
-    // ---------------------------------------------------------------------
-
-    #[test]
-    fn grid_index_box_queries_are_sound(
-        rows in prop::collection::vec((0.0f64..100.0, 0.0f64..100.0), 1..80),
-        (q0, q1) in ((0.0f64..100.0, 0.0f64..100.0), (0.0f64..100.0, 0.0f64..100.0)),
-        bins in 1usize..12,
-    ) {
-        let mut b = TableBuilder::new(
-            "t",
-            vec![Field::new("a", DataType::Float), Field::new("b", DataType::Float)],
-        )
-        .unwrap();
-        for &(x, y) in &rows {
-            b.push_row(vec![Value::Float(x), Value::Float(y)]);
-        }
-        let table = b.finish().unwrap();
-        let idx = BitmapGridIndex::build(&table, &[0, 1], bins);
-        let (alo, ahi) = if q0.0 <= q0.1 { (q0.0, q0.1) } else { (q0.1, q0.0) };
-        let (blo, bhi) = if q1.0 <= q1.1 { (q1.0, q1.1) } else { (q1.1, q1.0) };
-        let boxq = [(alo, ahi), (blo, bhi)];
-        let exact: Vec<u32> = rows
-            .iter()
-            .enumerate()
-            .filter(|(_, &(x, y))| x >= alo && x <= ahi && y >= blo && y <= bhi)
-            .map(|(i, _)| i as u32)
-            .collect();
-        // Soundness: if the index says "empty", it is empty.
-        let mut probes = 0;
-        if !idx.box_maybe_occupied(&boxq, &mut probes) {
-            prop_assert!(exact.is_empty(), "index claimed empty but {exact:?} match");
-        }
-        // Candidates are a superset of exact matches.
-        let mut cands = Vec::new();
-        idx.visit_box_candidates(&boxq, |r| cands.push(r));
-        for e in &exact {
-            prop_assert!(cands.contains(e), "candidate set missing row {e}");
-        }
-        // Count upper bound is an upper bound.
-        prop_assert!(idx.box_count_upper_bound(&boxq) >= exact.len() as u64);
     }
 }

@@ -598,7 +598,7 @@ fn run() -> Result<(), String> {
         println!();
     }
     // (Re-)bridge the final executor stats: the contraction and Eq-overshoot
-    // paths run outside `acquire_observed`, and replacement is idempotent
+    // paths run outside `acquire_progress`, and replacement is idempotent
     // for the plain expansion path.
     obs.record_exec_stats(&outcome.stats.fields());
     let profile = opts.explain.then(|| {

@@ -8,14 +8,15 @@
 //! * [`query`] (`acq-query`) — the ACQ model: predicates, intervals,
 //!   refinement scores, norms, aggregate constraints, ontologies;
 //! * [`engine`] (`acq-engine`) — the in-memory columnar evaluation layer:
-//!   tables, joins, cell queries, mergeable aggregates, the §7.4 bitmap
-//!   grid index, work counters;
+//!   tables, joins, cell queries, mergeable aggregates, block zone maps,
+//!   work counters;
 //! * [`datagen`] (`acq-datagen`) — deterministic TPC-H-shaped / users /
 //!   patients datasets, uniform and Zipf-skewed;
 //! * [`sql`] (`acq-sql`) — the `CONSTRAINT` / `NOREFINE` SQL dialect;
 //! * [`core`] (`acquire-core`) — ACQUIRE itself: refined space, Expand,
 //!   Explore (incremental aggregate computation), driver, repartitioning,
-//!   contraction;
+//!   contraction, and the three exact evaluation layers (scan / cached
+//!   score / §7.4 grid index);
 //! * [`baselines`] (`acq-baselines`) — Top-k, TQGen, BinSearch;
 //! * [`obs`] (`acq-obs`) — zero-dependency observability: spans, counters,
 //!   gauges, latency histograms, JSON/Prometheus snapshot sinks;
