@@ -15,10 +15,56 @@
 //! [`drain_from`]: ProgressSink::drain_from
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Default slot count for a [`ProgressSink`] ring.
 pub const DEFAULT_PROGRESS_CAPACITY: usize = 1024;
+
+/// Slots per lazily allocated segment of a sink's ring.
+const SEGMENT_SLOTS: usize = 32;
+
+type Slot = Mutex<Option<(u64, ProgressEvent)>>;
+
+/// The ring's slots, allocated a [`SEGMENT_SLOTS`]-slot segment at a time on
+/// the writer's first push into it. A typical query emits a few dozen
+/// events into a 1 024-slot ring, and a server retains many finished sinks
+/// for replay: every slot built up front is ≈ 90 KB per query, which would
+/// be nearly all of a server's live heap.
+struct Slots {
+    /// `capacity / SEGMENT_SLOTS` segments, rounded up; the slots of the
+    /// last one at or past `capacity` are never indexed.
+    segments: Box<[OnceLock<Box<[Slot; SEGMENT_SLOTS]>>]>,
+    capacity: usize,
+}
+
+impl Slots {
+    fn new(capacity: usize) -> Self {
+        let segments = (0..capacity.div_ceil(SEGMENT_SLOTS))
+            .map(|_| OnceLock::new())
+            .collect();
+        Slots { segments, capacity }
+    }
+
+    fn len(&self) -> usize {
+        self.capacity
+    }
+
+    /// Slot `i`, if its segment has been written into (reader side: never
+    /// allocates).
+    fn get(&self, i: usize) -> Option<&Slot> {
+        let segment = self.segments[i / SEGMENT_SLOTS].get()?;
+        Some(&segment[i % SEGMENT_SLOTS])
+    }
+
+    /// Slot `i`, allocating its segment on first use. Writer side only: with
+    /// a single writer `get_or_init` never finds another thread mid-
+    /// initialisation, so it cannot wait.
+    fn get_or_alloc(&self, i: usize) -> &Slot {
+        let segment = self.segments[i / SEGMENT_SLOTS]
+            .get_or_init(|| Box::new(std::array::from_fn(|_| Mutex::new(None))));
+        &segment[i % SEGMENT_SLOTS]
+    }
+}
 
 /// One refinement progress observation.
 ///
@@ -85,7 +131,7 @@ impl ProgressEvent {
 /// [`try_push`]: ProgressSink::try_push
 /// [`drain_from`]: ProgressSink::drain_from
 pub struct ProgressSink {
-    slots: Vec<Mutex<Option<(u64, ProgressEvent)>>>,
+    slots: Slots,
     /// Sequence number of the next event to be written.
     head: AtomicU64,
     /// Events discarded because a reader held the target slot.
@@ -97,13 +143,8 @@ pub struct ProgressSink {
 impl ProgressSink {
     /// A sink retaining at most `capacity` events (clamped to ≥ 1).
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        let mut slots = Vec::with_capacity(capacity);
-        for _ in 0..capacity {
-            slots.push(Mutex::new(None));
-        }
         ProgressSink {
-            slots,
+            slots: Slots::new(capacity.max(1)),
             head: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             terminal_seen: AtomicBool::new(false),
@@ -139,7 +180,9 @@ impl ProgressSink {
     /// for a given sink.
     pub fn try_push(&self, event: ProgressEvent) -> bool {
         let seq = self.head.load(Ordering::Acquire);
-        let slot = &self.slots[(seq % self.slots.len() as u64) as usize];
+        let slot = self
+            .slots
+            .get_or_alloc((seq % self.slots.len() as u64) as usize);
         match slot.try_lock() {
             Ok(mut guard) => {
                 *guard = Some((seq, event));
@@ -171,9 +214,10 @@ impl ProgressSink {
         let start = cursor.max(oldest);
         let mut events = Vec::new();
         for seq in start..head {
-            let slot = &self.slots[(seq % cap) as usize];
-            match slot.try_lock() {
-                Ok(guard) => match *guard {
+            // Every sequence below `head` was written, so its segment exists.
+            let slot = self.slots.get((seq % cap) as usize);
+            match slot.map(Mutex::try_lock) {
+                Some(Ok(guard)) => match *guard {
                     Some((stored_seq, ev)) if stored_seq == seq => events.push(ev),
                     // Lapped (or never written after a drop): unobservable.
                     _ => missed += 1,
@@ -181,7 +225,7 @@ impl ProgressSink {
                 // Writer (or another reader) holds the slot right now; the
                 // writer would have dropped rather than overwrite, so this
                 // event is gone for us too.
-                Err(_) => missed += 1,
+                Some(Err(_)) | None => missed += 1,
             }
         }
         (events, head, missed)
@@ -256,7 +300,7 @@ mod tests {
         assert!(sink.try_push(ev(0, false)));
         assert!(sink.try_push(ev(1, false)));
         // Hold the slot the writer wants next (seq 2 -> slot 0).
-        let guard = sink.slots[0].lock().unwrap();
+        let guard = sink.slots.get(0).unwrap().lock().unwrap();
         assert!(!sink.try_push(ev(2, false)));
         assert_eq!(sink.dropped(), 1);
         drop(guard);
@@ -285,6 +329,96 @@ mod tests {
         assert!(sink.try_push(ev(0, false)));
         let (events, _, _) = sink.drain_from(0);
         assert_eq!(events.len(), 1);
+    }
+
+    /// The eager ring this sink used to be: every slot built up front.
+    struct EagerRing {
+        slots: Vec<Option<(u64, ProgressEvent)>>,
+        head: u64,
+    }
+
+    impl EagerRing {
+        fn push(&mut self, event: ProgressEvent) {
+            let cap = self.slots.len() as u64;
+            self.slots[(self.head % cap) as usize] = Some((self.head, event));
+            self.head += 1;
+        }
+
+        fn drain_from(&self, cursor: u64) -> (Vec<ProgressEvent>, u64, u64) {
+            let cap = self.slots.len() as u64;
+            let oldest = self.head.saturating_sub(cap);
+            let mut missed = oldest.saturating_sub(cursor);
+            let mut events = Vec::new();
+            for seq in cursor.max(oldest)..self.head {
+                match self.slots[(seq % cap) as usize] {
+                    Some((stored, ev)) if stored == seq => events.push(ev),
+                    _ => missed += 1,
+                }
+            }
+            (events, self.head, missed)
+        }
+    }
+
+    #[test]
+    fn lazy_segments_drain_exactly_what_the_eager_ring_did() {
+        let sink = ProgressSink::new(DEFAULT_PROGRESS_CAPACITY);
+        let mut eager = EagerRing {
+            slots: vec![None; DEFAULT_PROGRESS_CAPACITY],
+            head: 0,
+        };
+        assert_eq!(sink.capacity(), DEFAULT_PROGRESS_CAPACITY);
+        let allocated = |s: &ProgressSink| {
+            let segments = s.slots.segments.iter();
+            segments.filter(|seg| seg.get().is_some()).count()
+        };
+        assert_eq!(
+            allocated(&sink),
+            0,
+            "nothing is built before the first push"
+        );
+
+        // A small query: 3 events touch one segment only.
+        for i in 0..3 {
+            assert!(sink.try_push(ev(i, false)));
+            eager.push(ev(i, false));
+        }
+        assert_eq!(allocated(&sink), 1);
+        for cursor in [0, 1, 3] {
+            assert_eq!(sink.drain_from(cursor), eager.drain_from(cursor));
+        }
+        assert_eq!(
+            sink.drain_from(0),
+            (vec![ev(0, false), ev(1, false), ev(2, false)], 3, 0)
+        );
+
+        // A long one: 2 000 more wrap the 1 024-slot ring almost twice.
+        for i in 3..2003 {
+            assert!(sink.try_push(ev(i, i == 2002)));
+            eager.push(ev(i, i == 2002));
+        }
+        assert_eq!(allocated(&sink), DEFAULT_PROGRESS_CAPACITY / SEGMENT_SLOTS);
+        for cursor in [0, 3, 978, 979, 980, 1500, 2002, 2003] {
+            assert_eq!(sink.drain_from(cursor), eager.drain_from(cursor));
+        }
+        let (events, next, missed) = sink.drain_from(0);
+        assert_eq!((events.len(), next, missed), (1024, 2003, 979));
+        assert_eq!(events[0].explored, 979);
+        assert!(events[1023].terminal);
+        assert_eq!(sink.dropped(), 0);
+    }
+
+    #[test]
+    fn capacity_need_not_be_a_multiple_of_the_segment() {
+        let sink = ProgressSink::new(SEGMENT_SLOTS + 5);
+        assert_eq!(sink.capacity(), SEGMENT_SLOTS + 5);
+        for i in 0..100 {
+            assert!(sink.try_push(ev(i, false)));
+        }
+        let (events, next, missed) = sink.drain_from(0);
+        assert_eq!(next, 100);
+        assert_eq!(missed, 100 - (SEGMENT_SLOTS as u64 + 5));
+        assert_eq!(events.first().map(|e| e.explored), Some(missed));
+        assert_eq!(events.len(), SEGMENT_SLOTS + 5);
     }
 
     #[test]

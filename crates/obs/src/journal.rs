@@ -2,11 +2,25 @@
 //! writer thread that appends NDJSON records to a size-rotated on-disk log.
 //!
 //! The producer side is [`JournalRing::try_append`] — the same `try_lock`
-//! slot discipline as [`ProgressSink`]: the §9 serial commit path (and any
-//! request handler) offers a record and *never waits*; if the target slot is
-//! held the record is dropped and counted. `try_append` is a
+//! slot discipline as [`ProgressSink`], made safe for **any number of
+//! concurrent producers** (every request thread, the alert thread): a
+//! producer claims the next sequence number with a compare-and-swap on
+//! `head` *while holding that slot's `try_lock`*, so a sequence number is
+//! only ever handed to the one producer that is certain to store its record.
+//! Producers take no blocking lock and do no I/O; a producer that loses the
+//! race for a sequence number simply claims the next one. `try_append` is a
 //! `commit-reachability` root in `lint.toml`, so acq-lint proves nothing
 //! blocking is transitively reachable from it.
+//!
+//! **Accounting identity.** Every record offered to `try_append` ends as
+//! exactly one of *written*, *dropped* or *write error*: once the journal is
+//! flushed, `written + dropped + write_errors` equals the number of records
+//! offered, under any number of producers. Records are dropped (and counted)
+//! only when they contain a newline or when the ring is **full** — `capacity`
+//! records accepted but not yet settled by the writer: the oldest unwritten
+//! record is then overwritten by the newest and the writer counts it, or, if
+//! that slot is busy, the newest is dropped on the spot. With the ring not
+//! full nothing is dropped and nothing is lost.
 //!
 //! The consumer side is one dedicated thread (`acq-journal-writer`) that
 //! drains the ring every few milliseconds and appends each record plus a
@@ -27,7 +41,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, TryLockError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -45,19 +59,28 @@ pub const JOURNAL_VERSION: u64 = 1;
 /// How often the writer thread drains the ring.
 const WRITER_POLL: Duration = Duration::from_millis(10);
 
-/// Bounded wait-free record ring: many producers, one draining writer.
+/// Bounded record ring: many producers, one draining writer.
 ///
-/// Producers call [`try_append`]; if the slot for the next sequence number
-/// is momentarily held (by the writer draining it) the record is dropped
-/// and `dropped` is bumped — producers never wait. Each slot stores
-/// `(seq, record)` so the drainer can detect being lapped.
+/// Producers call [`try_append`] from any number of threads at once. Each
+/// slot stores `(seq, record)`; a sequence number is claimed by a
+/// compare-and-swap on `head` under the slot's `try_lock`, so two producers
+/// can never take the same one, and the drainer, which stops at a slot a
+/// producer still holds and resumes there on its next pass, never mistakes
+/// a record that is being stored for a missing one. A full ring drops and
+/// counts (see the module docs for the accounting identity); producers never
+/// take a blocking lock.
 ///
 /// [`try_append`]: JournalRing::try_append
 pub struct JournalRing {
     slots: Vec<Mutex<Option<(u64, String)>>>,
-    /// Sequence number of the next record to be offered.
+    /// Sequence number of the next record to be accepted.
     head: AtomicU64,
-    /// Records discarded because the target slot was held.
+    /// Every sequence number below this is settled: written, lost to a
+    /// write error, or overwritten in a full ring and counted as dropped.
+    /// Stored by the writer (Release) after each batch, read by producers
+    /// and `flush` (Acquire).
+    settled: AtomicU64,
+    /// Records discarded: embedded newline, or the ring was full.
     dropped: AtomicU64,
     /// Records durably written (line + newline flushed) by the writer.
     written: AtomicU64,
@@ -80,6 +103,7 @@ impl JournalRing {
         JournalRing {
             slots,
             head: AtomicU64::new(0),
+            settled: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             written: AtomicU64::new(0),
             rotations: AtomicU64::new(0),
@@ -93,12 +117,12 @@ impl JournalRing {
         self.slots.len()
     }
 
-    /// Sequence number of the next record to be offered.
+    /// Sequence number of the next record to be accepted.
     pub fn head(&self) -> u64 {
         self.head.load(Ordering::Acquire)
     }
 
-    /// Records dropped because a producer would have had to wait.
+    /// Records dropped: rejected for a newline, or offered to a full ring.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed) // relaxed-ok: monotone counter read
     }
@@ -123,59 +147,89 @@ impl JournalRing {
         self.torn_repaired.load(Ordering::Relaxed) // relaxed-ok: monotone counter read
     }
 
-    /// Offer one NDJSON record (no trailing newline) without ever blocking.
+    /// Offer one NDJSON record (no trailing newline); safe to call from any
+    /// number of threads at once, takes no blocking lock and does no I/O.
     ///
-    /// Returns `false` (and counts the drop) if the target slot is held.
-    /// Records containing a newline are rejected outright — a multi-line
-    /// record would tear the NDJSON framing for every later reader.
+    /// Returns `false` (and counts the drop) when the ring is full and its
+    /// oldest slot is busy. Records containing a newline are rejected
+    /// outright — a multi-line record would tear the NDJSON framing for
+    /// every later reader.
     pub fn try_append(&self, record: String) -> bool {
         if record.contains('\n') {
             self.dropped.fetch_add(1, Ordering::Relaxed); // relaxed-ok: independent monotone counter
             return false;
         }
-        let seq = self.head.load(Ordering::Acquire);
-        let slot = &self.slots[(seq % self.slots.len() as u64) as usize];
-        match slot.try_lock() {
-            Ok(mut guard) => {
-                // A still-unwritten record in this slot is about to be
-                // lapped; the drain below reports it as missed.
-                *guard = Some((seq, record));
-                drop(guard);
-                self.head.store(seq + 1, Ordering::Release);
-                true
-            }
-            Err(_) => {
-                self.dropped.fetch_add(1, Ordering::Relaxed); // relaxed-ok: independent monotone counter
-                false
+        let cap = self.slots.len() as u64;
+        let mut seq = self.head.load(Ordering::Acquire);
+        loop {
+            let mut guard = match self.slots[(seq % cap) as usize].try_lock() {
+                Ok(guard) => guard,
+                // A slot only ever holds a whole `(seq, record)` or `None`.
+                Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+                Err(TryLockError::WouldBlock) => {
+                    let now = self.head.load(Ordering::Acquire);
+                    if now == seq {
+                        if seq.saturating_sub(self.settled.load(Ordering::Acquire)) >= cap {
+                            // The writer (or a producer a whole lap behind)
+                            // is still busy with the oldest record: a full
+                            // ring drops and counts.
+                            self.dropped.fetch_add(1, Ordering::Relaxed); // relaxed-ok: independent monotone counter
+                            return false;
+                        }
+                        // Not full, so the holder is another producer
+                        // between its `try_lock` and its compare-and-swap —
+                        // a few instructions. Let it finish.
+                        std::thread::yield_now();
+                    }
+                    seq = now;
+                    continue;
+                }
+            };
+            // Claim `seq` while holding its slot: the sequence number only
+            // moves on for the producer that is certain to store a record.
+            match self
+                .head
+                .compare_exchange(seq, seq + 1, Ordering::AcqRel, Ordering::Acquire)
+            {
+                Ok(_) => {
+                    // A still-unwritten record in this slot (full ring) is
+                    // lapped here; the drain reports it as missed.
+                    *guard = Some((seq, record));
+                    return true;
+                }
+                // Another producer claimed `seq` first: not a drop.
+                Err(now) => seq = now,
             }
         }
     }
 
     /// Drain every retained record with sequence `>= cursor`, in order.
     ///
-    /// Returns `(records, next_cursor, missed)` exactly like
-    /// `ProgressSink::drain_from`; `missed` counts records evicted by ring
-    /// wraparound or currently held by a producer.
+    /// Returns `(records, next_cursor, missed)`; `missed` counts records
+    /// overwritten by ring wraparound before they were drained. The drain
+    /// stops at the first slot a producer still holds — that record is
+    /// being stored, not missing — and `next_cursor` points at it, so the
+    /// next pass resumes there.
     pub fn drain_from(&self, cursor: u64) -> (Vec<String>, u64, u64) {
         let head = self.head.load(Ordering::Acquire);
         let cap = self.slots.len() as u64;
         let oldest = head.saturating_sub(cap);
         let mut missed = oldest.saturating_sub(cursor);
-        let start = cursor.max(oldest);
         let mut records = Vec::new();
-        for seq in start..head {
-            let slot = &self.slots[(seq % cap) as usize];
-            match slot.try_lock() {
-                Ok(mut guard) => match guard.take() {
-                    Some((stored_seq, rec)) if stored_seq == seq => records.push(rec),
-                    Some(other) => {
-                        // Not ours (lapped): put it back for its own drain.
-                        *guard = Some(other);
-                        missed += 1;
-                    }
-                    None => missed += 1,
-                },
-                Err(_) => missed += 1,
+        for seq in cursor.max(oldest)..head {
+            let mut guard = match self.slots[(seq % cap) as usize].try_lock() {
+                Ok(guard) => guard,
+                Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+                Err(TryLockError::WouldBlock) => return (records, seq, missed),
+            };
+            match guard.take() {
+                Some((stored_seq, rec)) if stored_seq == seq => records.push(rec),
+                Some(other) => {
+                    // Not ours (lapped): put it back for its own drain.
+                    *guard = Some(other);
+                    missed += 1;
+                }
+                None => missed += 1,
             }
         }
         (records, head, missed)
@@ -248,15 +302,15 @@ impl Journal {
         self.ring.torn_repaired()
     }
 
-    /// Waits until every record offered before the call is durably written
+    /// Waits until every record accepted before the call is settled —
+    /// durably written, or counted as a write error or a full-ring drop —
     /// (or `timeout` elapses). Returns `true` when fully drained. Test and
     /// shutdown helper — never called from a commit path.
     pub fn flush(&self, timeout: Duration) -> bool {
         let target = self.ring.head();
         let deadline = std::time::Instant::now() + timeout;
         loop {
-            let settled = self.ring.written() + self.ring.dropped() + self.ring.write_errors();
-            if settled >= target {
+            if self.ring.settled.load(Ordering::Acquire) >= target {
                 return true;
             }
             if std::time::Instant::now() >= deadline {
@@ -295,7 +349,7 @@ fn writer_loop(ring: &JournalRing, stop: &AtomicBool, path: &Path, mut file: Fil
         cursor = next;
         if missed > 0 {
             // Lapped records were never written; account them as drops so
-            // `flush` (written + dropped + errors >= head) still settles.
+            // written + dropped + write_errors still sums to what was offered.
             ring.dropped.fetch_add(missed, Ordering::Relaxed); // relaxed-ok: monotone counter
         }
         let mut wrote = false;
@@ -330,6 +384,8 @@ fn writer_loop(ring: &JournalRing, stop: &AtomicBool, path: &Path, mut file: Fil
         if wrote {
             let _ = file.flush();
         }
+        // Everything below `cursor` is now written, errored or counted.
+        ring.settled.store(cursor, Ordering::Release);
         if stopping && ring.head() == cursor {
             return;
         }
@@ -558,6 +614,93 @@ mod tests {
         assert_eq!((next, missed), (5, 0));
         let (records, _, _) = ring.drain_from(next);
         assert!(records.is_empty());
+    }
+
+    #[test]
+    fn two_producers_with_an_idle_writer_lose_and_drop_nothing() {
+        const PER_THREAD: usize = 20_000;
+        // Nothing drains: the ring holds everything, so it never fills.
+        let ring = JournalRing::new(2 * PER_THREAD);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for t in 0..2 {
+                let (ring, start) = (&ring, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..PER_THREAD {
+                        assert!(ring.try_append(format!("{t}:{i}")));
+                    }
+                });
+            }
+        });
+        assert_eq!(ring.dropped(), 0, "producers colliding is not a full ring");
+        assert_eq!(ring.head(), 2 * PER_THREAD as u64);
+        let (records, next, missed) = ring.drain_from(0);
+        assert_eq!((next, missed), (2 * PER_THREAD as u64, 0));
+        let distinct: std::collections::BTreeSet<&str> =
+            records.iter().map(String::as_str).collect();
+        assert_eq!(distinct.len(), 2 * PER_THREAD, "a record was overwritten");
+        // Each producer's records keep their own order.
+        for t in ["0:", "1:"] {
+            let own = records.iter().filter_map(|r| r.strip_prefix(t));
+            let own: Vec<usize> = own.map(|i| i.parse().unwrap()).collect();
+            assert!(own.windows(2).all(|w| w[0] < w[1]));
+        }
+    }
+
+    #[test]
+    fn drain_stops_at_a_slot_a_producer_still_holds() {
+        let ring = JournalRing::new(4);
+        for i in 0..3 {
+            assert!(ring.try_append(format!("r{i}")));
+        }
+        // A producer mid-store on seq 1: the drain must not count it missed.
+        let guard = ring.slots[1].lock().unwrap();
+        let (records, next, missed) = ring.drain_from(0);
+        assert_eq!((records, next, missed), (vec!["r0".to_string()], 1, 0));
+        drop(guard);
+        let (records, next, missed) = ring.drain_from(next);
+        assert_eq!(records, vec!["r1", "r2"]);
+        assert_eq!((next, missed), (3, 0));
+    }
+
+    #[test]
+    fn many_producers_account_for_every_record() {
+        const THREADS: usize = 4;
+        const PER_THREAD: usize = 20_000;
+        let path = temp_path("stress");
+        let journal = Journal::open(&path, u64::MAX, DEFAULT_JOURNAL_CAPACITY).unwrap();
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (ring, start) = (journal.ring(), &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..PER_THREAD {
+                        ring.try_append(format!("{{\"t\":{t},\"i\":{i}}}"));
+                    }
+                });
+            }
+        });
+        assert!(journal.flush(Duration::from_secs(30)));
+        let ring = journal.ring();
+        let offered = (THREADS * PER_THREAD) as u64;
+        assert_eq!(
+            ring.written() + ring.dropped() + ring.write_errors(),
+            offered,
+            "{ring:?}: every offered record is written, dropped or a write error"
+        );
+        assert_eq!(ring.write_errors(), 0);
+        let read = read_journal(&path).unwrap();
+        assert_eq!(read.torn, 0);
+        assert_eq!(read.records.len() as u64, ring.written());
+        let distinct: std::collections::BTreeSet<&str> =
+            read.records.iter().map(String::as_str).collect();
+        assert_eq!(distinct.len(), read.records.len(), "a line appears twice");
+        // Whatever is not on disk was counted as dropped, nothing vanished.
+        assert_eq!(offered - distinct.len() as u64, ring.dropped());
+        drop(journal);
+        cleanup(&path);
     }
 
     #[test]

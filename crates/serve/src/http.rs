@@ -15,6 +15,13 @@
 //! instead of resetting a per-`recv` timer forever. Waiting for the *first*
 //! byte is separate (`idle_timeout`): expiring there is a normal keep-alive
 //! close ([`HttpError::Closed`]), not a client error.
+//!
+//! The write path has one rule: **one response, one write, `TCP_NODELAY`**.
+//! [`write_response`] and [`ChunkedResponse::chunk`] assemble head and
+//! payload in the connection's reused buffer and hand the kernel one
+//! segment's worth at a time; the connection loop sets `TCP_NODELAY` on
+//! every accepted stream. Split writes on a Nagle socket cost a closed-loop
+//! client the peer's delayed-ACK timer (≈ 40 ms) on every response.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -412,38 +419,47 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes one response and flushes. `keep_alive` picks the `Connection`
-/// header; the caller closes the stream when it is `false`.
+/// Sends one response in **one** `write`: status line, headers and body are
+/// serialised into `out` (cleared first — the connection loop owns it and
+/// reuses it, so steady-state transport allocates nothing) and leave
+/// together. A head and a body written separately would make the body wait
+/// for the peer's delayed ACK of the head (≈ 40 ms per response in
+/// closed-loop rhythm). `keep_alive` picks the `Connection` header; the
+/// caller closes the stream when it is `false`.
 pub fn write_response(
     mut stream: &TcpStream,
+    out: &mut Vec<u8>,
     resp: &Response,
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    let retry = resp
-        .retry_after
-        .map(|s| format!("Retry-After: {s}\r\n"))
-        .unwrap_or_default();
-    let head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{retry}Connection: {}\r\n\r\n",
+    out.clear();
+    write!(
+        out,
+        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
         resp.status,
         reason(resp.status),
         resp.content_type,
         resp.body.len(),
-        if keep_alive { "keep-alive" } else { "close" },
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(resp.body.as_bytes())?;
-    stream.flush()
+    )?;
+    if let Some(secs) = resp.retry_after {
+        write!(out, "Retry-After: {secs}\r\n")?;
+    }
+    let connection = if keep_alive { "keep-alive" } else { "close" };
+    write!(out, "Connection: {connection}\r\n\r\n")?;
+    out.extend_from_slice(resp.body.as_bytes());
+    stream.write_all(out)
 }
 
 /// An in-flight HTTP/1.1 chunked-transfer response.
 ///
 /// Buffered responses carry `Content-Length`; streaming endpoints (NDJSON
 /// progress) cannot know their length up front, so they use chunked
-/// transfer encoding instead: each [`chunk`] writes a `{len:x}\r\n…\r\n`
-/// frame and [`finish`] writes the `0\r\n\r\n` terminator. The head pins
-/// `Connection: close` — a stream's natural end is the terminator, and
-/// closing keeps the connection loop out of the streaming path entirely.
+/// transfer encoding instead: each [`chunk`] sends a `{len:x}\r\n…\r\n`
+/// frame — one `write` per frame, built in the connection's reused buffer,
+/// for the same reason [`write_response`] sends one — and [`finish`] writes
+/// the `0\r\n\r\n` terminator. The head pins `Connection: close` — a
+/// stream's natural end is the terminator, and closing keeps the connection
+/// loop out of the streaming path entirely.
 ///
 /// Dropping without [`finish`] leaves the stream unterminated, which a
 /// well-behaved client detects as a truncated body — the honest signal for
@@ -453,44 +469,48 @@ pub fn write_response(
 /// [`finish`]: ChunkedResponse::finish
 pub struct ChunkedResponse<'a> {
     stream: &'a TcpStream,
+    buf: &'a mut Vec<u8>,
 }
 
 impl<'a> ChunkedResponse<'a> {
-    /// Writes the response head and arms chunked encoding.
+    /// Writes the response head and arms chunked encoding; `buf` is the
+    /// scratch every later frame is assembled in.
     pub fn begin(
         mut stream: &'a TcpStream,
+        buf: &'a mut Vec<u8>,
         status: u16,
         content_type: &str,
     ) -> std::io::Result<Self> {
-        let head = format!(
+        buf.clear();
+        write!(
+            buf,
             "HTTP/1.1 {} {}\r\nContent-Type: {content_type}\r\n\
              Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
             status,
             reason(status),
-        );
-        stream.write_all(head.as_bytes())?;
-        stream.flush()?;
-        Ok(Self { stream })
+        )?;
+        stream.write_all(buf)?;
+        Ok(Self { stream, buf })
     }
 
-    /// Writes one chunk and flushes so the client sees it immediately.
+    /// Sends one chunk in one `write` so the client sees it immediately.
     /// Empty payloads are skipped — a zero-length chunk is the terminator.
     pub fn chunk(&mut self, data: &[u8]) -> std::io::Result<()> {
         if data.is_empty() {
             return Ok(());
         }
+        self.buf.clear();
+        write!(self.buf, "{:x}\r\n", data.len())?;
+        self.buf.extend_from_slice(data);
+        self.buf.extend_from_slice(b"\r\n");
         let mut stream = self.stream;
-        stream.write_all(format!("{:x}\r\n", data.len()).as_bytes())?;
-        stream.write_all(data)?;
-        stream.write_all(b"\r\n")?;
-        stream.flush()
+        stream.write_all(self.buf)
     }
 
     /// Writes the terminating zero-length chunk.
     pub fn finish(self) -> std::io::Result<()> {
         let mut stream = self.stream;
-        stream.write_all(b"0\r\n\r\n")?;
-        stream.flush()
+        stream.write_all(b"0\r\n\r\n")
     }
 }
 
@@ -693,7 +713,8 @@ mod tests {
             raw
         });
         let (stream, _) = listener.accept().unwrap();
-        let mut resp = ChunkedResponse::begin(&stream, 200, NDJSON_CONTENT_TYPE).unwrap();
+        let mut buf = Vec::new();
+        let mut resp = ChunkedResponse::begin(&stream, &mut buf, 200, NDJSON_CONTENT_TYPE).unwrap();
         resp.chunk(b"{\"layer\":1}\n").unwrap();
         resp.chunk(b"").unwrap(); // empty payloads must not terminate the stream
         resp.chunk(b"{\"layer\":2}\n").unwrap();
@@ -743,15 +764,17 @@ mod tests {
         });
         let (stream, _) = listener.accept().unwrap();
         let resp = Response::json(429, "{\"error\":\"rate limited\"}").with_retry_after(2);
-        write_response(&stream, &resp, false).unwrap();
+        let mut out = b"stale bytes from the previous response".to_vec();
+        write_response(&stream, &mut out, &resp, false).unwrap();
         drop(stream);
         let raw = reader.join().unwrap();
-        assert!(
-            raw.starts_with("HTTP/1.1 429 Too Many Requests\r\n"),
-            "{raw}"
+        // Exact bytes: the reused buffer is cleared first, and the header
+        // order is the wire format clients have always seen.
+        assert_eq!(
+            raw,
+            "HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\n\
+             Content-Length: 24\r\nRetry-After: 2\r\nConnection: close\r\n\r\n\
+             {\"error\":\"rate limited\"}"
         );
-        assert!(raw.contains("Retry-After: 2\r\n"), "{raw}");
-        assert!(raw.contains("Connection: close\r\n"), "{raw}");
-        assert!(raw.ends_with("{\"error\":\"rate limited\"}"), "{raw}");
     }
 }

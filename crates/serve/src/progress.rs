@@ -190,10 +190,12 @@ pub fn progress_path_id<'a>(method: &str, path: &'a str) -> Option<&'a str> {
 /// ID, unknown query, evicted channel) so the caller can keep the
 /// connection alive; returns `None` once the chunked NDJSON stream has been
 /// written, after which the connection must close (chunked responses are
-/// `Connection: close`).
+/// `Connection: close`). `buf` is the connection's reused write buffer:
+/// every NDJSON line leaves as one chunk in one write.
 pub fn stream_progress(
     state: &Arc<ServerState>,
     stream: &TcpStream,
+    buf: &mut Vec<u8>,
     id_str: &str,
 ) -> Option<Response> {
     let Ok(id) = id_str.parse::<u64>() else {
@@ -212,7 +214,7 @@ pub fn stream_progress(
         });
     };
 
-    let Ok(mut out) = ChunkedResponse::begin(stream, 200, NDJSON_CONTENT_TYPE) else {
+    let Ok(mut out) = ChunkedResponse::begin(stream, buf, 200, NDJSON_CONTENT_TYPE) else {
         return None;
     };
     // The stream outlives the query by at most the seal wait; past the
@@ -360,6 +362,62 @@ mod tests {
         ch.fail();
         assert!(ch.is_done());
         assert_eq!(ch.sealed_body(), None);
+    }
+
+    fn event(i: u64, terminal: bool) -> ProgressEvent {
+        ProgressEvent {
+            query_id: 7,
+            layer: i,
+            explored: i + 1,
+            frontier: 1,
+            store_bytes: 0,
+            zones_pruned: 0,
+            elapsed_ms: i,
+            terminal,
+        }
+    }
+
+    /// Each NDJSON line is one chunk, sent in one write on a `TCP_NODELAY`
+    /// socket: nothing in the replay path may hold a line back per line.
+    #[test]
+    fn finished_query_replay_reaches_a_reading_client_without_per_line_stalls() {
+        use std::io::{Read, Write};
+
+        const EVENTS: u64 = 40;
+        let server =
+            crate::Server::start(crate::ServeConfig::default(), acq_engine::Catalog::new())
+                .unwrap();
+        let channel = server.state().progress.register(7);
+        for i in 0..=EVENTS {
+            assert!(channel.sink.try_push(event(i, i == EVENTS)));
+        }
+        channel.seal("{\"id\":7}".to_string());
+
+        let mut client = TcpStream::connect(server.addr()).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let t0 = Instant::now();
+        client
+            .write_all(b"GET /query/7/progress HTTP/1.1\r\nHost: test\r\n\r\n")
+            .unwrap();
+        let mut raw = String::new();
+        client.read_to_string(&mut raw).unwrap();
+        let elapsed = t0.elapsed();
+
+        assert!(raw.starts_with("HTTP/1.1 200 OK\r\n"), "{raw}");
+        assert!(
+            raw.ends_with("\r\n0\r\n\r\n"),
+            "stream must terminate: {raw}"
+        );
+        assert_eq!(raw.matches("\"terminal\":false").count() as u64, EVENTS);
+        assert!(
+            raw.contains("\"terminal\":true,\"dropped\":0,\"missed\":0,\"outcome\":{\"id\":7}}")
+        );
+        assert!(
+            elapsed < Duration::from_millis(EVENTS * 10 / 2),
+            "replaying {EVENTS} lines took {elapsed:?}"
+        );
     }
 
     #[test]

@@ -256,11 +256,12 @@ fn accept_loop(listener: &TcpListener, queue: &Arc<ConnQueue>, state: &Arc<Serve
 fn shed_connection(stream: TcpStream, state: &Arc<ServerState>) {
     state.telemetry.admission.conn_rejected.inc();
     let _ = stream.set_nonblocking(false);
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let resp = Response::json(503, "{\"error\":\"server saturated; connection shed\"}")
         .with_retry_after(1);
-    if write_response(&stream, &resp, false).is_err() {
+    if write_response(&stream, &mut Vec::new(), &resp, false).is_err() {
         return;
     }
     // Lingering close: the client's request bytes are still unread, and
@@ -322,10 +323,15 @@ fn serve_connection(stream: &TcpStream, state: &Arc<ServerState>) {
     if stream.set_nonblocking(false).is_err() {
         return;
     }
+    // The transport rule: one response, one write, `TCP_NODELAY` — no
+    // response may sit behind Nagle waiting for the peer's delayed ACK.
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(state.config.read_timeout));
     let peer = stream.peer_addr().ok().map(|a| a.ip());
     let cfg = &state.config;
     let mut conn = Conn::new(stream);
+    // Every response of this connection is serialised into this one buffer.
+    let mut out = Vec::new();
     let abort = || state.shutdown.is_cancelled();
     for served in 0..cfg.max_requests_per_conn {
         let req =
@@ -353,7 +359,7 @@ fn serve_connection(stream: &TcpStream, state: &Arc<ServerState>) {
                         // Peer gone or keep-alive idled out: nothing to say.
                         HttpError::Closed | HttpError::Io(_) => return,
                     };
-                    let _ = write_response(stream, &resp, false);
+                    let _ = write_response(stream, &mut out, &resp, false);
                     return;
                 }
             };
@@ -366,12 +372,12 @@ fn serve_connection(stream: &TcpStream, state: &Arc<ServerState>) {
         // query) come back as ordinary responses and keep the session.
         if let Some(id) = progress_path_id(&req.method, &req.path) {
             state.telemetry.record_request(state.now());
-            match stream_progress(state, stream, id) {
+            match stream_progress(state, stream, &mut out, id) {
                 Some(resp) => {
                     let keep = req.keep_alive()
                         && served + 1 < cfg.max_requests_per_conn
                         && !state.shutdown.is_cancelled();
-                    if write_response(stream, &resp, keep).is_err() || !keep {
+                    if write_response(stream, &mut out, &resp, keep).is_err() || !keep {
                         return;
                     }
                     continue;
@@ -384,7 +390,7 @@ fn serve_connection(stream: &TcpStream, state: &Arc<ServerState>) {
         let keep = req.keep_alive()
             && served + 1 < cfg.max_requests_per_conn
             && !state.shutdown.is_cancelled();
-        if write_response(stream, &resp, keep).is_err() || !keep {
+        if write_response(stream, &mut out, &resp, keep).is_err() || !keep {
             return;
         }
     }

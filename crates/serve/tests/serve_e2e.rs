@@ -3,9 +3,9 @@
 //! bit-identical outcomes across thread counts with serve instrumentation
 //! on, honest registry/trace reporting, and a scrapeable metrics surface.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use acq_engine::{Catalog, DataType, Field, TableBuilder, Value};
 use acq_obs::json::{parse, JsonValue};
@@ -264,6 +264,74 @@ fn malformed_requests_get_4xx_not_a_hang() {
     let big = format!("{{\"sql\":\"{}\"}}", "x".repeat(512));
     let (status, _) = http(addr, "POST", "/query", &big);
     assert_eq!(status, 413);
+}
+
+/// One request on a keep-alive connection: writes it, reads the framed
+/// reply (`Content-Length`) to its last byte, returns (status, body).
+fn keep_alive_exchange(conn: &mut BufReader<TcpStream>, request: &str) -> (u16, String) {
+    conn.get_mut().write_all(request.as_bytes()).unwrap();
+    let mut line = String::new();
+    conn.read_line(&mut line).unwrap();
+    let status: u16 = line.split_whitespace().nth(1).unwrap().parse().unwrap();
+    let mut length = 0usize;
+    loop {
+        line.clear();
+        conn.read_line(&mut line).unwrap();
+        if line == "\r\n" {
+            break;
+        }
+        if let Some(v) = line.strip_prefix("Content-Length: ") {
+            length = v.trim().parse().unwrap();
+        }
+    }
+    let mut body = vec![0u8; length];
+    conn.read_exact(&mut body).unwrap();
+    (status, String::from_utf8(body).unwrap())
+}
+
+/// The delayed-ACK stall: a response that leaves in two writes on a socket
+/// without `TCP_NODELAY` makes its body wait ≈ 40 ms for the client's ACK
+/// of the head, once the kernel's initial quick-ACK phase is over. The
+/// client here is a plain closed-loop one — it does *not* set
+/// `TCP_NODELAY`; the fix must be the server's.
+#[test]
+fn closed_loop_keep_alive_round_trips_do_not_stall() {
+    let mut b = TableBuilder::new("tiny", vec![Field::new("x", DataType::Float)]).unwrap();
+    for i in 0..200 {
+        b.push_row(vec![Value::Float(f64::from(i))]);
+    }
+    let mut cat = Catalog::new();
+    cat.register(b.finish().unwrap()).unwrap();
+    let server = Server::start(ServeConfig::default(), cat).unwrap();
+
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut conn = BufReader::new(stream);
+    let healthz = "GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n".to_string();
+    let body = "{\"sql\":\"SELECT * FROM tiny CONSTRAINT COUNT(*) >= 60 WHERE x <= 40\"}";
+    let query = format!(
+        "POST /query HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    for (what, request) in [("GET /healthz", &healthz), ("POST /query", &query)] {
+        let mut round_trips: Vec<Duration> = (0..60)
+            .map(|_| {
+                let t0 = Instant::now();
+                let (status, reply) = keep_alive_exchange(&mut conn, request);
+                assert_eq!(status, 200, "{what}: {reply}");
+                t0.elapsed()
+            })
+            .collect();
+        round_trips.sort_unstable();
+        let median = round_trips[round_trips.len() / 2];
+        assert!(
+            median < Duration::from_millis(10),
+            "{what}: median closed-loop round trip {median:?} — is every response one \
+             write on a TCP_NODELAY socket? ({round_trips:?})"
+        );
+    }
 }
 
 /// One blocking exchange returning the raw response text (status line,
