@@ -14,7 +14,7 @@
 
 use std::time::Duration;
 
-use acq_obs::snapshot::json_escape;
+use acq_obs::snapshot::{fmt_f64, json_escape};
 use acq_obs::MetricsSnapshot;
 use acq_query::AcqQuery;
 
@@ -207,15 +207,6 @@ impl ExplainProfile {
             )),
         }
         out
-    }
-}
-
-/// Minimal-digit float formatting matching the obs crate's JSON style.
-fn fmt_f64(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
     }
 }
 

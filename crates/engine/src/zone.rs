@@ -6,7 +6,7 @@
 //! without re-evaluating the predicate). [`Table`](crate::Table) builds one
 //! [`ColumnZones`] per numeric column at load time over fixed
 //! [`ZONE_BLOCK`]-row blocks; [`classify`] maps a block against one
-//! predicate + [`CellRange`](crate::CellRange) into a [`BlockClass`].
+//! predicate + [`CellRange`] into a [`BlockClass`].
 //!
 //! Classification works in *value space at the block endpoints* and leans
 //! only on the weak monotonicity of [`Predicate::score_value`] over the

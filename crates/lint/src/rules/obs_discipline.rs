@@ -28,7 +28,7 @@
 //!   wherever it appears. Reads and comparisons are free.
 //! * **Progress sinks are fed only from the serial emission path.** The
 //!   streaming progress contract (strictly monotone `explored`, terminal
-//!   event last) holds because every [`acquire_core::ProgressSink`] push
+//!   event last) holds because every `acquire_core::ProgressSink` push
 //!   happens at a layer-boundary commit in the driver. A `.try_push(…)`
 //!   call anywhere outside `[obs-discipline] progress_sink_paths` — a
 //!   worker closure, an evaluation layer, a request handler — could

@@ -395,6 +395,16 @@ pub fn fmt_f64(v: f64) -> String {
     }
 }
 
+/// Formats an `f64` answer field as a JSON number at full precision; the
+/// values JSON has no spelling for (NaN, ±inf) become `null`.
+pub fn json_num(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "null".to_string()
+    }
+}
+
 /// One-line help text per instrument, keyed by snapshot name.
 fn instrument_help(name: &str) -> &'static str {
     match name {

@@ -9,9 +9,10 @@
 //!    a bounded pending queue. A full queue — or a queue wait that outlives
 //!    its patience or the server — answers `503` with `Retry-After`.
 //! 3. **Graceful degradation**: admissions above the high-water mark
-//!    ([`QueryGate::degrade_at`]) are flagged [`Admission::degraded`]; the
-//!    handler shrinks their [`acquire_core::ExecutionBudget`] so they
-//!    return partial anytime answers quickly instead of being shed.
+//!    ([`QueryGate::degrade_at`]) are flagged `degraded` on
+//!    [`Admission::Admitted`]; the handler shrinks their
+//!    [`acquire_core::ExecutionBudget`] so they return partial anytime
+//!    answers quickly instead of being shed.
 //!
 //! Everything here is `std`-only: a `Mutex`-guarded bucket map and a
 //! `Mutex`+`Condvar` gate. None of this is on the instrument-commit path —

@@ -418,19 +418,7 @@ fn fmt_f64(v: f64) -> String {
 }
 
 fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", acq_obs::snapshot::json_escape(s))
 }
 
 /// One parsed TOML value (the subset `alerts.toml` needs).
@@ -545,10 +533,10 @@ fn build_rule(index: usize, table: BTreeMap<String, TomlVal>) -> Result<AlertRul
     let opt_secs = |key: &str, default: Duration| -> Result<Duration, String> {
         match table.get(key) {
             None => Ok(default),
+            // `try_from` refuses negatives and what a `Duration` cannot hold.
             Some(v) => v
                 .as_num()
-                .filter(|n| *n >= 0.0)
-                .map(Duration::from_secs_f64)
+                .and_then(|n| Duration::try_from_secs_f64(n).ok())
                 .ok_or_else(|| format!("{} must be a non-negative number", ctx(key))),
         }
     };

@@ -86,10 +86,8 @@ pub struct ServeOpts {
 
 fn positive_secs(flag: &str, value: &str) -> Result<Duration, String> {
     let secs: f64 = value.parse().map_err(|e| format!("{flag}: {e}"))?;
-    if !secs.is_finite() || secs <= 0.0 {
-        return Err(format!("{flag}: expected positive seconds, got {secs}"));
-    }
-    Ok(Duration::from_secs_f64(secs))
+    crate::handlers::positive_secs(secs)
+        .ok_or_else(|| format!("{flag}: expected positive seconds, got {secs}"))
 }
 
 fn nonneg(flag: &str, value: &str) -> Result<f64, String> {
@@ -153,15 +151,8 @@ pub fn parse_args<I: Iterator<Item = String>>(args: I) -> Result<ServeOpts, Stri
                     .map_err(|e| format!("--delta: {e}"))?;
             }
             "--max-deadline" => {
-                let secs: f64 = need("--max-deadline")?
-                    .parse()
-                    .map_err(|e| format!("--max-deadline: {e}"))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err(format!(
-                        "--max-deadline: expected positive seconds, got {secs}"
-                    ));
-                }
-                opts.config.max_deadline = Duration::from_secs_f64(secs);
+                opts.config.max_deadline =
+                    positive_secs("--max-deadline", &need("--max-deadline")?)?;
             }
             "--max-threads" => {
                 opts.config.max_threads = need("--max-threads")?

@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use acq_engine::Executor;
 use acq_obs::json::{parse, JsonValue};
-use acq_obs::snapshot::json_escape;
+use acq_obs::snapshot::{json_escape, json_num};
 use acq_obs::{Obs, QuerySummary};
 use acq_query::{AcqQuery, CmpOp, Norm};
 use acq_sql::compile;
@@ -157,14 +157,23 @@ fn alerts_json(state: &Arc<ServerState>) -> Response {
     }
 }
 
+/// Seconds off the wire as a `Duration`: `None` for zero, negative, NaN and
+/// anything `Duration` cannot hold (`1e300` is finite and positive, and
+/// `Duration::from_secs_f64` panics on it).
+pub(crate) fn positive_secs(secs: f64) -> Option<Duration> {
+    Duration::try_from_secs_f64(secs)
+        .ok()
+        .filter(|_| secs > 0.0)
+}
+
 /// `GET /timeseries`: the flight recorder's ring, with per-counter rates
 /// over `?window=SECS` (default [`acq_obs::window::DEFAULT_RATE_WINDOW_SECS`]).
 fn timeseries(state: &Arc<ServerState>, req: &Request) -> Response {
     let window = match req.param("window") {
         None | Some("") => Duration::from_secs(acq_obs::window::DEFAULT_RATE_WINDOW_SECS),
-        Some(raw) => match raw.parse::<f64>() {
-            Ok(secs) if secs.is_finite() && secs > 0.0 => Duration::from_secs_f64(secs),
-            _ => return json_err(400, "window must be positive seconds"),
+        Some(raw) => match raw.parse().ok().and_then(positive_secs) {
+            Some(window) => window,
+            None => return json_err(400, "window must be positive seconds"),
         },
     };
     Response::json(200, state.recorder.to_json(window))
@@ -241,11 +250,9 @@ fn parse_query_request(body: &[u8]) -> Result<QueryRequest, String> {
         Some("linf") | Some("loo") => Some(Norm::LInf),
         Some(other) => return Err(format!("unknown norm \"{other}\" (l1|l2|linf)")),
     };
-    let timeout = match num("timeout_secs")? {
-        Some(secs) if secs.is_finite() && secs > 0.0 => Some(Duration::from_secs_f64(secs)),
-        Some(_) => return Err("\"timeout_secs\" must be positive and finite".to_string()),
-        None => None,
-    };
+    let timeout = num("timeout_secs")?
+        .map(|secs| positive_secs(secs).ok_or("\"timeout_secs\" must be positive and finite"))
+        .transpose()?;
     // Client deadline propagation, JSON spelling; the `X-ACQ-Deadline-Ms`
     // header is the transport spelling of the same thing, folded in by the
     // caller. Whichever bound is tightest wins.
@@ -553,14 +560,6 @@ fn outcome_key(outcome: &AcqOutcome) -> String {
         eat(&r.error.to_bits().to_le_bytes());
     }
     format!("{h:016x}")
-}
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
 }
 
 fn termination_json(t: &Termination) -> String {

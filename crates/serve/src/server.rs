@@ -1,8 +1,8 @@
 //! The serving core: a bounded acceptor feeding a fixed worker pool.
 //!
 //! One acceptor thread owns the listener and pushes accepted streams into
-//! a bounded [`ConnQueue`]; a fixed pool of worker threads pops them and
-//! runs the keep-alive session loop ([`serve_connection`]). Nothing is
+//! a bounded `ConnQueue`; a fixed pool of worker threads pops them and
+//! runs the keep-alive session loop (`serve_connection`). Nothing is
 //! spawned per connection, so overload cannot exhaust threads — it fills
 //! the queue, and the acceptor then sheds further connections *honestly*:
 //! a `503` with `Retry-After` is written on the accepted stream before it
@@ -17,6 +17,7 @@
 use std::collections::VecDeque;
 use std::io::{self, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -281,7 +282,12 @@ fn shed_connection(stream: TcpStream, state: &Arc<ServerState>) {
 
 fn worker_loop(queue: &Arc<ConnQueue>, state: &Arc<ServerState>) {
     while let Some(stream) = queue.pop(state) {
-        serve_connection(&stream, state);
+        // The pool is fixed and nothing respawns a worker, so a panic while
+        // serving must cost that connection (dropped here, the peer sees it
+        // close) and not the thread. What a handler shares across requests
+        // is guarded by poison-tolerant locks and RAII permits, so state
+        // stays usable after an unwind.
+        let _ = catch_unwind(AssertUnwindSafe(|| serve_connection(&stream, state)));
     }
 }
 

@@ -5,8 +5,9 @@
 //! off-request alert thread. Same retry discipline as the overhead gates in
 //! `crates/core/tests/observability.rs`: min-of-5 per attempt, absolute
 //! floor so millisecond-scale requests don't flake, three attempts so only
-//! a systematic regression fails. `bench_smoke`'s `ops_overhead` row records
-//! the same comparison as a trend line.
+//! a systematic regression fails. Absolute numbers for the armed path are
+//! `acqbench round`'s job (`benchmark/README.md`): every workload there runs
+//! with the journal on.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};

@@ -10,6 +10,7 @@ use std::time::{Duration, Instant};
 use acq_engine::{Catalog, DataType, Field, TableBuilder, Value};
 use acq_obs::json::{parse, JsonValue};
 use acq_serve::{ServeConfig, Server};
+use acquire_core::EvalLayerKind;
 
 fn catalog() -> Catalog {
     let mut b = TableBuilder::new(
@@ -215,6 +216,46 @@ fn health_metrics_and_trace_surfaces() {
     assert_eq!(status, 405);
 }
 
+/// The value of one unlabelled series in a Prometheus text scrape.
+fn series(metrics: &str, name: &str) -> u64 {
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("no series {name} in:\n{metrics}"))
+}
+
+/// The production layer, seen from outside: after one multi-predicate COUNT
+/// query the `exec_stats` block on `/metrics` agrees with the answer's
+/// ground truth, pruning fired, and every cell query classified the same
+/// whole number of zone blocks.
+#[test]
+fn cached_score_metrics_match_the_answer_and_zone_counters_are_consistent() {
+    let server = start(ServeConfig {
+        layer: EvalLayerKind::CachedScore,
+        ..ServeConfig::default()
+    });
+    let addr = server.addr();
+    let (status, resp) = http(addr, "POST", "/query", &format!("{{\"sql\":\"{SQL}\"}}"));
+    assert_eq!(status, 200, "{resp}");
+    let explored = parse(&resp)
+        .unwrap()
+        .pointer("/explored")
+        .and_then(JsonValue::as_u64)
+        .unwrap();
+    assert!(explored > 0, "{resp}");
+
+    let (status, metrics) = http(addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    let cell_queries = series(&metrics, "acq_exec_cell_queries_total");
+    assert_eq!(cell_queries, explored, "{metrics}");
+    let pruned = series(&metrics, "acq_exec_zones_pruned_total");
+    assert!(pruned > 0, "pruning never fired on the served path");
+    let zones = pruned
+        + series(&metrics, "acq_exec_zones_full_total")
+        + series(&metrics, "acq_exec_zones_scanned_total");
+    assert_eq!(zones % cell_queries, 0, "{metrics}");
+}
+
 #[test]
 fn tiny_trace_buffers_report_truncation_honestly() {
     let server = start(ServeConfig {
@@ -332,6 +373,47 @@ fn closed_loop_keep_alive_round_trips_do_not_stall() {
              write on a TCP_NODELAY socket? ({round_trips:?})"
         );
     }
+}
+
+/// Seconds that are finite and positive but too large for a `Duration`
+/// (`Duration::from_secs_f64` panics on them) are refused with `400`. The
+/// worker pool is fixed and nothing respawns a worker, so if each such
+/// request cost one, `workers` of them would leave a server that answers
+/// nothing, not even `POST /shutdown`: send twice that many, then check the
+/// pool is still whole.
+#[test]
+fn overflowing_seconds_are_refused_and_cost_no_worker() {
+    let workers = 2;
+    let server = start(ServeConfig {
+        workers,
+        ..ServeConfig::default()
+    });
+    // A dead pool answers nothing, so every read here gives up early.
+    let exchange = |request: &str| {
+        let stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        keep_alive_exchange(&mut BufReader::new(stream), request)
+    };
+    let post = |body: &str| {
+        format!(
+            "POST /query HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+    };
+    let huge_timeout = post(&format!("{{\"sql\":\"{SQL}\",\"timeout_secs\":1e300}}"));
+    for _ in 0..2 * workers {
+        let (status, reply) =
+            exchange("GET /timeseries?window=1e300 HTTP/1.1\r\nHost: test\r\n\r\n");
+        assert_eq!(status, 400, "window=1e300: {reply}");
+        let (status, reply) = exchange(&huge_timeout);
+        assert_eq!(status, 400, "timeout_secs=1e300: {reply}");
+    }
+    let (status, reply) = exchange("GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n");
+    assert_eq!((status, reply.as_str()), (200, "ok\n"));
+    let (status, reply) = exchange(&post(&format!("{{\"sql\":\"{SQL}\"}}")));
+    assert_eq!(status, 200, "{reply}");
 }
 
 /// One blocking exchange returning the raw response text (status line,

@@ -29,6 +29,7 @@ use acquire::core::{
 };
 use acquire::datagen::{patients, tpch, users, GenConfig};
 use acquire::engine::{csv, Catalog, Executor};
+use acquire::obs::snapshot::{json_escape, json_num};
 use acquire::query::{CmpOp, Norm};
 use acquire::sql::compile;
 
@@ -46,7 +47,7 @@ struct Opts {
     json: bool,
     threads: usize,
     explain: bool,
-    timeout: Option<f64>,
+    timeout: Option<Duration>,
     max_memory: Option<usize>,
     max_explored: Option<u64>,
     best_effort: bool,
@@ -215,12 +216,10 @@ fn parse_args() -> Result<Opts, String> {
                 let secs: f64 = need("--timeout")?
                     .parse()
                     .map_err(|e| format!("--timeout: {e}"))?;
-                if !secs.is_finite() || secs < 0.0 {
-                    return Err(format!(
-                        "--timeout: expected non-negative seconds, got {secs}"
-                    ));
-                }
-                opts.timeout = Some(secs);
+                // Rejects negative, NaN, infinite and unrepresentably large.
+                let timeout = Duration::try_from_secs_f64(secs)
+                    .map_err(|_| format!("--timeout: expected non-negative seconds, got {secs}"))?;
+                opts.timeout = Some(timeout);
             }
             "--max-memory" => {
                 opts.max_memory = Some(parse_bytes(&need("--max-memory")?)?);
@@ -293,32 +292,6 @@ fn build_catalog(opts: &Opts) -> Result<Catalog, String> {
         return Err("no tables: pass --table NAME=PATH or --demo NAME".to_string());
     }
     Ok(catalog)
-}
-
-/// Minimal JSON string escaping (the outcome contains no exotic content,
-/// but SQL strings may embed quotes from categorical values).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
 }
 
 fn termination_json(t: &Termination) -> String {
@@ -468,8 +441,8 @@ fn run() -> Result<(), String> {
     let query_for_explain = query.clone();
 
     let mut budget = ExecutionBudget::unlimited();
-    if let Some(secs) = opts.timeout {
-        budget = budget.with_deadline(Duration::from_secs_f64(secs));
+    if let Some(timeout) = opts.timeout {
+        budget = budget.with_deadline(timeout);
     }
     if let Some(bytes) = opts.max_memory {
         budget = budget.with_max_store_bytes(bytes);
