@@ -10,27 +10,26 @@
 //! Implementation: [`contraction_query`] rewrites every flexible predicate
 //! to its `Q'_min` form — a zero-width interval anchored at the original
 //! lower (resp. upper) bound, with the original Eq. (1) denominator kept via
-//! `basis_override` and the expansion capped at the original width. The
-//! standard Expand/Explore machinery then searches *outward from `Q'_min`*;
-//! a point's refinement **with respect to `Q`** is the remaining gap
-//! `span_i − s_i` per dimension. Because more expansion from `Q'_min` means
-//! *less* change to `Q`, the driver keeps collecting satisfying queries and
-//! stops only once a whole layer provably overshoots (COUNT constraints,
-//! whose aggregates grow monotonically with expansion) or the grid is
-//! exhausted.
+//! `basis_override` and the expansion capped at the original width. The one
+//! Algorithm 4 loop (the `driver` module) then searches *outward from
+//! `Q'_min`* in its contracting direction: a point's refinement **with
+//! respect to `Q`** is the remaining gap `span_i − s_i` per dimension.
+//! Because more expansion from `Q'_min` means *less* change to `Q`, that
+//! direction keeps collecting satisfying queries and stops only once a whole
+//! layer provably overshoots (COUNT constraints, whose aggregates grow
+//! monotonically with expansion) or the grid is exhausted.
 
 use acq_engine::Executor;
-use acq_query::{AcqQuery, AggErrorFn, AggFunc, CmpOp, Interval, RefineSide};
+use acq_obs::Obs;
+use acq_query::{AcqQuery, AggErrorFn, CmpOp, Interval, RefineSide};
 
 use crate::config::AcquireConfig;
-use crate::driver::isolated;
+use crate::driver::{search, Direction, Feed};
 use crate::error::CoreError;
 use crate::eval::{prepare_layer, EvalLayerKind, EvaluationLayer};
-use crate::expand::{BfsExpander, Expander, LinfExpander};
-use crate::explore::Explorer;
-use crate::govern::{CancellationToken, FaultPolicy, Governor, InterruptReason, Termination};
-use crate::result::{AcqOutcome, RefinedQueryResult};
-use crate::space::RefinedSpace;
+use crate::govern::CancellationToken;
+use crate::progress::ProgressSink;
+use crate::result::AcqOutcome;
 
 /// Builds `Q'_min`: every flexible predicate anchored at its minimum with
 /// the original refinement scale; expansion by `span_i` percent restores the
@@ -86,10 +85,18 @@ fn spans(original: &AcqQuery, contraction: &AcqQuery) -> Vec<f64> {
         .collect()
 }
 
+/// What a contraction search of `original` runs on: `Q'_min`, and the
+/// direction that scores its space relative to `original`.
+pub(crate) fn contraction(original: &AcqQuery) -> Result<(AcqQuery, Direction), CoreError> {
+    let cq = contraction_query(original)?;
+    let spans = spans(original, &cq);
+    Ok((cq, Direction::Contract { spans }))
+}
+
 /// Runs the §7.2 contraction search against a caller-built evaluation layer
-/// (which must have been constructed for [`contraction_query`]'s output),
-/// with an externally owned [`CancellationToken`]; budgets, cancellation,
-/// and fault handling behave exactly as in [`crate::acquire_progress`].
+/// (which must have been constructed for [`contraction_query`]'s output) —
+/// the contracting form of [`crate::acquire_progress`], with the same
+/// cancellation, budget, fault, observability and progress behaviour.
 ///
 /// Returns an [`AcqOutcome`] whose `pscores`/`qscore` measure refinement
 /// **with respect to the original query** (the contraction amounts) and
@@ -99,172 +106,17 @@ pub fn contract_with<E: EvaluationLayer + ?Sized>(
     original: &AcqQuery,
     cfg: &AcquireConfig,
     cancel: &CancellationToken,
+    obs: &Obs,
+    progress: Option<&ProgressSink>,
 ) -> Result<AcqOutcome, CoreError> {
-    cfg.validate()?;
-    let cq = contraction_query(original)?;
-    cq.validate_with_norm(&cfg.norm)?;
-    let space = RefinedSpace::new(&cq, cfg)?;
-    let span = spans(original, &cq);
-    let mut expander: Box<dyn Expander> = if cfg.norm.is_linf() {
-        Box::new(LinfExpander::new(&space))
-    } else {
-        Box::new(BfsExpander::new(&space))
-    };
-    let mut explorer = Explorer::new();
-    let governor = Governor::new(cfg.budget.clone(), cancel.clone());
-
-    let target = cq.constraint.target;
-    let err_fn = cq.error_fn;
-    // Early stop is sound only for aggregates that grow monotonically as the
-    // query expands from Q'_min.
-    let monotone = matches!(cq.constraint.spec.func, AggFunc::Count);
-    let overshoot_cap = target * (1.0 + cfg.delta);
-
-    let mut answers: Vec<RefinedQueryResult> = Vec::new();
-    let mut closest: Option<RefinedQueryResult> = None;
-    let mut explored = 0u64;
-    let mut current_layer = 0u64;
-    let mut layer_min_actual = f64::INFINITY;
-    let mut interrupt: Option<InterruptReason> = None;
-
-    let on_fault =
-        |e: CoreError, interrupt: &mut Option<InterruptReason>| -> Result<(), CoreError> {
-            match cfg.fault_policy {
-                FaultPolicy::Propagate => Err(e),
-                FaultPolicy::BestEffort => {
-                    *interrupt = Some(InterruptReason::Fault(e.to_string()));
-                    Ok(())
-                }
-            }
-        };
-
-    while let Some(point) = expander.next_query() {
-        let layer = expander.layer_of(&point);
-        if layer > cfg.max_layers {
-            break;
-        }
-        if explored >= cfg.max_explored {
-            interrupt = Some(InterruptReason::ExploredBudget);
-            break;
-        }
-        if let Some(reason) = governor.check(explored, explorer.store().approx_bytes()) {
-            interrupt = Some(reason);
-            break;
-        }
-        if layer > current_layer {
-            if monotone && layer_min_actual.is_finite() && layer_min_actual > overshoot_cap {
-                // Every query from here on contains one that already
-                // overshoots beyond delta: stop.
-                break;
-            }
-            if let Some(min) = expander.evictable_below(layer) {
-                explorer.evict_below(min);
-            }
-            current_layer = layer;
-            layer_min_actual = f64::INFINITY;
-        }
-        let state = match isolated(|| explorer.compute_aggregate(eval, &space, &point, layer)) {
-            Ok(state) => state,
-            Err(e) => {
-                on_fault(e, &mut interrupt)?;
-                break;
-            }
-        };
-        explored += 1;
-        let Some(actual) = state.value() else {
-            continue;
-        };
-        layer_min_actual = layer_min_actual.min(actual);
-        let error = err_fn.error(target, actual);
-
-        // Refinement with respect to Q: the *remaining* contraction.
-        let s = space.pscores(&point);
-        let contraction: Vec<f64> = s
-            .iter()
-            .zip(&span)
-            .map(|(si, sp)| (sp - si).max(0.0))
-            .collect();
-        let qscore = cfg.norm.qscore(&contraction);
-        let make = || RefinedQueryResult {
-            point: point.clone(),
-            pscores: contraction.clone(),
-            qscore,
-            aggregate: actual,
-            error,
-            sql: cq.refined_sql(&s),
-        };
-        if error <= cfg.delta {
-            answers.push(make());
-        } else {
-            if closest.as_ref().is_none_or(|c| error < c.error) {
-                closest = Some(make());
-            }
-            if actual > target {
-                // The crossing lies inside this cell: repartition it, just
-                // as the expansion driver does (§6).
-                let hit = match isolated(|| {
-                    crate::repartition::repartition(
-                        eval,
-                        &space,
-                        &point,
-                        target,
-                        err_fn,
-                        cfg.repartition_depth,
-                    )
-                }) {
-                    Ok(hit) => hit,
-                    Err(e) => {
-                        on_fault(e, &mut interrupt)?;
-                        break;
-                    }
-                };
-                if let Some(hit) = hit {
-                    let c: Vec<f64> = hit
-                        .bounds
-                        .iter()
-                        .zip(&span)
-                        .map(|(si, sp)| (sp - si).max(0.0))
-                        .collect();
-                    let r = RefinedQueryResult {
-                        point: Vec::new(),
-                        pscores: c.clone(),
-                        qscore: cfg.norm.qscore(&c),
-                        aggregate: hit.aggregate,
-                        error: hit.error,
-                        sql: cq.refined_sql(&hit.bounds),
-                    };
-                    if hit.error <= cfg.delta {
-                        answers.push(r);
-                    } else if closest.as_ref().is_none_or(|cl| r.error < cl.error) {
-                        closest = Some(r);
-                    }
-                }
-            }
-        }
-    }
-
-    // Minimal change to Q first.
-    answers.sort_by(|a, b| a.qscore.total_cmp(&b.qscore));
-    let satisfied = !answers.is_empty();
-    let termination = match interrupt {
-        Some(reason) => governor.interrupted(reason, explored),
-        None if satisfied => Termination::Satisfied,
-        None => Termination::Exhausted,
-    };
-    Ok(AcqOutcome {
-        satisfied,
-        closest,
-        original_aggregate: f64::NAN,
-        explored,
-        layers: current_layer,
-        peak_store: explorer.store().peak_len(),
-        stats: eval.stats(),
-        termination,
-        queries: answers,
+    let (cq, dir) = contraction(original)?;
+    Feed::run(progress, |feed| {
+        search(eval, &cq, &dir, cfg, cancel, obs, feed)
     })
 }
 
-/// Convenience entry point mirroring [`crate::run_acquire`] for contraction.
+/// Convenience entry point mirroring [`crate::run_acquire`] for a caller
+/// that wants the contraction search whatever the constraint's operator.
 pub fn run_contraction(
     exec: &mut Executor,
     query: &AcqQuery,
@@ -274,8 +126,7 @@ pub fn run_contraction(
     run_contraction_with(exec, query, cfg, kind, &CancellationToken::new())
 }
 
-/// [`run_contraction`] with an externally owned [`CancellationToken`], so a
-/// long-running host's shutdown interrupts contraction searches too.
+/// [`run_contraction`] with an externally owned [`CancellationToken`].
 pub fn run_contraction_with(
     exec: &mut Executor,
     query: &AcqQuery,
@@ -283,12 +134,24 @@ pub fn run_contraction_with(
     kind: EvalLayerKind,
     cancel: &CancellationToken,
 ) -> Result<AcqOutcome, CoreError> {
-    // `contract_with` re-derives `Q'_min` from the original, so the original
-    // needs its domains too (the seam's own fill then finds them set).
-    let mut query = query.clone();
-    exec.populate_domains(&mut query)?;
-    let (_, mut eval) = prepare_layer(exec, &contraction_query(&query)?, cfg, kind)?;
-    contract_with(&mut *eval, &query, cfg, cancel)
+    let plan = contraction(query)?;
+    run_contraction_in(exec, plan, cfg, kind, cancel, &Obs::disabled(), None)
+}
+
+/// Builds the layer for a [`contraction`]'s `Q'_min` and searches it inside
+/// a request's feed: what [`run_contraction_with`] and
+/// [`crate::run_acquire_progress`] share.
+pub(crate) fn run_contraction_in(
+    exec: &mut Executor,
+    (cq, dir): (AcqQuery, Direction),
+    cfg: &AcquireConfig,
+    kind: EvalLayerKind,
+    cancel: &CancellationToken,
+    obs: &Obs,
+    feed: Option<&mut Feed<'_>>,
+) -> Result<AcqOutcome, CoreError> {
+    let (cq, mut eval) = prepare_layer(exec, &cq, cfg, kind)?;
+    search(&mut *eval, &cq, &dir, cfg, cancel, obs, feed)
 }
 
 #[cfg(test)]

@@ -10,6 +10,14 @@
 //! the constraint, the query attaining the closest aggregate value is
 //! returned.
 //!
+//! # One loop, two directions
+//!
+//! §7.2 contraction is the same traversal over a different space: the loop
+//! walks outward from the origin of the space it is handed, and a
+//! [`Direction`] says how that space's points relate to `Q` — so both share
+//! budgets, fault handling, the pool, observability and progress.
+//! [`run_acquire_progress`] picks the direction from the constraint.
+//!
 //! # Parallel Explore
 //!
 //! The driver drains grid queries in **same-layer batches**. With
@@ -28,9 +36,10 @@ use std::time::Instant;
 
 use acq_engine::{EngineResult, Executor};
 use acq_obs::Obs;
-use acq_query::AcqQuery;
+use acq_query::{AcqQuery, AggFunc, CmpOp};
 
 use crate::config::AcquireConfig;
+use crate::contraction::{contraction, run_contraction_in};
 use crate::error::CoreError;
 use crate::eval::{prepare_layer, EvalLayerKind, EvaluationLayer};
 use crate::expand::{BestFirstExpander, BfsExpander, Expander, LinfExpander};
@@ -65,6 +74,23 @@ pub(crate) fn isolated<T>(f: impl FnOnce() -> EngineResult<T>) -> Result<T, Core
     }
 }
 
+/// Which way the one Algorithm 4 loop refines `Q`.
+pub(crate) enum Direction {
+    /// The searched space is `RS(Q)`: farther from its origin is more change
+    /// to `Q`. The first satisfying layer is the answer layer, overshooting
+    /// cells are repartitioned until an answer exists, every point may be
+    /// `closest`, and the origin's aggregate is the original query's.
+    Expand,
+    /// §7.2: the searched space runs from `Q'_min` out to `Q`, so farther
+    /// from its origin is *less* change to `Q`: `spans[i]` percent restores
+    /// dimension `i`, and a point's refinement is the remaining gap. Every
+    /// satisfying layer is collected, the search stops once a whole layer
+    /// overshoots (COUNT only — it grows monotonically outward), every
+    /// overshooting non-answer is repartitioned, only non-answers may be
+    /// `closest`, and the original aggregate is never observed.
+    Contract { spans: Vec<f64> },
+}
+
 /// Runs ACQUIRE against a caller-constructed evaluation layer.
 ///
 /// The evaluation layer must have been built with per-dimension caps at
@@ -94,14 +120,72 @@ pub fn acquire<E: EvaluationLayer + ?Sized>(
 /// named function so `[commit-reachability]` can root its closure exactly
 /// here — everything this (and [`ProgressSink::try_push`]) touches must
 /// stay wait-free.
-fn emit_progress(sink: &ProgressSink, start: Instant, mut event: ProgressEvent) {
+fn emit_progress(sink: &ProgressSink, start: Instant, mut event: ProgressEvent) -> bool {
     event.elapsed_ms = start.elapsed().as_millis().min(u128::from(u64::MAX)) as u64;
-    sink.try_push(event);
+    sink.try_push(event)
+}
+
+/// One request's progress feed: what makes the events of its one or two
+/// searches (two when an `=` falls through to contraction) one stream — the
+/// shared clock, the cells earlier searches committed, and the latest
+/// search's terminal event, held back until the outcome to return is known.
+pub(crate) struct Feed<'a> {
+    sink: &'a ProgressSink,
+    start: Instant,
+    /// Cells committed by the request's finished searches: added to every
+    /// event's `explored`, so the stream stays strictly monotone.
+    base: u64,
+    terminal: Option<ProgressEvent>,
+}
+
+/// Offers of a request's terminal event before it counts as lost.
+const TERMINAL_OFFERS: usize = 64;
+
+impl<'a> Feed<'a> {
+    /// Runs `request` against a feed over `sink` (if there is one), then
+    /// pushes the terminal event of the last search it ran.
+    pub(crate) fn run(
+        sink: Option<&'a ProgressSink>,
+        request: impl FnOnce(Option<&mut Feed<'a>>) -> Result<AcqOutcome, CoreError>,
+    ) -> Result<AcqOutcome, CoreError> {
+        let mut feed = sink.map(|sink| Feed {
+            sink,
+            // lint-allow(determinism): progress timestamps only; never branches the search
+            start: Instant::now(),
+            base: 0,
+            terminal: None,
+        });
+        let outcome = request(feed.as_mut())?;
+        if let Some((feed, event)) = feed.as_ref().and_then(|f| Some((f, f.terminal?))) {
+            // A stream may lose layer events, not its end. The search is
+            // over, so a slot some reader holds for the length of one copy is
+            // offered again instead of dropped.
+            for _ in 0..TERMINAL_OFFERS {
+                if emit_progress(feed.sink, feed.start, event) {
+                    break;
+                }
+                std::thread::yield_now();
+            }
+        }
+        Ok(outcome)
+    }
+
+    /// A serial commit of the running search: a layer-boundary event goes
+    /// out now; a terminal one is held, its totals the next search's base.
+    fn push(&mut self, mut event: ProgressEvent) {
+        event.explored += self.base;
+        if event.terminal {
+            self.base = event.explored;
+            self.terminal = Some(event);
+        } else {
+            emit_progress(self.sink, self.start, event);
+        }
+    }
 }
 
 /// Runs ACQUIRE with an externally owned [`CancellationToken`], an [`Obs`]
 /// observability handle and an optional live [`ProgressSink`] — the full
-/// form every other entry point forwards to.
+/// form of [`acquire`], and the expanding form of the one search loop.
 ///
 /// **Cancellation.** The search checks the token (and the configured
 /// budget) cooperatively once per grid query; on interrupt it returns `Ok`
@@ -134,12 +218,31 @@ pub fn acquire_progress<E: EvaluationLayer + ?Sized>(
     obs: &Obs,
     progress: Option<&ProgressSink>,
 ) -> Result<AcqOutcome, CoreError> {
+    Feed::run(progress, |feed| {
+        search(eval, query, &Direction::Expand, cfg, cancel, obs, feed)
+    })
+}
+
+/// The one Algorithm 4 search loop. `query` is the *searched* query — `Q`
+/// when expanding, `Q'_min` when contracting — and `eval` the layer built
+/// for it.
+pub(crate) fn search<E: EvaluationLayer + ?Sized>(
+    eval: &mut E,
+    query: &AcqQuery,
+    dir: &Direction,
+    cfg: &AcquireConfig,
+    cancel: &CancellationToken,
+    obs: &Obs,
+    mut feed: Option<&mut Feed<'_>>,
+) -> Result<AcqOutcome, CoreError> {
     cfg.validate()?;
     query.validate_with_norm(&cfg.norm)?;
     let space = RefinedSpace::new(query, cfg)?;
+    let contracting = matches!(dir, Direction::Contract { .. });
+    // Contraction's stop rule needs whole layers, so it never runs best-first.
     let mut expander: Box<dyn Expander> = if cfg.norm.is_linf() {
         Box::new(LinfExpander::new(&space))
-    } else if cfg.exact_lp_order {
+    } else if cfg.exact_lp_order && !contracting {
         Box::new(BestFirstExpander::new(&space))
     } else {
         Box::new(BfsExpander::new(&space))
@@ -149,13 +252,41 @@ pub fn acquire_progress<E: EvaluationLayer + ?Sized>(
 
     let target = query.constraint.target;
     let err_fn = query.error_fn;
-    let expanding = query.constraint.op.is_expanding();
+    let op_expands = query.constraint.op.is_expanding();
+    // §7.2's stop rule: COUNT grows monotonically outward from `Q'_min`, so
+    // once every query of a layer overshoots `target·(1+δ)`, every query
+    // beyond it contains one that does.
+    let overshoot_cap = (contracting && matches!(query.constraint.spec.func, AggFunc::Count))
+        .then_some(target * (1.0 + cfg.delta));
+    let mut layer_min_actual = f64::INFINITY;
+    // A point of the searched space — `s` are its expansion scores there —
+    // as a result scored and rendered relative to `Q`.
+    let render = |point: GridPoint, s: Vec<f64>, aggregate: f64, error: f64| {
+        let sql = query.refined_sql(&s);
+        let pscores = match dir {
+            Direction::Expand => s,
+            Direction::Contract { spans } => {
+                let gap = |(si, sp): (&f64, &f64)| (sp - si).max(0.0);
+                s.iter().zip(spans).map(gap).collect()
+            }
+        };
+        RefinedQueryResult {
+            point,
+            qscore: cfg.norm.qscore(&pscores),
+            pscores,
+            aggregate,
+            error,
+            sql,
+        }
+    };
 
     let mut answers: Vec<RefinedQueryResult> = Vec::new();
     // The closest-aggregate fallback is tracked as raw numbers and only
     // materialised (SQL rendered) once, when the outcome is assembled —
     // it improves on a large fraction of explored points.
-    let mut closest: Option<(Vec<f64>, f64, f64)> = None; // (pscores, aggregate, error)
+    let mut closest: Option<(Vec<f64>, f64, f64)> = None; // (scores, aggregate, error)
+
+    // Expansion only: the answer layer. Contraction collects every layer.
     let mut min_ref_layer = u64::MAX;
     let mut current_layer = 0u64;
     let mut explored = 0u64;
@@ -174,6 +305,16 @@ pub fn acquire_progress<E: EvaluationLayer + ?Sized>(
                 }
             }
         };
+
+    // What, if anything, forbids the next grid query: the legacy safety cap
+    // (it behaves like an explored-query budget), then the governor.
+    let spent = |explored: u64, explorer: &Explorer| {
+        if explored >= cfg.max_explored {
+            Some(InterruptReason::ExploredBudget)
+        } else {
+            governor.check(explored, explorer.store().approx_bytes())
+        }
+    };
 
     // Cap on one layer-batch: bounds the speculative work wasted if an
     // interrupt lands mid-layer, and the transient memory of prefetched
@@ -194,15 +335,11 @@ pub fn acquire_progress<E: EvaluationLayer + ?Sized>(
     let explored_limit = cfg
         .max_explored
         .min(cfg.budget.max_explored.unwrap_or(u64::MAX));
-    // Progress plumbing: the run clock exists only when a sink is attached
-    // and feeds `elapsed_ms` alone — events never branch the search.
-    // lint-allow(determinism): progress timestamps only; never branches the search
-    let progress_start = progress.map(|_| Instant::now());
-    let progress_query_id = obs.query_id().unwrap_or(0);
     // Last layer traced as an expand event: serial mode produces one
     // single-query batch per grid point, which would flood the trace with
     // identical lines; multi-cell batches always trace.
     let mut traced_layer = u64::MAX;
+    let query_id = obs.query_id().unwrap_or(0);
     if obs.is_enabled() {
         obs.set_meta("evaluator", eval.kind_name());
         obs.set_meta("workers", &workers.to_string());
@@ -213,8 +350,9 @@ pub fn acquire_progress<E: EvaluationLayer + ?Sized>(
         let query_id = obs.query_id();
         obs.trace(0, || {
             let qid = query_id.map(|id| format!("[q{id}] ")).unwrap_or_default();
+            let verb = if contracting { "contract" } else { "acquire" };
             format!(
-                "{qid}acquire: target {} ({} workers, {} dims)",
+                "{qid}{verb}: target {} ({} workers, {} dims)",
                 query.constraint.target,
                 workers,
                 space.dims()
@@ -228,14 +366,19 @@ pub fn acquire_progress<E: EvaluationLayer + ?Sized>(
         if layer > min_ref_layer || layer > cfg.max_layers {
             break;
         }
+        if layer > current_layer
+            && layer_min_actual.is_finite()
+            && overshoot_cap.is_some_and(|cap| layer_min_actual > cap)
+        {
+            // A budget spent at this very boundary still reports itself.
+            interrupt = spent(explored, &explorer);
+            break;
+        }
         let mut batch: Vec<GridPoint> = vec![first];
         if workers > 1 {
             // Never drain past the explored budgets: cells beyond them
             // could only be wasted speculative work.
-            let remaining = cfg
-                .max_explored
-                .min(cfg.budget.max_explored.unwrap_or(u64::MAX))
-                .saturating_sub(explored);
+            let remaining = explored_limit.saturating_sub(explored);
             let cap = usize::try_from(remaining.clamp(1, MAX_BATCH as u64)).unwrap_or(MAX_BATCH);
             while batch.len() < cap {
                 match expander.next_query() {
@@ -256,10 +399,17 @@ pub fn acquire_progress<E: EvaluationLayer + ?Sized>(
         if layer != traced_layer || batch.len() > 1 {
             traced_layer = layer;
             obs.trace(0, || {
-                format!(
+                let line = format!(
                     "expand layer {layer}: batch of {} grid queries",
                     batch.len()
-                )
+                );
+                if contracting {
+                    // Nearly every under-target point answers: the trace
+                    // carries a running total per layer, not a line per answer.
+                    format!("{line}, {} answer(s) so far", answers.len())
+                } else {
+                    line
+                }
             });
         }
 
@@ -288,13 +438,7 @@ pub fn acquire_progress<E: EvaluationLayer + ?Sized>(
 
         // -- commit phase: exactly the serial per-point loop --------------
         for (i, point) in batch.iter().enumerate() {
-            if explored >= cfg.max_explored {
-                // The legacy safety cap behaves like an explored-query
-                // budget.
-                interrupt = Some(InterruptReason::ExploredBudget);
-                break 'search;
-            }
-            if let Some(reason) = governor.check(explored, explorer.store().approx_bytes()) {
+            if let Some(reason) = spent(explored, &explorer) {
                 interrupt = Some(reason);
                 break 'search;
             }
@@ -305,25 +449,22 @@ pub fn acquire_progress<E: EvaluationLayer + ?Sized>(
                     explorer.evict_below(min);
                 }
                 current_layer = layer;
+                layer_min_actual = f64::INFINITY;
                 // The serial layer-boundary commit: the one place mid-run
                 // progress is emitted. `explored` is strictly monotone
                 // across these events — at least one cell commits between
                 // consecutive boundaries.
-                if let (Some(sink), Some(start)) = (progress, progress_start) {
-                    emit_progress(
-                        sink,
-                        start,
-                        ProgressEvent {
-                            query_id: progress_query_id,
-                            layer,
-                            explored,
-                            frontier: batch.len() as u64,
-                            store_bytes: explorer.store().approx_bytes() as u64,
-                            zones_pruned: eval.stats().zones_pruned,
-                            elapsed_ms: 0,
-                            terminal: false,
-                        },
-                    );
+                if let Some(feed) = feed.as_deref_mut() {
+                    feed.push(ProgressEvent {
+                        query_id,
+                        layer,
+                        explored,
+                        frontier: batch.len() as u64,
+                        store_bytes: explorer.store().approx_bytes() as u64,
+                        zones_pruned: eval.stats().zones_pruned,
+                        elapsed_ms: 0,
+                        terminal: false,
+                    });
                 }
             }
             let (computed, cell_ns) = match prefetched.as_mut().and_then(|slots| slots[i].take()) {
@@ -378,41 +519,55 @@ pub fn acquire_progress<E: EvaluationLayer + ?Sized>(
             }
 
             let value = state.value();
-            if point.iter().all(|&u| u == 0) {
+            if !contracting && point.iter().all(|&u| u == 0) {
                 original_aggregate = value.unwrap_or(f64::NAN);
             }
             // MIN/MAX/AVG of an empty result set are undefined: not a
             // candidate.
             let Some(actual) = value else { continue };
+            layer_min_actual = layer_min_actual.min(actual);
             let error = err_fn.error(target, actual);
-
-            let make = |point: Vec<u32>, actual: f64, error: f64| {
-                RefinedQueryResult::new(
-                    query,
-                    point.clone(),
-                    space.pscores(&point),
-                    space.qscore(&point),
-                    actual,
-                    error,
-                )
-            };
-
-            if error <= cfg.delta {
-                answers.push(make(point.clone(), actual, error));
-                min_ref_layer = min_ref_layer.min(layer);
+            let answered = error <= cfg.delta;
+            // An expansion repartitions only until it has a grid answer:
+            // finer fractional answers cannot improve the answer layer, and
+            // repartitioning would re-execute full queries for every
+            // overshooting point of the closing layer.
+            let crossing =
+                !answered && actual > target && (contracting || (op_expands && answers.is_empty()));
+            let mut answer = |r: RefinedQueryResult, depth: u8, how: &str| {
                 if let Some(m) = metrics {
                     m.answers_found.inc();
                 }
-                obs.trace(1, || {
-                    format!("answer: aggregate {actual} (error {error:.4}, layer {layer})")
-                });
-            } else if expanding && actual > target && answers.is_empty() {
+                if !contracting {
+                    min_ref_layer = min_ref_layer.min(layer);
+                    let (aggregate, error) = (r.aggregate, r.error);
+                    obs.trace(depth, || {
+                        format!(
+                            "answer: {how}aggregate {aggregate} (error {error:.4}, layer {layer})"
+                        )
+                    });
+                }
+                answers.push(r);
+            };
+            let mut rank = |scores: Vec<f64>, aggregate: f64, error: f64| {
+                if closest.as_ref().is_none_or(|c| error < c.2) {
+                    closest = Some((scores, aggregate, error));
+                }
+            };
+
+            if answered {
+                answer(
+                    render(point.clone(), space.pscores(point), actual, error),
+                    1,
+                    "",
+                );
+            } else if contracting {
+                // Contraction ranks a non-answer before its cell's interior.
+                rank(space.pscores(point), actual, error);
+            }
+            if crossing {
                 // The constraint's crossing point lies inside this cell:
-                // repartition (Algorithm 4 / §6). Once a grid answer
-                // exists, finer fractional answers cannot improve the
-                // answer layer, so repartitioning stops (it would
-                // re-execute full queries for every overshooting point of
-                // the closing layer).
+                // repartition (Algorithm 4 / §6).
                 if let Some(m) = metrics {
                     m.repartitions.inc();
                 }
@@ -430,64 +585,41 @@ pub fn acquire_progress<E: EvaluationLayer + ?Sized>(
                         break 'search;
                     }
                 };
-                if let Some(hit) = hit {
-                    let qscore = space.norm().qscore(&hit.bounds);
-                    let r = RefinedQueryResult::new(
-                        query,
-                        Vec::new(),
-                        hit.bounds,
-                        qscore,
-                        hit.aggregate,
-                        hit.error,
-                    );
-                    if hit.error <= cfg.delta {
-                        let (aggregate, err) = (r.aggregate, r.error);
-                        answers.push(r);
-                        min_ref_layer = min_ref_layer.min(layer);
-                        if let Some(m) = metrics {
-                            m.answers_found.inc();
-                        }
-                        obs.trace(2, || {
-                            format!("answer: repartitioned aggregate {aggregate} (error {err:.4})")
-                        });
-                    } else if closest.as_ref().is_none_or(|c| r.error < c.2) {
-                        closest = Some((r.pscores, r.aggregate, r.error));
+                match hit {
+                    Some(hit) if hit.error <= cfg.delta => {
+                        let r = render(Vec::new(), hit.bounds, hit.aggregate, hit.error);
+                        answer(r, 2, "repartitioned ");
                     }
+                    Some(hit) => rank(hit.bounds, hit.aggregate, hit.error),
+                    None => {}
                 }
             }
-            if closest.as_ref().is_none_or(|c| error < c.2) {
-                closest = Some((space.pscores(point), actual, error));
+            if !contracting {
+                // Expansion ranks every point, after its cell's interior.
+                rank(space.pscores(point), actual, error);
             }
         }
     }
-
     answers.sort_by(|a, b| a.qscore.total_cmp(&b.qscore));
     let satisfied = !answers.is_empty();
-    let closest = closest.map(|(pscores, aggregate, error)| {
-        let qscore = cfg.norm.qscore(&pscores);
-        RefinedQueryResult::new(query, Vec::new(), pscores, qscore, aggregate, error)
-    });
+    let closest = closest.map(|(s, aggregate, error)| render(Vec::new(), s, aggregate, error));
     let termination = match interrupt {
         Some(reason) => governor.interrupted(reason, explored),
         None if satisfied => Termination::Satisfied,
         None => Termination::Exhausted,
     };
     let stats = eval.stats();
-    if let (Some(sink), Some(start)) = (progress, progress_start) {
-        emit_progress(
-            sink,
-            start,
-            ProgressEvent {
-                query_id: progress_query_id,
-                layer: current_layer,
-                explored,
-                frontier: 0,
-                store_bytes: explorer.store().approx_bytes() as u64,
-                zones_pruned: stats.zones_pruned,
-                elapsed_ms: 0,
-                terminal: true,
-            },
-        );
+    if let Some(feed) = feed {
+        feed.push(ProgressEvent {
+            query_id,
+            layer: current_layer,
+            explored,
+            frontier: 0,
+            store_bytes: explorer.store().approx_bytes() as u64,
+            zones_pruned: stats.zones_pruned,
+            elapsed_ms: 0,
+            terminal: true,
+        });
     }
     if obs.is_enabled() {
         obs.record_exec_stats(&stats.fields());
@@ -502,6 +634,7 @@ pub fn acquire_progress<E: EvaluationLayer + ?Sized>(
         satisfied,
         closest,
         original_aggregate,
+        contracted: contracting,
         explored,
         layers: current_layer,
         peak_store: explorer.store().peak_len(),
@@ -512,8 +645,9 @@ pub fn acquire_progress<E: EvaluationLayer + ?Sized>(
 }
 
 /// Convenience entry point: fills predicate domains from catalog statistics,
-/// builds the requested evaluation layer with the right caps, and runs
-/// [`acquire`].
+/// builds the requested evaluation layer with the right caps, and runs the
+/// search the constraint asks for — the short form of
+/// [`run_acquire_progress`].
 ///
 /// ```
 /// use acq_engine::{Catalog, DataType, Executor, Field, TableBuilder, Value};
@@ -565,12 +699,19 @@ pub fn run_acquire(
     )
 }
 
-/// The full form of [`run_acquire`]: builds the requested evaluation layer
-/// and runs [`acquire_progress`] with the caller's [`CancellationToken`],
-/// [`Obs`] handle and optional [`ProgressSink`]. The entry point for
-/// long-running hosts (the serve binary, the CLI's `--progress`) whose
-/// graceful shutdown must interrupt in-flight searches cooperatively and
-/// which stream the refinement trajectory while the search runs.
+/// The full form of [`run_acquire`], and the one request → outcome path of
+/// every host (the serve binary, the CLI): builds the requested evaluation
+/// layer and runs the search the constraint asks for. `=`, `>=` and `>`
+/// expand; `<=` and `<` contract (§7.2); and an `=` whose expansion ends
+/// unsatisfied because the original already overshoots the target —
+/// expansion can only grow the aggregate — falls through to contraction,
+/// unless nothing in the query is contractible, when the expansion outcome
+/// (its closest query is still useful) is returned.
+/// [`AcqOutcome::contracted`] says which search produced the outcome.
+///
+/// Both searches of a fall-through share the handle and the sink: counters
+/// keep counting, `explored` stays strictly monotone across the stream, and
+/// its one terminal event is the returned outcome's.
 pub fn run_acquire_progress(
     exec: &mut Executor,
     query: &AcqQuery,
@@ -580,8 +721,30 @@ pub fn run_acquire_progress(
     obs: &Obs,
     progress: Option<&ProgressSink>,
 ) -> Result<AcqOutcome, CoreError> {
-    let (query, mut eval) = prepare_layer(exec, query, cfg, kind)?;
-    acquire_progress(&mut *eval, &query, cfg, cancel, obs, progress)
+    Feed::run(progress, |mut feed| {
+        let constraint = &query.constraint;
+        if matches!(constraint.op, CmpOp::Le | CmpOp::Lt) {
+            let plan = contraction(query)?;
+            return run_contraction_in(exec, plan, cfg, kind, cancel, obs, feed);
+        }
+        let expanded = {
+            let (query, mut eval) = prepare_layer(exec, query, cfg, kind)?;
+            let (dir, feed) = (Direction::Expand, feed.as_deref_mut());
+            search(&mut *eval, &query, &dir, cfg, cancel, obs, feed)?
+        };
+        let overshoots = !expanded.satisfied
+            && constraint.op == CmpOp::Eq
+            && expanded.original_aggregate > constraint.target;
+        if overshoots {
+            if let Ok(plan) = contraction(query) {
+                let mut out = run_contraction_in(exec, plan, cfg, kind, cancel, obs, feed)?;
+                // This request did observe `Q`: in its first search.
+                out.original_aggregate = expanded.original_aggregate;
+                return Ok(out);
+            }
+        }
+        Ok(expanded)
+    })
 }
 
 #[cfg(test)]

@@ -21,11 +21,13 @@
 //!   by grid cell so empty cells are skipped without execution (§7.4);
 //! * the **driver** — [`acquire`] / [`run_acquire`], Algorithm 4 with the
 //!   aggregate-error threshold `δ`, proximity threshold `γ`, answer-layer
-//!   collection, and cell repartitioning for overshooting queries;
-//! * **contraction** (§7.2) — [`contract_with`] / [`run_contraction`] handles
-//!   queries that return too much by searching the space between `Q'_min`
-//!   (every predicate at its minimum) and `Q`, minimising refinement with
-//!   respect to `Q`;
+//!   collection, and cell repartitioning for overshooting queries: one
+//!   search loop with two directions;
+//! * **contraction** (§7.2) — the loop's second direction, for queries that
+//!   return too much: it searches the space between `Q'_min` (every
+//!   predicate at its minimum) and `Q`, minimising refinement with respect
+//!   to `Q`. [`run_acquire`] takes it for `<=`/`<` and for an overshooting
+//!   `=`; [`contract_with`] / [`run_contraction`] ask for it by name;
 //! * **anytime execution** — [`govern`]: wall-clock deadlines,
 //!   explored-query and memory budgets ([`ExecutionBudget`]), cooperative
 //!   [`CancellationToken`]s, panic isolation around the evaluation layer,

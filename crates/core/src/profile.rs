@@ -4,22 +4,103 @@
 //! search spent its work*: the refined-space geometry (dims, γ/d step), how
 //! far Expand got, and — the paper's central economy — how many aggregate
 //! regions Eq. 17 reused instead of recomputing. The serve crate returns it
-//! on `POST /query?explain=1`; the CLI prints it under `--explain`.
+//! on `POST /query?explain=1`; the CLI prints it under `--explain`. The
+//! hosts' other shared JSON fragments ([`termination_json`],
+//! [`answers_json`]) are rendered here too; each keeps its own envelope.
 //!
 //! The accounting mirrors §5.1: each explored grid query decomposes into
 //! `d + 1` region sub-queries, of which only one (the *cell*) is executed —
 //! the other `d` are reassembled from neighbours already in the store. So
 //! for `explored` grid queries, `cells_executed == explored` and
-//! `regions_reused == explored · d`.
+//! `regions_reused == explored · d`. That holds per search: after an `=`
+//! fell through from expansion to contraction, `explored` is the returned
+//! (contraction) search's and `cells_executed` counts both.
 
 use std::time::Duration;
 
-use acq_obs::snapshot::{fmt_f64, json_escape};
+use acq_obs::snapshot::{fmt_f64, json_escape, json_num};
 use acq_obs::MetricsSnapshot;
 use acq_query::AcqQuery;
 
 use crate::config::AcquireConfig;
-use crate::result::AcqOutcome;
+use crate::govern::Termination;
+use crate::result::{AcqOutcome, RefinedQueryResult};
+
+/// A [`Termination`] as the `termination` object of a host's outcome JSON.
+/// The slugs are the stable machine-readable vocabulary shared with the
+/// serve registry; human `Display` text may change, slugs may not.
+#[must_use]
+pub fn termination_json(t: &Termination) -> String {
+    match t {
+        Termination::Interrupted {
+            reason,
+            explored,
+            elapsed,
+        } => format!(
+            "{{\"status\":\"interrupted\",\"reason\":\"{}\",\"detail\":\"{}\",\
+             \"explored\":{},\"elapsed_ms\":{}}}",
+            reason.slug(),
+            json_escape(&reason.to_string()),
+            explored,
+            elapsed.as_millis()
+        ),
+        complete => format!("{{\"status\":\"{}\"}}", complete.slug()),
+    }
+}
+
+/// The answer-bearing members of a host's outcome JSON, as a braceless
+/// fragment: the best `top` `queries`, the `closest` near-miss (or `null`)
+/// and every executor work counter under `stats` — the field list comes
+/// from the engine itself, so the JSON never lags behind `ExecStats`.
+#[must_use]
+pub fn answers_json(outcome: &AcqOutcome, original: &AcqQuery, top: usize) -> String {
+    // `changes` reads `pscores` as expansions of `original`, which a
+    // contraction outcome's are not.
+    let expanded_from = (!outcome.contracted).then_some(original);
+    let queries: Vec<String> = outcome
+        .queries
+        .iter()
+        .take(top)
+        .map(|r| result_json(r, expanded_from))
+        .collect();
+    let closest = outcome
+        .closest
+        .as_ref()
+        .map_or_else(|| "null".to_string(), |r| result_json(r, expanded_from));
+    let stats: Vec<String> = outcome
+        .stats
+        .fields()
+        .iter()
+        .map(|(k, v)| format!("\"{k}\":{v}"))
+        .collect();
+    format!(
+        "\"queries\":[{}],\"closest\":{closest},\"stats\":{{{}}}",
+        queries.join(","),
+        stats.join(",")
+    )
+}
+
+/// One refined query; `changes` is its per-predicate diff against the query
+/// it expands, if it expands one.
+fn result_json(r: &RefinedQueryResult, expanded_from: Option<&AcqQuery>) -> String {
+    let pscores: Vec<String> = r.pscores.iter().map(|&p| json_num(p)).collect();
+    let changes: Vec<String> = expanded_from
+        .map(|original| r.explain(original))
+        .unwrap_or_default()
+        .iter()
+        .map(|c| format!("\"{}\"", json_escape(c)))
+        .collect();
+    format!(
+        "{{\"pscores\":[{}],\"qscore\":{},\"aggregate\":{},\"error\":{},\
+         \"sql\":\"{}\",\"changes\":[{}]}}",
+        pscores.join(","),
+        json_num(r.qscore),
+        json_num(r.aggregate),
+        json_num(r.error),
+        json_escape(&r.sql),
+        changes.join(",")
+    )
+}
 
 /// An EXPLAIN-style profile of one completed ACQ search.
 #[derive(Debug, Clone)]
@@ -40,9 +121,9 @@ pub struct ExplainProfile {
     pub layers_expanded: u64,
     /// Grid queries explored (== cells executed, see module docs).
     pub explored: u64,
-    /// Cell sub-queries actually executed. Always equals `explored`; both
-    /// are carried so the profile *shows* the invariant instead of assuming
-    /// it.
+    /// Cell sub-queries actually executed. Equals `explored` per search;
+    /// both are carried so the profile *shows* the invariant instead of
+    /// assuming it.
     pub cells_executed: u64,
     /// Region sub-queries answered by Eq. 17 reuse instead of execution
     /// (`explored · d`).
@@ -213,7 +294,6 @@ impl ExplainProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::govern::Termination;
     use acq_obs::Obs;
     use acq_query::{AggConstraint, AggregateSpec, CmpOp, ColRef, Interval, Predicate, RefineSide};
 
@@ -241,6 +321,7 @@ mod tests {
             satisfied: false,
             closest: None,
             original_aggregate: 1.0,
+            contracted: false,
             explored: 12,
             layers: 3,
             peak_store: 7,

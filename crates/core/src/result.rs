@@ -73,25 +73,6 @@ impl RefinedQueryResult {
         }
         out
     }
-
-    pub(crate) fn new(
-        query: &AcqQuery,
-        point: GridPoint,
-        pscores: Vec<f64>,
-        qscore: f64,
-        aggregate: f64,
-        error: f64,
-    ) -> Self {
-        let sql = query.refined_sql(&pscores);
-        Self {
-            point,
-            pscores,
-            qscore,
-            aggregate,
-            error,
-            sql,
-        }
-    }
 }
 
 /// The outcome of an ACQUIRE search.
@@ -106,8 +87,14 @@ pub struct AcqOutcome {
     pub satisfied: bool,
     /// The query with the smallest aggregate error seen during the search.
     pub closest: Option<RefinedQueryResult>,
-    /// The original (unrefined) query's aggregate value `A_actual`.
+    /// The original (unrefined) query's aggregate value `A_actual`; `NaN`
+    /// when the request never evaluated it (a contraction alone starts from
+    /// `Q'_min`; one an `=` fell through to inherits the expansion's).
     pub original_aggregate: f64,
+    /// Whether the §7.2 contraction search produced this outcome: `pscores`
+    /// and `qscore` then measure how far each result *contracts* `Q`, not
+    /// how far it expands it.
+    pub contracted: bool,
     /// Grid queries investigated.
     pub explored: u64,
     /// Query-layers completed.
@@ -183,7 +170,14 @@ mod tests {
             .constraint(AggConstraint::new(AggregateSpec::count(), CmpOp::Eq, 5.0))
             .build()
             .unwrap();
-        let r = RefinedQueryResult::new(&q, vec![0, 1, 2], vec![0.0, 25.0, 3.0], 28.0, 5.0, 0.0);
+        let r = RefinedQueryResult {
+            point: vec![0, 1, 2],
+            pscores: vec![0.0, 25.0, 3.0],
+            qscore: 28.0,
+            aggregate: 5.0,
+            error: 0.0,
+            sql: String::new(),
+        };
         let lines = r.explain(&q);
         assert_eq!(lines.len(), 2, "{lines:?}");
         assert!(

@@ -28,9 +28,10 @@ use acquire_core::expand::{BfsExpander, Expander};
 use acquire_core::explore::Explorer;
 use acquire_core::govern::Termination;
 use acquire_core::{
-    acquire, acquire_progress, AcquireConfig, CachedScoreEvaluator, CancellationToken, CoreError,
-    EvalLayerKind, EvaluationLayer, ExecutionBudget, FaultInjectingLayer, FaultPolicy,
-    FaultSchedule, GridIndexEvaluator, InterruptReason, Obs, RefinedSpace, Session,
+    acquire, acquire_progress, contract_with, contraction_query, AcquireConfig,
+    CachedScoreEvaluator, CancellationToken, CoreError, EvalLayerKind, EvaluationLayer,
+    ExecutionBudget, FaultInjectingLayer, FaultPolicy, FaultSchedule, GridIndexEvaluator,
+    InterruptReason, Obs, RefinedSpace, Session,
 };
 
 /// 1000 rows: x = 0.0, 0.1, …, 99.9 and y = i mod 100.
@@ -57,29 +58,61 @@ fn catalog() -> Catalog {
 /// `COUNT(*) >= target` over two expandable predicates; hinge error, so
 /// overshooting satisfies the constraint and repartitioning never runs.
 fn ge_query(target: f64) -> AcqQuery {
+    query_over(10.0, 30.0, CmpOp::Ge, target)
+}
+
+/// `COUNT(*) <= target` from an original admitting some 430 rows: the
+/// search loop's §7.2 contracting direction.
+fn le_query(target: f64) -> AcqQuery {
+    query_over(60.0, 70.0, CmpOp::Le, target)
+}
+
+fn query_over(x_hi: f64, y_hi: f64, op: CmpOp, target: f64) -> AcqQuery {
     AcqQuery::builder()
         .table("t")
         .predicate(Predicate::select(
             ColRef::new("t", "x"),
-            Interval::new(0.0, 10.0),
+            Interval::new(0.0, x_hi),
             RefineSide::Upper,
         ))
         .predicate(Predicate::select(
             ColRef::new("t", "y"),
-            Interval::new(0.0, 30.0),
+            Interval::new(0.0, y_hi),
             RefineSide::Upper,
         ))
-        .constraint(AggConstraint::new(
-            AggregateSpec::count(),
-            CmpOp::Ge,
-            target,
-        ))
+        .constraint(AggConstraint::new(AggregateSpec::count(), op, target))
         .error_fn(AggErrorFn::HingeRelative)
         .build()
         .unwrap()
 }
 
-/// Runs `acquire` over a fresh grid-index layer.
+/// `query` with its domains filled in, and the query its layer is built
+/// for: itself, or `Q'_min` when it contracts.
+fn prepared(exec: &Executor, query: &AcqQuery) -> (AcqQuery, AcqQuery) {
+    let mut query = query.clone();
+    exec.populate_domains(&mut query).unwrap();
+    let searched = match query.constraint.op {
+        CmpOp::Le | CmpOp::Lt => contraction_query(&query).unwrap(),
+        _ => query.clone(),
+    };
+    (query, searched)
+}
+
+/// One search over a caller-built layer, in the direction the constraint
+/// asks for.
+fn search<E: EvaluationLayer>(
+    eval: &mut E,
+    query: &AcqQuery,
+    cfg: &AcquireConfig,
+    cancel: &CancellationToken,
+) -> Result<acquire_core::AcqOutcome, CoreError> {
+    match query.constraint.op {
+        CmpOp::Le | CmpOp::Lt => contract_with(eval, query, cfg, cancel, &Obs::disabled(), None),
+        _ => acquire_progress(eval, query, cfg, cancel, &Obs::disabled(), None),
+    }
+}
+
+/// Runs the search over a fresh grid-index layer.
 fn run(query: &AcqQuery, cfg: &AcquireConfig) -> acquire_core::AcqOutcome {
     run_with(query, cfg, &CancellationToken::new())
 }
@@ -90,12 +123,11 @@ fn run_with(
     cancel: &CancellationToken,
 ) -> acquire_core::AcqOutcome {
     let mut exec = Executor::new(catalog());
-    let mut query = query.clone();
-    exec.populate_domains(&mut query).unwrap();
-    let space = RefinedSpace::new(&query, cfg).unwrap();
+    let (query, searched) = prepared(&exec, query);
+    let space = RefinedSpace::new(&searched, cfg).unwrap();
     let caps = space.caps();
-    let mut eval = GridIndexEvaluator::new(&mut exec, &query, &caps, space.step()).unwrap();
-    acquire_progress(&mut eval, &query, cfg, cancel, &Obs::disabled(), None).unwrap()
+    let mut eval = GridIndexEvaluator::new(&mut exec, &searched, &caps, space.step()).unwrap();
+    search(&mut eval, &query, cfg, cancel).unwrap()
 }
 
 // ---------------------------------------------------------------------------
@@ -178,24 +210,37 @@ fn zero_deadline_interrupts_before_any_work() {
 
 #[test]
 fn explored_budget_truncates_exactly() {
-    let full = run(&ge_query(800.0), &AcquireConfig::default());
-    assert!(full.satisfied);
-    assert!(full.explored > 5, "need a non-trivial search");
+    for query in [ge_query(800.0), le_query(200.0)] {
+        let full = run(&query, &AcquireConfig::default());
+        assert!(full.satisfied);
+        assert!(full.explored > 5, "need a non-trivial search");
 
-    for k in [1, 2, full.explored / 2] {
-        let cfg =
-            AcquireConfig::default().with_budget(ExecutionBudget::unlimited().with_max_explored(k));
-        let out = run(&ge_query(800.0), &cfg);
-        assert_eq!(out.explored, k, "budget {k}");
-        match &out.termination {
-            Termination::Interrupted {
-                reason: InterruptReason::ExploredBudget,
-                explored,
-                elapsed: _,
-            } => assert_eq!(*explored, k),
-            t => panic!("budget {k}: unexpected termination {t:?}"),
+        // An expansion never looks past its answer layer; a contraction
+        // does, so a budget spent exactly where its whole-layer overshoot
+        // would stop it anyway still reports itself.
+        let expanding = query.constraint.op.is_expanding();
+        let at_natural_stop = (!expanding).then_some(full.explored);
+        for k in [1, 2, full.explored / 2].into_iter().chain(at_natural_stop) {
+            let cfg = AcquireConfig::default()
+                .with_budget(ExecutionBudget::unlimited().with_max_explored(k));
+            let out = run(&query, &cfg);
+            assert_eq!(out.explored, k, "budget {k}");
+            match &out.termination {
+                Termination::Interrupted {
+                    reason: InterruptReason::ExploredBudget,
+                    explored,
+                    elapsed: _,
+                } => assert_eq!(*explored, k),
+                t => panic!("budget {k}: unexpected termination {t:?}"),
+            }
+            if expanding {
+                assert!(out.closest.is_some(), "closest-so-far after {k} queries");
+            } else {
+                // Contraction answers from its very first point, `Q'_min`,
+                // and an answer is never `closest`.
+                assert!(out.best().is_some(), "an answer after {k} queries");
+            }
         }
-        assert!(out.closest.is_some(), "closest-so-far after {k} queries");
     }
 }
 
@@ -407,20 +452,26 @@ fn no_cell_is_executed_twice_with_or_without_interrupts() {
 // Fault injection: never abort, typed errors, best-effort absorption
 // ---------------------------------------------------------------------------
 
-/// Runs `acquire` under a fault schedule; used across many seeds.
+/// Runs `ge_query(900.0)` under a fault schedule; used across many seeds.
 fn run_faulted(
+    schedule: FaultSchedule,
+    policy: FaultPolicy,
+) -> Result<acquire_core::AcqOutcome, CoreError> {
+    run_faulted_on(&ge_query(900.0), schedule, policy)
+}
+
+fn run_faulted_on(
+    query: &AcqQuery,
     schedule: FaultSchedule,
     policy: FaultPolicy,
 ) -> Result<acquire_core::AcqOutcome, CoreError> {
     let cfg = AcquireConfig::default().with_fault_policy(policy);
     let mut exec = Executor::new(catalog());
-    let mut query = ge_query(900.0);
-    exec.populate_domains(&mut query).unwrap();
-    let space = RefinedSpace::new(&query, &cfg).unwrap();
-    let caps = space.caps();
-    let inner = CachedScoreEvaluator::new(&mut exec, &query, &caps).unwrap();
+    let (query, searched) = prepared(&exec, query);
+    let caps = RefinedSpace::new(&searched, &cfg).unwrap().caps();
+    let inner = CachedScoreEvaluator::new(&mut exec, &searched, &caps).unwrap();
     let mut eval = FaultInjectingLayer::new(inner, schedule);
-    acquire(&mut eval, &query, &cfg)
+    search(&mut eval, &query, &cfg, &CancellationToken::new())
 }
 
 #[test]
@@ -445,30 +496,32 @@ fn propagate_policy_yields_typed_errors_never_aborts() {
 
 #[test]
 fn best_effort_policy_always_returns_an_outcome() {
-    let mut interrupted = 0;
-    for seed in 0..32 {
-        let mut schedule = FaultSchedule::mixed(seed, 0.2, 0.1);
-        schedule.skip_layers = 2; // let the search make some progress first
-        let out = run_faulted(schedule, FaultPolicy::BestEffort)
-            .expect("best-effort absorbs all mid-search faults");
-        match &out.termination {
-            Termination::Interrupted {
-                reason: InterruptReason::Fault(msg),
-                ..
-            } => {
-                assert!(msg.contains("injected"), "{msg}");
-                assert!(out.explored >= 3, "three fault-free calls happened");
-                assert!(
-                    out.closest.is_some() || out.satisfied,
-                    "seed {seed}: an interrupted outcome still carries the \
-                     closest-so-far answer"
-                );
-                interrupted += 1;
+    for query in [ge_query(900.0), le_query(200.0)] {
+        let mut interrupted = 0;
+        for seed in 0..32 {
+            let mut schedule = FaultSchedule::mixed(seed, 0.2, 0.1);
+            schedule.skip_layers = 2; // let the search make some progress first
+            let out = run_faulted_on(&query, schedule, FaultPolicy::BestEffort)
+                .expect("best-effort absorbs all mid-search faults");
+            match &out.termination {
+                Termination::Interrupted {
+                    reason: InterruptReason::Fault(msg),
+                    ..
+                } => {
+                    assert!(msg.contains("injected"), "{msg}");
+                    assert!(out.explored >= 3, "three fault-free calls happened");
+                    assert!(
+                        out.closest.is_some() || out.satisfied,
+                        "seed {seed}: an interrupted outcome still carries the \
+                         closest-so-far answer"
+                    );
+                    interrupted += 1;
+                }
+                t => assert!(t.is_complete(), "seed {seed}: {t:?}"),
             }
-            t => assert!(t.is_complete(), "seed {seed}: {t:?}"),
         }
+        assert!(interrupted > 0, "the schedules must actually fault");
     }
-    assert!(interrupted > 0, "the schedules must actually fault");
 }
 
 #[test]

@@ -12,8 +12,9 @@ use acq_query::{
     RefineSide,
 };
 use acquire_core::{
-    acquire_progress, AcqOutcome, AcquireConfig, CachedScoreEvaluator, CancellationToken,
-    EvalLayerKind, Obs, Parallelism, RefinedSpace, Session,
+    acquire_progress, contract_with, contraction_query, AcqOutcome, AcquireConfig,
+    CachedScoreEvaluator, CancellationToken, EvalLayerKind, Obs, Parallelism, RefinedSpace,
+    Session,
 };
 
 fn catalog() -> Catalog {
@@ -37,36 +38,52 @@ fn catalog() -> Catalog {
 }
 
 fn query(target: f64) -> AcqQuery {
+    query_over(10.0, 30.0, CmpOp::Ge, target)
+}
+
+fn query_over(x_hi: f64, y_hi: f64, op: CmpOp, target: f64) -> AcqQuery {
     AcqQuery::builder()
         .table("t")
         .predicate(Predicate::select(
             ColRef::new("t", "x"),
-            Interval::new(0.0, 10.0),
+            Interval::new(0.0, x_hi),
             RefineSide::Upper,
         ))
         .predicate(Predicate::select(
             ColRef::new("t", "y"),
-            Interval::new(0.0, 30.0),
+            Interval::new(0.0, y_hi),
             RefineSide::Upper,
         ))
-        .constraint(AggConstraint::new(
-            AggregateSpec::count(),
-            CmpOp::Ge,
-            target,
-        ))
+        .constraint(AggConstraint::new(AggregateSpec::count(), op, target))
         .error_fn(AggErrorFn::HingeRelative)
         .build()
         .unwrap()
 }
 
 fn run_with(obs: &Obs, cfg: &AcquireConfig) -> AcqOutcome {
+    run_query(&query(800.0), obs, cfg)
+}
+
+/// Searches in the direction the constraint asks for: a `<=` query builds
+/// its layer for `Q'_min` and contracts.
+fn run_query(q: &AcqQuery, obs: &Obs, cfg: &AcquireConfig) -> AcqOutcome {
     let mut exec = Executor::new(catalog());
-    let mut q = query(800.0);
+    let mut q = q.clone();
     exec.populate_domains(&mut q).unwrap();
-    let space = RefinedSpace::new(&q, cfg).unwrap();
-    let caps = space.caps();
-    let mut eval = CachedScoreEvaluator::new(&mut exec, &q, &caps).unwrap();
-    acquire_progress(&mut eval, &q, cfg, &CancellationToken::new(), obs, None).unwrap()
+    let contracts = q.constraint.op == CmpOp::Le;
+    let searched = if contracts {
+        contraction_query(&q).unwrap()
+    } else {
+        q.clone()
+    };
+    let caps = RefinedSpace::new(&searched, cfg).unwrap().caps();
+    let mut eval = CachedScoreEvaluator::new(&mut exec, &searched, &caps).unwrap();
+    let cancel = CancellationToken::new();
+    if contracts {
+        contract_with(&mut eval, &q, cfg, &cancel, obs, None).unwrap()
+    } else {
+        acquire_progress(&mut eval, &q, cfg, &cancel, obs, None).unwrap()
+    }
 }
 
 /// Every observable field, floats as raw bits.
@@ -99,15 +116,18 @@ fn fingerprint(out: &AcqOutcome) -> String {
 
 #[test]
 fn enabling_observability_never_changes_the_outcome() {
-    for par in [Parallelism::Serial, Parallelism::Fixed(4)] {
-        let cfg = AcquireConfig::default().with_parallelism(par);
-        let baseline = fingerprint(&run_with(&Obs::disabled(), &cfg));
-        for (what, obs) in [
-            ("counters", Obs::enabled()),
-            ("tracing", Obs::with_trace(10_000)),
-        ] {
-            let got = fingerprint(&run_with(&obs, &cfg));
-            assert_eq!(got, baseline, "{what} observability perturbed {par:?}");
+    // An expansion, and a §7.2 contraction from an overshooting original.
+    for q in [query(800.0), query_over(200.0, 100.0, CmpOp::Le, 400.0)] {
+        for par in [Parallelism::Serial, Parallelism::Fixed(4)] {
+            let cfg = AcquireConfig::default().with_parallelism(par);
+            let baseline = fingerprint(&run_query(&q, &Obs::disabled(), &cfg));
+            for (what, obs) in [
+                ("counters", Obs::enabled()),
+                ("tracing", Obs::with_trace(10_000)),
+            ] {
+                let got = fingerprint(&run_query(&q, &obs, &cfg));
+                assert_eq!(got, baseline, "{what} observability perturbed {par:?}");
+            }
         }
     }
 }

@@ -2,7 +2,8 @@
 //! produce outcomes **bit-identical** to the serial driver — same answers,
 //! same closest-so-far, same stats, same termination — including under
 //! explored/memory budgets, deterministic fault injection, and mid-run
-//! cancellation.
+//! cancellation, in both directions of the search loop (expansion, and the
+//! §7.2 contraction a `<=` query asks for).
 //!
 //! The comparison key serialises every observable field of [`AcqOutcome`]
 //! with floats rendered as raw bit patterns, so even a sign-of-zero or
@@ -25,10 +26,10 @@ use acq_query::{
 };
 use acquire_core::govern::Termination;
 use acquire_core::{
-    acquire, acquire_progress, run_acquire, AcqOutcome, AcquireConfig, CachedScoreEvaluator,
-    CancellationToken, CellCost, CoreError, EvalLayerKind, EvaluationLayer, ExecutionBudget,
-    FaultInjectingLayer, FaultPolicy, FaultSchedule, GridIndexEvaluator, Obs, ParallelCells,
-    Parallelism, ProgressSink, RefinedQueryResult, RefinedSpace, Session,
+    acquire_progress, contract_with, contraction_query, run_acquire, AcqOutcome, AcquireConfig,
+    CachedScoreEvaluator, CancellationToken, CellCost, CoreError, EvalLayerKind, EvaluationLayer,
+    ExecutionBudget, FaultInjectingLayer, FaultPolicy, FaultSchedule, GridIndexEvaluator, Obs,
+    ParallelCells, Parallelism, ProgressSink, RefinedQueryResult, RefinedSpace, Session,
 };
 
 // ---------------------------------------------------------------------------
@@ -59,16 +60,20 @@ fn catalog() -> Catalog {
 }
 
 fn base_query(op: CmpOp, err: AggErrorFn, target: f64) -> AcqQuery {
+    query_over(10.0, 30.0, op, err, target)
+}
+
+fn query_over(x_hi: f64, y_hi: f64, op: CmpOp, err: AggErrorFn, target: f64) -> AcqQuery {
     AcqQuery::builder()
         .table("t")
         .predicate(Predicate::select(
             ColRef::new("t", "x"),
-            Interval::new(0.0, 10.0),
+            Interval::new(0.0, x_hi),
             RefineSide::Upper,
         ))
         .predicate(Predicate::select(
             ColRef::new("t", "y"),
-            Interval::new(0.0, 30.0),
+            Interval::new(0.0, y_hi),
             RefineSide::Upper,
         ))
         .constraint(AggConstraint::new(AggregateSpec::count(), op, target))
@@ -87,6 +92,12 @@ fn ge_query(target: f64) -> AcqQuery {
 /// exercise the Algorithm 4 repartitioning branch.
 fn eq_query(target: f64) -> AcqQuery {
     base_query(CmpOp::Eq, AggErrorFn::Relative, target)
+}
+
+/// `COUNT(*) <= target` from an original admitting some 1 360 rows: the loop's
+/// contracting direction, whose overshooting non-answers are repartitioned.
+fn le_query(target: f64) -> AcqQuery {
+    query_over(200.0, 100.0, CmpOp::Le, AggErrorFn::Relative, target)
 }
 
 // ---------------------------------------------------------------------------
@@ -141,28 +152,47 @@ enum Layer {
     Grid,
 }
 
+fn contracts(query: &AcqQuery) -> bool {
+    matches!(query.constraint.op, CmpOp::Le | CmpOp::Lt)
+}
+
+/// `query` with its domains filled in, and the query its layer is built
+/// for: itself, or `Q'_min` when it contracts.
+fn prepared(exec: &Executor, query: &AcqQuery) -> (AcqQuery, AcqQuery) {
+    let mut query = query.clone();
+    exec.populate_domains(&mut query).unwrap();
+    let searched = if contracts(&query) {
+        contraction_query(&query).unwrap()
+    } else {
+        query.clone()
+    };
+    (query, searched)
+}
+
+/// One search over a caller-built layer, in the direction the constraint
+/// asks for.
+fn search<E: EvaluationLayer + ?Sized>(
+    eval: &mut E,
+    query: &AcqQuery,
+    cfg: &AcquireConfig,
+    cancel: &CancellationToken,
+    obs: &Obs,
+    sink: Option<&ProgressSink>,
+) -> Result<AcqOutcome, CoreError> {
+    if contracts(query) {
+        contract_with(eval, query, cfg, cancel, obs, sink)
+    } else {
+        acquire_progress(eval, query, cfg, cancel, obs, sink)
+    }
+}
+
 fn run_layer(
     layer: Layer,
     query: &AcqQuery,
     cfg: &AcquireConfig,
     cancel: &CancellationToken,
 ) -> Result<AcqOutcome, CoreError> {
-    let mut exec = Executor::new(catalog());
-    exec.set_zone_pruning(cfg.zone_pruning);
-    let mut query = query.clone();
-    exec.populate_domains(&mut query).unwrap();
-    let space = RefinedSpace::new(&query, cfg).unwrap();
-    let caps = space.caps();
-    match layer {
-        Layer::Cached => {
-            let mut eval = CachedScoreEvaluator::new(&mut exec, &query, &caps).unwrap();
-            acquire_progress(&mut eval, &query, cfg, cancel, &Obs::disabled(), None)
-        }
-        Layer::Grid => {
-            let mut eval = GridIndexEvaluator::new(&mut exec, &query, &caps, space.step()).unwrap();
-            acquire_progress(&mut eval, &query, cfg, cancel, &Obs::disabled(), None)
-        }
-    }
+    run_observed(layer, query, cfg, cancel, &Obs::disabled())
 }
 
 fn run(layer: Layer, query: &AcqQuery, cfg: &AcquireConfig) -> AcqOutcome {
@@ -180,9 +210,19 @@ fn parallel_settings() -> Vec<Parallelism> {
 // Plain equivalence
 // ---------------------------------------------------------------------------
 
+/// One row per code path of the loop: GE answers without repartitioning, EQ
+/// repartitions overshooting cells, LE contracts.
+fn query_rows() -> [(AcqQuery, f64); 3] {
+    [
+        (ge_query(800.0), 0.05),
+        (eq_query(801.0), 0.001),
+        (le_query(400.0), 0.05),
+    ]
+}
+
 #[test]
 fn every_thread_count_matches_serial_bit_for_bit() {
-    for (query, delta) in [(ge_query(800.0), 0.05), (eq_query(801.0), 0.001)] {
+    for (query, delta) in query_rows() {
         for layer in [Layer::Cached, Layer::Grid] {
             let serial_cfg = AcquireConfig::default().with_delta(delta);
             let baseline = fingerprint(&run(layer, &query, &serial_cfg));
@@ -197,31 +237,32 @@ fn every_thread_count_matches_serial_bit_for_bit() {
 
 #[test]
 fn budget_interrupts_are_identical_across_thread_counts() {
-    let query = ge_query(800.0);
-    let full = run(Layer::Grid, &query, &AcquireConfig::default());
-    assert!(full.explored > 8, "need a non-trivial search");
+    for query in [ge_query(800.0), le_query(400.0)] {
+        let full = run(Layer::Grid, &query, &AcquireConfig::default());
+        assert!(full.explored > 8, "need a non-trivial search");
 
-    // Explored budgets, including ones that land mid-layer.
-    for k in [1, 2, 5, full.explored / 2] {
-        let serial_cfg =
-            AcquireConfig::default().with_budget(ExecutionBudget::unlimited().with_max_explored(k));
+        // Explored budgets, including ones that land mid-layer.
+        for k in [1, 2, 5, full.explored / 2] {
+            let serial_cfg = AcquireConfig::default()
+                .with_budget(ExecutionBudget::unlimited().with_max_explored(k));
+            let baseline = fingerprint(&run(Layer::Grid, &query, &serial_cfg));
+            assert!(baseline.contains("ExploredBudget"), "budget {k} must trip");
+            for par in parallel_settings() {
+                let cfg = serial_cfg.clone().with_parallelism(par);
+                let got = fingerprint(&run(Layer::Grid, &query, &cfg));
+                assert_eq!(got, baseline, "budget {k}, {par:?}");
+            }
+        }
+
+        // A zero deadline interrupts before any work on every path (non-zero
+        // deadlines are wall-clock dependent, hence not deterministic).
+        let serial_cfg = AcquireConfig::default()
+            .with_budget(ExecutionBudget::unlimited().with_deadline(Duration::ZERO));
         let baseline = fingerprint(&run(Layer::Grid, &query, &serial_cfg));
-        assert!(baseline.contains("ExploredBudget"), "budget {k} must trip");
         for par in parallel_settings() {
             let cfg = serial_cfg.clone().with_parallelism(par);
-            let got = fingerprint(&run(Layer::Grid, &query, &cfg));
-            assert_eq!(got, baseline, "budget {k}, {par:?}");
+            assert_eq!(fingerprint(&run(Layer::Grid, &query, &cfg)), baseline);
         }
-    }
-
-    // A zero deadline interrupts before any work on every path (non-zero
-    // deadlines are wall-clock dependent, hence not deterministic).
-    let serial_cfg = AcquireConfig::default()
-        .with_budget(ExecutionBudget::unlimited().with_deadline(Duration::ZERO));
-    let baseline = fingerprint(&run(Layer::Grid, &query, &serial_cfg));
-    for par in parallel_settings() {
-        let cfg = serial_cfg.clone().with_parallelism(par);
-        assert_eq!(fingerprint(&run(Layer::Grid, &query, &cfg)), baseline);
     }
 }
 
@@ -403,8 +444,8 @@ fn zone_pruning_ablation_holds_under_budgets_and_faults() {
                 Ok(out) => format!("Ok({})", fingerprint(out)),
                 Err(e) => format!("Err({e:?})"),
             };
-            let on = run_faulted(&schedule, policy, &on_cfg);
-            let off = run_faulted(&schedule, policy, &off_cfg);
+            let on = run_faulted(&query, &schedule, policy, &on_cfg);
+            let off = run_faulted(&query, &schedule, policy, &off_cfg);
             assert_eq!(key(&on), key(&off), "seed {seed}, {policy:?}");
             let on_base = full_key(&on);
             let off_base = full_key(&off);
@@ -412,12 +453,12 @@ fn zone_pruning_ablation_holds_under_budgets_and_faults() {
                 let on_cfg = on_cfg.clone().with_parallelism(par);
                 let off_cfg = off_cfg.clone().with_parallelism(par);
                 assert_eq!(
-                    full_key(&run_faulted(&schedule, policy, &on_cfg)),
+                    full_key(&run_faulted(&query, &schedule, policy, &on_cfg)),
                     on_base,
                     "seed {seed}, {policy:?}, pruning on, {par:?}"
                 );
                 assert_eq!(
-                    full_key(&run_faulted(&schedule, policy, &off_cfg)),
+                    full_key(&run_faulted(&query, &schedule, policy, &off_cfg)),
                     off_base,
                     "seed {seed}, {policy:?}, pruning off, {par:?}"
                 );
@@ -431,65 +472,60 @@ fn zone_pruning_ablation_holds_under_budgets_and_faults() {
 // ---------------------------------------------------------------------------
 
 fn run_faulted(
+    query: &AcqQuery,
     schedule: &FaultSchedule,
     policy: FaultPolicy,
     cfg: &AcquireConfig,
 ) -> Result<AcqOutcome, CoreError> {
-    let query = ge_query(800.0);
     let mut exec = Executor::new(catalog());
     exec.set_zone_pruning(cfg.zone_pruning);
-    let mut query = query.clone();
-    exec.populate_domains(&mut query).unwrap();
+    let (query, searched) = prepared(&exec, query);
     let cfg = cfg.clone().with_fault_policy(policy);
-    let space = RefinedSpace::new(&query, &cfg).unwrap();
-    let caps = space.caps();
-    let inner = CachedScoreEvaluator::new(&mut exec, &query, &caps).unwrap();
+    let caps = RefinedSpace::new(&searched, &cfg).unwrap().caps();
+    let inner = CachedScoreEvaluator::new(&mut exec, &searched, &caps).unwrap();
     let mut eval = FaultInjectingLayer::new(inner, schedule.clone());
-    acquire(&mut eval, &query, &cfg)
+    let cancel = CancellationToken::new();
+    search(&mut eval, &query, &cfg, &cancel, &Obs::disabled(), None)
 }
 
 #[test]
 fn injected_faults_strike_the_same_cell_on_every_thread_count() {
-    let mut faulted = 0;
-    for seed in 0..12 {
-        let schedule = FaultSchedule::mixed(seed, 0.15, 0.1);
+    for query in [ge_query(800.0), le_query(400.0)] {
+        let mut faulted = 0;
+        for seed in 0..12 {
+            let schedule = FaultSchedule::mixed(seed, 0.15, 0.1);
+            let run = |policy, cfg: &AcquireConfig| run_faulted(&query, &schedule, policy, cfg);
 
-        // Best-effort: the fault is absorbed into the outcome, which must
-        // be identical everywhere (coordinate-keyed schedules fire on the
-        // same cell regardless of execution order).
-        let serial = run_faulted(
-            &schedule,
-            FaultPolicy::BestEffort,
-            &AcquireConfig::default(),
-        )
-        .expect("best-effort absorbs faults");
-        let baseline = fingerprint(&serial);
-        if serial.termination.interrupt_reason().is_some() {
-            faulted += 1;
-        }
-        for par in [Parallelism::Fixed(4), Parallelism::Fixed(7)] {
-            let cfg = AcquireConfig::default().with_parallelism(par);
-            let got = fingerprint(&run_faulted(&schedule, FaultPolicy::BestEffort, &cfg).unwrap());
-            assert_eq!(got, baseline, "seed {seed}, {par:?}");
-        }
+            // Best-effort: the fault is absorbed into the outcome, which must
+            // be identical everywhere (coordinate-keyed schedules fire on the
+            // same cell regardless of execution order).
+            let serial = run(FaultPolicy::BestEffort, &AcquireConfig::default())
+                .expect("best-effort absorbs faults");
+            let baseline = fingerprint(&serial);
+            if serial.termination.interrupt_reason().is_some() {
+                faulted += 1;
+            }
+            for par in [Parallelism::Fixed(4), Parallelism::Fixed(7)] {
+                let cfg = AcquireConfig::default().with_parallelism(par);
+                let got = fingerprint(&run(FaultPolicy::BestEffort, &cfg).unwrap());
+                assert_eq!(got, baseline, "seed {seed}, {par:?}");
+            }
 
-        // Propagate: success and failure must agree, and failures must be
-        // the same typed error.
-        let serial = run_faulted(&schedule, FaultPolicy::Propagate, &AcquireConfig::default());
-        let baseline = match &serial {
-            Ok(out) => format!("Ok({})", fingerprint(out)),
-            Err(e) => format!("Err({e:?})"),
-        };
-        for par in [Parallelism::Fixed(4), Parallelism::Fixed(7)] {
-            let cfg = AcquireConfig::default().with_parallelism(par);
-            let got = match run_faulted(&schedule, FaultPolicy::Propagate, &cfg) {
+            // Propagate: success and failure must agree, and failures must be
+            // the same typed error.
+            let key = |r: Result<AcqOutcome, CoreError>| match r {
                 Ok(out) => format!("Ok({})", fingerprint(&out)),
                 Err(e) => format!("Err({e:?})"),
             };
-            assert_eq!(got, baseline, "seed {seed}, {par:?}");
+            let baseline = key(run(FaultPolicy::Propagate, &AcquireConfig::default()));
+            for par in [Parallelism::Fixed(4), Parallelism::Fixed(7)] {
+                let cfg = AcquireConfig::default().with_parallelism(par);
+                let got = key(run(FaultPolicy::Propagate, &cfg));
+                assert_eq!(got, baseline, "seed {seed}, {par:?}");
+            }
         }
+        assert!(faulted > 0, "the schedules must actually fault");
     }
-    assert!(faulted > 0, "the schedules must actually fault");
 }
 
 // ---------------------------------------------------------------------------
@@ -571,35 +607,38 @@ impl<E: EvaluationLayer + Sync> ParallelCells for CancelAfterCommits<E> {
     }
 }
 
-fn run_cancelling(after: u64, cfg: &AcquireConfig) -> AcqOutcome {
-    let query = ge_query(800.0);
+fn run_cancelling(query: &AcqQuery, after: u64, cfg: &AcquireConfig, obs: &Obs) -> AcqOutcome {
     let mut exec = Executor::new(catalog());
-    let mut query = query.clone();
-    exec.populate_domains(&mut query).unwrap();
-    let space = RefinedSpace::new(&query, cfg).unwrap();
-    let caps = space.caps();
+    let (query, searched) = prepared(&exec, query);
+    let caps = RefinedSpace::new(&searched, cfg).unwrap().caps();
     let token = CancellationToken::new();
-    let inner = CachedScoreEvaluator::new(&mut exec, &query, &caps).unwrap();
+    let inner = CachedScoreEvaluator::new(&mut exec, &searched, &caps).unwrap();
     let mut eval = CancelAfterCommits::new(inner, after, token.clone());
-    acquire_progress(&mut eval, &query, cfg, &token, &Obs::disabled(), None).unwrap()
+    search(&mut eval, &query, cfg, &token, obs, None).unwrap()
 }
 
 #[test]
 fn mid_run_cancellation_is_deterministic_across_thread_counts() {
-    let full = run(Layer::Cached, &ge_query(800.0), &AcquireConfig::default());
-    assert!(full.explored > 10, "need a non-trivial search");
+    for query in [ge_query(800.0), le_query(400.0)] {
+        let full = run(Layer::Cached, &query, &AcquireConfig::default());
+        assert!(full.explored > 10, "need a non-trivial search");
 
-    for k in [1, 3, full.explored / 2] {
-        let baseline = fingerprint(&run_cancelling(k, &AcquireConfig::default()));
-        assert!(
-            baseline.contains("Cancelled"),
-            "cancellation after {k} commits must interrupt: {baseline}"
-        );
-        assert!(baseline.contains(&format!("explored={k} ")), "{baseline}");
-        for par in parallel_settings() {
-            let cfg = AcquireConfig::default().with_parallelism(par);
-            let got = fingerprint(&run_cancelling(k, &cfg));
-            assert_eq!(got, baseline, "cancel after {k}, {par:?}");
+        for k in [1, 3, full.explored / 2] {
+            let run = |cfg: &AcquireConfig| run_cancelling(&query, k, cfg, &Obs::disabled());
+            let baseline = fingerprint(&run(&AcquireConfig::default()));
+            assert!(
+                baseline.contains("Cancelled"),
+                "cancellation after {k} commits must interrupt: {baseline}"
+            );
+            assert!(baseline.contains(&format!("explored={k} ")), "{baseline}");
+            for par in parallel_settings() {
+                let cfg = AcquireConfig::default().with_parallelism(par);
+                assert_eq!(
+                    fingerprint(&run(&cfg)),
+                    baseline,
+                    "cancel after {k}, {par:?}"
+                );
+            }
         }
     }
 }
@@ -690,25 +729,26 @@ fn no_cell_is_ever_executed_twice_under_parallelism() {
         (FaultSchedule::mixed(3, 0.1, 0.05), None),
         (FaultSchedule::mixed(5, 0.1, 0.05), Some(11)),
     ];
-    for (schedule, budget) in scenarios {
+    let queries = [ge_query(800.0), le_query(400.0)];
+    let scenarios = queries
+        .iter()
+        .flat_map(|query| scenarios.iter().map(move |(s, b)| (query, s.clone(), *b)));
+    for (query, schedule, budget) in scenarios {
         let seed = schedule.seed;
         let faulty = schedule.error_rate > 0.0 || schedule.panic_rate > 0.0;
-        let query = ge_query(800.0);
         let mut exec = Executor::new(catalog());
-        let mut query = query.clone();
-        exec.populate_domains(&mut query).unwrap();
+        let (query, searched) = prepared(&exec, query);
         let mut cfg = AcquireConfig::default()
             .with_parallelism(Parallelism::Fixed(4))
             .with_fault_policy(FaultPolicy::BestEffort);
         if let Some(k) = budget {
             cfg = cfg.with_budget(ExecutionBudget::unlimited().with_max_explored(k));
         }
-        let space = RefinedSpace::new(&query, &cfg).unwrap();
-        let caps = space.caps();
-        let inner = CachedScoreEvaluator::new(&mut exec, &query, &caps).unwrap();
-        let eval = CountingLayer::new(FaultInjectingLayer::new(inner, schedule));
-        let mut eval = eval;
-        let out = acquire(&mut eval, &query, &cfg).unwrap();
+        let caps = RefinedSpace::new(&searched, &cfg).unwrap().caps();
+        let inner = CachedScoreEvaluator::new(&mut exec, &searched, &caps).unwrap();
+        let mut eval = CountingLayer::new(FaultInjectingLayer::new(inner, schedule));
+        let cancel = CancellationToken::new();
+        let out = search(&mut eval, &query, &cfg, &cancel, &Obs::disabled(), None).unwrap();
         assert!(out.explored > 0 || out.termination.interrupt_reason().is_some());
         if budget.is_none() && !faulty {
             // Tight budgets clamp batches below the parallel threshold, and
@@ -777,18 +817,19 @@ fn run_observed(
     obs: &Obs,
 ) -> Result<AcqOutcome, CoreError> {
     let mut exec = Executor::new(catalog());
-    let mut query = query.clone();
-    exec.populate_domains(&mut query).unwrap();
-    let space = RefinedSpace::new(&query, cfg).unwrap();
+    exec.set_zone_pruning(cfg.zone_pruning);
+    let (query, searched) = prepared(&exec, query);
+    let space = RefinedSpace::new(&searched, cfg).unwrap();
     let caps = space.caps();
     match layer {
         Layer::Cached => {
-            let mut eval = CachedScoreEvaluator::new(&mut exec, &query, &caps).unwrap();
-            acquire_progress(&mut eval, &query, cfg, cancel, obs, None)
+            let mut eval = CachedScoreEvaluator::new(&mut exec, &searched, &caps).unwrap();
+            search(&mut eval, &query, cfg, cancel, obs, None)
         }
         Layer::Grid => {
-            let mut eval = GridIndexEvaluator::new(&mut exec, &query, &caps, space.step()).unwrap();
-            acquire_progress(&mut eval, &query, cfg, cancel, obs, None)
+            let mut eval =
+                GridIndexEvaluator::new(&mut exec, &searched, &caps, space.step()).unwrap();
+            search(&mut eval, &query, cfg, cancel, obs, None)
         }
     }
 }
@@ -803,8 +844,7 @@ fn all_thread_settings() -> Vec<Parallelism> {
 
 #[test]
 fn metrics_match_ground_truth_for_every_thread_count() {
-    // GE engages answers-without-repartition; EQ exercises repartitioning.
-    for (query, delta) in [(ge_query(800.0), 0.05), (eq_query(801.0), 0.001)] {
+    for (query, delta) in query_rows() {
         for layer in [Layer::Cached, Layer::Grid] {
             for par in all_thread_settings() {
                 let cfg = AcquireConfig::default()
@@ -883,7 +923,7 @@ fn metrics_match_ground_truth_under_budgets_and_faults() {
 /// terminal event, the terminal totals agreeing with the outcome.
 #[test]
 fn progress_sink_leaves_outcomes_bit_identical_across_thread_counts() {
-    for (query, delta) in [(ge_query(800.0), 0.05), (eq_query(801.0), 0.001)] {
+    for (query, delta) in query_rows() {
         let serial_cfg = AcquireConfig::default().with_delta(delta);
         let baseline = fingerprint(&run(Layer::Cached, &query, &serial_cfg));
         let mut settings = vec![Parallelism::Serial];
@@ -892,13 +932,11 @@ fn progress_sink_leaves_outcomes_bit_identical_across_thread_counts() {
             let cfg = serial_cfg.clone().with_parallelism(par);
             let mut exec = Executor::new(catalog());
             exec.set_zone_pruning(cfg.zone_pruning);
-            let mut query = query.clone();
-            exec.populate_domains(&mut query).unwrap();
-            let space = RefinedSpace::new(&query, &cfg).unwrap();
-            let caps = space.caps();
+            let (query, searched) = prepared(&exec, &query);
+            let caps = RefinedSpace::new(&searched, &cfg).unwrap().caps();
             let sink = ProgressSink::new(4096);
-            let mut eval = CachedScoreEvaluator::new(&mut exec, &query, &caps).unwrap();
-            let out = acquire_progress(
+            let mut eval = CachedScoreEvaluator::new(&mut exec, &searched, &caps).unwrap();
+            let out = search(
                 &mut eval,
                 &query,
                 &cfg,
@@ -937,18 +975,9 @@ fn progress_sink_leaves_outcomes_bit_identical_across_thread_counts() {
 fn metrics_match_ground_truth_under_mid_run_cancellation() {
     for k in [1, 3, 25] {
         for par in [Parallelism::Serial, Parallelism::Fixed(4)] {
-            let query = ge_query(800.0);
-            let mut exec = Executor::new(catalog());
-            let mut query = query.clone();
-            exec.populate_domains(&mut query).unwrap();
             let cfg = AcquireConfig::default().with_parallelism(par);
-            let space = RefinedSpace::new(&query, &cfg).unwrap();
-            let caps = space.caps();
-            let token = CancellationToken::new();
             let obs = Obs::enabled();
-            let inner = CachedScoreEvaluator::new(&mut exec, &query, &caps).unwrap();
-            let mut eval = CancelAfterCommits::new(inner, k, token.clone());
-            let out = acquire_progress(&mut eval, &query, &cfg, &token, &obs, None).unwrap();
+            let out = run_cancelling(&ge_query(800.0), k, &cfg, &obs);
             assert_eq!(out.explored, k, "cancel after {k} commits");
             assert_metrics_ground_truth(&obs, &out, &format!("cancel after {k}, {par:?}"));
         }

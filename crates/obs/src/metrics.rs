@@ -224,7 +224,8 @@ pub struct WorkerStats {
 /// and excluded from determinism tests).
 #[derive(Debug)]
 pub struct Metrics {
-    /// Deterministic: committed cell executions — equals `AcqOutcome.explored`.
+    /// Deterministic: committed cell executions — per search, equals
+    /// `AcqOutcome.explored`.
     pub cells_executed: Counter,
     /// Scheduling-dependent: speculative executions on pool workers (a cell
     /// abandoned by the pool and re-run serially is not counted here).

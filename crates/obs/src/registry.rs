@@ -48,9 +48,10 @@ pub struct QuerySummary {
     pub termination: String,
     /// Grid cells committed by the driver (`AcqOutcome.explored`).
     pub explored: u64,
-    /// `cells_executed` counter from the query's own snapshot; the
-    /// registry invariant `cells_executed == explored` is checked per
-    /// query by the serve tests.
+    /// `cells_executed` counter from the query's own snapshot. Equals
+    /// `explored` for a request that ran one search (checked per request
+    /// kind by `serve_e2e`); a request whose `=` constraint fell through
+    /// from expansion to contraction counts both searches' cells here.
     pub cells_executed: u64,
     /// Refined queries that satisfied the constraint.
     pub answers: u64,

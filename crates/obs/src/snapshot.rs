@@ -408,7 +408,7 @@ pub fn json_num(v: f64) -> String {
 /// One-line help text per instrument, keyed by snapshot name.
 fn instrument_help(name: &str) -> &'static str {
     match name {
-        "cells_executed" => "Committed cell executions (equals AcqOutcome.explored)",
+        "cells_executed" => "Committed cell executions (per search, equals AcqOutcome.explored)",
         "cells_speculative" => "Speculative cell executions on pool workers",
         "answers_found" => "Refined queries that satisfied the constraint",
         "repartitions" => "Repartition rounds performed (Algorithm 4)",
@@ -610,7 +610,8 @@ mod tests {
         assert!(
             text.contains(
                 "# HELP acq_cells_executed_total Committed cell executions \
-                 (equals AcqOutcome.explored)\n# TYPE acq_cells_executed_total counter"
+                 (per search, equals AcqOutcome.explored)\n\
+                 # TYPE acq_cells_executed_total counter"
             ),
             "{text}"
         );

@@ -259,11 +259,15 @@ pub fn parse_args<I: Iterator<Item = String>>(args: I) -> Result<ServeOpts, Stri
     Ok(opts)
 }
 
-/// Loads `--table` CSVs and `--demo` datasets into one catalog, mirroring
-/// the one-shot CLI.
-pub fn build_catalog(opts: &ServeOpts) -> Result<Catalog, String> {
+/// Loads `--table NAME=PATH` CSVs and `--demo NAME` datasets (`demo_rows`
+/// rows each) into one catalog — for this server and the one-shot CLI alike.
+pub fn build_catalog(
+    tables: &[(String, String)],
+    demos: &[String],
+    demo_rows: usize,
+) -> Result<Catalog, String> {
     let mut catalog = Catalog::new();
-    for (name, path) in &opts.tables {
+    for (name, path) in tables {
         let table = csv::read_csv(name, path).map_err(|e| e.to_string())?;
         eprintln!(
             "loaded {name}: {} rows, schema {}",
@@ -272,8 +276,8 @@ pub fn build_catalog(opts: &ServeOpts) -> Result<Catalog, String> {
         );
         catalog.register(table).map_err(|e| e.to_string())?;
     }
-    for demo in &opts.demos {
-        let cfg = GenConfig::uniform(opts.demo_rows);
+    for demo in demos {
+        let cfg = GenConfig::uniform(demo_rows);
         match demo.as_str() {
             "users" => {
                 catalog
@@ -299,7 +303,7 @@ pub fn build_catalog(opts: &ServeOpts) -> Result<Catalog, String> {
                 ))
             }
         }
-        eprintln!("generated demo dataset: {demo} ({} rows)", opts.demo_rows);
+        eprintln!("generated demo dataset: {demo} ({demo_rows} rows)");
     }
     if catalog.is_empty() {
         return Err("no tables: pass --table NAME=PATH or --demo NAME".to_string());
@@ -310,7 +314,7 @@ pub fn build_catalog(opts: &ServeOpts) -> Result<Catalog, String> {
 /// Parses `args`, builds the catalog, and serves until `POST /shutdown`.
 pub fn run<I: Iterator<Item = String>>(args: I) -> Result<(), String> {
     let opts = parse_args(args)?;
-    let catalog = build_catalog(&opts)?;
+    let catalog = build_catalog(&opts.tables, &opts.demos, opts.demo_rows)?;
     let mut server = Server::start(opts.config, catalog).map_err(|e| e.to_string())?;
     eprintln!("acq-serve listening on http://{}", server.addr());
     server.join();
@@ -439,7 +443,7 @@ mod tests {
 
     #[test]
     fn empty_catalog_is_rejected() {
-        let opts = parse(&[]).unwrap();
-        assert!(build_catalog(&opts).unwrap_err().contains("no tables"));
+        let err = build_catalog(&[], &[], 50_000).unwrap_err();
+        assert!(err.contains("no tables"), "{err}");
     }
 }

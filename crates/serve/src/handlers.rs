@@ -27,11 +27,11 @@ use acq_engine::Executor;
 use acq_obs::json::{parse, JsonValue};
 use acq_obs::snapshot::{json_escape, json_num};
 use acq_obs::{Obs, QuerySummary};
-use acq_query::{AcqQuery, CmpOp, Norm};
+use acq_query::{AcqQuery, Norm};
 use acq_sql::compile;
+use acquire_core::profile::{answers_json, termination_json};
 use acquire_core::{
-    run_acquire_progress, run_contraction_with, AcqOutcome, AcquireConfig, ExecutionBudget,
-    ExplainProfile, RefinedQueryResult, Termination,
+    run_acquire_progress, AcqOutcome, AcquireConfig, ExecutionBudget, ExplainProfile,
 };
 
 use crate::admission::Admission;
@@ -404,51 +404,29 @@ fn run_query(
     // Arc'd, so the clone is cheap) and a clone of the shutdown token: a
     // graceful stop interrupts in-flight searches cooperatively.
     let mut exec = Executor::new(state.catalog.clone());
-    let cancel = &state.shutdown;
-    let layer = state.config.layer;
-    let outcome = match query.constraint.op {
-        // §7.2: overshooting constraints run the contraction search.
-        CmpOp::Le | CmpOp::Lt => run_contraction_with(&mut exec, &query, &cfg, layer, cancel),
-        _ => {
-            run_acquire_progress(
-                &mut exec,
-                &query,
-                &cfg,
-                layer,
-                cancel,
-                &obs,
-                Some(&channel.sink),
-            )
-            .map(|expanded| {
-                if !expanded.satisfied
-                    && query.constraint.op == CmpOp::Eq
-                    && expanded.original_aggregate > query.constraint.target
-                {
-                    // `=` with an already-overshooting original: fall through
-                    // to contraction, like the CLI; keep the expansion
-                    // outcome if nothing is contractible.
-                    run_contraction_with(&mut exec, &query, &cfg, layer, cancel).unwrap_or(expanded)
-                } else {
-                    expanded
-                }
-            })
-        }
-    };
+    let outcome = run_acquire_progress(
+        &mut exec,
+        &query,
+        &cfg,
+        state.config.layer,
+        &state.shutdown,
+        &obs,
+        Some(&channel.sink),
+    );
     let duration = t0.elapsed();
 
     match outcome {
         Ok(outcome) => {
-            obs.record_exec_stats(&outcome.stats.fields());
             let snap = obs.snapshot();
+            // One per-query record: the registry summary, the journal's
+            // Eq. 17 accounting and `?explain=1` all read this digest.
+            let digest = ExplainProfile::new(&query, &cfg, &outcome, snap.as_ref(), duration);
             state.registry.finish(
                 id,
                 QuerySummary {
                     termination: outcome.termination.slug().to_string(),
                     explored: outcome.explored,
-                    cells_executed: snap
-                        .as_ref()
-                        .and_then(|s| s.counter("cells_executed"))
-                        .unwrap_or(0),
+                    cells_executed: digest.cells_executed,
                     answers: outcome.queries.len() as u64,
                     satisfied: outcome.satisfied,
                     layers: outcome.layers,
@@ -459,9 +437,6 @@ fn run_query(
             if let Some(snap) = &snap {
                 state.metrics.absorb_snapshot(snap);
             }
-            // The digest doubles as the journal's Eq. 17 accounting, so it
-            // is computed whether or not the client asked to `?explain=1`.
-            let digest = ExplainProfile::new(&query, &cfg, &outcome, snap.as_ref(), duration);
             let key = outcome_key(&outcome);
             journal_query(
                 state,
@@ -562,46 +537,6 @@ fn outcome_key(outcome: &AcqOutcome) -> String {
     format!("{h:016x}")
 }
 
-fn termination_json(t: &Termination) -> String {
-    match t {
-        Termination::Interrupted {
-            reason,
-            explored,
-            elapsed,
-        } => format!(
-            "{{\"status\":\"interrupted\",\"reason\":\"{}\",\"detail\":\"{}\",\
-             \"explored\":{},\"elapsed_ms\":{}}}",
-            reason.slug(),
-            json_escape(&reason.to_string()),
-            explored,
-            elapsed.as_millis()
-        ),
-        complete => format!("{{\"status\":\"{}\"}}", complete.slug()),
-    }
-}
-
-fn result_json(r: &RefinedQueryResult, original: &AcqQuery) -> String {
-    let pscores: Vec<String> = r.pscores.iter().map(|&p| json_num(p)).collect();
-    let changes: Vec<String> = if original.constraint.op.is_expanding() {
-        r.explain(original)
-            .iter()
-            .map(|c| format!("\"{}\"", json_escape(c)))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    format!(
-        "{{\"pscores\":[{}],\"qscore\":{},\"aggregate\":{},\"error\":{},\
-         \"sql\":\"{}\",\"changes\":[{}]}}",
-        pscores.join(","),
-        json_num(r.qscore),
-        json_num(r.aggregate),
-        json_num(r.error),
-        json_escape(&r.sql),
-        changes.join(",")
-    )
-}
-
 #[allow(clippy::too_many_arguments)]
 fn outcome_json(
     id: u64,
@@ -613,23 +548,6 @@ fn outcome_json(
     outcome_key: &str,
     profile: Option<&ExplainProfile>,
 ) -> String {
-    let queries: Vec<String> = outcome
-        .queries
-        .iter()
-        .take(top)
-        .map(|r| result_json(r, original))
-        .collect();
-    let closest = outcome
-        .closest
-        .as_ref()
-        .map(|r| result_json(r, original))
-        .unwrap_or_else(|| "null".to_string());
-    let stats: Vec<String> = outcome
-        .stats
-        .fields()
-        .iter()
-        .map(|(k, v)| format!("\"{k}\":{v}"))
-        .collect();
     let profile = profile
         .map(ExplainProfile::to_json)
         .unwrap_or_else(|| "null".to_string());
@@ -637,17 +555,14 @@ fn outcome_json(
         "{{\"id\":{id},\"satisfied\":{},\"degraded\":{degraded},\"termination\":{},\
          \"original_aggregate\":{},\
          \"explored\":{},\"layers\":{},\"duration_ms\":{},\"outcome_key\":\"{outcome_key}\",\
-         \"queries\":[{}],\
-         \"closest\":{},\"stats\":{{{}}},\"profile\":{}}}",
+         {},\"profile\":{}}}",
         outcome.satisfied,
         termination_json(&outcome.termination),
         json_num(outcome.original_aggregate),
         outcome.explored,
         outcome.layers,
         duration.as_millis(),
-        queries.join(","),
-        closest,
-        stats.join(","),
+        answers_json(outcome, original, top),
         profile
     )
 }

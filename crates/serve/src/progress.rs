@@ -21,7 +21,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use acq_obs::json::{parse, JsonValue};
 use acq_obs::snapshot::json_escape;
 use acquire_core::{ProgressEvent, ProgressSink, DEFAULT_PROGRESS_CAPACITY};
 
@@ -225,6 +224,10 @@ pub fn stream_progress(
     let mut missed = 0u64;
     let mut terminal: Option<ProgressEvent> = None;
     loop {
+        // Read before draining: the terminal event is pushed before the
+        // channel is marked done, so a drain that starts after `done` cannot
+        // miss it to a race.
+        let done = channel.is_done();
         let (events, next, gap) = channel.sink.drain_from(cursor);
         cursor = next;
         missed += gap;
@@ -237,7 +240,7 @@ pub fn stream_progress(
                 return None; // client went away mid-stream
             }
         }
-        if terminal.is_some() || channel.is_done() {
+        if terminal.is_some() || done {
             break;
         }
         if state.shutdown.is_cancelled() || Instant::now() >= give_up {
@@ -255,16 +258,16 @@ pub fn stream_progress(
         std::thread::sleep(STREAM_POLL);
     }
     let body = channel.sealed_body();
-    if terminal.is_none() && body.is_none() {
+    let Some(event) = terminal else {
         // Failed query: nothing more to say; end the stream without a
-        // terminal line (the registry record carries the error).
-        let _ = out.finish();
+        // terminal line (the registry record carries the error). A query
+        // that did answer but whose terminal event the sink dropped leaves
+        // the stream visibly truncated instead.
+        if body.is_none() {
+            let _ = out.finish();
+        }
         return None;
-    }
-    // Contraction-only queries never drive the sink; synthesize their
-    // terminal event from the sealed outcome so every successful stream
-    // ends the same way.
-    let event = terminal.unwrap_or_else(|| synthesize_terminal(id, body.as_deref()));
+    };
     let mut line = String::with_capacity(event.json_fields().len() + 64);
     line.push('{');
     line.push_str(&event.json_fields());
@@ -281,29 +284,6 @@ pub fn stream_progress(
     }
     let _ = out.finish();
     None
-}
-
-/// Builds a terminal event from the sealed response body for queries whose
-/// search path never drove the sink (the contraction search).
-fn synthesize_terminal(id: u64, body: Option<&str>) -> ProgressEvent {
-    let parsed = body.and_then(|b| parse(b).ok());
-    let field = |ptr: &str| {
-        parsed
-            .as_ref()
-            .and_then(|v| v.pointer(ptr))
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0)
-    };
-    ProgressEvent {
-        query_id: id,
-        layer: field("/layers"),
-        explored: field("/explored"),
-        frontier: 0,
-        store_bytes: 0,
-        zones_pruned: field("/stats/zones_pruned"),
-        elapsed_ms: field("/duration_ms"),
-        terminal: true,
-    }
 }
 
 #[cfg(test)]
@@ -418,22 +398,5 @@ mod tests {
             elapsed < Duration::from_millis(EVENTS * 10 / 2),
             "replaying {EVENTS} lines took {elapsed:?}"
         );
-    }
-
-    #[test]
-    fn synthesized_terminal_reads_the_outcome_body() {
-        let body = "{\"id\":9,\"explored\":41,\"layers\":3,\"duration_ms\":12,\
-                    \"stats\":{\"zones_pruned\":5}}";
-        let e = synthesize_terminal(9, Some(body));
-        assert!(e.terminal);
-        assert_eq!(e.query_id, 9);
-        assert_eq!(e.explored, 41);
-        assert_eq!(e.layer, 3);
-        assert_eq!(e.zones_pruned, 5);
-        assert_eq!(e.elapsed_ms, 12);
-
-        let empty = synthesize_terminal(3, None);
-        assert!(empty.terminal);
-        assert_eq!(empty.explored, 0);
     }
 }

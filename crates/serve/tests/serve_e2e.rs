@@ -34,6 +34,16 @@ fn catalog() -> Catalog {
 
 const SQL: &str = "SELECT * FROM t CONSTRAINT COUNT(*) >= 800 WHERE x <= 10 AND y <= 30";
 
+/// One request of each kind the server dispatches on, over the same table:
+/// an expansion, a §7.2 contraction, and an `=` whose original query
+/// already overshoots (an expansion that ends unsatisfied, then a
+/// contraction).
+const KINDS: [&str; 3] = [
+    SQL,
+    "SELECT * FROM t CONSTRAINT COUNT(*) <= 400 WHERE x <= 200 AND y <= 100",
+    "SELECT * FROM t CONSTRAINT COUNT(*) = 400 WHERE x <= 200 AND y <= 100",
+];
+
 /// One blocking HTTP/1.1 exchange; returns (status, body).
 fn http(addr: SocketAddr, method: &str, target: &str, body: &str) -> (u16, String) {
     let mut s = TcpStream::connect(addr).unwrap();
@@ -77,29 +87,79 @@ fn strip_volatile(body: &str) -> JsonValue {
     JsonValue::Obj(fields)
 }
 
+/// Bit-identical answers across thread counts, and one per-query record:
+/// whichever searches a request ran, `/queries`, the `?explain=1` profile
+/// and the journal digest report the same `cells_executed`, it is the
+/// executor's own `stats.cell_queries`, the trace is retained and the
+/// progress stream saw the search run.
 #[test]
-fn outcomes_are_bit_identical_across_thread_counts() {
-    let server = start(ServeConfig::default());
+fn outcomes_are_bit_identical_and_every_surface_tells_one_story() {
+    let path = temp_path("one-record");
+    let server = start(ServeConfig {
+        journal_path: Some(path.clone()),
+        ..ServeConfig::default()
+    });
     let addr = server.addr();
-    let mut baseline: Option<JsonValue> = None;
-    for threads in [1usize, 2, 4, 8] {
-        let body = format!("{{\"sql\":\"{SQL}\",\"threads\":{threads}}}");
-        let (status, resp) = http(addr, "POST", "/query", &body);
-        assert_eq!(status, 200, "threads={threads}: {resp}");
-        let out = strip_volatile(&resp);
-        assert_eq!(
-            out.pointer("/satisfied").and_then(JsonValue::as_bool),
-            Some(true),
-            "threads={threads}: {resp}"
-        );
-        match &baseline {
-            None => baseline = Some(out),
-            Some(b) => assert_eq!(b, &out, "threads={threads} diverged"),
+    let u = |v: &JsonValue, ptr: &str| {
+        v.pointer(ptr)
+            .and_then(JsonValue::as_u64)
+            .unwrap_or_else(|| panic!("no {ptr} in {v:?}"))
+    };
+    // (id, cell_queries, whether the request ran two searches)
+    let mut expected: Vec<(u64, u64, bool)> = Vec::new();
+    for sql in KINDS {
+        let mut baseline: Option<JsonValue> = None;
+        for threads in [1usize, 2, 4, 8] {
+            let body = format!("{{\"sql\":\"{sql}\",\"threads\":{threads}}}");
+            let (status, resp) = http(addr, "POST", "/query?explain=1", &body);
+            assert_eq!(status, 200, "threads={threads}: {resp}");
+            let v = parse(&resp).unwrap();
+            assert_eq!(
+                v.pointer("/satisfied").and_then(JsonValue::as_bool),
+                Some(true),
+                "threads={threads}: {resp}"
+            );
+            let (id, cell_queries) = (u(&v, "/id"), u(&v, "/stats/cell_queries"));
+            assert_eq!(u(&v, "/profile/cells_executed"), cell_queries, "{resp}");
+            let fell_through = sql == KINDS[2];
+            if fell_through {
+                assert!(u(&v, "/explored") < cell_queries, "{resp}");
+                // The returned search contracted `Q`, which the first one
+                // observed: no expansion diff, and the original's aggregate.
+                let changes = v.pointer("/queries/0/changes");
+                assert!(
+                    matches!(changes, Some(JsonValue::Arr(c)) if c.is_empty()),
+                    "{resp}"
+                );
+                let original = v.pointer("/original_aggregate");
+                assert!(original.and_then(JsonValue::as_f64).is_some(), "{resp}");
+            } else {
+                assert_eq!(u(&v, "/explored"), cell_queries, "{resp}");
+            }
+            expected.push((id, cell_queries, fell_through));
+
+            let (status, trace) = http(addr, "GET", &format!("/trace/{id}"), "");
+            assert_eq!(status, 200, "{trace}");
+            let events = match parse(&trace).unwrap().pointer("/events") {
+                Some(JsonValue::Arr(events)) => events.len(),
+                other => panic!("events is not an array: {other:?} in {trace}"),
+            };
+            assert!(events > 0, "{sql}: empty trace");
+            let progress = http_raw(addr, "GET", &format!("/query/{id}/progress"), "");
+            assert!(
+                progress.contains("\"terminal\":false"),
+                "{sql}: no mid-run progress event: {progress}"
+            );
+
+            let out = strip_volatile(&resp);
+            match &baseline {
+                None => baseline = Some(out),
+                Some(b) => assert_eq!(b, &out, "{sql}: threads={threads} diverged"),
+            }
         }
     }
 
-    // Registry: every completed record upholds the at-most-once invariant
-    // cells_executed == explored (Eq. 17 — only the cell itself runs).
+    // Registry: one completed record per request, its fields flat.
     let (status, body) = http(addr, "GET", "/queries", "");
     assert_eq!(status, 200);
     let v = parse(&body).unwrap();
@@ -107,18 +167,131 @@ fn outcomes_are_bit_identical_across_thread_counts() {
         Some(JsonValue::Arr(records)) => records.clone(),
         other => panic!("completed is not an array: {other:?} in {body}"),
     };
-    assert_eq!(completed.len(), 4, "{body}");
+    assert_eq!(completed.len(), expected.len(), "{body}");
     for rec in &completed {
-        assert_eq!(
-            rec.pointer("/summary/cells_executed")
-                .and_then(JsonValue::as_u64),
-            rec.pointer("/summary/explored").and_then(JsonValue::as_u64),
-            "{body}"
-        );
+        let &(_, cell_queries, fell_through) = expected
+            .iter()
+            .find(|(id, ..)| *id == u(rec, "/id"))
+            .unwrap_or_else(|| panic!("unknown record {rec:?}"));
+        assert_eq!(u(rec, "/cells_executed"), cell_queries, "{body}");
+        if !fell_through {
+            // The at-most-once invariant (Eq. 17 — only the cell itself runs).
+            assert_eq!(u(rec, "/cells_executed"), u(rec, "/explored"), "{body}");
+        }
         assert_eq!(
             rec.pointer("/status").and_then(JsonValue::as_str),
             Some("completed")
         );
+    }
+
+    // Journal: the digest of every record says the same.
+    let journal = server.state().journal.as_ref().expect("journal is on");
+    assert!(journal.flush(Duration::from_secs(10)));
+    let read = acq_obs::journal::read_journal(&path).unwrap();
+    assert_eq!(read.records.len(), expected.len(), "{read:?}");
+    for line in &read.records {
+        let v = parse(line).unwrap();
+        let &(_, cell_queries, _) = expected
+            .iter()
+            .find(|(id, ..)| *id == u(&v, "/id"))
+            .unwrap_or_else(|| panic!("unknown journal record {line}"));
+        assert_eq!(u(&v, "/digest/cells_executed"), cell_queries, "{line}");
+    }
+
+    // And so does the scrape: the absorbed per-query counters sum to the
+    // executor work of every request.
+    let (_, metrics) = http(addr, "GET", "/metrics", "");
+    assert_eq!(
+        series(&metrics, "acq_cells_executed_total"),
+        expected.iter().map(|&(_, cells, _)| cells).sum::<u64>(),
+        "{metrics}"
+    );
+    drop(server);
+    remove_journal(&path);
+}
+
+/// Bit-identity across the one-loop refactor: the `outcome_key` of a dozen
+/// seeded requests — `small_mix`'s SQL shapes on 2 000 `users`, four of each
+/// kind — recorded at the commit before contraction became a direction of
+/// the driver's loop. A key moves only if an answer a client could act on
+/// does.
+#[test]
+fn seeded_outcome_keys_are_pinned_for_every_request_kind() {
+    use acq_datagen::{users, GenConfig};
+
+    let mut cat = Catalog::new();
+    cat.register(users::users(&GenConfig::uniform(2_000).with_seed(7)).unwrap())
+        .unwrap();
+    let server = Server::start(
+        ServeConfig {
+            layer: EvalLayerKind::CachedScore,
+            ..ServeConfig::default()
+        },
+        cat,
+    )
+    .unwrap();
+    let expanding = [
+        (28, 86_000.5),
+        (30, 91_234.25),
+        (31, 88_400.0),
+        (33, 95_999.75),
+    ];
+    let overshooting = [
+        (58, 193_000.5),
+        (60, 201_234.25),
+        (61, 198_400.0),
+        (63, 207_999.75),
+    ];
+    let pinned = [
+        (
+            ">= 400",
+            expanding,
+            [
+                "ebc156746c579190",
+                "8fe9cf4aaf8de4aa",
+                "bb814f11d2a58f68",
+                "a8251ecd74b14215",
+            ],
+        ),
+        (
+            "<= 700",
+            overshooting,
+            [
+                "3a793bc88996e840",
+                "703c92e8bc767f89",
+                "7a9daf809bc14973",
+                "9f4739bc5e35a866",
+            ],
+        ),
+        (
+            "= 300",
+            overshooting,
+            [
+                "2642827911c17749",
+                "8c012c45d0dd2b51",
+                "7eccb034dc567324",
+                "c92898bd9fabfc79",
+            ],
+        ),
+    ];
+    for (constraint, bounds, keys) in pinned {
+        for ((age, income), key) in bounds.into_iter().zip(keys) {
+            let sql = format!(
+                "SELECT * FROM users CONSTRAINT COUNT(*) {constraint} \
+                 WHERE age <= {age} AND income <= {income}"
+            );
+            let body = format!("{{\"sql\":\"{sql}\"}}");
+            let (status, resp) = http(server.addr(), "POST", "/query", &body);
+            assert_eq!(status, 200, "{sql}: {resp}");
+            assert_eq!(
+                parse(&resp)
+                    .unwrap()
+                    .pointer("/outcome_key")
+                    .and_then(JsonValue::as_str),
+                Some(key),
+                "{sql}: {resp}"
+            );
+        }
     }
 }
 
@@ -461,8 +634,11 @@ fn progress_stream_replays_monotone_schema_valid_events() {
     let server = start(ServeConfig::default());
     let addr = server.addr();
     let schema = progress_schema();
-    for threads in [1usize, 2, 4, 8] {
-        let body = format!("{{\"sql\":\"{SQL}\",\"threads\":{threads}}}");
+    let requests = KINDS
+        .iter()
+        .flat_map(|sql| [1usize, 2, 4, 8].map(|threads| (sql, threads)));
+    for (sql, threads) in requests {
+        let body = format!("{{\"sql\":\"{sql}\",\"threads\":{threads}}}");
         let (status, resp) = http(addr, "POST", "/query", &body);
         assert_eq!(status, 200, "threads={threads}: {resp}");
         let id = parse(&resp)

@@ -18,19 +18,18 @@
 
 use std::process::ExitCode;
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use acquire::core::profile::{answers_json, termination_json};
 use acquire::core::{
-    run_acquire_progress, run_contraction, AcqOutcome, AcquireConfig, CancellationToken,
-    EvalLayerKind, ExecutionBudget, ExplainProfile, FaultPolicy, Obs, ProgressSink, Termination,
+    run_acquire_progress, AcqOutcome, AcquireConfig, CancellationToken, EvalLayerKind,
+    ExecutionBudget, ExplainProfile, FaultPolicy, Obs, ProgressSink, Termination,
     DEFAULT_PROGRESS_CAPACITY,
 };
-use acquire::datagen::{patients, tpch, users, GenConfig};
-use acquire::engine::{csv, Catalog, Executor};
-use acquire::obs::snapshot::{json_escape, json_num};
+use acquire::engine::Executor;
+use acquire::obs::snapshot::json_num;
 use acquire::query::{CmpOp, Norm};
+use acquire::serve::cli::build_catalog;
 use acquire::sql::compile;
 
 struct Opts {
@@ -248,71 +247,6 @@ fn parse_args() -> Result<Opts, String> {
     Ok(opts)
 }
 
-fn build_catalog(opts: &Opts) -> Result<Catalog, String> {
-    let mut catalog = Catalog::new();
-    for (name, path) in &opts.tables {
-        let table = csv::read_csv(name, path).map_err(|e| e.to_string())?;
-        eprintln!(
-            "loaded {name}: {} rows, schema {}",
-            table.num_rows(),
-            table.schema()
-        );
-        catalog.register(table).map_err(|e| e.to_string())?;
-    }
-    for demo in &opts.demos {
-        let cfg = GenConfig::uniform(opts.demo_rows);
-        match demo.as_str() {
-            "users" => {
-                catalog
-                    .register(users::users(&cfg).map_err(|e| e.to_string())?)
-                    .map_err(|e| e.to_string())?;
-            }
-            "patients" => {
-                catalog
-                    .register(patients::patients(&cfg).map_err(|e| e.to_string())?)
-                    .map_err(|e| e.to_string())?;
-            }
-            "tpch" => {
-                let tp = tpch::generate(&cfg).map_err(|e| e.to_string())?;
-                for name in tp.table_names() {
-                    catalog
-                        .register((*tp.table(name).map_err(|e| e.to_string())?).clone())
-                        .map_err(|e| e.to_string())?;
-                }
-            }
-            other => {
-                return Err(format!(
-                    "unknown demo dataset {other} (users|patients|tpch)"
-                ))
-            }
-        }
-        eprintln!("generated demo dataset: {demo} ({} rows)", opts.demo_rows);
-    }
-    if catalog.is_empty() {
-        return Err("no tables: pass --table NAME=PATH or --demo NAME".to_string());
-    }
-    Ok(catalog)
-}
-
-fn termination_json(t: &Termination) -> String {
-    match t {
-        Termination::Interrupted {
-            reason,
-            explored,
-            elapsed,
-        } => format!(
-            "{{\"status\":\"interrupted\",\"reason\":\"{}\",\"detail\":\"{}\",\"explored\":{},\"elapsed_ms\":{}}}",
-            reason.slug(),
-            json_escape(&reason.to_string()),
-            explored,
-            elapsed.as_millis()
-        ),
-        // `slug()` is the stable machine-readable vocabulary shared with the
-        // serve registry; human `Display` text may change, slugs may not.
-        complete => format!("{{\"status\":\"{}\"}}", complete.slug()),
-    }
-}
-
 fn print_outcome_json(
     outcome: &AcqOutcome,
     opts: &Opts,
@@ -320,46 +254,6 @@ fn print_outcome_json(
     obs: &Obs,
     profile: Option<&ExplainProfile>,
 ) {
-    let expanding = original.constraint.op.is_expanding();
-    let result_json = |r: &acquire::core::RefinedQueryResult| {
-        let pscores: Vec<String> = r.pscores.iter().map(|&p| json_num(p)).collect();
-        let changes: Vec<String> = if expanding {
-            r.explain(original)
-                .iter()
-                .map(|c| format!("\"{}\"", json_escape(c)))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        format!(
-            "{{\"pscores\":[{}],\"qscore\":{},\"aggregate\":{},\"error\":{},\"sql\":\"{}\",\"changes\":[{}]}}",
-            pscores.join(","),
-            json_num(r.qscore),
-            json_num(r.aggregate),
-            json_num(r.error),
-            json_escape(&r.sql),
-            changes.join(",")
-        )
-    };
-    let queries: Vec<String> = outcome
-        .queries
-        .iter()
-        .take(opts.top)
-        .map(&result_json)
-        .collect();
-    let closest = outcome
-        .closest
-        .as_ref()
-        .map(&result_json)
-        .unwrap_or_else(|| "null".to_string());
-    // Every executor work counter, not a hand-picked subset: the field list
-    // comes from the engine itself so the JSON never lags behind ExecStats.
-    let stats: Vec<String> = outcome
-        .stats
-        .fields()
-        .iter()
-        .map(|(k, v)| format!("\"{k}\":{v}"))
-        .collect();
     let metrics = obs
         .snapshot()
         .map(|s| s.to_json())
@@ -370,14 +264,12 @@ fn print_outcome_json(
         .map(|p| format!(",\"profile\":{}", p.to_json()))
         .unwrap_or_default();
     println!(
-        "{{\"satisfied\":{},\"termination\":{},\"original_aggregate\":{},\"explored\":{},\"queries\":[{}],\"closest\":{},\"stats\":{{{}}},\"metrics\":{}{}}}",
+        "{{\"satisfied\":{},\"termination\":{},\"original_aggregate\":{},\"explored\":{},{},\"metrics\":{}{}}}",
         outcome.satisfied,
         termination_json(&outcome.termination),
         json_num(outcome.original_aggregate),
         outcome.explored,
-        queries.join(","),
-        closest,
-        stats.join(","),
+        answers_json(outcome, original, opts.top),
         metrics,
         profile
     );
@@ -435,10 +327,9 @@ fn print_outcome(
 
 fn run() -> Result<(), String> {
     let opts = parse_args()?;
-    let catalog = build_catalog(&opts)?;
+    let catalog = build_catalog(&opts.tables, &opts.demos, opts.demo_rows)?;
     let sql = opts.sql.as_deref().ok_or_else(|| USAGE.to_string())?;
     let query = compile(sql, &catalog).map_err(|e| e.to_string())?;
-    let query_for_explain = query.clone();
 
     let mut budget = ExecutionBudget::unlimited();
     if let Some(timeout) = opts.timeout {
@@ -479,89 +370,56 @@ fn run() -> Result<(), String> {
 
     let mut exec = Executor::new(catalog);
 
-    // --progress: a polling printer drains the driver's wait-free sink to
-    // stderr so stdout stays reserved for the answer. The `done` flag covers
-    // runs that never reach a terminal event (contraction searches drive no
-    // sink): the printer reads it *before* draining, guaranteeing one final
-    // drain after the search ends.
-    let progress = opts
-        .progress
-        .then(|| Arc::new(ProgressSink::new(DEFAULT_PROGRESS_CAPACITY)));
-    let done = Arc::new(AtomicBool::new(false));
-    let printer = progress.as_ref().map(|sink| {
-        let sink = Arc::clone(sink);
-        let done = Arc::clone(&done);
-        std::thread::spawn(move || {
+    let search_started = Instant::now();
+    let mut run = |progress: Option<&ProgressSink>| {
+        run_acquire_progress(
+            &mut exec,
+            &query,
+            &cfg,
+            opts.layer,
+            &CancellationToken::new(),
+            &obs,
+            progress,
+        )
+    };
+    // --progress: the search moves to a scoped thread while this one drains
+    // its wait-free sink to stderr (stdout stays reserved for the answer) —
+    // one last time once the search is over, however it ended.
+    let outcome = if opts.progress {
+        let sink = ProgressSink::new(DEFAULT_PROGRESS_CAPACITY);
+        std::thread::scope(|scope| {
+            let search = scope.spawn(|| run(Some(&sink)));
             let mut cursor = 0u64;
             loop {
-                let was_done = done.load(Ordering::Acquire);
+                let finished = search.is_finished();
                 let (events, next, _missed) = sink.drain_from(cursor);
                 cursor = next;
-                let mut terminal = false;
                 for e in &events {
                     eprintln!("{}", e.to_json());
-                    terminal |= e.terminal;
                 }
-                if terminal || was_done {
+                if finished || events.iter().any(|e| e.terminal) {
                     break;
                 }
                 std::thread::sleep(Duration::from_millis(50));
             }
+            search
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
         })
-    });
-
-    let search_started = Instant::now();
-    let outcome = match query.constraint.op {
-        CmpOp::Le | CmpOp::Lt => {
-            if !opts.json {
-                println!("(overshooting constraint: running the §7.2 contraction search)\n");
-            }
-            // The §7.2 contraction search is not phase-instrumented; its
-            // executor work counters are still bridged below.
-            run_contraction(&mut exec, &query, &cfg, opts.layer).map_err(|e| e.to_string())?
-        }
-        _ => {
-            let expanded = run_acquire_progress(
-                &mut exec,
-                &query,
-                &cfg,
-                opts.layer,
-                &CancellationToken::new(),
-                &obs,
-                progress.as_deref(),
-            )
-            .map_err(|e| e.to_string())?;
-            // §7.2 also covers `=` constraints whose original query already
-            // returns too much: expansion can only grow the aggregate, so
-            // fall through to the contraction search.
-            if !expanded.satisfied
-                && query.constraint.op == CmpOp::Eq
-                && expanded.original_aggregate > query.constraint.target
-            {
-                match run_contraction(&mut exec, &query, &cfg, opts.layer) {
-                    Ok(contracted) => {
-                        if !opts.json {
-                            println!(
-                                "(the original query already overshoots {} > {}: \
-                                 ran the §7.2 contraction search)\n",
-                                expanded.original_aggregate, query.constraint.target
-                            );
-                        }
-                        contracted
-                    }
-                    // Nothing contractible (e.g. point predicates): the
-                    // expansion outcome's closest query is still useful.
-                    Err(_) => expanded,
-                }
-            } else {
-                expanded
-            }
-        }
+    } else {
+        run(None)
     };
     let search_duration = search_started.elapsed();
-    done.store(true, Ordering::Release);
-    if let Some(handle) = printer {
-        let _ = handle.join();
+    let outcome = outcome.map_err(|e| e.to_string())?;
+    if outcome.contracted && !opts.json {
+        let why = match query.constraint.op {
+            CmpOp::Eq => format!(
+                "the original query already overshoots {} > {}",
+                outcome.original_aggregate, query.constraint.target
+            ),
+            _ => "overshooting constraint".to_string(),
+        };
+        println!("({why}: ran the §7.2 contraction search)\n");
     }
     if opts.explain && !opts.json {
         println!("base-relation plan:");
@@ -570,13 +428,9 @@ fn run() -> Result<(), String> {
         }
         println!();
     }
-    // (Re-)bridge the final executor stats: the contraction and Eq-overshoot
-    // paths run outside `acquire_progress`, and replacement is idempotent
-    // for the plain expansion path.
-    obs.record_exec_stats(&outcome.stats.fields());
     let profile = opts.explain.then(|| {
         ExplainProfile::new(
-            &query_for_explain,
+            &query,
             &cfg,
             &outcome,
             obs.snapshot().as_ref(),
@@ -612,13 +466,13 @@ fn run() -> Result<(), String> {
         std::fs::write(path, snapshot.to_json())
             .map_err(|e| format!("--metrics-out {path}: {e}"))?;
     }
-    print_outcome(&outcome, &opts, &query_for_explain, &obs, profile.as_ref());
+    print_outcome(&outcome, &opts, &query, &obs, profile.as_ref());
     // `explain` interprets pscores as expansions of the original query;
     // contraction outcomes measure the remaining contraction instead, so
     // the per-predicate diff only applies to expansion searches.
-    if !opts.json && query_for_explain.constraint.op.is_expanding() {
+    if !opts.json && !outcome.contracted {
         if let Some(best) = outcome.best() {
-            let changes = best.explain(&query_for_explain);
+            let changes = best.explain(&query);
             if !changes.is_empty() {
                 println!("changes vs the original query:");
                 for c in changes {
