@@ -24,7 +24,7 @@ use acq_obs::Obs;
 use acq_query::{AcqQuery, AggErrorFn, CmpOp, Interval, RefineSide};
 
 use crate::config::AcquireConfig;
-use crate::driver::{search, Direction, Feed};
+use crate::driver::{search, Direction, Feed, Host};
 use crate::error::CoreError;
 use crate::eval::{prepare_layer, EvalLayerKind, EvaluationLayer};
 use crate::govern::CancellationToken;
@@ -135,7 +135,8 @@ pub fn run_contraction_with(
     cancel: &CancellationToken,
 ) -> Result<AcqOutcome, CoreError> {
     let plan = contraction(query)?;
-    run_contraction_in(exec, plan, cfg, kind, cancel, &Obs::disabled(), None)
+    let obs = Obs::disabled();
+    run_contraction_in(exec, plan, cfg, kind, Host::new(cancel, &obs), None)
 }
 
 /// Builds the layer for a [`contraction`]'s `Q'_min` and searches it inside
@@ -146,12 +147,11 @@ pub(crate) fn run_contraction_in(
     (cq, dir): (AcqQuery, Direction),
     cfg: &AcquireConfig,
     kind: EvalLayerKind,
-    cancel: &CancellationToken,
-    obs: &Obs,
+    host: Host<'_>,
     feed: Option<&mut Feed<'_>>,
 ) -> Result<AcqOutcome, CoreError> {
-    let (cq, mut eval) = prepare_layer(exec, &cq, cfg, kind)?;
-    search(&mut *eval, &cq, &dir, cfg, cancel, obs, feed)
+    let (cq, mut eval) = prepare_layer(exec, &cq, cfg, kind, host.prepared, host.obs)?;
+    search(&mut *eval, &cq, &dir, cfg, host.cancel, host.obs, feed)
 }
 
 #[cfg(test)]

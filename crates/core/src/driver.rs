@@ -46,6 +46,7 @@ use crate::expand::{BestFirstExpander, BfsExpander, Expander, LinfExpander};
 use crate::explore::Explorer;
 use crate::govern::{CancellationToken, FaultPolicy, Governor, InterruptReason, Termination};
 use crate::pool::{self, CellOutcome};
+use crate::prepared::PreparedCache;
 use crate::progress::{ProgressEvent, ProgressSink};
 use crate::repartition::repartition;
 use crate::result::{AcqOutcome, RefinedQueryResult};
@@ -688,15 +689,38 @@ pub fn run_acquire(
     cfg: &AcquireConfig,
     kind: EvalLayerKind,
 ) -> Result<AcqOutcome, CoreError> {
-    run_acquire_progress(
-        exec,
-        query,
-        cfg,
-        kind,
-        &CancellationToken::new(),
-        &Obs::disabled(),
-        None,
-    )
+    let (cancel, obs) = (CancellationToken::new(), Obs::disabled());
+    run_acquire_progress(exec, query, cfg, kind, Host::new(&cancel, &obs))
+}
+
+/// What a host lends one request besides its executor: how to stop it,
+/// where it reports, and what it may share with the host's other requests.
+#[derive(Clone, Copy)]
+pub struct Host<'a> {
+    /// Interrupts the request's searches cooperatively.
+    pub cancel: &'a CancellationToken,
+    /// Where the request's metrics and trace go.
+    pub obs: &'a Obs,
+    /// Where its progress events go, if anyone listens.
+    pub progress: Option<&'a ProgressSink>,
+    /// The host's prepared-layer cache. Every layer the request builds —
+    /// either direction's — is then shared with the other requests over the
+    /// same predicate set; `None` builds fresh. The outcome, `stats`
+    /// included, is the same either way.
+    pub prepared: Option<&'a PreparedCache>,
+}
+
+impl<'a> Host<'a> {
+    /// A host that listens to no progress and shares nothing.
+    #[must_use]
+    pub fn new(cancel: &'a CancellationToken, obs: &'a Obs) -> Self {
+        Self {
+            cancel,
+            obs,
+            progress: None,
+            prepared: None,
+        }
+    }
 }
 
 /// The full form of [`run_acquire`], and the one request → outcome path of
@@ -717,27 +741,25 @@ pub fn run_acquire_progress(
     query: &AcqQuery,
     cfg: &AcquireConfig,
     kind: EvalLayerKind,
-    cancel: &CancellationToken,
-    obs: &Obs,
-    progress: Option<&ProgressSink>,
+    host: Host<'_>,
 ) -> Result<AcqOutcome, CoreError> {
-    Feed::run(progress, |mut feed| {
+    Feed::run(host.progress, |mut feed| {
         let constraint = &query.constraint;
         if matches!(constraint.op, CmpOp::Le | CmpOp::Lt) {
             let plan = contraction(query)?;
-            return run_contraction_in(exec, plan, cfg, kind, cancel, obs, feed);
+            return run_contraction_in(exec, plan, cfg, kind, host, feed);
         }
         let expanded = {
-            let (query, mut eval) = prepare_layer(exec, query, cfg, kind)?;
+            let (query, mut eval) = prepare_layer(exec, query, cfg, kind, host.prepared, host.obs)?;
             let (dir, feed) = (Direction::Expand, feed.as_deref_mut());
-            search(&mut *eval, &query, &dir, cfg, cancel, obs, feed)?
+            search(&mut *eval, &query, &dir, cfg, host.cancel, host.obs, feed)?
         };
         let overshoots = !expanded.satisfied
             && constraint.op == CmpOp::Eq
             && expanded.original_aggregate > constraint.target;
         if overshoots {
             if let Ok(plan) = contraction(query) {
-                let mut out = run_contraction_in(exec, plan, cfg, kind, cancel, obs, feed)?;
+                let mut out = run_contraction_in(exec, plan, cfg, kind, host, feed)?;
                 // This request did observe `Q`: in its first search.
                 out.original_aggregate = expanded.original_aggregate;
                 return Ok(out);

@@ -17,12 +17,23 @@
 //!   cell, so a cell query touches exactly its own tuples and **empty cells
 //!   are skipped without any execution**, the §7.4 bitmap-grid-index idea
 //!   applied in score space.
+//!
+//! What the two cached layers precompute — the scored, clustered,
+//! zone-stat'd score matrix — depends on the predicates and not on the
+//! target, so it is an immutable product of its own (`Prepared`) that the
+//! evaluators hold by `Arc`: `prepare_layer`, the one place layers are
+//! built, can take it out of a [`PreparedCache`] instead of building it.
+
+use std::sync::Arc;
 
 use acq_engine::{AggState, CellRange, EngineResult, ExecStats, Executor, Relation, ResolvedQuery};
-use acq_query::AcqQuery;
+use acq_obs::Obs;
+use acq_query::{AcqQuery, AggregateSpec};
 
 use crate::config::AcquireConfig;
+use crate::driver::isolated;
 use crate::error::CoreError;
+use crate::prepared::{PreparedCache, PreparedKey, Served};
 use crate::space::{GridPoint, RefinedSpace};
 
 /// Deferred work accounting for one speculatively executed cell query.
@@ -144,31 +155,63 @@ pub(crate) type PreparedLayer<'e> = Box<dyn EvaluationLayer + Send + 'e>;
 /// [`crate::run_acquire_progress`], [`crate::run_contraction_with`] and
 /// [`crate::Session::new`] all come through here, so every path honours the
 /// same configuration.
+///
+/// With a `cache`, the scored and clustered matrix under the two cached
+/// layers is looked up there first and shared with every other request over
+/// the same predicate set (see [`PreparedCache`]); the layer handed back,
+/// its counters included, is the one a fresh build would have produced.
+/// [`ScanEvaluator`] models a backend that keeps nothing between queries and
+/// is always built fresh. With a tracing `obs` the construction leaves one
+/// `prepare:` span saying whether it was a hit or a build.
+///
+/// The build runs inside the driver's panic boundary: a scoring worker or an
+/// engine invariant that panics comes back as [`CoreError::EvalPanicked`].
 pub(crate) fn prepare_layer<'e>(
     exec: &'e mut Executor,
     query: &AcqQuery,
     cfg: &AcquireConfig,
     kind: EvalLayerKind,
+    cache: Option<&PreparedCache>,
+    obs: &Obs,
 ) -> Result<(AcqQuery, PreparedLayer<'e>), CoreError> {
     let mut query = query.clone();
     exec.populate_domains(&mut query)?;
     let space = RefinedSpace::new(&query, cfg)?;
-    let caps = space.caps();
+    let caps = &space.caps();
     exec.set_zone_pruning(cfg.zone_pruning);
     let threads = cfg.parallelism.workers();
-    let eval: PreparedLayer<'e> = match kind {
-        EvalLayerKind::Scan => Box::new(ScanEvaluator::new(exec, &query, &caps)?),
-        EvalLayerKind::CachedScore => Box::new(CachedScoreEvaluator::with_threads(
-            exec, &query, &caps, threads,
-        )?),
-        EvalLayerKind::GridIndex => Box::new(GridIndexEvaluator::with_threads(
-            exec,
-            &query,
-            &caps,
-            space.step(),
-            threads,
-        )?),
+    let searched = &query;
+    // The matrix under the two cached layers: from the cache when there is
+    // one, built here otherwise.
+    let shared = |exec: &mut Executor| -> EngineResult<Arc<Prepared>> {
+        let started = obs.uptime();
+        let build = |exec: &mut Executor| Prepared::build(exec, searched, caps, threads);
+        let (prepared, served) = match cache {
+            Some(cache) => {
+                let key = PreparedKey::new(exec, searched, caps)?;
+                cache.get_or_build(key, || build(exec))?
+            }
+            None => (Arc::new(build(exec)?), Served::Built),
+        };
+        obs.trace_span(0, obs.uptime().saturating_sub(started), || {
+            format!("prepare: {served}, {} bytes", prepared.bytes())
+        });
+        Ok(prepared)
     };
+    let eval = isolated(move || -> EngineResult<PreparedLayer<'e>> {
+        Ok(match kind {
+            EvalLayerKind::Scan => Box::new(ScanEvaluator::new(exec, searched, caps)?),
+            EvalLayerKind::CachedScore => {
+                let prepared = shared(exec)?;
+                Box::new(CachedScoreEvaluator::over(exec, searched, prepared))
+            }
+            EvalLayerKind::GridIndex => {
+                let prepared = shared(exec)?;
+                let step = space.step();
+                Box::new(GridIndexEvaluator::over(exec, searched, prepared, step))
+            }
+        })
+    })?;
     Ok((query, eval))
 }
 
@@ -246,6 +289,82 @@ impl ParallelCells for ScanEvaluator<'_> {
 /// per-cell bands at negligible metadata cost.
 const MATRIX_ZONE_BLOCK: usize = 256;
 
+/// The stored row order of a [`ScoreMatrix`]: the permutation that sorts
+/// the `n × d` rows of `scores` by `(⌊s₀⌋, …, ⌊s_{d−1}⌋, original index)`,
+/// with `−0.0` and `0.0` one key. That order is a contract — SUM folds rows
+/// in it, so it decides result bits — and a property test pins it against
+/// the comparator that first defined it (`reference_order`, in the tests).
+///
+/// A score's floor, counted from its dimension's smallest, is its bucket
+/// number there, and the rows take one stable counting pass per dimension,
+/// last dimension first, starting from index order: `2·d` floors per row,
+/// where a comparison sort took `2·d` per comparison. A matrix with a score
+/// that is not a number, or a dimension whose floors span more buckets than
+/// a counting pass is worth (infinitely many, for an infinite score), takes
+/// [`comparison_order`] instead.
+fn cluster_order(scores: &[f64], d: usize) -> Vec<u32> {
+    let n = scores.len() / d;
+    let max_buckets = (2 * n).max(4096) as f64;
+    let mut low = Vec::with_capacity(d);
+    let mut buckets = Vec::with_capacity(d);
+    for k in 0..d {
+        // `floor` is monotone, so the dimension's extreme floors are the
+        // floors of its extreme scores.
+        let (mut lo, mut hi, mut numbers) = (f64::INFINITY, f64::NEG_INFINITY, true);
+        for &s in scores.iter().skip(k).step_by(d) {
+            lo = lo.min(s);
+            hi = hi.max(s);
+            numbers &= !s.is_nan();
+        }
+        // Integer-valued floats this close together subtract exactly; the
+        // span between infinities is infinite or NaN, and neither is `<=`.
+        let span = hi.floor() - lo.floor() + 1.0;
+        if !(numbers && span <= max_buckets) {
+            return comparison_order(scores, d);
+        }
+        low.push(lo.floor());
+        buckets.push(span as usize);
+    }
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    let mut placed = vec![0u32; n];
+    for k in (0..d).rev().filter(|&k| buckets[k] > 1) {
+        let bucket = |row: usize| (scores[row * d + k].floor() - low[k]) as usize;
+        // `starts[b]`: where bucket `b`'s next row goes.
+        let mut starts = vec![0u32; buckets[k] + 1];
+        for row in 0..n {
+            starts[bucket(row) + 1] += 1;
+        }
+        for b in 1..starts.len() {
+            starts[b] += starts[b - 1];
+        }
+        for &row in &order {
+            let at = &mut starts[bucket(row as usize)];
+            placed[*at as usize] = row;
+            *at += 1;
+        }
+        std::mem::swap(&mut order, &mut placed);
+    }
+    order
+}
+
+/// [`cluster_order`] for any finite or infinite scores, by comparison sort
+/// over floors taken once.
+fn comparison_order(scores: &[f64], d: usize) -> Vec<u32> {
+    // `+ 0.0` folds −0.0 into 0.0, so `total_cmp` sees them as one key.
+    let floors: Vec<f64> = scores.iter().map(|s| s.floor() + 0.0).collect();
+    let mut order: Vec<u32> = (0..(scores.len() / d) as u32).collect();
+    order.sort_unstable_by(|&a, &b| {
+        let (ra, rb) = (a as usize * d, b as usize * d);
+        floors[ra..ra + d]
+            .iter()
+            .zip(&floors[rb..rb + d])
+            .map(|(qa, qb)| qa.total_cmp(qb))
+            .find(|ord| ord.is_ne())
+            .unwrap_or_else(|| a.cmp(&b))
+    });
+    order
+}
+
 /// Per-tuple scores and aggregate inputs, computed once.
 ///
 /// Rows are stored clustered: sorted by their integer-quantised score
@@ -272,12 +391,7 @@ impl ScoreMatrix {
     /// Deterministic: each worker scores one contiguous row chunk and the
     /// chunks are concatenated in order, so the matrix is identical for
     /// every thread count.
-    fn build(
-        exec: &mut Executor,
-        rq: &ResolvedQuery,
-        rel: &Relation,
-        threads: usize,
-    ) -> EngineResult<Self> {
+    fn build(rq: &ResolvedQuery, rel: &Relation, threads: usize) -> EngineResult<Self> {
         let d = rq.dims();
         let n = rel.len();
         let score_chunk = |lo: usize, hi: usize| -> EngineResult<(Vec<f64>, Vec<f64>)> {
@@ -307,8 +421,9 @@ impl ScoreMatrix {
                     .collect();
                 handles
                     .into_iter()
-                    // A worker panic propagates as a panic on this thread (the
-                    // driver's isolation layer turns it into a typed error).
+                    // A worker panic propagates as a panic on this thread;
+                    // `prepare_layer` runs every build under the driver's
+                    // isolation, which turns it into a typed error.
                     .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                     .collect()
             });
@@ -321,7 +436,6 @@ impl ScoreMatrix {
             }
             (scores, vals)
         };
-        exec.stats_mut().tuples_scanned += n as u64;
         Ok(Self::finalize(scores, vals, d))
     }
 
@@ -330,22 +444,9 @@ impl ScoreMatrix {
     fn finalize(mut scores: Vec<f64>, mut vals: Vec<f64>, d: usize) -> Self {
         let n = vals.len();
         if d > 0 && n > 1 {
-            // Matrix scores are finite by construction (infinite-score
-            // tuples never enter), so total_cmp is a plain total order.
-            let mut perm: Vec<u32> = (0..n as u32).collect();
-            perm.sort_unstable_by(|&a, &b| {
-                let (ra, rb) = (a as usize * d, b as usize * d);
-                for k in 0..d {
-                    let (qa, qb) = (scores[ra + k].floor(), scores[rb + k].floor());
-                    if qa != qb {
-                        return qa.total_cmp(&qb);
-                    }
-                }
-                a.cmp(&b)
-            });
             let mut s2 = Vec::with_capacity(scores.len());
             let mut v2 = Vec::with_capacity(n);
-            for &p in &perm {
+            for p in cluster_order(&scores, d) {
                 let p = p as usize;
                 s2.extend_from_slice(&scores[p * d..(p + 1) * d]);
                 v2.push(vals[p]);
@@ -383,6 +484,13 @@ impl ScoreMatrix {
 
     fn len(&self) -> usize {
         self.vals.len()
+    }
+
+    /// Heap bytes held: what one retained matrix costs a [`PreparedCache`].
+    fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.scores.capacity() + self.vals.capacity()) * size_of::<f64>()
+            + self.zones.capacity() * size_of::<(f64, f64)>()
     }
 
     /// How block `b` relates to `cell` in score space: exact comparisons
@@ -484,6 +592,57 @@ impl ScoreMatrix {
     }
 }
 
+/// What preparing a cached layer builds, immutable from then on: every
+/// search over the same predicate set can stand on the same one, whatever
+/// its target, `δ`, budget, thread count or pruning flag.
+#[derive(Debug)]
+pub(crate) struct Prepared {
+    matrix: ScoreMatrix,
+    /// The [`ExecStats`] the build cost. Every evaluator over this product
+    /// adds it to its own executor's counters — the one that ran the build
+    /// and the ones handed the result alike — so an outcome's `stats` say
+    /// what its answers rest on, not which request happened to do the work
+    /// (see DESIGN, "Prepared layers and the determinism contract").
+    receipt: ExecStats,
+}
+
+impl Prepared {
+    /// The one place that runs resolve → base relation → score matrix:
+    /// materialises `query`'s tuple universe within `caps` and scores,
+    /// clusters and zone-stats it on `threads` workers.
+    pub(crate) fn build(
+        exec: &mut Executor,
+        query: &AcqQuery,
+        caps: &[f64],
+        threads: usize,
+    ) -> EngineResult<Self> {
+        let rq = exec.resolve(query)?;
+        // The build counts into a zeroed block of its own: the receipt.
+        let outer = std::mem::take(exec.stats_mut());
+        let built = exec
+            .base_relation(&rq, caps)
+            .and_then(|rel| Ok((ScoreMatrix::build(&rq, &rel, threads)?, rel.len())));
+        let mut receipt = std::mem::replace(exec.stats_mut(), outer);
+        let (matrix, universe) = built?;
+        receipt.tuples_scanned += universe as u64;
+        Ok(Self { matrix, receipt })
+    }
+
+    /// Heap bytes this product holds.
+    pub(crate) fn bytes(&self) -> usize {
+        self.matrix.bytes()
+    }
+
+    /// A one-dimensional all-zero product of `rows` rows that cost nothing.
+    #[cfg(test)]
+    pub(crate) fn stub(rows: usize) -> Self {
+        Self {
+            matrix: ScoreMatrix::finalize(vec![0.0; rows], vec![0.0; rows], 1),
+            receipt: ExecStats::default(),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // CachedScoreEvaluator
 // ---------------------------------------------------------------------------
@@ -492,8 +651,8 @@ impl ScoreMatrix {
 #[derive(Debug)]
 pub struct CachedScoreEvaluator<'a> {
     exec: &'a mut Executor,
-    rq: ResolvedQuery,
-    matrix: ScoreMatrix,
+    spec: AggregateSpec,
+    prepared: Arc<Prepared>,
     /// Captured from the executor at construction: whether cell queries
     /// walk the score-matrix zone blocks or filter every cached row.
     zone_pruning: bool,
@@ -514,16 +673,20 @@ impl<'a> CachedScoreEvaluator<'a> {
         caps: &[f64],
         threads: usize,
     ) -> EngineResult<Self> {
-        let rq = exec.resolve(query)?;
-        let rel = exec.base_relation(&rq, caps)?;
-        let matrix = ScoreMatrix::build(exec, &rq, &rel, threads)?;
+        let prepared = Arc::new(Prepared::build(exec, query, caps, threads)?);
+        Ok(Self::over(exec, query, prepared))
+    }
+
+    /// The evaluator over an already built product for `query`.
+    fn over(exec: &'a mut Executor, query: &AcqQuery, prepared: Arc<Prepared>) -> Self {
+        *exec.stats_mut() += prepared.receipt;
         let zone_pruning = exec.zone_pruning();
-        Ok(Self {
+        Self {
             exec,
-            rq,
-            matrix,
+            spec: query.constraint.spec.clone(),
+            prepared,
             zone_pruning,
-        })
+        }
     }
 }
 
@@ -537,14 +700,14 @@ impl EvaluationLayer for CachedScoreEvaluator<'_> {
     fn full_aggregate(&mut self, bounds: &[f64]) -> EngineResult<AggState> {
         let stats = self.exec.stats_mut();
         stats.full_queries += 1;
-        stats.tuples_scanned += self.matrix.len() as u64;
+        stats.tuples_scanned += self.prepared.matrix.len() as u64;
         let mut state = self.empty_state()?;
-        self.matrix.full_aggregate_into(bounds, &mut state);
+        self.prepared.matrix.full_aggregate_into(bounds, &mut state);
         Ok(state)
     }
 
     fn empty_state(&self) -> EngineResult<AggState> {
-        AggState::empty(&self.rq.query.constraint.spec, self.exec.uda_registry())
+        AggState::empty(&self.spec, self.exec.uda_registry())
     }
 
     fn stats(&self) -> ExecStats {
@@ -552,7 +715,7 @@ impl EvaluationLayer for CachedScoreEvaluator<'_> {
     }
 
     fn universe_size(&self) -> usize {
-        self.matrix.len()
+        self.prepared.matrix.len()
     }
 
     fn parallel_cells(&self) -> Option<&dyn ParallelCells> {
@@ -572,6 +735,7 @@ impl ParallelCells for CachedScoreEvaluator<'_> {
     fn cell_aggregate_shared(&self, cell: &[CellRange]) -> EngineResult<(AggState, CellCost)> {
         let mut state = self.empty_state()?;
         let cost = self
+            .prepared
             .matrix
             .cell_scan_into(cell, &mut state, self.zone_pruning);
         Ok((state, cost))
@@ -587,8 +751,8 @@ impl ParallelCells for CachedScoreEvaluator<'_> {
 #[derive(Debug)]
 pub struct GridIndexEvaluator<'a> {
     exec: &'a mut Executor,
-    rq: ResolvedQuery,
-    matrix: ScoreMatrix,
+    spec: AggregateSpec,
+    prepared: Arc<Prepared>,
     cells: crate::fasthash::FastMap<GridPoint, CellBucket>,
     step: f64,
 }
@@ -619,13 +783,20 @@ impl<'a> GridIndexEvaluator<'a> {
         step: f64,
         threads: usize,
     ) -> EngineResult<Self> {
+        let prepared = Arc::new(Prepared::build(exec, query, caps, threads)?);
+        Ok(Self::over(exec, query, prepared, step))
+    }
+
+    /// The evaluator over an already built product for `query`: the bucket
+    /// pass depends on `step`, so it runs per evaluator on top of the
+    /// shared matrix.
+    fn over(exec: &'a mut Executor, query: &AcqQuery, prepared: Arc<Prepared>, step: f64) -> Self {
         assert!(step > 0.0 && step.is_finite(), "grid step must be positive");
-        let rq = exec.resolve(query)?;
-        let rel = exec.base_relation(&rq, caps)?;
-        let matrix = ScoreMatrix::build(exec, &rq, &rel, threads)?;
+        *exec.stats_mut() += prepared.receipt;
+        let matrix = &prepared.matrix;
         let mut cells: crate::fasthash::FastMap<GridPoint, CellBucket> =
             crate::fasthash::FastMap::default();
-        let mut point = vec![0u32; rq.dims()];
+        let mut point = vec![0u32; matrix.d];
         for i in 0..matrix.len() {
             for (k, &s) in matrix.row(i).iter().enumerate() {
                 point[k] = Self::bucket_of(s, step);
@@ -636,13 +807,13 @@ impl<'a> GridIndexEvaluator<'a> {
                 .rows
                 .push(i as u32);
         }
-        Ok(Self {
+        Self {
             exec,
-            rq,
-            matrix,
+            spec: query.constraint.spec.clone(),
+            prepared,
             cells,
             step,
-        })
+        }
     }
 
     /// The grid coordinate whose cell `(k-1)·step < s <= k·step` (with the
@@ -693,14 +864,14 @@ impl EvaluationLayer for GridIndexEvaluator<'_> {
     fn full_aggregate(&mut self, bounds: &[f64]) -> EngineResult<AggState> {
         let stats = self.exec.stats_mut();
         stats.full_queries += 1;
-        stats.tuples_scanned += self.matrix.len() as u64;
+        stats.tuples_scanned += self.prepared.matrix.len() as u64;
         let mut state = self.empty_state()?;
-        self.matrix.full_aggregate_into(bounds, &mut state);
+        self.prepared.matrix.full_aggregate_into(bounds, &mut state);
         Ok(state)
     }
 
     fn empty_state(&self) -> EngineResult<AggState> {
-        AggState::empty(&self.rq.query.constraint.spec, self.exec.uda_registry())
+        AggState::empty(&self.spec, self.exec.uda_registry())
     }
 
     fn stats(&self) -> ExecStats {
@@ -708,7 +879,7 @@ impl EvaluationLayer for GridIndexEvaluator<'_> {
     }
 
     fn universe_size(&self) -> usize {
-        self.matrix.len()
+        self.prepared.matrix.len()
     }
 
     fn parallel_cells(&self) -> Option<&dyn ParallelCells> {
@@ -740,7 +911,7 @@ impl ParallelCells for GridIndexEvaluator<'_> {
             Some(bucket) => {
                 cost.tuples_scanned = bucket.rows.len() as u64;
                 for &i in &bucket.rows {
-                    state.update(self.matrix.vals[i as usize]);
+                    state.update(self.prepared.matrix.vals[i as usize]);
                 }
             }
         }
@@ -1080,6 +1251,133 @@ mod tests {
         assert_eq!(soff.zones_pruned, 0, "disabled path classifies nothing");
         assert_eq!(soff.zones_full, 0);
         assert_eq!(soff.zones_scanned, 0);
+    }
+
+    /// The fault injector wraps a layer from outside, so where the product
+    /// under that layer came from — built for it, or shared with an earlier
+    /// evaluator, which is what a [`PreparedCache`] hit hands out — must not
+    /// show: the same cells fault, and the outcome, `stats` included, is
+    /// the same on every thread count.
+    #[test]
+    fn injected_faults_strike_the_same_cell_over_a_shared_product() {
+        use crate::{acquire_progress, FaultInjectingLayer, FaultPolicy, FaultSchedule};
+        let (mut exec, mut q) = setup();
+        q.constraint.target = 90.0;
+        let caps = caps();
+        let shared = Arc::new(Prepared::build(&mut exec, &q, &caps, 1).unwrap());
+        let mut faulted = 0;
+        for seed in 0..12 {
+            let schedule = FaultSchedule::mixed(seed, 0.15, 0.1);
+            let mut run = |threads: usize, shared: Option<&Arc<Prepared>>| {
+                let mut exec = Executor::new(exec.catalog().clone());
+                let inner = match shared {
+                    Some(prepared) => CachedScoreEvaluator::over(&mut exec, &q, prepared.clone()),
+                    None => CachedScoreEvaluator::new(&mut exec, &q, &caps).unwrap(),
+                };
+                let mut eval = FaultInjectingLayer::new(inner, schedule.clone());
+                let cfg = AcquireConfig::default()
+                    .with_threads(threads)
+                    .with_fault_policy(FaultPolicy::BestEffort);
+                let (cancel, obs) = (crate::CancellationToken::new(), Obs::disabled());
+                let out = acquire_progress(&mut eval, &q, &cfg, &cancel, &obs, None).unwrap();
+                faulted += usize::from(out.termination.interrupt_reason().is_some());
+                let reason = out.termination.interrupt_reason().cloned();
+                (out.explored, out.stats, reason, out.queries, out.closest)
+            };
+            let fresh = run(1, None);
+            for threads in [1, 4] {
+                assert_eq!(run(threads, Some(&shared)), fresh, "seed {seed}, {threads}");
+            }
+        }
+        assert!(faulted > 0, "the schedules must actually fault");
+    }
+
+    /// The comparator that first defined the clustering order, verbatim: it
+    /// floors inside every comparison, which is what [`cluster_order`] is
+    /// there to avoid, and it is what the stored order is pinned against.
+    fn reference_order(scores: &[f64], d: usize) -> Vec<u32> {
+        let mut perm: Vec<u32> = (0..(scores.len() / d) as u32).collect();
+        perm.sort_unstable_by(|&a, &b| {
+            let (ra, rb) = (a as usize * d, b as usize * d);
+            for k in 0..d {
+                let (qa, qb) = (scores[ra + k].floor(), scores[rb + k].floor());
+                if qa != qb {
+                    return qa.total_cmp(&qb);
+                }
+            }
+            a.cmp(&b)
+        });
+        perm
+    }
+
+    /// Score palettes for the order property: few distinct floors (heavy
+    /// ties, both zeros), subnormals either side of zero, floors at and
+    /// above 2³² a few buckets apart (the counting passes must number them
+    /// from the dimension's minimum), floors too far apart to count (the
+    /// comparison sort), infinities included, and plain scores either side
+    /// of zero.
+    fn palette_score(palette: usize, pick: u64) -> f64 {
+        const TIES: [f64; 10] = [0.0, -0.0, 0.25, -0.25, 0.999, 1.0, 1.5, 2.0, 2.999, 3.0];
+        const TINY: [f64; 7] = [
+            5e-324,
+            -5e-324,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            0.0,
+            -0.0,
+            1.0,
+        ];
+        const TWO_32: f64 = 4_294_967_296.0;
+        const HIGH: [f64; 6] = [
+            TWO_32,
+            TWO_32 + 0.5,
+            TWO_32 + 1.0,
+            TWO_32 + 7.5,
+            TWO_32 + 100.0,
+            2.0 * TWO_32 - 1.0,
+        ];
+        const WIDE: [f64; 9] = [
+            0.0,
+            -0.0,
+            TWO_32,
+            1e15,
+            -1e15,
+            1e300,
+            -1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let of = |values: &[f64]| values[(pick % values.len() as u64) as usize];
+        match palette {
+            0 => of(&TIES),
+            1 => of(&TINY),
+            2 => of(&HIGH[..5]),
+            3 => of(&HIGH),
+            4 => of(&WIDE),
+            _ => (pick % 50_000) as f64 / 100.0 - 250.0,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 256,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        #[test]
+        fn cluster_order_is_the_reference_comparators(
+            d in 1usize..5,
+            palette in 0usize..6,
+            picks in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..1600),
+        ) {
+            let scores: Vec<f64> = picks[..picks.len() / d * d]
+                .iter()
+                .map(|&pick| palette_score(palette, pick))
+                .collect();
+            let reference = reference_order(&scores, d);
+            proptest::prop_assert_eq!(&cluster_order(&scores, d), &reference);
+            proptest::prop_assert_eq!(&comparison_order(&scores, d), &reference);
+        }
     }
 
     #[test]

@@ -66,6 +66,7 @@ pub mod fasthash;
 pub mod fault;
 pub mod govern;
 mod pool;
+mod prepared;
 pub mod profile;
 pub mod progress;
 mod repartition;
@@ -77,7 +78,7 @@ mod store;
 pub use acq_obs::{MetricsSnapshot, Obs};
 pub use config::{AcquireConfig, Parallelism};
 pub use contraction::{contract_with, contraction_query, run_contraction, run_contraction_with};
-pub use driver::{acquire, acquire_progress, run_acquire, run_acquire_progress};
+pub use driver::{acquire, acquire_progress, run_acquire, run_acquire_progress, Host};
 pub use error::CoreError;
 pub use estimate::HistogramEstimator;
 pub use eval::{
@@ -86,6 +87,7 @@ pub use eval::{
 };
 pub use fault::{FaultInjectingLayer, FaultSchedule};
 pub use govern::{CancellationToken, ExecutionBudget, FaultPolicy, InterruptReason, Termination};
+pub use prepared::{PreparedCache, PreparedCounters};
 pub use profile::ExplainProfile;
 pub use progress::{ProgressEvent, ProgressSink, DEFAULT_PROGRESS_CAPACITY};
 pub use repartition::repartition;

@@ -1,0 +1,700 @@
+//! The prepared-layer cache: prepare once per predicate set, answer many.
+//!
+//! The paper's motivating user states her predicates once and then iterates
+//! on the target (§1, Example 1), and its economy is that a region of data
+//! is executed at most once however many refined queries contain it (§5).
+//! A host that builds a fresh evaluation layer per request honours that
+//! inside a request and breaks it across requests: scoring, clustering and
+//! zone-stat'ing every admissible tuple depends on the predicates, not on
+//! the target, and is most of a request's time. A [`PreparedCache`] sits
+//! behind the one layer-construction seam (`eval::prepare_layer`) and lets
+//! every request over the same predicate set — expanding, contracting or
+//! falling through from one to the other — stand on one shared, immutable
+//! product.
+//!
+//! * **Key.** Everything the product depends on and nothing the search
+//!   alone depends on: the domain-populated query with the constraint's
+//!   operator and target and the error function normalised away, the
+//!   per-dimension caps' bit patterns, the identity (not the name) of every
+//!   table the query reads, and the executor's cross-product limit. The
+//!   fingerprint only picks the bucket; within it keys are compared in
+//!   full, so a collision costs a comparison and never serves a wrong
+//!   product.
+//! * **Builds.** Nothing is locked while a product is built. Requests that
+//!   miss one key at the same time each build their own, as every request
+//!   did before there was a cache, and the first to finish is the one
+//!   retained; a build that fails — an error or a panic — leaves nothing
+//!   behind.
+//! * **Retention.** A byte-capped LRU with admission on second sight: a
+//!   finished build is retained only if its key's fingerprint was seen
+//!   before. Traffic whose predicates never repeat therefore retains
+//!   nothing, instead of flushing the entries that do repeat through a
+//!   window of builds nobody will ask for again. An entry is charged its
+//!   key as well as its product, so the cap bounds the number of entries
+//!   too, however small their products.
+//!
+//! The cache is a value its host owns and hands down — never a process
+//! global: a library call that passes no cache builds fresh, even inside a
+//! process that serves from one. Responses do not depend on it either: a
+//! product carries the receipt of what its build cost and every evaluator
+//! over it replays that receipt, so `stats` are the same on a miss, a hit
+//! and a rebuild after eviction. The work actually saved is what
+//! [`PreparedCache::counters`] reports.
+
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt;
+use std::hash::{DefaultHasher, Hasher};
+use std::mem::{size_of, size_of_val};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
+
+use acq_engine::{EngineResult, Executor, Table};
+use acq_query::{AcqQuery, AggErrorFn, CmpOp};
+
+use crate::eval::Prepared;
+
+/// Bytes of entries a [`PreparedCache::default`] retains. A product is 8 B
+/// per score and per aggregate value: ≈ 2 MB for the 123 000 admissible
+/// rows × 1 dimension of the paper's Example 1 at 300 000 users.
+const DEFAULT_PREPARED_BYTES: usize = 64 << 20;
+
+/// Slots of the second-sight ring, one fingerprint each.
+const SEEN_SLOTS: usize = 512;
+
+/// How a request came by its prepared product.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Served {
+    /// Retained from an earlier request.
+    Hit,
+    /// Built by this request.
+    Built,
+}
+
+impl fmt::Display for Served {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Self::Hit => "hit",
+            Self::Built => "built",
+        })
+    }
+}
+
+/// What a prepared product depends on (see the module docs).
+#[derive(Debug)]
+pub(crate) struct PreparedKey {
+    fingerprint: u64,
+    query: AcqQuery,
+    caps: Vec<u64>,
+    /// Weak, so a retained entry does not keep a replaced table's columns
+    /// alive; the allocation a `Weak` pins cannot be handed to another
+    /// table, so equal addresses are the same table.
+    tables: Vec<Weak<Table>>,
+    cross_product_limit: u64,
+    /// What retaining this key is charged: an estimate of its size, the
+    /// query's rendering standing in for the query's heap.
+    bytes: usize,
+}
+
+impl PreparedKey {
+    /// The key of the product `exec` would build for the domain-populated
+    /// `query` within `caps`.
+    pub(crate) fn new(exec: &Executor, query: &AcqQuery, caps: &[f64]) -> EngineResult<Self> {
+        let mut query = query.clone();
+        query.constraint.op = CmpOp::Eq;
+        query.constraint.target = 0.0;
+        query.error_fn = AggErrorFn::Relative;
+        let caps: Vec<u64> = caps.iter().map(|c| c.to_bits()).collect();
+        let tables = query
+            .tables
+            .iter()
+            .map(|name| Ok(Arc::downgrade(&exec.catalog().table(name)?)))
+            .collect::<EngineResult<Vec<_>>>()?;
+        let cross_product_limit = exec.cross_product_limit();
+
+        // The derived `Debug` walks every field the derived `PartialEq`
+        // compares, so the fingerprint cannot fall behind the query type.
+        let rendered = format!("{query:?}");
+        let mut hasher = DefaultHasher::new();
+        hasher.write(rendered.as_bytes());
+        for &cap in &caps {
+            hasher.write_u64(cap);
+        }
+        for table in &tables {
+            hasher.write_usize(table.as_ptr() as usize);
+        }
+        hasher.write_u64(cross_product_limit);
+        Ok(Self {
+            fingerprint: hasher.finish(),
+            bytes: size_of::<Retained>()
+                + rendered.len()
+                + size_of_val(&caps[..])
+                + size_of_val(&tables[..]),
+            query,
+            caps,
+            tables,
+            cross_product_limit,
+        })
+    }
+}
+
+/// Everything but the fingerprint, which has already picked the bucket.
+impl PartialEq for PreparedKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.caps == other.caps
+            && self.cross_product_limit == other.cross_product_limit
+            && self.tables.len() == other.tables.len()
+            && self
+                .tables
+                .iter()
+                .zip(&other.tables)
+                .all(|(a, b)| a.ptr_eq(b))
+            && self.query == other.query
+    }
+}
+
+/// A retained product.
+#[derive(Debug)]
+struct Retained {
+    key: PreparedKey,
+    prepared: Arc<Prepared>,
+    /// Bytes charged against the cap: the product's and the key's.
+    charge: usize,
+    /// [`Inner::clock`] at the last request served from this entry; its
+    /// place in [`Inner::by_use`].
+    last_used: u64,
+}
+
+/// Point-in-time readings of a [`PreparedCache`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PreparedCounters {
+    /// Requests served a retained product: prepares that were not redone.
+    pub hits: u64,
+    /// Requests that found nothing for their key and ran a build.
+    pub misses: u64,
+    /// Retained products dropped to stay under the byte cap.
+    pub evictions: u64,
+    /// Products retained now.
+    pub entries: u64,
+    /// Bytes the retained products and their keys are charged now.
+    pub bytes: u64,
+}
+
+#[derive(Debug, Default)]
+struct Inner {
+    /// Retained products, bucketed by their keys' fingerprints.
+    entries: HashMap<u64, Vec<Retained>>,
+    /// Every entry's `last_used` → its fingerprint: the first is the least
+    /// recently used.
+    by_use: BTreeMap<u64, u64>,
+    /// Bytes charged by the entries; never above the cap.
+    bytes: usize,
+    /// The LRU clock: ticks whenever an entry is served from or retained.
+    clock: u64,
+    /// Direct-mapped ring of the fingerprints seen most recently.
+    seen: Vec<Option<u64>>,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+}
+
+impl Inner {
+    /// The product retained for `key`, now the most recently used.
+    fn hit(&mut self, key: &PreparedKey) -> Option<Arc<Prepared>> {
+        let bucket = self.entries.get_mut(&key.fingerprint)?;
+        let entry = bucket.iter_mut().find(|e| e.key == *key)?;
+        self.by_use.remove(&entry.last_used);
+        self.clock += 1;
+        entry.last_used = self.clock;
+        self.by_use.insert(self.clock, key.fingerprint);
+        self.hits += 1;
+        Some(Arc::clone(&entry.prepared))
+    }
+
+    /// Records a sighting of `fingerprint`; `true` if it was seen before
+    /// (and not since overwritten by another that maps to the same slot).
+    fn seen_before(&mut self, fingerprint: u64) -> bool {
+        let slot = &mut self.seen[(fingerprint % SEEN_SLOTS as u64) as usize];
+        slot.replace(fingerprint) == Some(fingerprint)
+    }
+
+    /// Retains `prepared` for `key` if the two fit `cap_bytes` at all, and
+    /// drops the least recently used entries until everything retained does.
+    fn retain(&mut self, key: PreparedKey, prepared: &Arc<Prepared>, cap_bytes: usize) {
+        let charge = key.bytes + prepared.bytes();
+        if charge > cap_bytes {
+            return;
+        }
+        let fingerprint = key.fingerprint;
+        let bucket = self.entries.entry(fingerprint).or_default();
+        if bucket.iter().any(|e| e.key == key) {
+            // A concurrent request's build of this key got here first.
+            return;
+        }
+        self.clock += 1;
+        bucket.push(Retained {
+            key,
+            prepared: Arc::clone(prepared),
+            charge,
+            last_used: self.clock,
+        });
+        self.by_use.insert(self.clock, fingerprint);
+        self.bytes += charge;
+        while self.bytes > cap_bytes && self.evict_oldest() {}
+    }
+
+    /// Drops the least recently used entry; `false` if there is none.
+    fn evict_oldest(&mut self) -> bool {
+        let Some((oldest, fingerprint)) = self.by_use.pop_first() else {
+            return false;
+        };
+        if let Entry::Occupied(mut bucket) = self.entries.entry(fingerprint) {
+            if let Some(at) = bucket.get().iter().position(|e| e.last_used == oldest) {
+                self.bytes -= bucket.get_mut().swap_remove(at).charge;
+                self.evictions += 1;
+            }
+            if bucket.get().is_empty() {
+                bucket.remove();
+            }
+        }
+        true
+    }
+}
+
+/// A shared, byte-capped cache of prepared products (see the module docs).
+/// `Send + Sync`; a host keeps one for as long as its tables live and lends
+/// it to every request it runs ([`crate::Host::prepared`]).
+pub struct PreparedCache {
+    cap_bytes: usize,
+    inner: Mutex<Inner>,
+}
+
+impl fmt::Debug for PreparedCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PreparedCache")
+            .field("cap_bytes", &self.cap_bytes)
+            .field("counters", &self.counters())
+            .finish()
+    }
+}
+
+impl Default for PreparedCache {
+    fn default() -> Self {
+        Self::new(DEFAULT_PREPARED_BYTES)
+    }
+}
+
+impl PreparedCache {
+    /// A cache retaining at most `cap_bytes` of prepared products and keys.
+    #[must_use]
+    pub fn new(cap_bytes: usize) -> Self {
+        let inner = Inner {
+            seen: vec![None; SEEN_SLOTS],
+            ..Inner::default()
+        };
+        Self {
+            cap_bytes,
+            inner: Mutex::new(inner),
+        }
+    }
+
+    /// Every update under this lock leaves `Inner` consistent, so a poisoned
+    /// lock (a panic elsewhere on a thread holding it) is safe to recover.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The cache's counters and occupancy.
+    #[must_use]
+    pub fn counters(&self) -> PreparedCounters {
+        let inner = self.lock();
+        PreparedCounters {
+            hits: inner.hits,
+            misses: inner.misses,
+            evictions: inner.evictions,
+            entries: inner.by_use.len() as u64,
+            bytes: inner.bytes as u64,
+        }
+    }
+
+    /// The product for `key`: the retained one, or built here by `build`
+    /// (outside the lock) — and then retained if the key was seen before
+    /// and fits the cap.
+    pub(crate) fn get_or_build(
+        &self,
+        key: PreparedKey,
+        build: impl FnOnce() -> EngineResult<Prepared>,
+    ) -> EngineResult<(Arc<Prepared>, Served)> {
+        let admitted = {
+            let mut inner = self.lock();
+            if let Some(prepared) = inner.hit(&key) {
+                return Ok((prepared, Served::Hit));
+            }
+            inner.misses += 1;
+            inner.seen_before(key.fingerprint)
+        };
+        let prepared = Arc::new(build()?);
+        if admitted {
+            self.lock().retain(key, &prepared, self.cap_bytes);
+        }
+        Ok((prepared, Served::Built))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::Barrier;
+
+    use acq_engine::{Catalog, DataType, EngineError, Field, TableBuilder, Value};
+    use acq_query::{AggConstraint, AggregateSpec, ColRef, Interval, Predicate, RefineSide};
+
+    use crate::config::AcquireConfig;
+    use crate::govern::ExecutionBudget;
+    use crate::space::RefinedSpace;
+
+    fn table() -> Table {
+        let fields = ["x", "y", "z"].map(|c| Field::new(c, DataType::Float));
+        let mut b = TableBuilder::new("t", fields.to_vec()).unwrap();
+        for i in 0..100 {
+            let v = f64::from(i);
+            b.push_row(vec![
+                Value::Float(v),
+                Value::Float(2.0 * v),
+                Value::Float(v + 1.0),
+            ]);
+        }
+        b.finish().unwrap()
+    }
+
+    fn catalog() -> Catalog {
+        let mut cat = Catalog::new();
+        cat.register(table()).unwrap();
+        cat
+    }
+
+    fn upper(col: &str, hi: f64) -> Predicate {
+        Predicate::select(
+            ColRef::new("t", col),
+            Interval::new(0.0, hi),
+            RefineSide::Upper,
+        )
+    }
+
+    fn query(x: Predicate, y: Predicate, constraint: AggConstraint) -> AcqQuery {
+        AcqQuery::builder()
+            .table("t")
+            .predicate(x)
+            .predicate(y)
+            .constraint(constraint)
+            .build()
+            .unwrap()
+    }
+
+    fn count(op: CmpOp, target: f64) -> AggConstraint {
+        AggConstraint::new(AggregateSpec::count(), op, target)
+    }
+
+    fn base_query() -> AcqQuery {
+        query(upper("x", 20.0), upper("y", 40.0), count(CmpOp::Eq, 40.0))
+    }
+
+    /// The key `prepare_layer` derives for `query` under `cfg`.
+    fn key_for(exec: &Executor, query: &AcqQuery, cfg: &AcquireConfig) -> PreparedKey {
+        let mut query = query.clone();
+        exec.populate_domains(&mut query).unwrap();
+        let caps = RefinedSpace::new(&query, cfg).unwrap().caps();
+        PreparedKey::new(exec, &query, &caps).unwrap()
+    }
+
+    #[test]
+    fn key_separates_what_the_product_depends_on() {
+        let exec = Executor::new(catalog());
+        let cfg = AcquireConfig::default();
+        let base = key_for(&exec, &base_query(), &cfg);
+        assert_eq!(base, key_for(&exec, &base_query(), &cfg));
+        // Requests clone the catalog, not the tables.
+        let sibling = Executor::new(exec.catalog().clone());
+        assert_eq!(base, key_for(&sibling, &base_query(), &cfg));
+
+        let eq40 = || count(CmpOp::Eq, 40.0);
+        let sum = |col: &str| {
+            let spec = AggregateSpec::sum(ColRef::new("t", col));
+            AggConstraint::new(spec, CmpOp::Eq, 40.0)
+        };
+        let lower_y = Predicate::select(
+            ColRef::new("t", "y"),
+            Interval::new(40.0, 198.0),
+            RefineSide::Lower,
+        );
+        let fixed_lower_y = Predicate::select(
+            ColRef::new("t", "y"),
+            Interval::new(40.0, 198.0),
+            RefineSide::Upper,
+        );
+        let different: Vec<(&str, AcqQuery, AcqQuery)> = vec![
+            (
+                "a bound",
+                base_query(),
+                query(upper("x", 21.0), upper("y", 40.0), eq40()),
+            ),
+            (
+                "NOREFINE vs refinable",
+                base_query(),
+                query(upper("x", 20.0), upper("y", 40.0).no_refine(), eq40()),
+            ),
+            (
+                "refine side",
+                query(upper("x", 20.0), lower_y, eq40()),
+                query(upper("x", 20.0), fixed_lower_y, eq40()),
+            ),
+            (
+                "domain",
+                base_query(),
+                query(
+                    upper("x", 20.0).with_domain(Interval::new(0.0, 98.0)),
+                    upper("y", 40.0),
+                    eq40(),
+                ),
+            ),
+            (
+                "max_refinement",
+                base_query(),
+                query(
+                    upper("x", 20.0).with_max_refinement(50.0),
+                    upper("y", 40.0),
+                    eq40(),
+                ),
+            ),
+            (
+                "aggregate column",
+                query(upper("x", 20.0), upper("y", 40.0), sum("y")),
+                query(upper("x", 20.0), upper("y", 40.0), sum("z")),
+            ),
+        ];
+        for (what, a, b) in &different {
+            assert_ne!(key_for(&exec, a, &cfg), key_for(&exec, b, &cfg), "{what}");
+        }
+        // γ reaches the product through the caps.
+        let gamma = cfg.clone().with_gamma(7.0);
+        assert_ne!(base, key_for(&exec, &base_query(), &gamma), "gamma");
+        // A replaced table is a different table, whatever it holds.
+        let mut swapped = exec.catalog().clone();
+        swapped.replace(table());
+        let swapped = Executor::new(swapped);
+        assert_ne!(base, key_for(&swapped, &base_query(), &cfg), "table");
+        let limited = Executor::new(exec.catalog().clone()).with_cross_product_limit(10);
+        assert_ne!(base, key_for(&limited, &base_query(), &cfg), "limit");
+    }
+
+    #[test]
+    fn key_unifies_what_only_the_search_depends_on() {
+        let exec = Executor::new(catalog());
+        let cfg = AcquireConfig::default();
+        let base = key_for(&exec, &base_query(), &cfg);
+        let with =
+            |constraint: AggConstraint| query(upper("x", 20.0), upper("y", 40.0), constraint);
+        for (what, q) in [
+            ("target", with(count(CmpOp::Eq, 80.0))),
+            ("op >=", with(count(CmpOp::Ge, 40.0))),
+            ("op <=", with(count(CmpOp::Le, 40.0))),
+        ] {
+            assert_eq!(base, key_for(&exec, &q, &cfg), "{what}");
+        }
+        let mut hinge = base_query();
+        hinge.error_fn = AggErrorFn::HingeRelative;
+        assert_eq!(base, key_for(&exec, &hinge, &cfg), "error_fn");
+        for (what, cfg) in [
+            ("delta", cfg.clone().with_delta(0.001)),
+            ("threads", cfg.clone().with_threads(4)),
+            ("zone_pruning", cfg.clone().with_zone_pruning(false)),
+            (
+                "budget",
+                cfg.clone()
+                    .with_budget(ExecutionBudget::unlimited().with_max_explored(3)),
+            ),
+        ] {
+            assert_eq!(base, key_for(&exec, &base_query(), &cfg), "{what}");
+        }
+    }
+
+    /// Distinct keys by the thousand: `x <= bound`.
+    fn key(exec: &Executor, bound: f64) -> PreparedKey {
+        let q = query(upper("x", bound), upper("y", 40.0), count(CmpOp::Eq, 40.0));
+        key_for(exec, &q, &AcquireConfig::default())
+    }
+
+    const ROWS: usize = 1_000;
+
+    fn build() -> EngineResult<Prepared> {
+        Ok(Prepared::stub(ROWS))
+    }
+
+    /// What one retained `build()` is charged under a two-digit `bound`.
+    fn charge(exec: &Executor) -> usize {
+        key(exec, 20.0).bytes + Prepared::stub(ROWS).bytes()
+    }
+
+    #[test]
+    fn a_key_is_retained_on_second_sight_and_hit_from_then_on() {
+        let exec = Executor::new(catalog());
+        let cache = PreparedCache::new(10 * charge(&exec));
+        let (first, served) = cache.get_or_build(key(&exec, 20.0), build).unwrap();
+        assert_eq!(served, Served::Built);
+        assert_eq!(
+            cache.counters(),
+            PreparedCounters {
+                misses: 1,
+                ..Default::default()
+            },
+            "a key seen once retains nothing"
+        );
+        let (second, served) = cache.get_or_build(key(&exec, 20.0), build).unwrap();
+        assert_eq!(served, Served::Built);
+        assert!(!Arc::ptr_eq(&first, &second));
+        for hits in 1..=3 {
+            let unreachable = || -> EngineResult<Prepared> { unreachable!("a hit never builds") };
+            let (hit, served) = cache.get_or_build(key(&exec, 20.0), unreachable).unwrap();
+            assert_eq!(served, Served::Hit);
+            assert!(Arc::ptr_eq(&hit, &second), "a hit is the retained product");
+            let expected = PreparedCounters {
+                hits,
+                misses: 2,
+                entries: 1,
+                bytes: charge(&exec) as u64,
+                ..Default::default()
+            };
+            assert_eq!(cache.counters(), expected);
+        }
+    }
+
+    #[test]
+    fn eviction_is_by_bytes_in_lru_order() {
+        let exec = Executor::new(catalog());
+        let cap = 3 * charge(&exec);
+        let cache = PreparedCache::new(cap);
+        let served = |bound: f64| {
+            let (_, served) = cache.get_or_build(key(&exec, bound), build).unwrap();
+            assert!(cache.counters().bytes as usize <= cap);
+            served
+        };
+        for bound in [10.0, 11.0, 12.0] {
+            assert_eq!(served(bound), Served::Built);
+            assert_eq!(served(bound), Served::Built);
+        }
+        assert_eq!(cache.counters().entries, 3);
+        // 10 becomes the most recently used; 11 is now the oldest.
+        assert_eq!(served(10.0), Served::Hit);
+        assert_eq!(served(13.0), Served::Built);
+        assert_eq!(served(13.0), Served::Built);
+        let c = cache.counters();
+        assert_eq!((c.entries, c.evictions, c.bytes as usize), (3, 1, cap));
+        assert_eq!(served(10.0), Served::Hit);
+        assert_eq!(served(12.0), Served::Hit);
+        assert_eq!(served(13.0), Served::Hit);
+        // 11 went, and its fingerprint is still in the ring: one build
+        // brings it back, at the expense of the oldest (10).
+        assert_eq!(served(11.0), Served::Built);
+        assert_eq!(served(11.0), Served::Hit);
+        assert_eq!(served(10.0), Served::Built);
+        assert_eq!(cache.counters().evictions, 3);
+    }
+
+    #[test]
+    fn a_product_larger_than_the_cap_is_served_but_never_retained() {
+        let exec = Executor::new(catalog());
+        let cache = PreparedCache::new(charge(&exec) - 1);
+        for _ in 0..3 {
+            let (prepared, served) = cache.get_or_build(key(&exec, 20.0), build).unwrap();
+            assert_eq!(prepared.bytes(), Prepared::stub(ROWS).bytes());
+            assert_eq!(served, Served::Built);
+            let c = cache.counters();
+            assert_eq!((c.entries, c.bytes, c.evictions), (0, 0, 0));
+        }
+    }
+
+    /// A product over an empty universe holds no bytes; its key does, so
+    /// such entries count toward the cap like any other.
+    #[test]
+    fn entries_with_empty_products_are_bounded_by_the_cap_too() {
+        let exec = Executor::new(catalog());
+        let cap = 64 << 10;
+        let cache = PreparedCache::new(cap);
+        let empty = || Ok(Prepared::stub(0));
+        assert_eq!(Prepared::stub(0).bytes(), 0);
+        for bound in 1..=10_000 {
+            for _ in 0..2 {
+                cache
+                    .get_or_build(key(&exec, f64::from(bound)), empty)
+                    .unwrap();
+            }
+        }
+        let c = cache.counters();
+        assert!(c.bytes as usize <= cap, "{c:?}");
+        assert!(c.entries as usize <= cap / size_of::<Retained>(), "{c:?}");
+        assert_eq!(c.entries + c.evictions, 10_000, "{c:?}");
+        // The survivors are the latest, and still served.
+        let (_, served) = cache.get_or_build(key(&exec, 10_000.0), empty).unwrap();
+        assert_eq!(served, Served::Hit);
+    }
+
+    #[test]
+    fn concurrent_misses_each_build_and_one_build_is_retained() {
+        let exec = Executor::new(catalog());
+        let cache = PreparedCache::new(10 * charge(&exec));
+        // First sight.
+        cache.get_or_build(key(&exec, 20.0), build).unwrap();
+        let start = Barrier::new(8);
+        let products: Vec<Arc<Prepared>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let key = key(&exec, 20.0);
+                        start.wait();
+                        // Nobody is done before everybody has missed.
+                        let all_missed = || {
+                            while cache.counters().misses < 9 {
+                                std::thread::yield_now();
+                            }
+                            build()
+                        };
+                        cache.get_or_build(key, all_missed).unwrap().0
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let c = cache.counters();
+        assert_eq!((c.misses, c.hits, c.entries), (9, 0, 1), "{c:?}");
+        assert_eq!(c.bytes as usize, charge(&exec));
+        let (hit, served) = cache.get_or_build(key(&exec, 20.0), build).unwrap();
+        assert_eq!(served, Served::Hit);
+        let retained = products.iter().filter(|p| Arc::ptr_eq(p, &hit)).count();
+        assert_eq!(retained, 1, "the first build to finish is the one kept");
+    }
+
+    #[test]
+    fn a_failed_build_is_not_cached_and_the_next_request_builds_again() {
+        let too_large = || EngineError::CrossProductTooLarge {
+            estimated: 2,
+            limit: 1,
+        };
+        let exec = Executor::new(catalog());
+        let cache = PreparedCache::new(10 * charge(&exec));
+        for _ in 0..2 {
+            let failed = cache.get_or_build(key(&exec, 20.0), || Err(too_large()));
+            assert_eq!(failed.unwrap_err(), too_large());
+            let panicked = catch_unwind(AssertUnwindSafe(|| {
+                cache.get_or_build(key(&exec, 20.0), || panic!("injected build panic"))
+            }));
+            assert!(panicked.is_err());
+            assert_eq!(cache.counters().entries, 0);
+        }
+        let (_, served) = cache.get_or_build(key(&exec, 20.0), build).unwrap();
+        assert_eq!(served, Served::Built);
+        let c = cache.counters();
+        assert_eq!((c.misses, c.entries), (5, 1), "admitted: seen before");
+        let (_, served) = cache.get_or_build(key(&exec, 20.0), build).unwrap();
+        assert_eq!(served, Served::Hit);
+    }
+}

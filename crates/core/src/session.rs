@@ -7,6 +7,14 @@
 //! a [`Session`] prepares the evaluation layer once and answers any number
 //! of targets (and thresholds) against it.
 //!
+//! A session is for a caller that can hold one: it borrows the executor and
+//! owns its layer. A host whose requests share nothing but their predicates
+//! — the server — gets the same economy from a [`crate::PreparedCache`]
+//! lent to [`crate::run_acquire_progress`] ([`crate::Host::prepared`]):
+//! both build through the one layer-construction seam, the server now
+//! preparing once per predicate set too. A session itself never reads or
+//! fills a cache.
+//!
 //! ```
 //! use acq_engine::{Catalog, DataType, Executor, Field, TableBuilder, Value};
 //! use acq_query::{AcqQuery, AggConstraint, AggregateSpec, CmpOp, ColRef, Interval,
@@ -89,7 +97,7 @@ impl<'e> Session<'e> {
         cfg: &AcquireConfig,
         kind: EvalLayerKind,
     ) -> Result<Self, CoreError> {
-        let (query, eval) = prepare_layer(exec, query, cfg, kind)?;
+        let (query, eval) = prepare_layer(exec, query, cfg, kind, None, &Obs::disabled())?;
         Ok(Self {
             eval,
             query,

@@ -5,7 +5,10 @@ use acq_engine::{Catalog, DataType, Executor, Field, TableBuilder, Value};
 use acq_query::{
     AcqQuery, AggConstraint, AggregateSpec, CmpOp, ColRef, Interval, Predicate, RefineSide,
 };
-use acquire_core::{run_acquire, AcquireConfig, CoreError, EvalLayerKind};
+use acquire_core::{
+    run_acquire, run_acquire_progress, AcquireConfig, CancellationToken, CoreError, EvalLayerKind,
+    Host, Obs, PreparedCache, Session,
+};
 
 fn table(name: &str, rows: usize) -> acq_engine::Table {
     let mut b = TableBuilder::new(
@@ -99,6 +102,54 @@ fn cross_product_limit_surfaces() {
     )
     .unwrap_err();
     assert!(err.to_string().contains("cross product"), "{err}");
+}
+
+/// A panic while a layer is being prepared — here the engine's own
+/// `Interval` invariant, tripped materialising a band join whose Eq. (1)
+/// denominator is NaN — is inside the driver's panic boundary like one
+/// during the search: every entry point answers `EvalPanicked`, and a
+/// prepared-layer cache neither keeps anything of it nor wedges the key.
+#[test]
+fn a_panic_while_preparing_surfaces_as_a_typed_error() {
+    let mut cat = Catalog::new();
+    cat.register(table("a", 50)).unwrap();
+    cat.register(table("b", 50)).unwrap();
+    let mut band = Predicate::equi_join(ColRef::new("a", "v"), ColRef::new("b", "v"));
+    band.basis_override = Some(f64::NAN);
+    let q = AcqQuery::builder()
+        .table("a")
+        .table("b")
+        .predicate(band)
+        .constraint(AggConstraint::new(AggregateSpec::count(), CmpOp::Ge, 80.0))
+        .build()
+        .unwrap();
+    let cfg = AcquireConfig::default();
+    let cache = PreparedCache::default();
+    for kind in [
+        EvalLayerKind::Scan,
+        EvalLayerKind::CachedScore,
+        EvalLayerKind::GridIndex,
+    ] {
+        let panicked = |r: Result<_, CoreError>, what: &str| match r {
+            Err(CoreError::EvalPanicked(_)) => {}
+            Err(other) => panic!("{kind:?} {what}: {other}"),
+            Ok(_) => panic!("{kind:?} {what}: no error"),
+        };
+        let mut exec = Executor::new(cat.clone());
+        panicked(run_acquire(&mut exec, &q, &cfg, kind).map(drop), "one-shot");
+        panicked(Session::new(&mut exec, &q, &cfg, kind).map(drop), "session");
+        for _ in 0..2 {
+            let (cancel, obs) = (CancellationToken::new(), Obs::disabled());
+            let host = Host {
+                prepared: Some(&cache),
+                ..Host::new(&cancel, &obs)
+            };
+            let cached = run_acquire_progress(&mut exec, &q, &cfg, kind, host);
+            panicked(cached.map(drop), "cached");
+        }
+    }
+    let c = cache.counters();
+    assert_eq!((c.misses, c.entries, c.bytes), (4, 0, 0), "{c:?}");
 }
 
 #[test]

@@ -3,7 +3,9 @@
 //! same closest-so-far, same stats, same termination — including under
 //! explored/memory budgets, deterministic fault injection, and mid-run
 //! cancellation, in both directions of the search loop (expansion, and the
-//! §7.2 contraction a `<=` query asks for).
+//! §7.2 contraction a `<=` query asks for) — and however the layer under the
+//! search was come by: built fresh, or out of a [`PreparedCache`] in any of
+//! its states ([`Prep`]).
 //!
 //! The comparison key serialises every observable field of [`AcqOutcome`]
 //! with floats rendered as raw bit patterns, so even a sign-of-zero or
@@ -13,7 +15,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 
 use acq_engine::{
@@ -26,10 +28,11 @@ use acq_query::{
 };
 use acquire_core::govern::Termination;
 use acquire_core::{
-    acquire_progress, contract_with, contraction_query, run_acquire, AcqOutcome, AcquireConfig,
-    CachedScoreEvaluator, CancellationToken, CellCost, CoreError, EvalLayerKind, EvaluationLayer,
-    ExecutionBudget, FaultInjectingLayer, FaultPolicy, FaultSchedule, GridIndexEvaluator, Obs,
-    ParallelCells, Parallelism, ProgressSink, RefinedQueryResult, RefinedSpace, Session,
+    acquire_progress, contract_with, contraction_query, run_acquire_progress, AcqOutcome,
+    AcquireConfig, CachedScoreEvaluator, CancellationToken, CellCost, CoreError, EvalLayerKind,
+    EvaluationLayer, ExecutionBudget, FaultInjectingLayer, FaultPolicy, FaultSchedule, Host, Obs,
+    ParallelCells, Parallelism, PreparedCache, PreparedCounters, ProgressSink, RefinedQueryResult,
+    RefinedSpace, Session,
 };
 
 // ---------------------------------------------------------------------------
@@ -38,8 +41,15 @@ use acquire_core::{
 
 /// 3000 rows: x = 0.0, 0.1, …, 299.9 and y = i mod 150 — wide enough that
 /// mid-search layers hold dozens of cells (the parallel path engages above
-/// a 4-cell batch).
+/// a 4-cell batch). Every call hands out the same table, the way a server's
+/// requests all read its one catalog: a prepared layer is shared between
+/// requests over the same *table*, not over equal ones.
 fn catalog() -> Catalog {
+    static CATALOG: OnceLock<Catalog> = OnceLock::new();
+    CATALOG.get_or_init(build_catalog).clone()
+}
+
+fn build_catalog() -> Catalog {
     let mut b = TableBuilder::new(
         "t",
         vec![
@@ -100,6 +110,13 @@ fn le_query(target: f64) -> AcqQuery {
     query_over(200.0, 100.0, CmpOp::Le, AggErrorFn::Relative, target)
 }
 
+/// `COUNT(*) = target` from that same overshooting original: an expansion
+/// that cannot shrink the aggregate and ends unsatisfied, then the
+/// contraction it falls through to — two searches, two prepared layers.
+fn overshooting_eq_query(target: f64) -> AcqQuery {
+    query_over(200.0, 100.0, CmpOp::Eq, AggErrorFn::Relative, target)
+}
+
 // ---------------------------------------------------------------------------
 // Outcome fingerprinting (floats as raw bits)
 // ---------------------------------------------------------------------------
@@ -146,11 +163,7 @@ fn fingerprint(out: &AcqOutcome) -> String {
 // Runners
 // ---------------------------------------------------------------------------
 
-#[derive(Clone, Copy)]
-enum Layer {
-    Cached,
-    Grid,
-}
+use EvalLayerKind::{CachedScore as Cached, GridIndex as Grid};
 
 fn contracts(query: &AcqQuery) -> bool {
     matches!(query.constraint.op, CmpOp::Le | CmpOp::Lt)
@@ -186,17 +199,155 @@ fn search<E: EvaluationLayer + ?Sized>(
     }
 }
 
-fn run_layer(
-    layer: Layer,
-    query: &AcqQuery,
-    cfg: &AcquireConfig,
-    cancel: &CancellationToken,
-) -> Result<AcqOutcome, CoreError> {
-    run_observed(layer, query, cfg, cancel, &Obs::disabled())
+fn run(kind: EvalLayerKind, query: &AcqQuery, cfg: &AcquireConfig) -> AcqOutcome {
+    run_prepared(kind, query, cfg, Prep::Fresh)
 }
 
-fn run(layer: Layer, query: &AcqQuery, cfg: &AcquireConfig) -> AcqOutcome {
-    run_layer(layer, query, cfg, &CancellationToken::new()).unwrap()
+// ---------------------------------------------------------------------------
+// The prepared axis
+// ---------------------------------------------------------------------------
+
+/// Where the layers under a request come from: built fresh with no cache in
+/// sight, or out of a [`PreparedCache`] that sees the request's predicate
+/// set for the first time (builds, retains nothing), for the second time
+/// (builds and retains), after that (a hit), or after other traffic pushed
+/// it out of a cache with no room to spare (rebuilds). Nothing an outcome
+/// carries — `stats` included — may tell these apart.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Prep {
+    Fresh,
+    FirstSight,
+    SecondSight,
+    Hit,
+    Evicted,
+}
+
+const PREPS: [Prep; 5] = [
+    Prep::Fresh,
+    Prep::FirstSight,
+    Prep::SecondSight,
+    Prep::Hit,
+    Prep::Evicted,
+];
+
+impl Prep {
+    /// The cache a request for `query` goes through at this point of the
+    /// axis. What brought the cache there are earlier prepares over the same
+    /// predicates that differ in everything a prepared layer must not depend
+    /// on: another target, and the defaults' `δ`, budget, thread count and
+    /// pruning flag.
+    fn cache(self, kind: EvalLayerKind, query: &AcqQuery) -> Option<PreparedCache> {
+        let mut earlier = query.clone();
+        earlier.constraint.target += 37.0;
+        // Other predicates, prepared layers no larger: `x`'s bound moves in.
+        let mut other = earlier.clone();
+        let x = other.predicates[0].interval;
+        other.predicates[0].interval = Interval::new(x.lo(), x.hi() - 1.0);
+        // Cut off before its first cell a request costs exactly its prepare
+        // — and an `=` never falls through, so its `<=` twin prepares that
+        // layer for it (a prepared layer does not know the operator).
+        let cut = AcquireConfig {
+            max_explored: 0,
+            ..AcquireConfig::default()
+        };
+        let sight = |cache: &PreparedCache, query: &AcqQuery, times: usize| {
+            let mut twin = query.clone();
+            twin.constraint.op = CmpOp::Le;
+            let falls_through = query.constraint.op == CmpOp::Eq;
+            for _ in 0..times {
+                request(kind, query, &cut, Some(cache)).unwrap();
+                if falls_through {
+                    request(kind, &twin, &cut, Some(cache)).unwrap();
+                }
+            }
+        };
+        let cache = PreparedCache::default();
+        match self {
+            Prep::Fresh => return None,
+            Prep::FirstSight => {}
+            Prep::SecondSight => sight(&cache, &earlier, 1),
+            Prep::Hit => sight(&cache, &earlier, 2),
+            Prep::Evicted => {
+                // Room for what one such request prepares and not a byte more.
+                sight(&cache, &earlier, 2);
+                let cache = PreparedCache::new(cache.counters().bytes as usize);
+                sight(&cache, &earlier, 2);
+                sight(&cache, &other, 2);
+                return Some(cache);
+            }
+        }
+        Some(cache)
+    }
+
+    /// What the cache's counters must say the request did.
+    fn check(self, before: PreparedCounters, after: PreparedCounters) {
+        let ctx = format!("{self:?}: {before:?} -> {after:?}");
+        match self {
+            Prep::Fresh => unreachable!("no cache, no counters"),
+            Prep::FirstSight => assert_eq!((after.hits, after.entries), (0, 0), "{ctx}"),
+            Prep::SecondSight => {
+                assert!(after.hits == 0 && after.entries > before.entries, "{ctx}");
+            }
+            Prep::Hit => {
+                assert!(
+                    after.hits > before.hits && after.misses == before.misses,
+                    "{ctx}"
+                );
+            }
+            Prep::Evicted => {
+                assert!(before.evictions > 0, "{ctx}");
+                assert!(
+                    after.misses > before.misses && after.evictions > before.evictions,
+                    "{ctx}"
+                );
+                assert_eq!(after.hits, before.hits, "{ctx}");
+            }
+        }
+    }
+
+    /// Runs `prepare` against this point's cache for `query` and checks the
+    /// counters afterwards.
+    fn with_cache<T>(
+        self,
+        kind: EvalLayerKind,
+        query: &AcqQuery,
+        prepare: impl FnOnce(Option<&PreparedCache>) -> T,
+    ) -> T {
+        let cache = self.cache(kind, query);
+        let before = cache.as_ref().map(PreparedCache::counters);
+        let out = prepare(cache.as_ref());
+        if let (Some(cache), Some(before)) = (&cache, before) {
+            self.check(before, cache.counters());
+        }
+        out
+    }
+}
+
+/// One request the way a host answers it: [`run_acquire_progress`] builds
+/// the layer(s) and picks the direction(s) of the search.
+fn request(
+    kind: EvalLayerKind,
+    query: &AcqQuery,
+    cfg: &AcquireConfig,
+    cache: Option<&PreparedCache>,
+) -> Result<AcqOutcome, CoreError> {
+    let mut exec = Executor::new(catalog());
+    let (cancel, obs) = (CancellationToken::new(), Obs::disabled());
+    let host = Host {
+        prepared: cache,
+        ..Host::new(&cancel, &obs)
+    };
+    run_acquire_progress(&mut exec, query, cfg, kind, host)
+}
+
+fn run_prepared(
+    kind: EvalLayerKind,
+    query: &AcqQuery,
+    cfg: &AcquireConfig,
+    prep: Prep,
+) -> AcqOutcome {
+    prep.with_cache(kind, query, |cache| request(kind, query, cfg, cache))
+        .unwrap()
 }
 
 /// Thread counts under test: serial, every pool size 2–8, and `Auto`.
@@ -220,16 +371,41 @@ fn query_rows() -> [(AcqQuery, f64); 3] {
     ]
 }
 
+/// One row per way a request comes by its layers, all from the original
+/// that admits some 1 360 rows: `>=` prepares `Q`'s layer, `<=` `Q'_min`'s,
+/// and an `=` below what `Q` returns both, falling through from one search
+/// to the other. The rows the [`Prep`] axis runs on.
+fn prepared_rows() -> [AcqQuery; 3] {
+    [
+        query_over(200.0, 100.0, CmpOp::Ge, AggErrorFn::HingeRelative, 1_800.0),
+        overshooting_eq_query(400.0),
+        le_query(400.0),
+    ]
+}
+
 #[test]
 fn every_thread_count_matches_serial_bit_for_bit() {
     for (query, delta) in query_rows() {
-        for layer in [Layer::Cached, Layer::Grid] {
+        for kind in [Cached, Grid] {
             let serial_cfg = AcquireConfig::default().with_delta(delta);
-            let baseline = fingerprint(&run(layer, &query, &serial_cfg));
+            let baseline = fingerprint(&run(kind, &query, &serial_cfg));
             for par in parallel_settings() {
                 let cfg = serial_cfg.clone().with_parallelism(par);
-                let got = fingerprint(&run(layer, &query, &cfg));
+                let got = fingerprint(&run(kind, &query, &cfg));
                 assert_eq!(got, baseline, "{par:?} diverged from serial");
+            }
+        }
+    }
+    // And wherever the layers came from, on every thread count.
+    for query in prepared_rows() {
+        for kind in [Cached, Grid] {
+            let baseline = fingerprint(&run(kind, &query, &AcquireConfig::default()));
+            for par in all_thread_settings() {
+                let cfg = AcquireConfig::default().with_parallelism(par);
+                for prep in PREPS {
+                    let got = fingerprint(&run_prepared(kind, &query, &cfg, prep));
+                    assert_eq!(got, baseline, "{kind:?}, {par:?}, {prep:?}");
+                }
             }
         }
     }
@@ -237,20 +413,28 @@ fn every_thread_count_matches_serial_bit_for_bit() {
 
 #[test]
 fn budget_interrupts_are_identical_across_thread_counts() {
-    for query in [ge_query(800.0), le_query(400.0)] {
-        let full = run(Layer::Grid, &query, &AcquireConfig::default());
+    // The deep `>=` search (some 14 000 cells) on fresh layers; the three
+    // ways of coming by a layer at every point of the prepared axis.
+    let deep = [(ge_query(800.0), &PREPS[..1])];
+    let rows = deep
+        .into_iter()
+        .chain(prepared_rows().map(|q| (q, &PREPS[..])));
+    for (query, preps) in rows {
+        let full = run(Grid, &query, &AcquireConfig::default());
         assert!(full.explored > 8, "need a non-trivial search");
 
         // Explored budgets, including ones that land mid-layer.
         for k in [1, 2, 5, full.explored / 2] {
             let serial_cfg = AcquireConfig::default()
                 .with_budget(ExecutionBudget::unlimited().with_max_explored(k));
-            let baseline = fingerprint(&run(Layer::Grid, &query, &serial_cfg));
+            let baseline = fingerprint(&run(Grid, &query, &serial_cfg));
             assert!(baseline.contains("ExploredBudget"), "budget {k} must trip");
             for par in parallel_settings() {
                 let cfg = serial_cfg.clone().with_parallelism(par);
-                let got = fingerprint(&run(Layer::Grid, &query, &cfg));
-                assert_eq!(got, baseline, "budget {k}, {par:?}");
+                for &prep in preps {
+                    let got = fingerprint(&run_prepared(Grid, &query, &cfg, prep));
+                    assert_eq!(got, baseline, "budget {k}, {par:?}, {prep:?}");
+                }
             }
         }
 
@@ -258,10 +442,13 @@ fn budget_interrupts_are_identical_across_thread_counts() {
         // deadlines are wall-clock dependent, hence not deterministic).
         let serial_cfg = AcquireConfig::default()
             .with_budget(ExecutionBudget::unlimited().with_deadline(Duration::ZERO));
-        let baseline = fingerprint(&run(Layer::Grid, &query, &serial_cfg));
+        let baseline = fingerprint(&run(Grid, &query, &serial_cfg));
         for par in parallel_settings() {
             let cfg = serial_cfg.clone().with_parallelism(par);
-            assert_eq!(fingerprint(&run(Layer::Grid, &query, &cfg)), baseline);
+            for &prep in preps {
+                let got = fingerprint(&run_prepared(Grid, &query, &cfg, prep));
+                assert_eq!(got, baseline, "{par:?}, {prep:?}");
+            }
         }
     }
 }
@@ -270,55 +457,57 @@ fn budget_interrupts_are_identical_across_thread_counts() {
 // The layer-construction seam
 // ---------------------------------------------------------------------------
 
-/// `Session::new` and `run_acquire` build their layer in one place: a
-/// session's first run is a one-shot run bit for bit (stats included), and
-/// a later run adds exactly its own search on top — the prepared layer is
-/// never rebuilt.
+/// `Session::new` and a one-shot request build their layer in one place: a
+/// session's first run is a one-shot run bit for bit (stats included) —
+/// wherever the one-shot's layer came from — and a later run adds exactly
+/// its own search on top: the prepared layer is never rebuilt.
 #[test]
 fn session_and_one_shot_runs_build_the_same_layer_once() {
     let (t1, t2) = (400.0, 800.0);
-    for kind in [
-        EvalLayerKind::Scan,
-        EvalLayerKind::CachedScore,
-        EvalLayerKind::GridIndex,
-    ] {
+    for kind in [EvalLayerKind::Scan, Cached, Grid] {
+        // The scan layer models a backend that keeps nothing: never cached.
+        let preps = match kind {
+            EvalLayerKind::Scan => &PREPS[..1],
+            _ => &PREPS[..],
+        };
         for par in [Parallelism::Serial, Parallelism::Fixed(2)] {
-            let ctx = format!("{kind:?}, {par:?}");
             let cfg = AcquireConfig::default().with_parallelism(par);
-            let one_shot = |target: f64, cfg: &AcquireConfig| {
-                let mut exec = Executor::new(catalog());
-                run_acquire(&mut exec, &ge_query(target), cfg, kind).unwrap()
-            };
             // A search cut off before its first cell costs exactly the prepare.
             let cut = AcquireConfig {
                 max_explored: 0,
                 ..cfg.clone()
             };
-            let prepare = one_shot(t1, &cut).stats;
-            assert_eq!(prepare.cell_queries, 0, "{ctx}");
-            assert!(prepare.tuples_scanned > 0, "{ctx}: prepare scans the table");
-            let (first, second) = (one_shot(t1, &cfg), one_shot(t2, &cfg));
-            assert!(first.explored > 8 && second.explored > first.explored);
+            for &prep in preps {
+                let ctx = format!("{kind:?}, {par:?}, {prep:?}");
+                let one_shot = |target: f64, cfg: &AcquireConfig| {
+                    run_prepared(kind, &ge_query(target), cfg, prep)
+                };
+                let prepare = one_shot(t1, &cut).stats;
+                assert_eq!(prepare.cell_queries, 0, "{ctx}");
+                assert!(prepare.tuples_scanned > 0, "{ctx}: prepare scans the table");
+                let (first, second) = (one_shot(t1, &cfg), one_shot(t2, &cfg));
+                assert!(first.explored > 8 && second.explored > first.explored);
 
-            let mut exec = Executor::new(catalog());
-            let mut session = Session::new(&mut exec, &ge_query(t1), &cfg, kind).unwrap();
-            assert_eq!(
-                fingerprint(&session.run(t1).unwrap()),
-                fingerprint(&first),
-                "{ctx}"
-            );
-            let again = session.run(t2).unwrap();
-            assert_eq!(
-                outcome_fingerprint(&again),
-                outcome_fingerprint(&second),
-                "{ctx}"
-            );
-            // Session counters accumulate: one prepare plus both searches.
-            let mut with_second_prepare = again.stats;
-            with_second_prepare += prepare;
-            let mut both_one_shots = first.stats;
-            both_one_shots += second.stats;
-            assert_eq!(with_second_prepare, both_one_shots, "{ctx}: re-scanned");
+                let mut exec = Executor::new(catalog());
+                let mut session = Session::new(&mut exec, &ge_query(t1), &cfg, kind).unwrap();
+                assert_eq!(
+                    fingerprint(&session.run(t1).unwrap()),
+                    fingerprint(&first),
+                    "{ctx}"
+                );
+                let again = session.run(t2).unwrap();
+                assert_eq!(
+                    outcome_fingerprint(&again),
+                    outcome_fingerprint(&second),
+                    "{ctx}"
+                );
+                // Session counters accumulate: one prepare plus both searches.
+                let mut with_second_prepare = again.stats;
+                with_second_prepare += prepare;
+                let mut both_one_shots = first.stats;
+                both_one_shots += second.stats;
+                assert_eq!(with_second_prepare, both_one_shots, "{ctx}: re-scanned");
+            }
         }
     }
 }
@@ -355,8 +544,8 @@ fn zone_pruning_ablation_is_bit_identical_across_thread_counts() {
     for (query, delta) in [(ge_query(800.0), 0.05), (eq_query(801.0), 0.001)] {
         let on_cfg = AcquireConfig::default().with_delta(delta);
         let off_cfg = on_cfg.clone().with_zone_pruning(false);
-        let on = run(Layer::Cached, &query, &on_cfg);
-        let off = run(Layer::Cached, &query, &off_cfg);
+        let on = run(Cached, &query, &on_cfg);
+        let off = run(Cached, &query, &off_cfg);
         // The answers must agree bit for bit; only the scan accounting may
         // differ between the two modes.
         assert_eq!(outcome_fingerprint(&on), outcome_fingerprint(&off));
@@ -380,15 +569,32 @@ fn zone_pruning_ablation_is_bit_identical_across_thread_counts() {
             let on_cfg = on_cfg.clone().with_parallelism(par);
             let off_cfg = off_cfg.clone().with_parallelism(par);
             assert_eq!(
-                fingerprint(&run(Layer::Cached, &query, &on_cfg)),
+                fingerprint(&run(Cached, &query, &on_cfg)),
                 on_base,
                 "pruning on, {par:?}"
             );
             assert_eq!(
-                fingerprint(&run(Layer::Cached, &query, &off_cfg)),
+                fingerprint(&run(Cached, &query, &off_cfg)),
                 off_base,
                 "pruning off, {par:?}"
             );
+        }
+    }
+    // Nor does the ablated mode depend on where the layer came from (for the
+    // pruned one, the default, `every_thread_count_matches_serial_bit_for_bit`
+    // says so): a cached layer was prepared by requests with pruning on —
+    // the clustering sort is unconditional, the flag each evaluator's own.
+    for query in prepared_rows() {
+        let off_cfg = AcquireConfig::default().with_zone_pruning(false);
+        let off = run(Cached, &query, &off_cfg);
+        assert_eq!(off.stats.zones_pruned, 0);
+        let baseline = fingerprint(&off);
+        for par in all_thread_settings() {
+            let cfg = off_cfg.clone().with_parallelism(par);
+            for prep in PREPS {
+                let got = fingerprint(&run_prepared(Cached, &query, &cfg, prep));
+                assert_eq!(got, baseline, "pruning off, {par:?}, {prep:?}");
+            }
         }
     }
 }
@@ -403,8 +609,8 @@ fn zone_pruning_ablation_holds_under_budgets_and_faults() {
         let on_cfg =
             AcquireConfig::default().with_budget(ExecutionBudget::unlimited().with_max_explored(k));
         let off_cfg = on_cfg.clone().with_zone_pruning(false);
-        let on = run(Layer::Cached, &query, &on_cfg);
-        let off = run(Layer::Cached, &query, &off_cfg);
+        let on = run(Cached, &query, &on_cfg);
+        let off = run(Cached, &query, &off_cfg);
         assert_eq!(
             outcome_fingerprint(&on),
             outcome_fingerprint(&off),
@@ -416,12 +622,12 @@ fn zone_pruning_ablation_holds_under_budgets_and_faults() {
             let on_cfg = on_cfg.clone().with_parallelism(par);
             let off_cfg = off_cfg.clone().with_parallelism(par);
             assert_eq!(
-                fingerprint(&run(Layer::Cached, &query, &on_cfg)),
+                fingerprint(&run(Cached, &query, &on_cfg)),
                 on_base,
                 "budget {k}, pruning on, {par:?}"
             );
             assert_eq!(
-                fingerprint(&run(Layer::Cached, &query, &off_cfg)),
+                fingerprint(&run(Cached, &query, &off_cfg)),
                 off_base,
                 "budget {k}, pruning off, {par:?}"
             );
@@ -620,7 +826,7 @@ fn run_cancelling(query: &AcqQuery, after: u64, cfg: &AcquireConfig, obs: &Obs) 
 #[test]
 fn mid_run_cancellation_is_deterministic_across_thread_counts() {
     for query in [ge_query(800.0), le_query(400.0)] {
-        let full = run(Layer::Cached, &query, &AcquireConfig::default());
+        let full = run(Cached, &query, &AcquireConfig::default());
         assert!(full.explored > 10, "need a non-trivial search");
 
         for k in [1, 3, full.explored / 2] {
@@ -810,28 +1016,14 @@ fn assert_metrics_ground_truth(obs: &Obs, out: &AcqOutcome, what: &str) {
 }
 
 fn run_observed(
-    layer: Layer,
+    kind: EvalLayerKind,
     query: &AcqQuery,
     cfg: &AcquireConfig,
     cancel: &CancellationToken,
     obs: &Obs,
 ) -> Result<AcqOutcome, CoreError> {
     let mut exec = Executor::new(catalog());
-    exec.set_zone_pruning(cfg.zone_pruning);
-    let (query, searched) = prepared(&exec, query);
-    let space = RefinedSpace::new(&searched, cfg).unwrap();
-    let caps = space.caps();
-    match layer {
-        Layer::Cached => {
-            let mut eval = CachedScoreEvaluator::new(&mut exec, &searched, &caps).unwrap();
-            search(&mut eval, &query, cfg, cancel, obs, None)
-        }
-        Layer::Grid => {
-            let mut eval =
-                GridIndexEvaluator::new(&mut exec, &searched, &caps, space.step()).unwrap();
-            search(&mut eval, &query, cfg, cancel, obs, None)
-        }
-    }
+    run_acquire_progress(&mut exec, query, cfg, kind, Host::new(cancel, obs))
 }
 
 /// All thread counts under test for the metrics property: serial plus
@@ -845,7 +1037,7 @@ fn all_thread_settings() -> Vec<Parallelism> {
 #[test]
 fn metrics_match_ground_truth_for_every_thread_count() {
     for (query, delta) in query_rows() {
-        for layer in [Layer::Cached, Layer::Grid] {
+        for layer in [Cached, Grid] {
             for par in all_thread_settings() {
                 let cfg = AcquireConfig::default()
                     .with_delta(delta)
@@ -871,8 +1063,7 @@ fn metrics_match_ground_truth_under_budgets_and_faults() {
                 .with_parallelism(par)
                 .with_budget(ExecutionBudget::unlimited().with_max_explored(k));
             let obs = Obs::enabled();
-            let out =
-                run_observed(Layer::Grid, &query, &cfg, &CancellationToken::new(), &obs).unwrap();
+            let out = run_observed(Grid, &query, &cfg, &CancellationToken::new(), &obs).unwrap();
             assert_metrics_ground_truth(&obs, &out, &format!("budget {k}, {par:?}"));
             let snap = obs.snapshot().unwrap();
             assert_eq!(
@@ -925,7 +1116,7 @@ fn metrics_match_ground_truth_under_budgets_and_faults() {
 fn progress_sink_leaves_outcomes_bit_identical_across_thread_counts() {
     for (query, delta) in query_rows() {
         let serial_cfg = AcquireConfig::default().with_delta(delta);
-        let baseline = fingerprint(&run(Layer::Cached, &query, &serial_cfg));
+        let baseline = fingerprint(&run(Cached, &query, &serial_cfg));
         let mut settings = vec![Parallelism::Serial];
         settings.extend(parallel_settings());
         for par in settings {

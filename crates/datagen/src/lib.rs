@@ -97,6 +97,38 @@ mod tests {
         assert_ne!(a.next_u64(), other.next_u64());
     }
 
+    /// The load-time column domains of the benchmark's three generators
+    /// (`users`, `lineitem`, the Q2 tables) are their columns' `min_max`,
+    /// bit for bit.
+    #[test]
+    fn generated_tables_carry_their_columns_min_max_as_domains() {
+        let cfg = GenConfig::skewed(2_000).with_seed(7);
+        let mut tables = vec![std::sync::Arc::new(users::users(&cfg).unwrap())];
+        for catalog in [
+            tpch::generate_lineitem(&cfg).unwrap(),
+            tpch::generate_q2(&cfg).unwrap(),
+        ] {
+            for name in catalog.table_names() {
+                tables.push(catalog.table(name).unwrap());
+            }
+        }
+        assert_eq!(tables.len(), 5);
+        for table in tables {
+            for (i, field) in table.schema().fields().iter().enumerate() {
+                let bits = |(lo, hi): (f64, f64)| (lo.to_bits(), hi.to_bits());
+                assert_eq!(
+                    table
+                        .numeric_domain(&field.name)
+                        .map(|d| bits((d.lo(), d.hi()))),
+                    table.column(i).min_max().map(bits),
+                    "{}.{}",
+                    table.name(),
+                    field.name
+                );
+            }
+        }
+    }
+
     #[test]
     fn skewed_sets_z() {
         assert_eq!(GenConfig::skewed(5).zipf_z, 1.0);

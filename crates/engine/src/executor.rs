@@ -110,6 +110,12 @@ impl Executor {
         self
     }
 
+    /// The cross-product row limit [`Executor::base_relation`] enforces.
+    #[must_use]
+    pub fn cross_product_limit(&self) -> u64 {
+        self.cross_product_limit
+    }
+
     /// Enables or disables the zone-map pruned cell path (builder form).
     /// Results are bit-identical either way; pruning only changes how much
     /// work cell queries do.

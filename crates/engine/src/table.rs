@@ -17,6 +17,8 @@ pub struct Table {
     schema: Arc<Schema>,
     columns: Vec<ColumnData>,
     zones: Vec<ColumnZones>,
+    /// Per-column [`ColumnData::min_max`], computed once at load.
+    domains: Vec<Option<(f64, f64)>>,
     rows: usize,
 }
 
@@ -53,14 +55,16 @@ impl Table {
                 });
             }
         }
-        // Zone maps are built once at load time; tables are immutable so
-        // the stats can never go stale.
+        // Zone maps and domains are built once at load time; tables are
+        // immutable so the stats can never go stale.
         let zones = columns.iter().map(ColumnZones::build).collect();
+        let domains = columns.iter().map(ColumnData::min_max).collect();
         Ok(Self {
             name,
             schema: Arc::new(schema),
             columns,
             zones,
+            domains,
             rows,
         })
     }
@@ -110,10 +114,11 @@ impl Table {
     }
 
     /// Numeric domain `[min, max]` of a column, `None` for empty/string
-    /// columns. Used by binders to cap the useful refinement of predicates.
+    /// columns. Used by binders to cap the useful refinement of predicates;
+    /// a lookup of what [`Table::from_columns`] computed, not a scan.
     #[must_use]
     pub fn numeric_domain(&self, col: &str) -> Option<Interval> {
-        let (lo, hi) = self.column_by_name(col)?.min_max()?;
+        let (lo, hi) = self.domains[self.schema.index_of(col)?]?;
         Some(Interval::new(lo, hi))
     }
 }
@@ -203,6 +208,39 @@ mod tests {
         let d = t.numeric_domain("b").unwrap();
         assert_eq!((d.lo(), d.hi()), (-5.0, 20.0));
         assert!(t.numeric_domain("missing").is_none());
+    }
+
+    /// The load-time domains against their reference, bit for bit.
+    #[test]
+    fn numeric_domain_is_min_max_of_every_column_kind() {
+        let columns = vec![
+            ("int", ColumnData::Int(vec![5, -1, 3, i64::MAX, i64::MIN])),
+            (
+                "float",
+                ColumnData::Float(vec![f64::NAN, 2.0, -7.5, -0.0, f64::NAN]),
+            ),
+            ("nan", ColumnData::Float(vec![f64::NAN; 5])),
+            ("str", ColumnData::Str(vec!["a".into(); 5])),
+        ];
+        let empty = vec![
+            ("int", ColumnData::Int(vec![])),
+            ("float", ColumnData::Float(vec![])),
+            ("str", ColumnData::Str(vec![])),
+        ];
+        for columns in [columns, empty] {
+            let fields = columns.iter().map(|(n, c)| Field::new(*n, c.dtype()));
+            let schema = Schema::new(fields.collect()).unwrap();
+            let data = columns.iter().map(|(_, c)| c.clone()).collect();
+            let t = Table::from_columns("t", schema, data).unwrap();
+            for (name, column) in &columns {
+                let bits = |(lo, hi): (f64, f64)| (lo.to_bits(), hi.to_bits());
+                assert_eq!(
+                    t.numeric_domain(name).map(|d| bits((d.lo(), d.hi()))),
+                    column.min_max().map(bits),
+                    "{name}"
+                );
+            }
+        }
     }
 
     #[test]

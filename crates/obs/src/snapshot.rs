@@ -324,7 +324,7 @@ impl MetricsSnapshot {
             push_header(
                 &mut s,
                 &format!("acq_exec_{name}_total"),
-                "Engine executor statistic bridged from ExecStats",
+                "Engine work the answers rest on (ExecStats), whichever request did it",
                 "counter",
             );
             s.push_str(&format!("acq_exec_{name}_total {v}\n"));

@@ -31,7 +31,7 @@ use acq_query::{AcqQuery, Norm};
 use acq_sql::compile;
 use acquire_core::profile::{answers_json, termination_json};
 use acquire_core::{
-    run_acquire_progress, AcqOutcome, AcquireConfig, ExecutionBudget, ExplainProfile,
+    run_acquire_progress, AcqOutcome, AcquireConfig, ExecutionBudget, ExplainProfile, Host,
 };
 
 use crate::admission::Admission;
@@ -111,6 +111,23 @@ fn render_metrics(state: &Arc<ServerState>) -> String {
         state.gate.active(),
         state.gate.queued(),
         state.gate.degrade_at(),
+    ));
+    let prepared = state.prepared.counters();
+    s.push_str(&format!(
+        "# HELP acq_serve_prepared_hits_total Requests handed an already prepared layer: \
+         how often the acq_exec_* work was not redone\n\
+         # TYPE acq_serve_prepared_hits_total counter\nacq_serve_prepared_hits_total {}\n\
+         # HELP acq_serve_prepared_misses_total Requests that prepared a layer themselves\n\
+         # TYPE acq_serve_prepared_misses_total counter\nacq_serve_prepared_misses_total {}\n\
+         # HELP acq_serve_prepared_evictions_total Prepared layers dropped at the byte cap\n\
+         # TYPE acq_serve_prepared_evictions_total counter\n\
+         acq_serve_prepared_evictions_total {}\n\
+         # HELP acq_serve_prepared_entries Prepared layers retained\n\
+         # TYPE acq_serve_prepared_entries gauge\nacq_serve_prepared_entries {}\n\
+         # HELP acq_serve_prepared_bytes Bytes the retained prepared layers and their keys are \
+         charged against the cap\n\
+         # TYPE acq_serve_prepared_bytes gauge\nacq_serve_prepared_bytes {}\n",
+        prepared.hits, prepared.misses, prepared.evictions, prepared.entries, prepared.bytes,
     ));
     if let Some(ring) = state.journal_ring() {
         s.push_str(&format!(
@@ -401,18 +418,18 @@ fn run_query(
     let channel = state.progress.register(id);
 
     // Each request gets its own executor over the shared catalog (tables are
-    // Arc'd, so the clone is cheap) and a clone of the shutdown token: a
-    // graceful stop interrupts in-flight searches cooperatively.
+    // Arc'd, so the clone is cheap) and its own work counters, and searches
+    // under the server's shutdown token, so a graceful stop interrupts it
+    // cooperatively. What it prepares it shares: every layer comes out of
+    // the server's one prepared-layer cache.
     let mut exec = Executor::new(state.catalog.clone());
-    let outcome = run_acquire_progress(
-        &mut exec,
-        &query,
-        &cfg,
-        state.config.layer,
-        &state.shutdown,
-        &obs,
-        Some(&channel.sink),
-    );
+    let host = Host {
+        cancel: &state.shutdown,
+        obs: &obs,
+        progress: Some(&channel.sink),
+        prepared: Some(&state.prepared),
+    };
+    let outcome = run_acquire_progress(&mut exec, &query, &cfg, state.config.layer, host);
     let duration = t0.elapsed();
 
     match outcome {

@@ -6,7 +6,10 @@
 //! spawned per connection, so overload cannot exhaust threads — it fills
 //! the queue, and the acceptor then sheds further connections *honestly*:
 //! a `503` with `Retry-After` is written on the accepted stream before it
-//! closes, and `acq_serve_conn_rejected_total` counts it.
+//! closes, and `acq_serve_conn_rejected_total` counts it. Of the workers
+//! idle when a connection arrives the lowest-numbered takes it, so light
+//! traffic keeps meeting the same few threads (and malloc arenas) however
+//! often it reconnects.
 //!
 //! Graceful shutdown drains: the acceptor stops first, workers then serve
 //! every connection still in the queue (queries answer `503` because
@@ -39,48 +42,76 @@ const QUEUE_POLL: Duration = Duration::from_millis(50);
 /// evaluation ticks (sleeping whole `alert_interval`s would stall shutdown).
 const ALERT_POLL: Duration = Duration::from_millis(25);
 
-/// A bounded MPMC queue of accepted connections.
+/// A bounded MPMC queue of accepted connections, handed to the pool's
+/// workers in a fixed order of preference: of the workers idle when a
+/// connection arrives, the lowest-numbered takes it. A lone keep-alive client
+/// that reconnects every `max_requests_per_conn` requests is then served by
+/// one thread throughout instead of touring the pool — and with it, one
+/// malloc arena holds the per-request allocations (and the pages the
+/// registry's and broker's retention windows have touched) instead of eight.
 #[derive(Debug)]
 struct ConnQueue {
-    inner: Mutex<VecDeque<TcpStream>>,
-    available: Condvar,
+    inner: Mutex<Waiting>,
+    /// One per worker, so a connection wakes only the worker it is for.
+    wake: Vec<Condvar>,
     capacity: usize,
 }
 
+#[derive(Debug)]
+struct Waiting {
+    streams: VecDeque<TcpStream>,
+    /// `idle[i]`: worker `i` is inside [`ConnQueue::pop`].
+    idle: Vec<bool>,
+}
+
 impl ConnQueue {
-    fn new(capacity: usize) -> Self {
+    fn new(capacity: usize, workers: usize) -> Self {
         Self {
-            inner: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
+            inner: Mutex::new(Waiting {
+                streams: VecDeque::new(),
+                idle: vec![false; workers],
+            }),
+            wake: (0..workers).map(|_| Condvar::new()).collect(),
             capacity,
+        }
+    }
+
+    /// Wakes the worker the next queued connection is for, if there are both.
+    fn wake_next(&self, q: &Waiting) {
+        if q.streams.is_empty() {
+            return;
+        }
+        if let Some(worker) = q.idle.iter().position(|&idle| idle) {
+            self.wake[worker].notify_one();
         }
     }
 
     /// Enqueues, or hands the stream back when full (the caller sheds it).
     fn push(&self, stream: TcpStream) -> Result<(), TcpStream> {
         let mut q = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if q.len() >= self.capacity {
+        if q.streams.len() >= self.capacity {
             return Err(stream);
         }
-        q.push_back(stream);
-        drop(q);
-        self.available.notify_one();
+        q.streams.push_back(stream);
+        self.wake_next(&q);
         Ok(())
     }
 
-    /// Pops the next connection. During shutdown the queue still drains:
-    /// `None` only once the queue is empty *and* the token is cancelled.
-    fn pop(&self, state: &ServerState) -> Option<TcpStream> {
+    /// Pops the next connection for `worker`, once no lower-numbered worker
+    /// is idle to take it. During shutdown the queue still drains: `None`
+    /// only once the queue is empty *and* the token is cancelled.
+    fn pop(&self, worker: usize, state: &ServerState) -> Option<TcpStream> {
         let mut q = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        q.idle[worker] = true;
         loop {
-            if let Some(stream) = q.pop_front() {
-                return Some(stream);
+            let first_in_line = !q.idle[..worker].contains(&true);
+            let stream = first_in_line.then(|| q.streams.pop_front()).flatten();
+            if stream.is_some() || (q.streams.is_empty() && state.shutdown.is_cancelled()) {
+                q.idle[worker] = false;
+                self.wake_next(&q);
+                return stream;
             }
-            if state.shutdown.is_cancelled() {
-                return None;
-            }
-            let (guard, _) = self
-                .available
+            let (guard, _) = self.wake[worker]
                 .wait_timeout(q, QUEUE_POLL)
                 .unwrap_or_else(PoisonError::into_inner);
             q = guard;
@@ -112,15 +143,16 @@ impl Server {
         let state = ServerState::try_new(config, catalog)
             .map(Arc::new)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-        let queue = Arc::new(ConnQueue::new(state.config.accept_queue.max(1)));
+        let pool = state.config.workers.max(1);
+        let queue = Arc::new(ConnQueue::new(state.config.accept_queue.max(1), pool));
 
-        let mut workers = Vec::with_capacity(state.config.workers.max(1));
-        for i in 0..state.config.workers.max(1) {
+        let mut workers = Vec::with_capacity(pool);
+        for i in 0..pool {
             let worker_state = Arc::clone(&state);
             let worker_queue = Arc::clone(&queue);
             let spawned = std::thread::Builder::new()
                 .name(format!("acq-serve-worker-{i}"))
-                .spawn(move || worker_loop(&worker_queue, &worker_state));
+                .spawn(move || worker_loop(i, &worker_queue, &worker_state));
             match spawned {
                 Ok(h) => workers.push(h),
                 Err(e) => {
@@ -280,8 +312,8 @@ fn shed_connection(stream: TcpStream, state: &Arc<ServerState>) {
     }
 }
 
-fn worker_loop(queue: &Arc<ConnQueue>, state: &Arc<ServerState>) {
-    while let Some(stream) = queue.pop(state) {
+fn worker_loop(worker: usize, queue: &Arc<ConnQueue>, state: &Arc<ServerState>) {
+    while let Some(stream) = queue.pop(worker, state) {
         // The pool is fixed and nothing respawns a worker, so a panic while
         // serving must cost that connection (dropped here, the peer sees it
         // close) and not the thread. What a handler shares across requests
@@ -414,6 +446,47 @@ mod tests {
         assert!(server.state().is_ready());
         server.shutdown();
         assert!(server.is_shutdown());
+    }
+
+    /// Connections go to the lowest-numbered idle worker, so a client that
+    /// comes back after every connection keeps meeting the same thread.
+    #[test]
+    fn the_lowest_numbered_idle_worker_takes_the_connection() {
+        let state = ServerState::new(ServeConfig::default(), Catalog::new());
+        let queue = ConnQueue::new(8, 3);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let connection = || TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let idle = |workers: &[usize]| loop {
+            let q = queue.inner.lock().unwrap();
+            if workers.iter().all(|&w| q.idle[w]) {
+                break;
+            }
+            drop(q);
+            std::thread::yield_now();
+        };
+        std::thread::scope(|scope| {
+            let (took, taken) = std::sync::mpsc::channel();
+            let pop = |worker: usize| {
+                let (took, queue, state) = (took.clone(), &queue, &state);
+                scope.spawn(move || took.send((worker, queue.pop(worker, state).is_some())))
+            };
+            // Every worker idle: worker 0 takes the connection.
+            let _workers = [pop(2), pop(1), pop(0)];
+            idle(&[0, 1, 2]);
+            queue.push(connection()).unwrap();
+            assert_eq!(taken.recv().unwrap(), (0, true));
+            // Worker 0 busy: worker 1 does.
+            queue.push(connection()).unwrap();
+            assert_eq!(taken.recv().unwrap(), (1, true));
+            // Worker 0 back before the next connection: worker 0 again.
+            let _again = pop(0);
+            idle(&[0, 2]);
+            queue.push(connection()).unwrap();
+            assert_eq!(taken.recv().unwrap(), (0, true));
+            // Shutdown releases whoever still waits, with nothing.
+            state.shutdown.cancel();
+            assert_eq!(taken.recv().unwrap(), (2, false));
+        });
     }
 
     #[test]

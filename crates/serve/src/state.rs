@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use acq_engine::Catalog;
 use acq_obs::journal::JournalRing;
 use acq_obs::{CounterSource, FlightRecorder, Journal, Metrics, QueryRegistry};
-use acquire_core::{CancellationToken, EvalLayerKind};
+use acquire_core::{CancellationToken, EvalLayerKind, PreparedCache};
 
 use crate::admission::{QueryGate, RateLimiters};
 use crate::alerts::{AlertEngine, AlertRule};
@@ -134,6 +134,10 @@ pub struct ServerState {
     /// The loaded tables. `Catalog` is `Clone` with `Arc`'d tables, so each
     /// request builds its own cheap `Executor` without cross-request locks.
     pub catalog: Catalog,
+    /// Prepared evaluation layers, shared by every request over `catalog`
+    /// whose predicate set was seen before: a request prepares only what no
+    /// earlier one did.
+    pub prepared: PreparedCache,
     /// Process-scoped pipeline instruments; per-query snapshots are folded
     /// in as requests complete ([`Metrics::absorb_snapshot`]). `Arc`'d so
     /// the flight-recorder sampler thread can hold its own reference.
@@ -226,6 +230,7 @@ impl ServerState {
         Ok(Self {
             config,
             catalog,
+            prepared: PreparedCache::default(),
             metrics,
             recorder,
             progress: ProgressBroker::default(),

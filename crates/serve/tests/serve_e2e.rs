@@ -214,7 +214,10 @@ fn outcomes_are_bit_identical_and_every_surface_tells_one_story() {
 /// seeded requests — `small_mix`'s SQL shapes on 2 000 `users`, four of each
 /// kind — recorded at the commit before contraction became a direction of
 /// the driver's loop. A key moves only if an answer a client could act on
-/// does.
+/// does; where its layer came from is not such a thing. The first two rows
+/// prepare every layer fresh; the third's `Q'_min` is the second's (second
+/// sight: built again, retained); the last repeats the third, its expansion
+/// layer at second sight and its contraction layer a hit.
 #[test]
 fn seeded_outcome_keys_are_pinned_for_every_request_kind() {
     use acq_datagen::{users, GenConfig};
@@ -273,6 +276,16 @@ fn seeded_outcome_keys_are_pinned_for_every_request_kind() {
                 "c92898bd9fabfc79",
             ],
         ),
+        (
+            "= 300",
+            overshooting,
+            [
+                "2642827911c17749",
+                "8c012c45d0dd2b51",
+                "7eccb034dc567324",
+                "c92898bd9fabfc79",
+            ],
+        ),
     ];
     for (constraint, bounds, keys) in pinned {
         for ((age, income), key) in bounds.into_iter().zip(keys) {
@@ -293,6 +306,11 @@ fn seeded_outcome_keys_are_pinned_for_every_request_kind() {
             );
         }
     }
+    let (_, metrics) = http(server.addr(), "GET", "/metrics", "");
+    let prepared = |name: &str| series(&metrics, &format!("acq_serve_prepared_{name}"));
+    // 4 + 4 + 8 + 8 layers asked for, the last four out of the cache.
+    assert_eq!((prepared("misses_total"), prepared("hits_total")), (20, 4));
+    assert_eq!(prepared("entries"), 8, "{metrics}");
 }
 
 #[test]
@@ -427,6 +445,113 @@ fn cached_score_metrics_match_the_answer_and_zone_counters_are_consistent() {
         + series(&metrics, "acq_exec_zones_full_total")
         + series(&metrics, "acq_exec_zones_scanned_total");
     assert_eq!(zones % cell_queries, 0, "{metrics}");
+}
+
+/// The server prepares once per predicate set: requests that repeat their
+/// predicates (whatever their target) stand on one shared prepared layer
+/// from the second sight on, each answer — `stats` included — is the one a
+/// server that never saw those predicates gives, `/metrics` says how often
+/// the prepare was not redone, and every trace says what its request did.
+#[test]
+fn repeated_predicates_are_prepared_once_and_answered_the_same() {
+    let config = || ServeConfig {
+        layer: EvalLayerKind::CachedScore,
+        ..ServeConfig::default()
+    };
+    let sql = |target: u32, x: u32| {
+        format!("SELECT * FROM t CONSTRAINT COUNT(*) >= {target} WHERE x <= {x} AND y <= 30")
+    };
+    let post = |server: &Server, sql: &str| {
+        let (status, resp) = http(
+            server.addr(),
+            "POST",
+            "/query",
+            &format!("{{\"sql\":\"{sql}\"}}"),
+        );
+        assert_eq!(status, 200, "{sql}: {resp}");
+        resp
+    };
+    // A server's first answer: nothing was prepared before it.
+    let first_answer = |sql: &str| strip_volatile(&post(&start(config()), sql));
+    let requests = [
+        (sql(800, 10), "built"),
+        (sql(800, 10), "built"),
+        (sql(800, 10), "hit"),
+        (sql(800, 10), "hit"),
+        (sql(900, 10), "hit"),
+    ];
+    let expected = [first_answer(&requests[0].0), first_answer(&requests[4].0)];
+    assert_ne!(expected[0], expected[1], "another target, another answer");
+
+    let server = start(config());
+    let prepared = |name: &str| {
+        let (_, metrics) = http(server.addr(), "GET", "/metrics", "");
+        series(&metrics, &format!("acq_serve_prepared_{name}"))
+    };
+    let mut counters = Vec::new();
+    let mut lines = Vec::new();
+    for (i, (sql, served)) in requests.iter().enumerate() {
+        let resp = post(&server, sql);
+        assert_eq!(strip_volatile(&resp), expected[i / 4], "request {i}");
+        counters.push((prepared("misses_total"), prepared("hits_total")));
+        assert_eq!(prepared("entries"), u64::from(i > 0), "request {i}");
+
+        // One `prepare:` span: what happened, how many bytes, how long.
+        let id = parse(&resp)
+            .unwrap()
+            .pointer("/id")
+            .and_then(JsonValue::as_u64);
+        let (status, trace) = http(server.addr(), "GET", &format!("/trace/{}", id.unwrap()), "");
+        assert_eq!(status, 200, "{trace}");
+        let trace = parse(&trace).unwrap();
+        let Some(JsonValue::Arr(events)) = trace.pointer("/events") else {
+            panic!("no events in {trace:?}");
+        };
+        let label = |e: &&JsonValue| {
+            let label = e.pointer("/label").and_then(JsonValue::as_str);
+            label.is_some_and(|l| l.starts_with("prepare: "))
+        };
+        let prepares: Vec<&JsonValue> = events.iter().filter(label).collect();
+        assert_eq!(prepares.len(), 1, "request {i}: {trace:?}");
+        let took = prepares[0].pointer("/dur_ns").and_then(JsonValue::as_u64);
+        assert!(took.is_some(), "request {i}: a span, not an instant");
+        lines.push((prepares[0].pointer("/label").cloned(), served));
+    }
+    assert_eq!(counters, [(1, 0), (2, 0), (2, 1), (2, 2), (2, 3)]);
+    // The gauge charges the entry its key on top of the layer's bytes.
+    let layer = || Some(lines[0].0.as_ref()?.as_str()?.split(' ').nth(2)?.to_owned());
+    let layer = layer().expect("prepare: <served>, <N> bytes");
+    let charged = prepared("bytes");
+    assert!(layer.parse::<u64>().is_ok_and(|n| 0 < n && n < charged));
+    for (line, served) in lines {
+        let expected = format!("prepare: {served}, {layer} bytes");
+        assert_eq!(line, Some(JsonValue::Str(expected)));
+    }
+    assert_eq!(prepared("evictions_total"), 0);
+
+    // Eight clients post one new SQL at once: whoever finds nothing retained
+    // builds for itself, as every request did before there was a cache —
+    // the first at least (first sight) and one more (the build that is
+    // kept) — all eight get the one answer, and one layer is retained.
+    let (misses, new_sql) = (prepared("misses_total"), sql(800, 11));
+    let start = std::sync::Barrier::new(8);
+    let answers: Vec<JsonValue> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..8)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    strip_volatile(&post(&server, &new_sql))
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().unwrap()).collect()
+    });
+    assert!(answers.iter().all(|a| a == &answers[0]), "{answers:?}");
+    let builds = prepared("misses_total") - misses;
+    assert!((2..=8).contains(&builds), "{builds} builds for one key");
+    let all = prepared("misses_total") + prepared("hits_total");
+    assert_eq!(all, 5 + 8, "every request is one or the other");
+    assert_eq!((prepared("entries"), prepared("bytes")), (2, 2 * charged));
 }
 
 #[test]

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use acquire::core::profile::{answers_json, termination_json};
 use acquire::core::{
     run_acquire_progress, AcqOutcome, AcquireConfig, CancellationToken, EvalLayerKind,
-    ExecutionBudget, ExplainProfile, FaultPolicy, Obs, ProgressSink, Termination,
+    ExecutionBudget, ExplainProfile, FaultPolicy, Host, Obs, ProgressSink, Termination,
     DEFAULT_PROGRESS_CAPACITY,
 };
 use acquire::engine::Executor;
@@ -371,16 +371,13 @@ fn run() -> Result<(), String> {
     let mut exec = Executor::new(catalog);
 
     let search_started = Instant::now();
+    let cancel = CancellationToken::new();
     let mut run = |progress: Option<&ProgressSink>| {
-        run_acquire_progress(
-            &mut exec,
-            &query,
-            &cfg,
-            opts.layer,
-            &CancellationToken::new(),
-            &obs,
+        let host = Host {
             progress,
-        )
+            ..Host::new(&cancel, &obs)
+        };
+        run_acquire_progress(&mut exec, &query, &cfg, opts.layer, host)
     };
     // --progress: the search moves to a scoped thread while this one drains
     // its wait-free sink to stderr (stdout stays reserved for the answer) —
