@@ -3,7 +3,7 @@
 //!
 //! The producer side is [`JournalRing::try_append`] — the same `try_lock`
 //! slot discipline as [`ProgressSink`], made safe for **any number of
-//! concurrent producers** (every request thread, the alert thread): a
+//! concurrent producers** (every request thread at once): a
 //! producer claims the next sequence number with a compare-and-swap on
 //! `head` *while holding that slot's `try_lock`*, so a sequence number is
 //! only ever handed to the one producer that is certain to store its record.
@@ -512,12 +512,11 @@ pub struct JournalSummary {
     pub torn: u64,
     /// `kind == "query"` records.
     pub queries: u64,
-    /// `kind == "alert"` records.
-    pub alerts: u64,
+    /// Records of any other kind, so `records == queries + other` even for
+    /// a journal holding kinds this reader does not break down.
+    pub other: u64,
     /// Query records by termination label.
     pub by_termination: BTreeMap<String, u64>,
-    /// Alert records by `rule → transition` label.
-    pub by_alert: BTreeMap<String, u64>,
 }
 
 /// Summarizes parsed journal records (as returned by [`read_journal`]).
@@ -532,31 +531,16 @@ pub fn summarize(read: &JournalRead) -> JournalSummary {
             continue;
         };
         s.records += 1;
-        match v.pointer("/kind").and_then(JsonValue::as_str) {
-            Some("query") => {
-                s.queries += 1;
-                let term = v
-                    .pointer("/termination")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("unknown");
-                *s.by_termination.entry(term.to_string()).or_insert(0) += 1;
-            }
-            Some("alert") => {
-                s.alerts += 1;
-                let rule = v
-                    .pointer("/rule")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("unknown");
-                let transition = v
-                    .pointer("/transition")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("unknown");
-                *s.by_alert
-                    .entry(format!("{rule} {transition}"))
-                    .or_insert(0) += 1;
-            }
-            _ => {}
+        if v.pointer("/kind").and_then(JsonValue::as_str) != Some("query") {
+            s.other += 1;
+            continue;
         }
+        s.queries += 1;
+        let term = v
+            .pointer("/termination")
+            .and_then(JsonValue::as_str)
+            .unwrap_or("unknown");
+        *s.by_termination.entry(term.to_string()).or_insert(0) += 1;
     }
     s
 }
@@ -803,9 +787,8 @@ mod tests {
         assert_eq!(s.malformed, 1);
         assert_eq!(s.torn, 1);
         assert_eq!(s.queries, 3);
-        assert_eq!(s.alerts, 1);
+        assert_eq!(s.other, 1);
         assert_eq!(s.by_termination.get("completed"), Some(&2));
-        assert_eq!(s.by_alert.get("shed firing"), Some(&1));
     }
 
     #[test]

@@ -48,8 +48,7 @@ pub const RECORDER_GAUGES: &[&str] = &[
 /// registry. Serve-level counters (shed, 429s, journal drops) live in other
 /// crates; closure sources keep the dependency arrow pointing this way
 /// while still giving those counters delta-encoded history and
-/// [`FlightRecorder::rate`] windows — which is what the SLO alert engine
-/// evaluates its burn-rate rules over.
+/// [`FlightRecorder::rate`] windows on `GET /timeseries`.
 pub type CounterSource = (String, Arc<dyn Fn() -> u64 + Send + Sync>);
 
 fn gauge_reads(m: &Metrics) -> Vec<Option<u64>> {

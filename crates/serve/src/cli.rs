@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use acq_datagen::{patients, tpch, users, GenConfig};
 use acq_engine::{csv, Catalog};
-use acquire_core::EvalLayerKind;
+use acquire_core::{AcquireConfig, EvalLayerKind};
 
 use crate::server::Server;
 use crate::state::ServeConfig;
@@ -45,22 +45,17 @@ overload / admission control:
                          admissions degrade to best-effort (default 0.75)
   --degrade-factor F     budget multiplier for degraded admissions (default 0.25)
 
-operations (journal + alerts):
-  --journal PATH         append every request lifecycle and alert transition as
-                         NDJSON (schemas/journal.schema.json) to this file,
+operations (journal):
+  --journal PATH         append every request lifecycle as NDJSON
+                         (schemas/journal.schema.json) to this file,
                          size-rotated; replay offline with `acq journal`
   --journal-max-bytes N  active-segment size before rotation (default 8388608)
   --journal-capacity N   in-memory journal ring capacity (default 4096)
-  --alerts PATH          load declarative SLO rules (threshold / burn_rate)
-                         from this TOML file; states at GET /alerts and
-                         acq_alert_firing{rule=...} on /metrics
-  --alert-interval SECS  alert evaluation cadence (default 0.25)
   --help                 this message
 
 endpoints: POST /query[?explain=1]  GET /metrics /healthz /readyz /queries
            GET /query/<id>/progress (chunked NDJSON)  GET /timeseries[?window=SECS]
-           GET /alerts  GET /dashboard  GET /trace/<id>[?format=chrome]
-           POST /shutdown
+           GET /trace/<id>[?format=chrome]  POST /shutdown
 
 The request body for POST /query is JSON:
   {\"sql\": \"SELECT ... CONSTRAINT ...\", \"gamma\"?, \"delta\"?,
@@ -246,16 +241,18 @@ pub fn parse_args<I: Iterator<Item = String>>(args: I) -> Result<ServeOpts, Stri
                     .parse()
                     .map_err(|e| format!("--journal-capacity: {e}"))?;
             }
-            "--alerts" => {
-                opts.config.alerts_path = Some(std::path::PathBuf::from(need("--alerts")?));
-            }
-            "--alert-interval" => {
-                opts.config.alert_interval =
-                    positive_secs("--alert-interval", &need("--alert-interval")?)?;
-            }
             other => return Err(format!("unexpected argument {other}\n\n{USAGE}")),
         }
     }
+    // A default the search refuses must fail startup, not every request
+    // that omits the field.
+    AcquireConfig {
+        gamma: opts.config.gamma,
+        delta: opts.config.delta,
+        ..AcquireConfig::default()
+    }
+    .validate()
+    .map_err(|e| format!("--gamma/--delta: {e}"))?;
     Ok(opts)
 }
 
@@ -353,6 +350,11 @@ mod tests {
     fn unknown_flags_and_missing_values_error() {
         assert!(parse(&["--bogus"]).is_err());
         assert!(parse(&["--gamma"]).is_err());
+        assert!(parse(&["--gamma", "0"]).is_err());
+        assert!(parse(&["--gamma", "nan"]).is_err());
+        assert!(parse(&["--delta", "-1"]).is_err());
+        assert!(parse(&["--alerts", "x"]).is_err());
+        assert!(parse(&["--alert-interval", "1"]).is_err());
         assert!(parse(&["--help"]).unwrap_err().starts_with("usage:"));
     }
 
@@ -419,10 +421,6 @@ mod tests {
             "1024",
             "--journal-capacity",
             "16",
-            "--alerts",
-            "alerts.toml",
-            "--alert-interval",
-            "0.05",
         ])
         .unwrap();
         assert_eq!(
@@ -431,13 +429,7 @@ mod tests {
         );
         assert_eq!(opts.config.journal_max_bytes, 1024);
         assert_eq!(opts.config.journal_capacity, 16);
-        assert_eq!(
-            opts.config.alerts_path.as_deref(),
-            Some(std::path::Path::new("alerts.toml"))
-        );
-        assert_eq!(opts.config.alert_interval, Duration::from_millis(50));
         assert!(parse(&["--journal-max-bytes", "0"]).is_err());
-        assert!(parse(&["--alert-interval", "0"]).is_err());
         assert!(parse(&["--journal"]).is_err());
     }
 

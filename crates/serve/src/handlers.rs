@@ -9,8 +9,6 @@
 //! | GET    | `/metrics`      | Prometheus text: pipeline + serve telemetry  |
 //! | GET    | `/timeseries`   | flight-recorder ring + rates (`?window=SECS`)|
 //! | GET    | `/queries`      | registry JSON: running + completed queries   |
-//! | GET    | `/alerts`       | SLO alert engine rule states as JSON         |
-//! | GET    | `/dashboard`    | self-contained live HTML dashboard           |
 //! | GET    | `/trace/<id>`   | that query's span tree, with `truncated`;    |
 //! |        |                 | `?format=chrome` re-renders for Perfetto     |
 //! | POST   | `/query`        | run an ACQ request; `?explain=1` adds profile|
@@ -20,7 +18,7 @@
 //! loop before this buffered handler; see [`crate::progress`].
 
 use std::net::IpAddr;
-use std::sync::{Arc, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use acq_engine::Executor;
@@ -63,12 +61,6 @@ pub fn handle(state: &Arc<ServerState>, req: &Request, peer: Option<IpAddr>) -> 
         ("GET", "/metrics") => Response::new(200, PROMETHEUS_CONTENT_TYPE, render_metrics(state)),
         ("GET", "/timeseries") => timeseries(state, req),
         ("GET", "/queries") => Response::json(200, state.registry.to_json()),
-        ("GET", "/alerts") => alerts_json(state),
-        ("GET", "/dashboard") => Response::new(
-            200,
-            "text/html; charset=utf-8",
-            crate::dashboard::DASHBOARD_HTML,
-        ),
         ("GET", path) if path.starts_with("/trace/") => trace(state, req, &path["/trace/".len()..]),
         ("POST", "/query") => query(state, req, peer),
         ("POST", "/shutdown") => {
@@ -148,30 +140,7 @@ fn render_metrics(state: &Arc<ServerState>) -> String {
             ring.torn_repaired(),
         ));
     }
-    if let Some(engine) = &state.alerts {
-        let engine = engine.lock().unwrap_or_else(PoisonError::into_inner);
-        s.push_str(&engine.render_prometheus());
-    }
     s
-}
-
-/// `GET /alerts`: every rule's current state. With no `--alerts` file the
-/// endpoint still answers — an empty rule list, so dashboards and probes
-/// need not special-case a disabled engine.
-fn alerts_json(state: &Arc<ServerState>) -> Response {
-    match &state.alerts {
-        Some(engine) => {
-            let engine = engine.lock().unwrap_or_else(PoisonError::into_inner);
-            Response::json(200, engine.to_json(state.now()))
-        }
-        None => Response::json(
-            200,
-            format!(
-                "{{\"version\":{},\"rules\":[]}}",
-                crate::alerts::ALERTS_VERSION
-            ),
-        ),
-    }
 }
 
 /// Seconds off the wire as a `Duration`: `None` for zero, negative, NaN and

@@ -16,12 +16,6 @@
 //! * `GET /timeseries` — the metrics flight recorder: a bounded
 //!   delta-encoded ring of counter samples with per-counter rates;
 //! * `GET /queries` — the in-flight + recently-completed query registry;
-//! * `GET /alerts` — the SLO alert engine's rule states (declarative
-//!   threshold / multi-window burn-rate rules from `alerts.toml`, evaluated
-//!   over flight-recorder windows; firing rules also export as
-//!   `acq_alert_firing{rule=…}` on `/metrics`);
-//! * `GET /dashboard` — a self-contained live HTML dashboard (inline JS,
-//!   no CDN) polling `/timeseries`, `/alerts` and `/queries`;
 //! * `GET /trace/<id>` — a completed query's span tree, with honest
 //!   truncation reporting (`?format=chrome` re-renders it as Chrome
 //!   trace-event JSON for Perfetto);
@@ -45,8 +39,8 @@
 //! and each registry record satisfies `cells_executed == explored`.
 //!
 //! With `--journal <path>` every request's lifecycle (admission decision,
-//! exploration digest, termination, `outcome_key`) and every alert
-//! transition is appended as schema-validated NDJSON
+//! exploration digest, termination, `outcome_key`) is appended as
+//! schema-validated NDJSON
 //! (`schemas/journal.schema.json`) to a size-rotated on-disk log, fed by a
 //! bounded wait-free ring so the serial commit path never blocks on disk;
 //! `acq journal` greps/replays/summarizes it offline. See
@@ -56,9 +50,7 @@
 #![deny(missing_docs)]
 
 pub mod admission;
-pub mod alerts;
 pub mod cli;
-pub mod dashboard;
 pub mod handlers;
 pub mod http;
 pub mod progress;
@@ -67,7 +59,6 @@ pub mod state;
 pub mod telemetry;
 
 pub use admission::{Admission, QueryGate, RateLimiters, TokenBucket};
-pub use alerts::{AlertEngine, AlertRule, AlertTransition, ALERTS_VERSION};
 pub use progress::{ProgressBroker, ProgressChannel};
 pub use server::Server;
 pub use state::{ServeConfig, ServerState};

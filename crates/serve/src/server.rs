@@ -38,10 +38,6 @@ const ACCEPT_POLL: Duration = Duration::from_millis(10);
 /// How often queue waiters (workers) poll the shutdown token.
 const QUEUE_POLL: Duration = Duration::from_millis(50);
 
-/// How often the alert-evaluation thread polls the shutdown token between
-/// evaluation ticks (sleeping whole `alert_interval`s would stall shutdown).
-const ALERT_POLL: Duration = Duration::from_millis(25);
-
 /// A bounded MPMC queue of accepted connections, handed to the pool's
 /// workers in a fixed order of preference: of the workers idle when a
 /// connection arrives, the lowest-numbered takes it. A lone keep-alive client
@@ -124,16 +120,14 @@ pub struct Server {
     addr: SocketAddr,
     state: Arc<ServerState>,
     accept_thread: Option<JoinHandle<()>>,
-    alert_thread: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds `config.addr`, spawns the worker pool, the acceptor, and (when
-    /// `--alerts` is configured) the SLO alert-evaluation thread. An invalid
-    /// ops config (unopenable journal, unparseable `alerts.toml`) fails the
-    /// bind with `InvalidInput` rather than starting a server that silently
-    /// neither journals nor pages.
+    /// Binds `config.addr` and spawns the worker pool and the acceptor. An
+    /// invalid ops config (unopenable journal) fails the bind with
+    /// `InvalidInput` rather than starting a server that silently does not
+    /// journal.
     pub fn start(config: ServeConfig, catalog: Catalog) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
@@ -166,25 +160,6 @@ impl Server {
             }
         }
 
-        let alert_thread = if state.alerts.is_some() {
-            let alert_state = Arc::clone(&state);
-            let spawned = std::thread::Builder::new()
-                .name("acq-serve-alerts".to_string())
-                .spawn(move || alert_loop(&alert_state));
-            match spawned {
-                Ok(h) => Some(h),
-                Err(e) => {
-                    state.shutdown.cancel();
-                    for h in workers {
-                        let _ = h.join();
-                    }
-                    return Err(e);
-                }
-            }
-        } else {
-            None
-        };
-
         state.set_ready();
         let loop_state = Arc::clone(&state);
         let accept_thread = std::thread::Builder::new()
@@ -197,9 +172,6 @@ impl Server {
                 for h in workers {
                     let _ = h.join();
                 }
-                if let Some(h) = alert_thread {
-                    let _ = h.join();
-                }
                 return Err(e);
             }
         };
@@ -207,7 +179,6 @@ impl Server {
             addr,
             state,
             accept_thread,
-            alert_thread,
             workers,
         })
     }
@@ -239,9 +210,6 @@ impl Server {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        if let Some(t) = self.alert_thread.take() {
-            let _ = t.join();
-        }
         for t in self.workers.drain(..) {
             let _ = t.join();
         }
@@ -254,9 +222,6 @@ impl Server {
             let _ = t.join();
         }
         for t in self.workers.drain(..) {
-            let _ = t.join();
-        }
-        if let Some(t) = self.alert_thread.take() {
             let _ = t.join();
         }
     }
@@ -320,38 +285,6 @@ fn worker_loop(worker: usize, queue: &Arc<ConnQueue>, state: &Arc<ServerState>) 
         // is guarded by poison-tolerant locks and RAII permits, so state
         // stays usable after an unwind.
         let _ = catch_unwind(AssertUnwindSafe(|| serve_connection(&stream, state)));
-    }
-}
-
-/// The SLO alert-evaluation loop: every `alert_interval`, lock the engine,
-/// probe each rule's signal over its window, and journal the firing /
-/// resolved edges ([`crate::alerts::AlertEngine::evaluate`]). The lock is
-/// shared only with read-side renderers (`/alerts`, `/metrics`), never a
-/// query path. Runs until graceful shutdown, polling the token between
-/// ticks so a long interval cannot stall `Server::shutdown`.
-fn alert_loop(state: &Arc<ServerState>) {
-    let Some(engine) = &state.alerts else {
-        return;
-    };
-    let interval = state.config.alert_interval.max(Duration::from_millis(1));
-    let mut next = state.now();
-    while !state.shutdown.is_cancelled() {
-        let now = state.now();
-        if now < next {
-            std::thread::sleep(ALERT_POLL.min(next - now));
-            continue;
-        }
-        next = now + interval;
-        let transitions = {
-            let mut engine = engine.lock().unwrap_or_else(PoisonError::into_inner);
-            engine.evaluate(now, &|signal, window| state.alert_signal(signal, window))
-        };
-        if let Some(ring) = state.journal_ring() {
-            let at_ms = acq_obs::journal::unix_ms();
-            for t in &transitions {
-                ring.try_append(t.to_journal_record(at_ms));
-            }
-        }
     }
 }
 

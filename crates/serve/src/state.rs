@@ -2,7 +2,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use acq_engine::Catalog;
@@ -11,7 +11,6 @@ use acq_obs::{CounterSource, FlightRecorder, Journal, Metrics, QueryRegistry};
 use acquire_core::{CancellationToken, EvalLayerKind, PreparedCache};
 
 use crate::admission::{QueryGate, RateLimiters};
-use crate::alerts::{AlertEngine, AlertRule};
 use crate::progress::ProgressBroker;
 use crate::telemetry::Telemetry;
 
@@ -83,10 +82,6 @@ pub struct ServeConfig {
     pub journal_max_bytes: u64,
     /// Journal ring capacity (records buffered between writer drains).
     pub journal_capacity: usize,
-    /// `alerts.toml` path; `None` disables the alert engine.
-    pub alerts_path: Option<PathBuf>,
-    /// Cadence of the alert evaluation thread.
-    pub alert_interval: Duration,
 }
 
 impl Default for ServeConfig {
@@ -120,8 +115,6 @@ impl Default for ServeConfig {
             journal_path: None,
             journal_max_bytes: acq_obs::DEFAULT_JOURNAL_MAX_BYTES,
             journal_capacity: acq_obs::DEFAULT_JOURNAL_CAPACITY,
-            alerts_path: None,
-            alert_interval: Duration::from_millis(250),
         }
     }
 }
@@ -161,9 +154,6 @@ pub struct ServerState {
     pub journal: Option<Journal>,
     /// Cached producer handle of `journal` (so the hot path never clones).
     journal_ring: Option<Arc<JournalRing>>,
-    /// The SLO alert engine state, when `--alerts` is set. Locked only by
-    /// the evaluation thread and read-side renderers — never a commit path.
-    pub alerts: Option<Mutex<AlertEngine>>,
     /// Cancelling this token starts graceful shutdown: the accept loop
     /// stops taking connections and every in-flight search is interrupted
     /// (the driver polls the token cooperatively).
@@ -177,16 +167,16 @@ pub struct ServerState {
 impl ServerState {
     /// Fresh state around a loaded catalog.
     ///
-    /// Panics if the ops config is invalid (unopenable `journal_path`,
-    /// unparseable `alerts_path`); callers that set those use
-    /// [`ServerState::try_new`] and surface the error.
+    /// Panics if the ops config is invalid (unopenable `journal_path`);
+    /// callers that set it use [`ServerState::try_new`] and surface the
+    /// error.
     pub fn new(config: ServeConfig, catalog: Catalog) -> Self {
-        Self::try_new(config, catalog).expect("ops config invalid") // lint-allow(panic-hygiene): only reachable with journal/alerts config, whose callers use try_new
+        Self::try_new(config, catalog).expect("ops config invalid") // lint-allow(panic-hygiene): only reachable with a journal config, whose callers use try_new
     }
 
     /// Fresh state around a loaded catalog, surfacing ops-config errors
-    /// (journal file unopenable, `alerts.toml` unparseable) instead of
-    /// starting a server that silently neither journals nor pages.
+    /// (journal file unopenable) instead of starting a server that silently
+    /// does not journal.
     pub fn try_new(config: ServeConfig, catalog: Catalog) -> Result<Self, String> {
         let gate = QueryGate::new(
             config.max_concurrent,
@@ -211,16 +201,6 @@ impl ServerState {
             None => None,
         };
         let journal_ring = journal.as_ref().map(Journal::ring);
-        let alerts = match &config.alerts_path {
-            Some(path) => {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("alerts {}: {e}", path.display()))?;
-                let rules: Vec<AlertRule> = crate::alerts::parse_alerts(&text)
-                    .map_err(|e| format!("alerts {}: {e}", path.display()))?;
-                Some(Mutex::new(AlertEngine::new(rules)))
-            }
-            None => None,
-        };
         let recorder = FlightRecorder::start_with_sources(
             Arc::clone(&metrics),
             config.recorder_cadence,
@@ -240,7 +220,6 @@ impl ServerState {
             limiters,
             journal,
             journal_ring,
-            alerts,
             shutdown: CancellationToken::new(),
             ready: AtomicBool::new(false),
             start: Instant::now(),
@@ -249,7 +228,7 @@ impl ServerState {
 
     /// The serve-level counters exported as flight-recorder columns, which
     /// is what gives shed/429/error/journal-drop rates a windowed history
-    /// for the dashboard sparklines and the alert engine's rules.
+    /// on `GET /timeseries`.
     fn recorder_sources(
         telemetry: &Arc<Telemetry>,
         journal_ring: Option<&Arc<JournalRing>>,
@@ -295,19 +274,6 @@ impl ServerState {
     #[inline]
     pub fn journal_ring(&self) -> Option<&Arc<JournalRing>> {
         self.journal_ring.as_ref()
-    }
-
-    /// Resolves one alert-rule signal: `p99_latency_ms` reads the decaying
-    /// request-latency histogram; any `<counter>_per_sec` name reads the
-    /// flight recorder's rate for that column over `window`.
-    pub fn alert_signal(&self, signal: &str, window: Duration) -> Option<f64> {
-        if signal == "p99_latency_ms" {
-            let snap = self.telemetry.latency_snapshot(self.now());
-            let (_, p99) = snap.quantiles()[2];
-            return p99.map(|ns| ns / 1e6);
-        }
-        let counter = signal.strip_suffix("_per_sec")?;
-        self.recorder.rate(counter, window)
     }
 
     /// Elapsed time since process start (the telemetry clock).

@@ -17,7 +17,6 @@
 use std::time::Duration;
 
 use acq_obs::metrics::LATENCY_BUCKETS_NS;
-use acq_obs::snapshot::HistogramSnapshot;
 use acq_obs::window::DEFAULT_RATE_WINDOW_SECS;
 use acq_obs::{AdmissionStats, DecayingHistogram, RateCounter};
 
@@ -139,12 +138,6 @@ impl Telemetry {
         s.push_str(&self.admission.render_prometheus("acq_serve"));
         s
     }
-
-    /// Decayed latency snapshot for JSON sinks.
-    pub fn latency_snapshot(&self, now: Duration) -> HistogramSnapshot {
-        self.query_latency_ns
-            .snapshot("serve_query_latency_ns", now)
-    }
 }
 
 #[cfg(test)]
@@ -161,7 +154,7 @@ mod tests {
         assert_eq!(t.requests.total(), 1);
         assert_eq!(t.queries_ok.total(), 1);
         assert_eq!(t.queries_err.total(), 1);
-        assert_eq!(t.latency_snapshot(now).count, 2);
+        assert_eq!(t.query_latency_ns.snapshot("latency", now).count, 2);
     }
 
     #[test]

@@ -1104,188 +1104,116 @@ fn journal_survives_restart_and_replays_the_torn_tail_honestly() {
     remove_journal(&path);
 }
 
+/// Every question an operator dashboard asks is answered by `/metrics`,
+/// `/queries` and the journal, and they agree: under a flood against one
+/// execution slot, the client's tally, the scrape, the registry and the
+/// journal (as `acq journal summarize` reads it) count the same requests.
 #[test]
-fn shed_alert_fires_under_flood_resolves_after_and_both_edges_are_journaled() {
-    let journal_path = temp_path("alert");
-    let alerts_path = temp_path("alert-rules");
-    std::fs::write(
-        &alerts_path,
-        "[[rule]]\n\
-         name = \"shed-rate-high\"\n\
-         signal = \"serve_shed_per_sec\"\n\
-         threshold = 0.2\n\
-         window_secs = 2\n",
-    )
-    .unwrap();
-    let mut server = Server::start(
-        ServeConfig {
-            max_concurrent: 1,
-            max_queued: 0,
-            queue_wait: Duration::from_millis(50),
-            recorder_cadence: Duration::from_millis(25),
-            alert_interval: Duration::from_millis(25),
-            journal_path: Some(journal_path.clone()),
-            alerts_path: Some(alerts_path.clone()),
-            ..ServeConfig::default()
-        },
-        catalog(),
-    )
-    .unwrap();
+fn a_flood_is_counted_alike_by_metrics_queries_and_the_journal() {
+    let journal_path = temp_path("flood");
+    let server = start(ServeConfig {
+        max_concurrent: 1,
+        max_queued: 0,
+        queue_wait: Duration::from_millis(50),
+        journal_path: Some(journal_path.clone()),
+        ..ServeConfig::default()
+    });
     let addr = server.addr();
+    let scrape = || http(addr, "GET", "/metrics", "").1;
+    let shed_before = series(&scrape(), "acq_serve_shed_total");
 
     // Flood from several clients: with one execution slot and no queue,
-    // collisions shed with 503 and the shed rate climbs.
-    let mut shed = 0u32;
-    let flood_deadline = std::time::Instant::now() + Duration::from_secs(20);
-    'flood: while std::time::Instant::now() < flood_deadline {
-        let handles: Vec<_> = (0..6)
+    // collisions shed with 503.
+    let (mut shed, mut ok_ids) = (0u64, Vec::new());
+    let flood_deadline = Instant::now() + Duration::from_secs(20);
+    while shed < 3 && Instant::now() < flood_deadline {
+        let clients: Vec<_> = (0..6)
             .map(|_| {
                 std::thread::spawn(move || {
-                    let body = format!("{{\"sql\":\"{SQL}\"}}");
-                    http(addr, "POST", "/query", &body).0
+                    http(addr, "POST", "/query", &format!("{{\"sql\":\"{SQL}\"}}"))
                 })
             })
             .collect();
-        for h in handles {
-            if h.join().unwrap() == 503 {
-                shed += 1;
+        for client in clients {
+            match client.join().unwrap() {
+                (200, body) => ok_ids.push(
+                    parse(&body)
+                        .unwrap()
+                        .pointer("/id")
+                        .and_then(JsonValue::as_u64)
+                        .unwrap(),
+                ),
+                (503, _) => shed += 1,
+                (status, body) => panic!("flood answered {status}: {body}"),
             }
-        }
-        if shed >= 3 {
-            break 'flood;
         }
     }
     assert!(shed >= 3, "flood produced no sheds");
 
-    // The rule must reach `firing` (and export as a gauge) within the
-    // 2-second rate window.
-    let fire_deadline = std::time::Instant::now() + Duration::from_secs(10);
-    let mut fired = false;
-    while std::time::Instant::now() < fire_deadline {
-        let (status, body) = http(addr, "GET", "/alerts", "");
-        assert_eq!(status, 200, "{body}");
-        let v = parse(&body).unwrap();
-        if v.pointer("/rules/0/state").and_then(JsonValue::as_str) == Some("firing") {
-            fired = true;
-            let (_, metrics) = http(addr, "GET", "/metrics", "");
-            assert!(
-                metrics.contains("acq_alert_firing{rule=\"shed-rate-high\"} 1"),
-                "{metrics}"
-            );
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(25));
-    }
-    assert!(fired, "shed-rate rule never fired");
+    // Shed and completed counts: the client's tally is the scrape's, and
+    // nothing is left in flight once every client has its answer.
+    let metrics = scrape();
+    assert_eq!(
+        series(&metrics, "acq_serve_shed_total") - shed_before,
+        shed,
+        "{metrics}"
+    );
+    assert_eq!(
+        series(&metrics, "acq_serve_queries_ok_total"),
+        ok_ids.len() as u64,
+        "{metrics}"
+    );
+    assert_eq!(
+        series(&metrics, "acq_serve_queries_running"),
+        0,
+        "{metrics}"
+    );
 
-    // Quiet period: the trailing window drains and the rule resolves.
-    let resolve_deadline = std::time::Instant::now() + Duration::from_secs(30);
-    let mut resolved = false;
-    while std::time::Instant::now() < resolve_deadline {
-        let (_, body) = http(addr, "GET", "/alerts", "");
-        let v = parse(&body).unwrap();
-        if v.pointer("/rules/0/state").and_then(JsonValue::as_str) == Some("inactive") {
-            resolved = true;
-            let (_, metrics) = http(addr, "GET", "/metrics", "");
-            assert!(
-                metrics.contains("acq_alert_firing{rule=\"shed-rate-high\"} 0"),
-                "{metrics}"
-            );
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(100));
+    // Recent queries: every answered id is listed as completed.
+    let (_, queries) = http(addr, "GET", "/queries", "");
+    let completed: Vec<u64> = match parse(&queries).unwrap().pointer("/completed") {
+        Some(JsonValue::Arr(records)) => records
+            .iter()
+            .filter_map(|r| r.pointer("/id").and_then(JsonValue::as_u64))
+            .collect(),
+        other => panic!("completed is not an array: {other:?}"),
+    };
+    for id in &ok_ids {
+        assert!(completed.contains(id), "query {id} not in {queries}");
     }
-    assert!(resolved, "shed-rate rule never resolved after the flood");
 
-    // Both edges are durable: the journal carries the firing and resolved
-    // transitions, schema-valid like everything else.
+    // The journal holds every request, dropped none, and its summary reads
+    // the sheds back: rejections carry no termination.
     let journal = server.state().journal.as_ref().unwrap();
     assert!(journal.flush(Duration::from_secs(10)));
+    assert_eq!(series(&scrape(), "acq_journal_dropped_total"), 0);
     let read = acq_obs::journal::read_journal(&journal_path).unwrap();
-    let schema = journal_schema();
-    let mut transitions = Vec::new();
-    for line in &read.records {
-        let v = parse(line).unwrap();
-        let errors = acq_obs::schema::validate(&schema, &v);
-        assert!(errors.is_empty(), "{line}: {errors:?}");
-        if v.pointer("/kind").and_then(JsonValue::as_str) == Some("alert") {
-            assert_eq!(
-                v.pointer("/rule").and_then(JsonValue::as_str),
-                Some("shed-rate-high")
-            );
-            transitions.push(
-                v.pointer("/transition")
-                    .and_then(JsonValue::as_str)
-                    .unwrap()
-                    .to_string(),
-            );
-        }
-    }
-    assert_eq!(
-        transitions,
-        vec!["firing".to_string(), "resolved".to_string()],
-        "exactly one firing edge then one resolved edge: {read:?}"
-    );
+    let journaled_sheds = read
+        .records
+        .iter()
+        .filter(|r| r.contains("\"status\":503"))
+        .count() as u64;
+    assert_eq!(journaled_sheds, shed, "{read:?}");
     let summary = acq_obs::journal::summarize(&read);
-    assert_eq!(summary.by_alert.get("shed-rate-high firing"), Some(&1));
-    assert_eq!(summary.by_alert.get("shed-rate-high resolved"), Some(&1));
-
-    server.shutdown();
-    remove_journal(&journal_path);
-    let _ = std::fs::remove_file(&alerts_path);
-}
-
-#[test]
-fn dashboard_is_served_self_contained_and_alerts_endpoint_degrades_gracefully() {
-    let server = start(ServeConfig::default());
-    let addr = server.addr();
-    let raw = http_raw(addr, "GET", "/dashboard", "");
-    assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
-    assert!(
-        raw.contains("Content-Type: text/html; charset=utf-8\r\n"),
-        "{raw}"
+    assert_eq!(
+        summary.by_termination.get("unknown"),
+        Some(&shed),
+        "{summary:?}"
     );
-    let body = raw.split_once("\r\n\r\n").unwrap().1;
-    for needle in [
-        "/timeseries",
-        "/alerts",
-        "/queries",
-        "sparkSeries",
-        "</html>",
-    ] {
-        assert!(body.contains(needle), "dashboard lacks {needle}");
+    assert_eq!(summary.queries, shed + ok_ids.len() as u64, "{summary:?}");
+    assert_eq!(summary.other, 0, "{summary:?}");
+
+    for path in ["/alerts", "/dashboard"] {
+        assert_eq!(http(addr, "GET", path, "").0, 404, "{path}");
     }
-    // Without --alerts the endpoint still answers an empty document.
-    let (status, body) = http(addr, "GET", "/alerts", "");
-    assert_eq!(status, 200);
-    let v = parse(&body).unwrap();
-    assert_eq!(v.pointer("/version").and_then(JsonValue::as_u64), Some(1));
-    assert_eq!(v.pointer("/rules"), Some(&JsonValue::Arr(Vec::new())));
+    drop(server);
+    remove_journal(&journal_path);
 }
 
 #[test]
 fn bad_ops_config_fails_startup_loudly() {
-    // An unparseable alerts file must refuse to serve, not silently not page.
-    let alerts_path = temp_path("bad-rules");
-    std::fs::write(
-        &alerts_path,
-        "[[rule]]\nname = \"x\"\nsignal = \"s\"\nthreshold = 1\nbogus = 1\n",
-    )
-    .unwrap();
-    let err = match Server::start(
-        ServeConfig {
-            alerts_path: Some(alerts_path.clone()),
-            ..ServeConfig::default()
-        },
-        catalog(),
-    ) {
-        Ok(_) => panic!("typo'd alerts.toml must fail startup"),
-        Err(e) => e,
-    };
-    assert!(err.to_string().contains("unknown key"), "{err}");
-    let _ = std::fs::remove_file(&alerts_path);
-
-    // A journal path whose directory doesn't exist fails the same way.
+    // A journal path whose directory doesn't exist must refuse to serve,
+    // not silently not journal.
     let err = match Server::start(
         ServeConfig {
             journal_path: Some(std::path::PathBuf::from("/nonexistent-acq-dir/q.journal")),

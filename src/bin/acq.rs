@@ -484,8 +484,8 @@ fn run() -> Result<(), String> {
 const JOURNAL_USAGE: &str = "usage: acq journal <COMMAND> [ARGS]
 
 commands:
-  summarize PATH     record counts by kind and termination, alert transitions
-                     by rule, torn-tail and malformed-line accounting
+  summarize PATH     record counts by kind (query, other) and by query
+                     termination, torn-tail and malformed-line accounting
   grep NEEDLE PATH   print records containing NEEDLE (fixed string match)
   replay PATH        print every record in order, oldest rotated segment
                      first, skipping (and counting) a torn final line
@@ -554,14 +554,11 @@ fn run_journal<I: Iterator<Item = String>>(mut args: I) -> Result<(), String> {
             println!("journal {}:", path.display());
             println!("  segments: {}", read.segments);
             println!(
-                "  records: {} ({} query, {} alert), malformed: {}, torn: {}",
-                s.records, s.queries, s.alerts, s.malformed, s.torn
+                "  records: {} ({} query, {} other), malformed: {}, torn: {}",
+                s.records, s.queries, s.other, s.malformed, s.torn
             );
             for (term, n) in &s.by_termination {
                 println!("  termination {term}: {n}");
-            }
-            for (edge, n) in &s.by_alert {
-                println!("  alert {edge}: {n}");
             }
             Ok(())
         }
