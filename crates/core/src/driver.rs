@@ -239,6 +239,10 @@ pub(crate) fn search<E: EvaluationLayer + ?Sized>(
     cfg.validate()?;
     query.validate_with_norm(&cfg.norm)?;
     let space = RefinedSpace::new(query, cfg)?;
+    isolated(|| {
+        eval.use_grid(space.step());
+        Ok(())
+    })?;
     let contracting = matches!(dir, Direction::Contract { .. });
     // Contraction's stop rule needs whole layers, so it never runs best-first.
     let mut expander: Box<dyn Expander> = if cfg.norm.is_linf() {
@@ -399,18 +403,15 @@ pub(crate) fn search<E: EvaluationLayer + ?Sized>(
         }
         if layer != traced_layer || batch.len() > 1 {
             traced_layer = layer;
+            // A trace is retained per request, so it must not grow with the
+            // answers: each layer carries a running total, and only the
+            // first answer of an expansion has a line of its own.
             obs.trace(0, || {
-                let line = format!(
-                    "expand layer {layer}: batch of {} grid queries",
-                    batch.len()
-                );
-                if contracting {
-                    // Nearly every under-target point answers: the trace
-                    // carries a running total per layer, not a line per answer.
-                    format!("{line}, {} answer(s) so far", answers.len())
-                } else {
-                    line
-                }
+                format!(
+                    "expand layer {layer}: batch of {} grid queries, {} answer(s) so far",
+                    batch.len(),
+                    answers.len()
+                )
             });
         }
 
@@ -541,12 +542,16 @@ pub(crate) fn search<E: EvaluationLayer + ?Sized>(
                 }
                 if !contracting {
                     min_ref_layer = min_ref_layer.min(layer);
-                    let (aggregate, error) = (r.aggregate, r.error);
-                    obs.trace(depth, || {
-                        format!(
-                            "answer: {how}aggregate {aggregate} (error {error:.4}, layer {layer})"
-                        )
-                    });
+                    if answers.is_empty() {
+                        // The time to first answer; later ones are counted
+                        // on the `expand layer` lines.
+                        let (aggregate, error) = (r.aggregate, r.error);
+                        obs.trace(depth, || {
+                            format!(
+                                "answer: {how}aggregate {aggregate} (error {error:.4}, layer {layer})"
+                            )
+                        });
+                    }
                 }
                 answers.push(r);
             };

@@ -11,30 +11,40 @@
 //!   (scan + per-tuple scoring over the materialised base relation). This is
 //!   the faithful model of the paper's Postgres deployment and the honest
 //!   cost baseline.
-//! * [`CachedScoreEvaluator`] — scores every tuple once at construction;
-//!   cell queries filter the cached score matrix (no re-join / re-decode).
-//! * [`GridIndexEvaluator`] — additionally buckets tuples by their grid
-//!   cell, so a cell query touches exactly its own tuples and **empty cells
-//!   are skipped without any execution**, the §7.4 bitmap-grid-index idea
-//!   applied in score space.
+//! * [`CachedScoreEvaluator`] — scores every tuple once at construction
+//!   (no re-join / re-decode per query) and folds every occupied cell of
+//!   the searched grid once, so a cell query is a lookup that touches no
+//!   tuples and **empty cells are skipped without any execution**: the §7.4
+//!   bitmap-grid-index idea applied in score space, storing each cell's
+//!   answer instead of its rows. A cell the table cannot answer filters the
+//!   cached score matrix, walking its zone blocks when zone pruning is on.
+//! * [`GridIndexEvaluator`] — the same, with the table folded at
+//!   construction for a given grid instead of when a search names it.
 //!
-//! What the two cached layers precompute — the scored, clustered,
-//! zone-stat'd score matrix — depends on the predicates and not on the
-//! target, so it is an immutable product of its own (`Prepared`) that the
-//! evaluators hold by `Arc`: `prepare_layer`, the one place layers are
-//! built, can take it out of a [`PreparedCache`] instead of building it.
+//! What the two cached layers precompute depends on the predicates and the
+//! grid, not on the target, so it is an immutable product of its own
+//! (`Prepared`) that the evaluators hold by `Arc`: the scored, clustered,
+//! zone-stat'd score matrix, and — given the grid's step — the cell table.
+//! `prepare_layer`, the one place layers are built, always gives the step
+//! and can take the product out of a [`PreparedCache`] instead of building
+//! it. The table stores each cell's rows folded in stored order, the order
+//! the matrix scan folds them in, so a lookup returns the scan's bits; a
+//! cell that is not exactly one of the grid's cells is scanned.
 
 use std::sync::Arc;
 
-use acq_engine::{AggState, CellRange, EngineResult, ExecStats, Executor, Relation, ResolvedQuery};
+use acq_engine::{
+    AggState, CellRange, EngineResult, ExecStats, Executor, Relation, ResolvedQuery, UdaRegistry,
+};
 use acq_obs::Obs;
-use acq_query::{AcqQuery, AggregateSpec};
+use acq_query::{AcqQuery, AggFunc, AggregateSpec};
 
 use crate::config::AcquireConfig;
 use crate::driver::isolated;
 use crate::error::CoreError;
+use crate::fasthash::FastMap;
 use crate::prepared::{PreparedCache, PreparedKey, Served};
-use crate::space::{GridPoint, RefinedSpace};
+use crate::space::RefinedSpace;
 
 /// Deferred work accounting for one speculatively executed cell query.
 ///
@@ -126,6 +136,14 @@ pub trait EvaluationLayer {
     fn commit_cell_cost(&mut self, cost: &CellCost) {
         let _ = cost;
     }
+    /// Names the grid of the search about to run: the search loop calls it
+    /// once, before its first cell query, with the grid's step
+    /// ([`crate::RefinedSpace::step`]). A layer that can answer that grid's
+    /// cells from an index it folds once does so here. It changes no answer
+    /// and counts nothing in [`ExecStats`]; the default does nothing.
+    fn use_grid(&mut self, step: f64) {
+        let _ = step;
+    }
     /// A short stable identifier for this layer, recorded as run metadata
     /// by observability.
     fn kind_name(&self) -> &'static str {
@@ -179,22 +197,25 @@ pub(crate) fn prepare_layer<'e>(
     let space = RefinedSpace::new(&query, cfg)?;
     let caps = &space.caps();
     exec.set_zone_pruning(cfg.zone_pruning);
-    let threads = cfg.parallelism.workers();
+    let (threads, step) = (cfg.parallelism.workers(), space.step());
     let searched = &query;
-    // The matrix under the two cached layers: from the cache when there is
-    // one, built here otherwise.
+    // The product under the two cached layers, its cell table folded for
+    // this space's grid: from the cache when there is one, built here
+    // otherwise.
     let shared = |exec: &mut Executor| -> EngineResult<Arc<Prepared>> {
         let started = obs.uptime();
-        let build = |exec: &mut Executor| Prepared::build(exec, searched, caps, threads);
+        let build =
+            |exec: &mut Executor| Prepared::build(exec, searched, caps, Some(step), threads);
         let (prepared, served) = match cache {
             Some(cache) => {
-                let key = PreparedKey::new(exec, searched, caps)?;
+                let key = PreparedKey::new(exec, searched, caps, step)?;
                 cache.get_or_build(key, || build(exec))?
             }
             None => (Arc::new(build(exec)?), Served::Built),
         };
         obs.trace_span(0, obs.uptime().saturating_sub(started), || {
-            format!("prepare: {served}, {} bytes", prepared.bytes())
+            let (bytes, cells) = (prepared.bytes(), prepared.cells());
+            format!("prepare: {served}, {bytes} bytes, {cells} cells")
         });
         Ok(prepared)
     };
@@ -207,8 +228,7 @@ pub(crate) fn prepare_layer<'e>(
             }
             EvalLayerKind::GridIndex => {
                 let prepared = shared(exec)?;
-                let step = space.step();
-                Box::new(GridIndexEvaluator::over(exec, searched, prepared, step))
+                Box::new(GridIndexEvaluator::over(exec, searched, prepared))
             }
         })
     })?;
@@ -296,15 +316,14 @@ const MATRIX_ZONE_BLOCK: usize = 256;
 /// the comparator that first defined it (`reference_order`, in the tests).
 ///
 /// A score's floor, counted from its dimension's smallest, is its bucket
-/// number there, and the rows take one stable counting pass per dimension,
-/// last dimension first, starting from index order: `2·d` floors per row,
+/// number there, and [`counting_order`] gives the rows one stable counting
+/// pass per dimension, last dimension first: `2·d` floors per row,
 /// where a comparison sort took `2·d` per comparison. A matrix with a score
 /// that is not a number, or a dimension whose floors span more buckets than
 /// a counting pass is worth (infinitely many, for an infinite score), takes
 /// [`comparison_order`] instead.
 fn cluster_order(scores: &[f64], d: usize) -> Vec<u32> {
     let n = scores.len() / d;
-    let max_buckets = (2 * n).max(4096) as f64;
     let mut low = Vec::with_capacity(d);
     let mut buckets = Vec::with_capacity(d);
     for k in 0..d {
@@ -319,26 +338,59 @@ fn cluster_order(scores: &[f64], d: usize) -> Vec<u32> {
         // Integer-valued floats this close together subtract exactly; the
         // span between infinities is infinite or NaN, and neither is `<=`.
         let span = hi.floor() - lo.floor() + 1.0;
-        if !(numbers && span <= max_buckets) {
+        if !(numbers && span <= counting_limit(n) as f64) {
             return comparison_order(scores, d);
         }
         low.push(lo.floor());
         buckets.push(span as usize);
     }
+    counting_order(n, &buckets, |row, k| {
+        (floor_finite(scores[row * d + k]) - low[k]) as usize
+    })
+}
+
+/// `s.floor()` for a finite `s` (a zero may come back with the other sign),
+/// without the library call `f64::floor` is on targets with no rounding
+/// instruction (x86-64's baseline): the counting passes take `2·d` floors
+/// per row.
+#[inline]
+fn floor_finite(s: f64) -> f64 {
+    // From 2⁵² up every float is an integer.
+    if s.abs() < 4_503_599_627_370_496.0 {
+        let t = s as i64 as f64;
+        if t > s {
+            t - 1.0
+        } else {
+            t
+        }
+    } else {
+        s
+    }
+}
+
+/// The most buckets per dimension a counting pass over `n` rows is worth.
+fn counting_limit(n: usize) -> usize {
+    (2 * n).max(4096)
+}
+
+/// The permutation that sorts rows `0..n` by `(key(row, 0), …,
+/// key(row, d−1), row)`, where `key(row, k) < buckets[k]`: one stable
+/// counting pass per dimension, last dimension first, starting from index
+/// order. A dimension with one bucket costs nothing.
+fn counting_order(n: usize, buckets: &[usize], key: impl Fn(usize, usize) -> usize) -> Vec<u32> {
     let mut order: Vec<u32> = (0..n as u32).collect();
     let mut placed = vec![0u32; n];
-    for k in (0..d).rev().filter(|&k| buckets[k] > 1) {
-        let bucket = |row: usize| (scores[row * d + k].floor() - low[k]) as usize;
+    for k in (0..buckets.len()).rev().filter(|&k| buckets[k] > 1) {
         // `starts[b]`: where bucket `b`'s next row goes.
         let mut starts = vec![0u32; buckets[k] + 1];
         for row in 0..n {
-            starts[bucket(row) + 1] += 1;
+            starts[key(row, k) + 1] += 1;
         }
         for b in 1..starts.len() {
             starts[b] += starts[b - 1];
         }
         for &row in &order {
-            let at = &mut starts[bucket(row as usize)];
+            let at = &mut starts[key(row as usize, k)];
             placed[*at as usize] = row;
             *at += 1;
         }
@@ -592,12 +644,189 @@ impl ScoreMatrix {
     }
 }
 
+/// The grid coordinate whose cell `(k-1)·step < s <= k·step` (with the
+/// `s == 0 -> 0` convention) contains score `s`. Snapped so that the bucket
+/// agrees with the comparison semantics of [`CellRange::contains`] even at
+/// floating-point boundaries.
+#[inline]
+fn bucket_of(s: f64, step: f64) -> u32 {
+    if s <= 0.0 {
+        return 0;
+    }
+    // A guess within one of the answer, by truncation: `ceil` is a library
+    // call on targets without a rounding instruction (x86-64's baseline).
+    let mut k = ((s * (1.0 / step)) as u32).saturating_add(1);
+    // Snap to comparison-consistent bucket: the cell test is
+    // (k-1)*step < s <= k*step with multiplied bounds.
+    while k > 1 && s <= f64::from(k - 1) * step {
+        k -= 1;
+    }
+    while s > f64::from(k) * step {
+        k += 1;
+    }
+    k
+}
+
+/// The grid coordinate of `range` on a grid of `step`, if `range` is
+/// exactly that coordinate's cell as [`crate::RefinedSpace::cell`] builds
+/// it; `None` for any other range.
+fn aligned_coordinate(range: &CellRange, step: f64) -> Option<u32> {
+    match *range {
+        CellRange::Zero => Some(0),
+        CellRange::Open { lo, hi } => {
+            let u = (hi / step).round() as u32;
+            (u >= 1 && f64::from(u - 1) * step == lo && f64::from(u) * step == hi).then_some(u)
+        }
+    }
+}
+
+/// The first `c` in `lo..hi` for which `past(c)` holds, where `past` is
+/// false and then true over that range; `hi` if it never holds.
+fn first_past(mut lo: usize, mut hi: usize, past: impl Fn(usize) -> bool) -> usize {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if past(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
+/// Every occupied cell of one grid, folded once: the §7.4 grid index as
+/// answers rather than row lists. A cell's state folds its rows in stored
+/// order — the order the matrix scan folds them in — so a lookup returns
+/// the scan's bits.
+#[derive(Debug)]
+struct CellTable {
+    step: f64,
+    /// The occupied cells' coordinates, `d` per cell, in lexicographic order.
+    coords: Vec<u32>,
+    /// `states[c]`: the rows of the cell at `coords[c·d..(c+1)·d]`, folded.
+    states: Vec<AggState>,
+    /// What an unoccupied cell answers.
+    empty: AggState,
+}
+
+impl CellTable {
+    /// Folds `matrix`'s rows for `spec` into their cells on the grid of
+    /// `step`, in stored order, then puts the cells in coordinate order with
+    /// one counting pass per dimension. `None` for a user-defined aggregate
+    /// — its fold belongs to the registry of whichever executor asks, and a
+    /// table may be shared between executors — and when the coordinates
+    /// span more buckets than a counting pass is worth.
+    ///
+    /// Each row is read once, in order, and lands in its cell's state
+    /// through a map keyed by the cell's coordinates read as one mixed-radix
+    /// number. Sorting the rows by cell first would give the same states, at
+    /// the price of random reads over every row that cost more than the
+    /// fold itself.
+    fn build(matrix: &ScoreMatrix, step: f64, spec: &AggregateSpec) -> Option<Self> {
+        let d = matrix.d;
+        if d == 0 || matches!(spec.func, AggFunc::Uda(_)) {
+            return None;
+        }
+        let empty = AggState::empty(spec, &UdaRegistry::default()).ok()?;
+        // Dimension `k`'s coordinates run from 0 to its greatest score's; a
+        // cell's key reads them as one mixed-radix number, which must fit.
+        let mut radix = Vec::with_capacity(d);
+        let mut room = 1u64;
+        for k in 0..d {
+            let top = matrix.zones.iter().skip(k).step_by(d);
+            let top = top.fold(0.0, |top: f64, &(_, hi)| top.max(hi));
+            let r = bucket_of(top, step) as usize + 1;
+            if r > counting_limit(matrix.len()) {
+                return None;
+            }
+            room = room.checked_mul(r as u64)?;
+            radix.push(r);
+        }
+        let mut slots: FastMap<u64, u32> = FastMap::default();
+        let (mut points, mut folded) = (Vec::new(), Vec::new());
+        let mut point = vec![0u32; d];
+        for (scores, &v) in matrix.scores.chunks_exact(d).zip(&matrix.vals) {
+            let mut key = 0u64;
+            for ((u, &s), &r) in point.iter_mut().zip(scores).zip(&radix) {
+                *u = bucket_of(s, step);
+                key = key * r as u64 + u64::from(*u);
+            }
+            let slot = *slots.entry(key).or_insert_with(|| {
+                points.extend_from_slice(&point);
+                folded.push(empty.clone());
+                (folded.len() - 1) as u32
+            });
+            folded[slot as usize].update(v);
+        }
+        let order = counting_order(folded.len(), &radix, |c, k| points[c * d + k] as usize);
+        let order = order.iter().map(|&c| c as usize);
+        Some(Self {
+            step,
+            coords: order
+                .clone()
+                .flat_map(|c| &points[c * d..(c + 1) * d])
+                .copied()
+                .collect(),
+            states: order.map(|c| folded[c].clone()).collect(),
+            empty,
+        })
+    }
+
+    /// The folded state of `cell`, `Some(None)` for an unoccupied one, if
+    /// every range of `cell` is exactly a cell of this grid; `None`
+    /// otherwise.
+    fn lookup(&self, cell: &[CellRange]) -> Option<Option<&AggState>> {
+        let d = cell.len();
+        if d == 0 || d * self.states.len() != self.coords.len() {
+            return None;
+        }
+        // The cells sharing the coordinates matched so far are a contiguous
+        // run, sorted by the next coordinate.
+        let (mut lo, mut hi) = (0, self.states.len());
+        for (k, range) in cell.iter().enumerate() {
+            let u = aligned_coordinate(range, self.step)?;
+            let at = |c: usize| self.coords[c * d + k];
+            lo = first_past(lo, hi, |c| at(c) >= u);
+            hi = first_past(lo, hi, |c| at(c) > u);
+        }
+        Some((lo < hi).then(|| &self.states[lo]))
+    }
+
+    /// The answer to a cell query from the table: a lookup that costs one
+    /// index probe (and counts a skipped cell when it finds nothing) and
+    /// touches no tuples. `None` when `cell` is not exactly one of the
+    /// table's grid cells.
+    fn answer(&self, cell: &[CellRange]) -> Option<(AggState, CellCost)> {
+        let found = self.lookup(cell)?;
+        let cost = CellCost {
+            index_probes: 1,
+            cells_skipped: u64::from(found.is_none()),
+            ..CellCost::default()
+        };
+        Some((found.unwrap_or(&self.empty).clone(), cost))
+    }
+
+    fn len(&self) -> usize {
+        self.states.len()
+    }
+
+    /// Heap bytes held.
+    fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.coords.capacity() * size_of::<u32>() + self.states.capacity() * size_of::<AggState>()
+    }
+}
+
 /// What preparing a cached layer builds, immutable from then on: every
-/// search over the same predicate set can stand on the same one, whatever
-/// its target, `δ`, budget, thread count or pruning flag.
+/// search over the same predicate set and grid can stand on the same one,
+/// whatever its target, `δ`, budget, thread count or pruning flag.
 #[derive(Debug)]
 pub(crate) struct Prepared {
     matrix: ScoreMatrix,
+    /// Every occupied cell of the grid the product was built for, folded;
+    /// `None` for a build without a grid and wherever [`CellTable::build`]
+    /// declines.
+    table: Option<Arc<CellTable>>,
     /// The [`ExecStats`] the build cost. Every evaluator over this product
     /// adds it to its own executor's counters — the one that ran the build
     /// and the ones handed the result alike — so an outcome's `stats` say
@@ -609,11 +838,13 @@ pub(crate) struct Prepared {
 impl Prepared {
     /// The one place that runs resolve → base relation → score matrix:
     /// materialises `query`'s tuple universe within `caps` and scores,
-    /// clusters and zone-stats it on `threads` workers.
+    /// clusters and zone-stats it on `threads` workers — then, given the
+    /// grid's `step`, folds every occupied cell of that grid once.
     pub(crate) fn build(
         exec: &mut Executor,
         query: &AcqQuery,
         caps: &[f64],
+        step: Option<f64>,
         threads: usize,
     ) -> EngineResult<Self> {
         let rq = exec.resolve(query)?;
@@ -625,12 +856,23 @@ impl Prepared {
         let mut receipt = std::mem::replace(exec.stats_mut(), outer);
         let (matrix, universe) = built?;
         receipt.tuples_scanned += universe as u64;
-        Ok(Self { matrix, receipt })
+        let spec = &query.constraint.spec;
+        let table = step.and_then(|step| CellTable::build(&matrix, step, spec));
+        Ok(Self {
+            table: table.map(Arc::new),
+            matrix,
+            receipt,
+        })
     }
 
     /// Heap bytes this product holds.
     pub(crate) fn bytes(&self) -> usize {
-        self.matrix.bytes()
+        self.matrix.bytes() + self.table.as_ref().map_or(0, |t| t.bytes())
+    }
+
+    /// Occupied cells folded in the product's table.
+    pub(crate) fn cells(&self) -> usize {
+        self.table.as_ref().map_or(0, |t| t.len())
     }
 
     /// A one-dimensional all-zero product of `rows` rows that cost nothing.
@@ -638,6 +880,7 @@ impl Prepared {
     pub(crate) fn stub(rows: usize) -> Self {
         Self {
             matrix: ScoreMatrix::finalize(vec![0.0; rows], vec![0.0; rows], 1),
+            table: None,
             receipt: ExecStats::default(),
         }
     }
@@ -647,20 +890,27 @@ impl Prepared {
 // CachedScoreEvaluator
 // ---------------------------------------------------------------------------
 
-/// Caches per-tuple scores; each query is a filter over the cache.
+/// Caches per-tuple scores; a cell query of the grid a search names is a
+/// lookup in a table of that grid's folded cells, any other a filter over
+/// the cache.
 #[derive(Debug)]
 pub struct CachedScoreEvaluator<'a> {
     exec: &'a mut Executor,
     spec: AggregateSpec,
     prepared: Arc<Prepared>,
+    /// The folded cells of the grid last named: the product's own when it
+    /// was built for that grid, else folded by [`EvaluationLayer::use_grid`].
+    table: Option<Arc<CellTable>>,
     /// Captured from the executor at construction: whether cell queries
-    /// walk the score-matrix zone blocks or filter every cached row.
+    /// the table cannot answer walk the score-matrix zone blocks or filter
+    /// every cached row.
     zone_pruning: bool,
 }
 
 impl<'a> CachedScoreEvaluator<'a> {
     /// Builds the evaluator (one base-relation materialisation plus one
-    /// scoring pass).
+    /// scoring pass). It knows no grid until a search names one, so until
+    /// then every cell query is a scan of the score matrix.
     pub fn new(exec: &'a mut Executor, query: &AcqQuery, caps: &[f64]) -> EngineResult<Self> {
         Self::with_threads(exec, query, caps, 1)
     }
@@ -673,7 +923,7 @@ impl<'a> CachedScoreEvaluator<'a> {
         caps: &[f64],
         threads: usize,
     ) -> EngineResult<Self> {
-        let prepared = Arc::new(Prepared::build(exec, query, caps, threads)?);
+        let prepared = Arc::new(Prepared::build(exec, query, caps, None, threads)?);
         Ok(Self::over(exec, query, prepared))
     }
 
@@ -684,6 +934,7 @@ impl<'a> CachedScoreEvaluator<'a> {
         Self {
             exec,
             spec: query.constraint.spec.clone(),
+            table: prepared.table.clone(),
             prepared,
             zone_pruning,
         }
@@ -726,6 +977,13 @@ impl EvaluationLayer for CachedScoreEvaluator<'_> {
         cost.apply(self.exec.stats_mut());
     }
 
+    fn use_grid(&mut self, step: f64) {
+        if self.table.as_ref().is_none_or(|t| t.step != step) {
+            let table = CellTable::build(&self.prepared.matrix, step, &self.spec);
+            self.table = table.map(Arc::new);
+        }
+    }
+
     fn kind_name(&self) -> &'static str {
         "cached-score"
     }
@@ -733,6 +991,9 @@ impl EvaluationLayer for CachedScoreEvaluator<'_> {
 
 impl ParallelCells for CachedScoreEvaluator<'_> {
     fn cell_aggregate_shared(&self, cell: &[CellRange]) -> EngineResult<(AggState, CellCost)> {
+        if let Some(answer) = self.table.as_ref().and_then(|t| t.answer(cell)) {
+            return Ok(answer);
+        }
         let mut state = self.empty_state()?;
         let cost = self
             .prepared
@@ -746,20 +1007,11 @@ impl ParallelCells for CachedScoreEvaluator<'_> {
 // GridIndexEvaluator
 // ---------------------------------------------------------------------------
 
-/// Buckets tuples by grid cell at construction; cell queries touch exactly
-/// their own tuples and provably empty cells are skipped (§7.4).
+/// Folds every occupied grid cell once at construction; a cell query is a
+/// lookup that touches no tuples, and an empty cell is skipped (§7.4).
 #[derive(Debug)]
 pub struct GridIndexEvaluator<'a> {
-    exec: &'a mut Executor,
-    spec: AggregateSpec,
-    prepared: Arc<Prepared>,
-    cells: crate::fasthash::FastMap<GridPoint, CellBucket>,
-    step: f64,
-}
-
-#[derive(Debug)]
-struct CellBucket {
-    rows: Vec<u32>,
+    inner: CachedScoreEvaluator<'a>,
 }
 
 impl<'a> GridIndexEvaluator<'a> {
@@ -775,7 +1027,7 @@ impl<'a> GridIndexEvaluator<'a> {
     }
 
     /// Like [`GridIndexEvaluator::new`] but scores tuples on `threads`
-    /// worker threads (deterministic; identical buckets to a serial build).
+    /// worker threads (deterministic; identical table to a serial build).
     pub fn with_threads(
         exec: &'a mut Executor,
         query: &AcqQuery,
@@ -783,139 +1035,60 @@ impl<'a> GridIndexEvaluator<'a> {
         step: f64,
         threads: usize,
     ) -> EngineResult<Self> {
-        let prepared = Arc::new(Prepared::build(exec, query, caps, threads)?);
-        Ok(Self::over(exec, query, prepared, step))
-    }
-
-    /// The evaluator over an already built product for `query`: the bucket
-    /// pass depends on `step`, so it runs per evaluator on top of the
-    /// shared matrix.
-    fn over(exec: &'a mut Executor, query: &AcqQuery, prepared: Arc<Prepared>, step: f64) -> Self {
         assert!(step > 0.0 && step.is_finite(), "grid step must be positive");
-        *exec.stats_mut() += prepared.receipt;
-        let matrix = &prepared.matrix;
-        let mut cells: crate::fasthash::FastMap<GridPoint, CellBucket> =
-            crate::fasthash::FastMap::default();
-        let mut point = vec![0u32; matrix.d];
-        for i in 0..matrix.len() {
-            for (k, &s) in matrix.row(i).iter().enumerate() {
-                point[k] = Self::bucket_of(s, step);
-            }
-            cells
-                .entry(point.clone())
-                .or_insert_with(|| CellBucket { rows: Vec::new() })
-                .rows
-                .push(i as u32);
-        }
-        Self {
-            exec,
-            spec: query.constraint.spec.clone(),
-            prepared,
-            cells,
-            step,
-        }
+        let prepared = Arc::new(Prepared::build(exec, query, caps, Some(step), threads)?);
+        Ok(Self::over(exec, query, prepared))
     }
 
-    /// The grid coordinate whose cell `(k-1)·step < s <= k·step` (with the
-    /// `s == 0 -> 0` convention) contains score `s`. Snapped so that the
-    /// bucket agrees with the comparison semantics of
-    /// [`CellRange::contains`] even at floating-point boundaries.
-    #[inline]
-    fn bucket_of(s: f64, step: f64) -> u32 {
-        if s <= 0.0 {
-            return 0;
+    /// The evaluator over an already built product for `query`.
+    fn over(exec: &'a mut Executor, query: &AcqQuery, prepared: Arc<Prepared>) -> Self {
+        Self {
+            inner: CachedScoreEvaluator::over(exec, query, prepared),
         }
-        let mut k = (s / step).ceil() as u32;
-        k = k.max(1);
-        // Snap to comparison-consistent bucket: the cell test is
-        // (k-1)*step < s <= k*step with multiplied bounds.
-        while k > 1 && s <= f64::from(k - 1) * step {
-            k -= 1;
-        }
-        while s > f64::from(k) * step {
-            k += 1;
-        }
-        k
     }
 
     /// Number of distinct occupied cells (index footprint gauge).
     #[must_use]
     pub fn occupied_cells(&self) -> usize {
-        self.cells.len()
-    }
-
-    fn point_of_cell(cell: &[CellRange], step: f64) -> GridPoint {
-        cell.iter()
-            .map(|r| match r {
-                CellRange::Zero => 0,
-                CellRange::Open { hi, .. } => (hi / step).round() as u32,
-            })
-            .collect()
+        self.inner.table.as_ref().map_or(0, |t| t.len())
     }
 }
 
 impl EvaluationLayer for GridIndexEvaluator<'_> {
     fn cell_aggregate(&mut self, cell: &[CellRange]) -> EngineResult<AggState> {
-        let (state, cost) = self.cell_aggregate_shared(cell)?;
-        self.commit_cell_cost(&cost);
-        Ok(state)
+        self.inner.cell_aggregate(cell)
     }
 
     fn full_aggregate(&mut self, bounds: &[f64]) -> EngineResult<AggState> {
-        let stats = self.exec.stats_mut();
-        stats.full_queries += 1;
-        stats.tuples_scanned += self.prepared.matrix.len() as u64;
-        let mut state = self.empty_state()?;
-        self.prepared.matrix.full_aggregate_into(bounds, &mut state);
-        Ok(state)
+        self.inner.full_aggregate(bounds)
     }
 
     fn empty_state(&self) -> EngineResult<AggState> {
-        AggState::empty(&self.spec, self.exec.uda_registry())
+        self.inner.empty_state()
     }
 
     fn stats(&self) -> ExecStats {
-        self.exec.stats()
+        self.inner.stats()
     }
 
     fn universe_size(&self) -> usize {
-        self.prepared.matrix.len()
+        self.inner.universe_size()
     }
 
     fn parallel_cells(&self) -> Option<&dyn ParallelCells> {
-        Some(self)
+        self.inner.parallel_cells()
     }
 
     fn commit_cell_cost(&mut self, cost: &CellCost) {
-        cost.apply(self.exec.stats_mut());
+        self.inner.commit_cell_cost(cost);
+    }
+
+    fn use_grid(&mut self, step: f64) {
+        self.inner.use_grid(step);
     }
 
     fn kind_name(&self) -> &'static str {
         "grid-index"
-    }
-}
-
-impl ParallelCells for GridIndexEvaluator<'_> {
-    fn cell_aggregate_shared(&self, cell: &[CellRange]) -> EngineResult<(AggState, CellCost)> {
-        let point = Self::point_of_cell(cell, self.step);
-        let mut state = self.empty_state()?;
-        let mut cost = CellCost {
-            index_probes: 1,
-            ..CellCost::default()
-        };
-        match self.cells.get(&point) {
-            None => {
-                // Provably empty: skipped without execution (§7.4).
-                cost.cells_skipped = 1;
-            }
-            Some(bucket) => {
-                cost.tuples_scanned = bucket.rows.len() as u64;
-                for &i in &bucket.rows {
-                    state.update(self.prepared.matrix.vals[i as usize]);
-                }
-            }
-        }
-        Ok((state, cost))
     }
 }
 
@@ -1037,15 +1210,15 @@ mod tests {
     #[test]
     fn bucket_of_boundaries() {
         let step = 5.0;
-        assert_eq!(GridIndexEvaluator::bucket_of(0.0, step), 0);
-        assert_eq!(GridIndexEvaluator::bucket_of(0.0001, step), 1);
-        assert_eq!(GridIndexEvaluator::bucket_of(5.0, step), 1);
-        assert_eq!(GridIndexEvaluator::bucket_of(5.0001, step), 2);
-        assert_eq!(GridIndexEvaluator::bucket_of(10.0, step), 2);
+        assert_eq!(bucket_of(0.0, step), 0);
+        assert_eq!(bucket_of(0.0001, step), 1);
+        assert_eq!(bucket_of(5.0, step), 1);
+        assert_eq!(bucket_of(5.0001, step), 2);
+        assert_eq!(bucket_of(10.0, step), 2);
         // Bucket agrees with CellRange::contains at awkward steps.
         let step = 10.0 / 3.0;
         for s in [step, 2.0 * step, 0.999 * step, 1.001 * step, 7.77] {
-            let k = GridIndexEvaluator::bucket_of(s, step);
+            let k = bucket_of(s, step);
             let range = if k == 0 {
                 CellRange::Zero
             } else {
@@ -1264,7 +1437,7 @@ mod tests {
         let (mut exec, mut q) = setup();
         q.constraint.target = 90.0;
         let caps = caps();
-        let shared = Arc::new(Prepared::build(&mut exec, &q, &caps, 1).unwrap());
+        let shared = Arc::new(Prepared::build(&mut exec, &q, &caps, None, 1).unwrap());
         let mut faulted = 0;
         for seed in 0..12 {
             let schedule = FaultSchedule::mixed(seed, 0.15, 0.1);
@@ -1377,6 +1550,233 @@ mod tests {
             let reference = reference_order(&scores, d);
             proptest::prop_assert_eq!(&cluster_order(&scores, d), &reference);
             proptest::prop_assert_eq!(&comparison_order(&scores, d), &reference);
+        }
+    }
+
+    /// A cached-score layer over a product built for the grid of `step`:
+    /// what `prepare_layer` hands out.
+    fn table_layer<'a>(
+        exec: &'a mut Executor,
+        query: &AcqQuery,
+        caps: &[f64],
+        step: f64,
+    ) -> CachedScoreEvaluator<'a> {
+        let prepared = Prepared::build(exec, query, caps, Some(step), 1).unwrap();
+        CachedScoreEvaluator::over(exec, query, Arc::new(prepared))
+    }
+
+    /// A table whose column `x{k}` refines `x{k} <= 100`, so a row's score
+    /// on dimension `k` is (nearly exactly) `x{k} − 100`, and whose column
+    /// `v` holds small integers: every fold order sums them to the same
+    /// bits, so a layer that folds rows in another order than the stored one
+    /// (the scan layer) can be compared bit for bit. Returns the executor
+    /// and the query aggregating `spec(v)` (`COUNT(*)` for `None`).
+    fn scored_table(rows: &[(Vec<f64>, f64)], d: usize, spec: OverV) -> (Executor, AcqQuery) {
+        let mut fields: Vec<Field> = (0..d)
+            .map(|k| Field::new(format!("x{k}"), DataType::Float))
+            .collect();
+        fields.push(Field::new("v", DataType::Float));
+        let mut b = TableBuilder::new("t", fields).unwrap();
+        for (scores, v) in rows {
+            let mut row: Vec<Value> = scores.iter().map(|s| Value::Float(100.0 + s)).collect();
+            row.push(Value::Float(*v));
+            b.push_row(row);
+        }
+        let mut cat = Catalog::new();
+        cat.register(b.finish().unwrap()).unwrap();
+        let spec = spec.map_or_else(AggregateSpec::count, |f| f(ColRef::new("t", "v")));
+        let mut q = AcqQuery::builder().table("t");
+        for k in 0..d {
+            let x = ColRef::new("t", format!("x{k}"));
+            let p = Predicate::select(x, Interval::new(0.0, 100.0), RefineSide::Upper);
+            q = q.predicate(p.with_domain(Interval::new(0.0, 1000.0)));
+        }
+        let q = q
+            .constraint(AggConstraint::new(spec, CmpOp::Ge, 1.0))
+            .build()
+            .unwrap();
+        (Executor::new(cat), q)
+    }
+
+    /// An aggregate over `v`; `None` is `COUNT(*)`.
+    type OverV = Option<fn(ColRef) -> AggregateSpec>;
+
+    /// The five built-in aggregates.
+    const SPECS: [OverV; 5] = [
+        None,
+        Some(AggregateSpec::sum),
+        Some(AggregateSpec::avg),
+        Some(AggregateSpec::min),
+        Some(AggregateSpec::max),
+    ];
+
+    /// A cell on some grid of `step` that is not one of its cells used to be
+    /// rounded to the nearest grid point and answered from that cell's rows.
+    /// Now it is scanned, and every layer agrees with the scan layer on it
+    /// and on the aligned cell it used to be mistaken for.
+    #[test]
+    fn misaligned_cells_are_scanned_not_rounded_to_a_grid_point() {
+        let step = 10.0 / 3.0;
+        // Scores 0, inside (0, 3], inside (3, step] and beyond it; the
+        // values under (3, step] are the least and the greatest.
+        let rows: Vec<(Vec<f64>, f64)> = [
+            (0.0, 5.0),
+            (1.0, 10.0),
+            (2.5, 20.0),
+            (3.2, 1.0),
+            (3.3, 100.0),
+            (5.0, 7.0),
+            (7.0, 8.0),
+        ]
+        .into_iter()
+        .map(|(s, v)| (vec![s], v))
+        .collect();
+        let caps = [10.0 * step];
+        let misaligned = [CellRange::Open { lo: 0.0, hi: 3.0 }];
+        let aligned = [CellRange::Open { lo: 0.0, hi: step }];
+        for spec in SPECS {
+            let (mut e0, q) = scored_table(&rows, 1, spec);
+            let mut scan = ScanEvaluator::new(&mut e0, &q, &caps).unwrap();
+            let expected = [&misaligned, &aligned].map(|c| scan.cell_aggregate(c).unwrap().value());
+            assert_ne!(expected[0], expected[1], "the two cells hold other rows");
+
+            let (mut e1, _) = scored_table(&rows, 1, spec);
+            let mut cached = CachedScoreEvaluator::new(&mut e1, &q, &caps).unwrap();
+            let (mut e2, _) = scored_table(&rows, 1, spec);
+            let mut table = table_layer(&mut e2, &q, &caps, step);
+            let (mut e3, _) = scored_table(&rows, 1, spec);
+            let mut grid = GridIndexEvaluator::new(&mut e3, &q, &caps, step).unwrap();
+            let layers: [&mut dyn EvaluationLayer; 3] = [&mut cached, &mut table, &mut grid];
+            for layer in layers {
+                let got = [&misaligned, &aligned].map(|c| layer.cell_aggregate(c).unwrap().value());
+                assert_eq!(got, expected, "{} {spec:?}", layer.kind_name());
+            }
+            // The table answers the aligned cell and scans the other.
+            let par = table.parallel_cells().unwrap();
+            let (_, scanned) = par.cell_aggregate_shared(&misaligned).unwrap();
+            assert!(scanned.tuples_scanned > 0 && scanned.index_probes == 0);
+            let (_, looked_up) = par.cell_aggregate_shared(&aligned).unwrap();
+            assert_eq!((looked_up.tuples_scanned, looked_up.index_probes), (0, 1));
+        }
+    }
+
+    /// The grid steps under test: γ = 10 over d = 2, 4 and 3.
+    const STEPS: [f64; 3] = [5.0, 2.5, 10.0 / 3.0];
+
+    /// Highest grid coordinate the generated scores reach, per `d`.
+    fn reach(d: usize) -> u32 {
+        [24, 10, 6][d - 1]
+    }
+
+    /// A non-negative score up to `limit · step`: zero of either sign, a
+    /// cell boundary, one ulp either side of a boundary, or anywhere.
+    fn grid_score(step: f64, limit: u32, pick: u64) -> f64 {
+        let boundary = f64::from((pick >> 3) as u32 % (limit + 1)) * step;
+        match pick % 6 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => boundary,
+            3 => boundary.next_up(),
+            4 => boundary.next_down().max(0.0),
+            _ => (pick >> 11) as f64 / (1u64 << 53) as f64 * f64::from(limit) * step,
+        }
+    }
+
+    /// Every grid point with coordinates up to `limit + 1`, one past the
+    /// scores' reach, as the cell ranges the driver asks for.
+    fn every_cell(d: usize, limit: u32, step: f64) -> Vec<Vec<CellRange>> {
+        let mut points: Vec<Vec<u32>> = vec![Vec::new()];
+        for _ in 0..d {
+            points = points
+                .into_iter()
+                .flat_map(|p| {
+                    (0..=limit + 1).map(move |u| {
+                        let mut p = p.clone();
+                        p.push(u);
+                        p
+                    })
+                })
+                .collect();
+        }
+        points
+            .iter()
+            .map(|p| {
+                p.iter()
+                    .map(|&u| match u {
+                        0 => CellRange::Zero,
+                        u => CellRange::Open {
+                            lo: f64::from(u - 1) * step,
+                            hi: f64::from(u) * step,
+                        },
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 64,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Every cell's table answer is the matrix scan's, bit for bit, with
+        /// pruning on and off — over values whose sums depend on the fold
+        /// order — and the table-backed layers give the scan layer's answer.
+        #[test]
+        fn the_cell_table_answers_every_cell_with_the_scans_bits(
+            d in 1usize..4,
+            which in 0usize..3,
+            picks in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..160),
+        ) {
+            let (step, limit) = (STEPS[which], reach(d));
+            let rows: Vec<(Vec<f64>, u64)> = picks
+                .chunks_exact(d)
+                .map(|c| (c.iter().map(|&p| grid_score(step, limit, p)).collect(), c[0]))
+                .collect();
+            let cells = every_cell(d, limit, step);
+
+            let scores: Vec<f64> = rows.iter().flat_map(|(s, _)| s.clone()).collect();
+            let vals = rows.iter().map(|&(_, p)| (p % 20_011) as f64 / 7.0 - 1_000.0).collect();
+            let matrix = ScoreMatrix::finalize(scores, vals, d);
+            for spec in SPECS {
+                let spec = spec.map_or_else(AggregateSpec::count, |f| f(ColRef::new("t", "v")));
+                let empty = AggState::empty(&spec, &UdaRegistry::default()).unwrap();
+                let table = CellTable::build(&matrix, step, &spec).unwrap();
+                for cell in &cells {
+                    let found = table.lookup(cell).expect("an aligned cell is looked up");
+                    let got = format!("{:?}", found.unwrap_or(&table.empty));
+                    for pruned in [true, false] {
+                        let mut scanned = empty.clone();
+                        matrix.cell_scan_into(cell, &mut scanned, pruned);
+                        proptest::prop_assert_eq!(&got, &format!("{scanned:?}"), "{:?}", cell);
+                    }
+                    let mut rows_in = AggState::Count(0);
+                    matrix.cell_scan_into(cell, &mut rows_in, false);
+                    proptest::prop_assert_eq!(found.is_some(), rows_in.count() != Some(0));
+                }
+            }
+
+            let rows: Vec<(Vec<f64>, f64)> =
+                rows.into_iter().map(|(s, p)| (s, (p % 97) as f64)).collect();
+            let caps = vec![f64::from(limit) * step; d];
+            for spec in SPECS {
+                let (mut e0, q) = scored_table(&rows, d, spec);
+                let mut scan = ScanEvaluator::new(&mut e0, &q, &caps).unwrap();
+                let (mut e1, _) = scored_table(&rows, d, spec);
+                let mut table = table_layer(&mut e1, &q, &caps, step);
+                let (mut e2, _) = scored_table(&rows, d, spec);
+                let mut grid = GridIndexEvaluator::new(&mut e2, &q, &caps, step).unwrap();
+                for cell in &cells {
+                    let expected = format!("{:?}", scan.cell_aggregate(cell).unwrap());
+                    let before = table.stats();
+                    proptest::prop_assert_eq!(&format!("{:?}", table.cell_aggregate(cell).unwrap()), &expected);
+                    proptest::prop_assert_eq!(&format!("{:?}", grid.cell_aggregate(cell).unwrap()), &expected);
+                    let after = table.stats();
+                    proptest::prop_assert_eq!(after.index_probes - before.index_probes, 1);
+                    proptest::prop_assert_eq!(after.tuples_scanned, before.tuples_scanned);
+                }
+            }
         }
     }
 

@@ -312,6 +312,10 @@ impl<E: EvaluationLayer + Sync> EvaluationLayer for FaultInjectingLayer<E> {
         self.inner.empty_state()
     }
 
+    fn use_grid(&mut self, step: f64) {
+        self.inner.use_grid(step);
+    }
+
     fn stats(&self) -> ExecStats {
         self.inner.stats()
     }

@@ -17,8 +17,10 @@
 //! * **evaluation layers** — the modular execution backends of Fig. 2:
 //!   [`ScanEvaluator`] re-executes every cell query against the engine
 //!   (what the paper's Postgres deployment does), [`CachedScoreEvaluator`]
-//!   caches per-tuple scores, and [`GridIndexEvaluator`] pre-buckets tuples
-//!   by grid cell so empty cells are skipped without execution (§7.4);
+//!   caches per-tuple scores and folds every occupied cell of the searched
+//!   grid once, so a cell is a lookup and empty cells are skipped without
+//!   execution (§7.4), and [`GridIndexEvaluator`] folds its grid's cells at
+//!   construction;
 //! * the **driver** — [`acquire`] / [`run_acquire`], Algorithm 4 with the
 //!   aggregate-error threshold `δ`, proximity threshold `γ`, answer-layer
 //!   collection, and cell repartitioning for overshooting queries: one

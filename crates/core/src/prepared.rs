@@ -85,6 +85,9 @@ pub(crate) struct PreparedKey {
     fingerprint: u64,
     query: AcqQuery,
     caps: Vec<u64>,
+    /// The grid step's bits: the cell table is folded for one grid, and
+    /// two `γ`s can give equal caps.
+    step: u64,
     /// Weak, so a retained entry does not keep a replaced table's columns
     /// alive; the allocation a `Weak` pins cannot be handed to another
     /// table, so equal addresses are the same table.
@@ -97,13 +100,19 @@ pub(crate) struct PreparedKey {
 
 impl PreparedKey {
     /// The key of the product `exec` would build for the domain-populated
-    /// `query` within `caps`.
-    pub(crate) fn new(exec: &Executor, query: &AcqQuery, caps: &[f64]) -> EngineResult<Self> {
+    /// `query` within `caps`, on a grid of `step`.
+    pub(crate) fn new(
+        exec: &Executor,
+        query: &AcqQuery,
+        caps: &[f64],
+        step: f64,
+    ) -> EngineResult<Self> {
         let mut query = query.clone();
         query.constraint.op = CmpOp::Eq;
         query.constraint.target = 0.0;
         query.error_fn = AggErrorFn::Relative;
         let caps: Vec<u64> = caps.iter().map(|c| c.to_bits()).collect();
+        let step = step.to_bits();
         let tables = query
             .tables
             .iter()
@@ -119,6 +128,7 @@ impl PreparedKey {
         for &cap in &caps {
             hasher.write_u64(cap);
         }
+        hasher.write_u64(step);
         for table in &tables {
             hasher.write_usize(table.as_ptr() as usize);
         }
@@ -131,6 +141,7 @@ impl PreparedKey {
                 + size_of_val(&tables[..]),
             query,
             caps,
+            step,
             tables,
             cross_product_limit,
         })
@@ -141,6 +152,7 @@ impl PreparedKey {
 impl PartialEq for PreparedKey {
     fn eq(&self, other: &Self) -> bool {
         self.caps == other.caps
+            && self.step == other.step
             && self.cross_product_limit == other.cross_product_limit
             && self.tables.len() == other.tables.len()
             && self
@@ -403,8 +415,8 @@ mod tests {
     fn key_for(exec: &Executor, query: &AcqQuery, cfg: &AcquireConfig) -> PreparedKey {
         let mut query = query.clone();
         exec.populate_domains(&mut query).unwrap();
-        let caps = RefinedSpace::new(&query, cfg).unwrap().caps();
-        PreparedKey::new(exec, &query, &caps).unwrap()
+        let space = RefinedSpace::new(&query, cfg).unwrap();
+        PreparedKey::new(exec, &query, &space.caps(), space.step()).unwrap()
     }
 
     #[test]
@@ -475,9 +487,14 @@ mod tests {
         for (what, a, b) in &different {
             assert_ne!(key_for(&exec, a, &cfg), key_for(&exec, b, &cfg), "{what}");
         }
-        // γ reaches the product through the caps.
+        // γ reaches the product through the caps and the grid's step.
         let gamma = cfg.clone().with_gamma(7.0);
         assert_ne!(base, key_for(&exec, &base_query(), &gamma), "gamma");
+        let mut query = base_query();
+        exec.populate_domains(&mut query).unwrap();
+        let caps = RefinedSpace::new(&query, &cfg).unwrap().caps();
+        let on_grid = |step: f64| PreparedKey::new(&exec, &query, &caps, step).unwrap();
+        assert_ne!(on_grid(5.0), on_grid(10.0), "step");
         // A replaced table is a different table, whatever it holds.
         let mut swapped = exec.catalog().clone();
         swapped.replace(table());
@@ -516,6 +533,55 @@ mod tests {
         ] {
             assert_eq!(base, key_for(&exec, &base_query(), &cfg), "{what}");
         }
+    }
+
+    /// Two `γ`s can give one predicate set equal caps on different grids:
+    /// here both caps are the predicates' largest useful refinement, 100,
+    /// with steps of 5 and of 10. The product's cell table is folded for one
+    /// grid, so the two grids are two entries — a key without the step would
+    /// hand the γ 20 requests the γ 10 product, whose table is no use to
+    /// them — and every request through the cache gets the outcome, work
+    /// counters included, that a fresh build gives it.
+    #[test]
+    fn grids_with_equal_caps_are_prepared_apart() {
+        use crate::{run_acquire_progress, CancellationToken, EvalLayerKind, Host, Obs};
+        let q = query(
+            upper("x", 50.0).with_domain(Interval::new(0.0, 100.0)),
+            upper("y", 100.0).with_domain(Interval::new(0.0, 200.0)),
+            count(CmpOp::Ge, 60.0),
+        );
+        let cfgs = [
+            AcquireConfig::default(),
+            AcquireConfig::default().with_gamma(20.0),
+        ];
+        let spaces = cfgs.clone().map(|cfg| RefinedSpace::new(&q, &cfg).unwrap());
+        assert_eq!(spaces[0].caps(), vec![100.0, 100.0]);
+        assert_eq!(spaces[0].caps(), spaces[1].caps());
+        assert_eq!((spaces[0].step(), spaces[1].step()), (5.0, 10.0));
+
+        let cat = catalog();
+        let run = |cfg: &AcquireConfig, cache: Option<&PreparedCache>| {
+            let mut exec = Executor::new(cat.clone());
+            let (cancel, obs) = (CancellationToken::new(), Obs::disabled());
+            let host = Host {
+                prepared: cache,
+                ..Host::new(&cancel, &obs)
+            };
+            let out = run_acquire_progress(&mut exec, &q, cfg, EvalLayerKind::CachedScore, host);
+            format!("{:?}", out.unwrap())
+        };
+        let fresh = cfgs.clone().map(|cfg| run(&cfg, None));
+        let cache = PreparedCache::default();
+        for i in [0, 0, 1, 1, 0, 1] {
+            assert_eq!(
+                run(&cfgs[i], Some(&cache)),
+                fresh[i],
+                "gamma {}",
+                cfgs[i].gamma
+            );
+        }
+        let c = cache.counters();
+        assert_eq!((c.misses, c.hits, c.entries), (4, 2, 2), "{c:?}");
     }
 
     /// Distinct keys by the thousand: `x <= bound`.
@@ -573,30 +639,49 @@ mod tests {
         let exec = Executor::new(catalog());
         let cap = 3 * charge(&exec);
         let cache = PreparedCache::new(cap);
+        // Four bounds whose keys take four slots of the second-sight ring:
+        // fingerprints hash table addresses, and a slot shared by chance
+        // would forget a sighting, which is not what this test is about.
+        let mut slots = Vec::new();
+        let bounds: Vec<f64> = (10..)
+            .map(f64::from)
+            .filter(|&b| {
+                let slot = key(&exec, b).fingerprint % SEEN_SLOTS as u64;
+                let free = !slots.contains(&slot);
+                if free {
+                    slots.push(slot);
+                }
+                free
+            })
+            .take(4)
+            .collect();
+        let [b10, b11, b12, b13] = bounds[..] else {
+            unreachable!("take(4)")
+        };
         let served = |bound: f64| {
             let (_, served) = cache.get_or_build(key(&exec, bound), build).unwrap();
             assert!(cache.counters().bytes as usize <= cap);
             served
         };
-        for bound in [10.0, 11.0, 12.0] {
+        for bound in [b10, b11, b12] {
             assert_eq!(served(bound), Served::Built);
             assert_eq!(served(bound), Served::Built);
         }
         assert_eq!(cache.counters().entries, 3);
         // 10 becomes the most recently used; 11 is now the oldest.
-        assert_eq!(served(10.0), Served::Hit);
-        assert_eq!(served(13.0), Served::Built);
-        assert_eq!(served(13.0), Served::Built);
+        assert_eq!(served(b10), Served::Hit);
+        assert_eq!(served(b13), Served::Built);
+        assert_eq!(served(b13), Served::Built);
         let c = cache.counters();
         assert_eq!((c.entries, c.evictions, c.bytes as usize), (3, 1, cap));
-        assert_eq!(served(10.0), Served::Hit);
-        assert_eq!(served(12.0), Served::Hit);
-        assert_eq!(served(13.0), Served::Hit);
+        assert_eq!(served(b10), Served::Hit);
+        assert_eq!(served(b12), Served::Hit);
+        assert_eq!(served(b13), Served::Hit);
         // 11 went, and its fingerprint is still in the ring: one build
         // brings it back, at the expense of the oldest (10).
-        assert_eq!(served(11.0), Served::Built);
-        assert_eq!(served(11.0), Served::Hit);
-        assert_eq!(served(10.0), Served::Built);
+        assert_eq!(served(b11), Served::Built);
+        assert_eq!(served(b11), Served::Hit);
+        assert_eq!(served(b10), Served::Built);
         assert_eq!(cache.counters().evictions, 3);
     }
 

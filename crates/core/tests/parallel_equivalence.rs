@@ -19,8 +19,8 @@ use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 
 use acq_engine::{
-    AggState, Catalog, CellRange, DataType, EngineResult, ExecStats, Executor, Field, TableBuilder,
-    Value,
+    AggState, Catalog, CellRange, DataType, EngineResult, ExecStats, Executor, Field, SumSquares,
+    TableBuilder, Value,
 };
 use acq_query::{
     AcqQuery, AggConstraint, AggErrorFn, AggregateSpec, CmpOp, ColRef, Interval, Predicate,
@@ -67,6 +67,14 @@ fn build_catalog() -> Catalog {
     let mut cat = Catalog::new();
     cat.register(b.finish().unwrap()).unwrap();
     cat
+}
+
+/// An executor over [`catalog`] that knows the `SUMSQ` aggregate.
+fn executor() -> Executor {
+    let mut exec = Executor::new(catalog());
+    exec.uda_registry_mut()
+        .register("sumsq", || Box::<SumSquares>::default());
+    exec
 }
 
 fn base_query(op: CmpOp, err: AggErrorFn, target: f64) -> AcqQuery {
@@ -239,7 +247,7 @@ impl Prep {
     fn cache(self, kind: EvalLayerKind, query: &AcqQuery) -> Option<PreparedCache> {
         let mut earlier = query.clone();
         earlier.constraint.target += 37.0;
-        // Other predicates, prepared layers no larger: `x`'s bound moves in.
+        // Other predicates: `x`'s bound moves in.
         let mut other = earlier.clone();
         let x = other.predicates[0].interval;
         other.predicates[0].interval = Interval::new(x.lo(), x.hi() - 1.0);
@@ -268,9 +276,15 @@ impl Prep {
             Prep::SecondSight => sight(&cache, &earlier, 1),
             Prep::Hit => sight(&cache, &earlier, 2),
             Prep::Evicted => {
-                // Room for what one such request prepares and not a byte more.
-                sight(&cache, &earlier, 2);
-                let cache = PreparedCache::new(cache.counters().bytes as usize);
+                // Room for what one such request prepares — or the other
+                // predicates' request, if its layers are the larger — and not
+                // a byte more.
+                let prepares = |query: &AcqQuery| {
+                    let cache = PreparedCache::default();
+                    sight(&cache, query, 2);
+                    cache.counters().bytes as usize
+                };
+                let cache = PreparedCache::new(prepares(&earlier).max(prepares(&other)));
                 sight(&cache, &earlier, 2);
                 sight(&cache, &other, 2);
                 return Some(cache);
@@ -539,13 +553,63 @@ fn outcome_fingerprint(out: &AcqOutcome) -> String {
     )
 }
 
+/// One search over the layer [`CachedScoreEvaluator::new`] builds, with
+/// `sink` attached if given: a layer built without a grid, which folds its
+/// cell table when the search names the grid.
+fn run_stepless(query: &AcqQuery, cfg: &AcquireConfig, sink: Option<&ProgressSink>) -> AcqOutcome {
+    let mut exec = executor();
+    exec.set_zone_pruning(cfg.zone_pruning);
+    let (query, searched) = prepared(&exec, query);
+    let caps = RefinedSpace::new(&searched, cfg).unwrap().caps();
+    let mut eval = CachedScoreEvaluator::new(&mut exec, &searched, &caps).unwrap();
+    let cancel = CancellationToken::new();
+    search(&mut eval, &query, cfg, &cancel, &Obs::disabled(), sink).unwrap()
+}
+
+/// `query` constrained on `SUMSQ(x)` instead: a user-defined aggregate, for
+/// which a cached layer folds no cell table and scans the score matrix for
+/// every cell, the zone-pruning flag deciding how — and a float fold, whose
+/// bits depend on the order it meets the rows in.
+fn sumsq(mut query: AcqQuery, target: f64) -> AcqQuery {
+    query.constraint.spec = AggregateSpec::uda("SUMSQ", ColRef::new("t", "x"));
+    query.constraint.target = target;
+    query
+}
+
+/// A layer a caller built with [`CachedScoreEvaluator::new`] learns its
+/// grid from the search and folds that grid's cells then; one
+/// `run_acquire_progress` built through the seam had them folded in its
+/// prepared product. Either way every cell is a lookup: the outcomes,
+/// `stats` included, are the same on every thread count.
+#[test]
+fn caller_built_layers_answer_like_seam_built_ones() {
+    for (query, delta) in query_rows() {
+        let serial_cfg = AcquireConfig::default().with_delta(delta);
+        let baseline = fingerprint(&run(Cached, &query, &serial_cfg));
+        for par in all_thread_settings() {
+            let cfg = serial_cfg.clone().with_parallelism(par);
+            let got = fingerprint(&run_stepless(&query, &cfg, None));
+            assert_eq!(got, baseline, "{par:?}");
+        }
+    }
+}
+
 #[test]
 fn zone_pruning_ablation_is_bit_identical_across_thread_counts() {
-    for (query, delta) in [(ge_query(800.0), 0.05), (eq_query(801.0), 0.001)] {
+    let rows = [
+        (sumsq(ge_query(0.0), 2_000.0), 0.05),
+        (sumsq(eq_query(0.0), 2_001.0), 0.001),
+    ];
+    for (query, delta) in rows {
         let on_cfg = AcquireConfig::default().with_delta(delta);
         let off_cfg = on_cfg.clone().with_zone_pruning(false);
-        let on = run(Cached, &query, &on_cfg);
-        let off = run(Cached, &query, &off_cfg);
+        let on = run_stepless(&query, &on_cfg, None);
+        let off = run_stepless(&query, &off_cfg, None);
+        assert!(
+            on.explored > 8,
+            "need a non-trivial search: {}",
+            on.explored
+        );
         // The answers must agree bit for bit; only the scan accounting may
         // differ between the two modes.
         assert_eq!(outcome_fingerprint(&on), outcome_fingerprint(&off));
@@ -569,21 +633,22 @@ fn zone_pruning_ablation_is_bit_identical_across_thread_counts() {
             let on_cfg = on_cfg.clone().with_parallelism(par);
             let off_cfg = off_cfg.clone().with_parallelism(par);
             assert_eq!(
-                fingerprint(&run(Cached, &query, &on_cfg)),
+                fingerprint(&run_stepless(&query, &on_cfg, None)),
                 on_base,
                 "pruning on, {par:?}"
             );
             assert_eq!(
-                fingerprint(&run(Cached, &query, &off_cfg)),
+                fingerprint(&run_stepless(&query, &off_cfg, None)),
                 off_base,
                 "pruning off, {par:?}"
             );
         }
     }
-    // Nor does the ablated mode depend on where the layer came from (for the
-    // pruned one, the default, `every_thread_count_matches_serial_bit_for_bit`
-    // says so): a cached layer was prepared by requests with pruning on —
-    // the clustering sort is unconditional, the flag each evaluator's own.
+    // A layer built through the seam answers its grid's cells from the
+    // product's table, which the flag never reaches: with pruning off, too,
+    // its outcome does not depend on where the layer came from (for the
+    // default, `every_thread_count_matches_serial_bit_for_bit` says so),
+    // although the requests that prepared it ran with pruning on.
     for query in prepared_rows() {
         let off_cfg = AcquireConfig::default().with_zone_pruning(false);
         let off = run(Cached, &query, &off_cfg);
@@ -601,7 +666,7 @@ fn zone_pruning_ablation_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn zone_pruning_ablation_holds_under_budgets_and_faults() {
-    let query = ge_query(800.0);
+    let query = sumsq(ge_query(0.0), 2_000.0);
 
     // Explored budgets that land mid-layer: the interrupt must strike the
     // same logical cell in both modes and on every thread count.
@@ -609,8 +674,8 @@ fn zone_pruning_ablation_holds_under_budgets_and_faults() {
         let on_cfg =
             AcquireConfig::default().with_budget(ExecutionBudget::unlimited().with_max_explored(k));
         let off_cfg = on_cfg.clone().with_zone_pruning(false);
-        let on = run(Cached, &query, &on_cfg);
-        let off = run(Cached, &query, &off_cfg);
+        let on = run_stepless(&query, &on_cfg, None);
+        let off = run_stepless(&query, &off_cfg, None);
         assert_eq!(
             outcome_fingerprint(&on),
             outcome_fingerprint(&off),
@@ -622,12 +687,12 @@ fn zone_pruning_ablation_holds_under_budgets_and_faults() {
             let on_cfg = on_cfg.clone().with_parallelism(par);
             let off_cfg = off_cfg.clone().with_parallelism(par);
             assert_eq!(
-                fingerprint(&run(Cached, &query, &on_cfg)),
+                fingerprint(&run_stepless(&query, &on_cfg, None)),
                 on_base,
                 "budget {k}, pruning on, {par:?}"
             );
             assert_eq!(
-                fingerprint(&run(Cached, &query, &off_cfg)),
+                fingerprint(&run_stepless(&query, &off_cfg, None)),
                 off_base,
                 "budget {k}, pruning off, {par:?}"
             );
@@ -683,7 +748,7 @@ fn run_faulted(
     policy: FaultPolicy,
     cfg: &AcquireConfig,
 ) -> Result<AcqOutcome, CoreError> {
-    let mut exec = Executor::new(catalog());
+    let mut exec = executor();
     exec.set_zone_pruning(cfg.zone_pruning);
     let (query, searched) = prepared(&exec, query);
     let cfg = cfg.clone().with_fault_policy(policy);
@@ -1116,26 +1181,13 @@ fn metrics_match_ground_truth_under_budgets_and_faults() {
 fn progress_sink_leaves_outcomes_bit_identical_across_thread_counts() {
     for (query, delta) in query_rows() {
         let serial_cfg = AcquireConfig::default().with_delta(delta);
-        let baseline = fingerprint(&run(Cached, &query, &serial_cfg));
+        let baseline = fingerprint(&run_stepless(&query, &serial_cfg, None));
         let mut settings = vec![Parallelism::Serial];
         settings.extend(parallel_settings());
         for par in settings {
             let cfg = serial_cfg.clone().with_parallelism(par);
-            let mut exec = Executor::new(catalog());
-            exec.set_zone_pruning(cfg.zone_pruning);
-            let (query, searched) = prepared(&exec, &query);
-            let caps = RefinedSpace::new(&searched, &cfg).unwrap().caps();
             let sink = ProgressSink::new(4096);
-            let mut eval = CachedScoreEvaluator::new(&mut exec, &searched, &caps).unwrap();
-            let out = search(
-                &mut eval,
-                &query,
-                &cfg,
-                &CancellationToken::new(),
-                &Obs::disabled(),
-                Some(&sink),
-            )
-            .unwrap();
+            let out = run_stepless(&query, &cfg, Some(&sink));
             assert_eq!(
                 fingerprint(&out),
                 baseline,

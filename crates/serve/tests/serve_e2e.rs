@@ -417,10 +417,10 @@ fn series(metrics: &str, name: &str) -> u64 {
 
 /// The production layer, seen from outside: after one multi-predicate COUNT
 /// query the `exec_stats` block on `/metrics` agrees with the answer's
-/// ground truth, pruning fired, and every cell query classified the same
-/// whole number of zone blocks.
+/// ground truth, and every cell query was one lookup in the prepared
+/// product's cell table, never a walk of zone blocks.
 #[test]
-fn cached_score_metrics_match_the_answer_and_zone_counters_are_consistent() {
+fn cached_score_metrics_match_the_answer_and_every_cell_is_a_lookup() {
     let server = start(ServeConfig {
         layer: EvalLayerKind::CachedScore,
         ..ServeConfig::default()
@@ -439,12 +439,12 @@ fn cached_score_metrics_match_the_answer_and_zone_counters_are_consistent() {
     assert_eq!(status, 200);
     let cell_queries = series(&metrics, "acq_exec_cell_queries_total");
     assert_eq!(cell_queries, explored, "{metrics}");
-    let pruned = series(&metrics, "acq_exec_zones_pruned_total");
-    assert!(pruned > 0, "pruning never fired on the served path");
-    let zones = pruned
+    let probes = series(&metrics, "acq_exec_index_probes_total");
+    assert_eq!(probes, cell_queries, "{metrics}");
+    let zones = series(&metrics, "acq_exec_zones_pruned_total")
         + series(&metrics, "acq_exec_zones_full_total")
         + series(&metrics, "acq_exec_zones_scanned_total");
-    assert_eq!(zones % cell_queries, 0, "{metrics}");
+    assert_eq!(zones, 0, "{metrics}");
 }
 
 /// The server prepares once per predicate set: requests that repeat their
@@ -488,16 +488,10 @@ fn repeated_predicates_are_prepared_once_and_answered_the_same() {
         let (_, metrics) = http(server.addr(), "GET", "/metrics", "");
         series(&metrics, &format!("acq_serve_prepared_{name}"))
     };
-    let mut counters = Vec::new();
-    let mut lines = Vec::new();
-    for (i, (sql, served)) in requests.iter().enumerate() {
-        let resp = post(&server, sql);
-        assert_eq!(strip_volatile(&resp), expected[i / 4], "request {i}");
-        counters.push((prepared("misses_total"), prepared("hits_total")));
-        assert_eq!(prepared("entries"), u64::from(i > 0), "request {i}");
-
-        // One `prepare:` span: what happened, how many bytes, how long.
-        let id = parse(&resp)
+    // A request's one `prepare:` span — what happened, how many bytes, how
+    // many table cells, how long — as its label.
+    let prepare_line = |resp: &str| -> String {
+        let id = parse(resp)
             .unwrap()
             .pointer("/id")
             .and_then(JsonValue::as_u64);
@@ -512,20 +506,34 @@ fn repeated_predicates_are_prepared_once_and_answered_the_same() {
             label.is_some_and(|l| l.starts_with("prepare: "))
         };
         let prepares: Vec<&JsonValue> = events.iter().filter(label).collect();
-        assert_eq!(prepares.len(), 1, "request {i}: {trace:?}");
+        assert_eq!(prepares.len(), 1, "{trace:?}");
         let took = prepares[0].pointer("/dur_ns").and_then(JsonValue::as_u64);
-        assert!(took.is_some(), "request {i}: a span, not an instant");
-        lines.push((prepares[0].pointer("/label").cloned(), served));
+        assert!(took.is_some(), "a span, not an instant: {trace:?}");
+        let label = prepares[0].pointer("/label").and_then(JsonValue::as_str);
+        label.unwrap().to_owned()
+    };
+    // The layer's bytes and cells a `prepare:` line names.
+    let product = |line: &str| -> (u64, String) {
+        let words: Vec<&str> = line.split(' ').collect();
+        assert_eq!((words[3], words[5]), ("bytes,", "cells"), "{line}");
+        (words[2].parse().unwrap(), words[2..].join(" "))
+    };
+    let mut counters = Vec::new();
+    let mut lines = Vec::new();
+    for (i, (sql, served)) in requests.iter().enumerate() {
+        let resp = post(&server, sql);
+        assert_eq!(strip_volatile(&resp), expected[i / 4], "request {i}");
+        counters.push((prepared("misses_total"), prepared("hits_total")));
+        assert_eq!(prepared("entries"), u64::from(i > 0), "request {i}");
+        lines.push((prepare_line(&resp), served));
     }
     assert_eq!(counters, [(1, 0), (2, 0), (2, 1), (2, 2), (2, 3)]);
     // The gauge charges the entry its key on top of the layer's bytes.
-    let layer = || Some(lines[0].0.as_ref()?.as_str()?.split(' ').nth(2)?.to_owned());
-    let layer = layer().expect("prepare: <served>, <N> bytes");
+    let (layer, tail) = product(&lines[0].0);
     let charged = prepared("bytes");
-    assert!(layer.parse::<u64>().is_ok_and(|n| 0 < n && n < charged));
+    assert!(0 < layer && layer < charged);
     for (line, served) in lines {
-        let expected = format!("prepare: {served}, {layer} bytes");
-        assert_eq!(line, Some(JsonValue::Str(expected)));
+        assert_eq!(line, format!("prepare: {served}, {tail}"));
     }
     assert_eq!(prepared("evictions_total"), 0);
 
@@ -535,23 +543,27 @@ fn repeated_predicates_are_prepared_once_and_answered_the_same() {
     // kept) — all eight get the one answer, and one layer is retained.
     let (misses, new_sql) = (prepared("misses_total"), sql(800, 11));
     let start = std::sync::Barrier::new(8);
-    let answers: Vec<JsonValue> = std::thread::scope(|scope| {
+    let responses: Vec<String> = std::thread::scope(|scope| {
         let clients: Vec<_> = (0..8)
             .map(|_| {
                 scope.spawn(|| {
                     start.wait();
-                    strip_volatile(&post(&server, &new_sql))
+                    post(&server, &new_sql)
                 })
             })
             .collect();
         clients.into_iter().map(|c| c.join().unwrap()).collect()
     });
+    let answers: Vec<JsonValue> = responses.iter().map(|r| strip_volatile(r)).collect();
     assert!(answers.iter().all(|a| a == &answers[0]), "{answers:?}");
     let builds = prepared("misses_total") - misses;
     assert!((2..=8).contains(&builds), "{builds} builds for one key");
     let all = prepared("misses_total") + prepared("hits_total");
     assert_eq!(all, 5 + 8, "every request is one or the other");
-    assert_eq!((prepared("entries"), prepared("bytes")), (2, 2 * charged));
+    // Its own key is as long as the first's; its layer is its own size.
+    let (new_layer, _) = product(&prepare_line(&responses[0]));
+    let both = charged + (charged - layer + new_layer);
+    assert_eq!((prepared("entries"), prepared("bytes")), (2, both));
 }
 
 #[test]
