@@ -1,10 +1,10 @@
-//! Ablation (§3 / §7.4): the three evaluation layers under the same search.
+//! Ablation (§3 / §7.4): the two evaluation layers under the same search.
 //!
-//! `Scan` re-executes each cell query against the engine (Postgres-style),
-//! `CachedScore` scores tuples once, and `GridIndex` additionally skips
-//! empty cells without execution — the §7.4 index idea. The gap between
-//! them quantifies how much of ACQUIRE's speed comes from the algorithm
-//! versus the backend.
+//! `Scan` re-executes each cell query against the engine (Postgres-style);
+//! `CachedScore` scores tuples once and folds every occupied grid cell
+//! once, skipping empty cells without execution — the §7.4 index idea. The
+//! gap between them quantifies how much of ACQUIRE's speed comes from the
+//! algorithm versus the backend.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -17,11 +17,7 @@ fn bench_eval_layers(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_eval_layers");
     group.sample_size(10);
     let w = count_workload(&WorkloadSpec::new(5_000, 3, 0.5));
-    for kind in [
-        EvalLayerKind::Scan,
-        EvalLayerKind::CachedScore,
-        EvalLayerKind::GridIndex,
-    ] {
+    for kind in [EvalLayerKind::Scan, EvalLayerKind::CachedScore] {
         group.bench_with_input(
             BenchmarkId::new("ACQUIRE", format!("{kind:?}")),
             &w,
@@ -41,9 +37,9 @@ fn bench_approx_layers(c: &mut Criterion) {
     group.sample_size(10);
     let w = count_workload(&WorkloadSpec::new(20_000, 3, 0.5));
 
-    group.bench_function("exact_grid_index", |b| {
+    group.bench_function("exact_cached", |b| {
         b.iter(|| {
-            run_technique(&w, &Technique::Acquire(EvalLayerKind::GridIndex), &cfg).expect("runs")
+            run_technique(&w, &Technique::Acquire(EvalLayerKind::CachedScore), &cfg).expect("runs")
         });
     });
 
@@ -53,7 +49,8 @@ fn bench_approx_layers(c: &mut Criterion) {
                 sample_catalog_tables(&w.catalog, &["lineitem"], 0.1, 7).expect("sample");
             let q = scale_target_for_sample(&w.query, rate);
             let mut exec = Executor::new(sampled);
-            acquire_core::run_acquire(&mut exec, &q, &cfg, EvalLayerKind::GridIndex).expect("runs")
+            acquire_core::run_acquire(&mut exec, &q, &cfg, EvalLayerKind::CachedScore)
+                .expect("runs")
         });
     });
 

@@ -4,10 +4,10 @@
 //! orders layers, not cells), so the driver can prefetch a whole layer on a
 //! work-stealing pool while keeping the Eq. 17 merges in serial emission
 //! order — outcomes are bit-identical at every thread count, so this bench
-//! measures pure scheduling overhead vs. scaling. The cached-score layer is
-//! used because its per-cell cost (an O(n) scan of the score matrix)
-//! dominates, which is where parallelism pays; the grid-index layer makes
-//! cells nearly free and mostly measures pool overhead.
+//! measures pure scheduling overhead vs. scaling. It runs the cached-score
+//! layer, whose cell table makes cells nearly free, so it mostly measures
+//! pool overhead; the scan layer's per-cell cost is where parallelism
+//! pays.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 

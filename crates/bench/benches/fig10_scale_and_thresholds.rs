@@ -15,7 +15,7 @@ fn bench_table_size(c: &mut Criterion) {
         group.throughput(Throughput::Elements(rows as u64));
         group.bench_with_input(BenchmarkId::new("ACQUIRE", rows), &w, |b, w| {
             b.iter(|| {
-                run_technique(w, &Technique::Acquire(EvalLayerKind::GridIndex), &cfg)
+                run_technique(w, &Technique::Acquire(EvalLayerKind::CachedScore), &cfg)
                     .expect("acquire runs")
             });
         });
@@ -34,7 +34,7 @@ fn bench_gamma(c: &mut Criterion) {
             &w,
             |b, w| {
                 b.iter(|| {
-                    run_technique(w, &Technique::Acquire(EvalLayerKind::GridIndex), &cfg)
+                    run_technique(w, &Technique::Acquire(EvalLayerKind::CachedScore), &cfg)
                         .expect("acquire runs")
                 });
             },
@@ -54,7 +54,7 @@ fn bench_delta(c: &mut Criterion) {
             &w,
             |b, w| {
                 b.iter(|| {
-                    run_technique(w, &Technique::Acquire(EvalLayerKind::GridIndex), &cfg)
+                    run_technique(w, &Technique::Acquire(EvalLayerKind::CachedScore), &cfg)
                         .expect("acquire runs")
                 });
             },

@@ -15,7 +15,7 @@ fn bench_fig11(c: &mut Criterion) {
         let w = q2_sum_workload(&WorkloadSpec::new(10_000, 2, 0.5), agg.clone());
         group.bench_with_input(BenchmarkId::new("ACQUIRE", agg.to_string()), &w, |b, w| {
             b.iter(|| {
-                run_technique(w, &Technique::Acquire(EvalLayerKind::GridIndex), &cfg)
+                run_technique(w, &Technique::Acquire(EvalLayerKind::CachedScore), &cfg)
                     .expect("acquire runs")
             });
         });

@@ -15,7 +15,7 @@ fn bench_fig8(c: &mut Criterion) {
     for ratio in [0.3, 0.7] {
         let w = count_workload(&WorkloadSpec::new(20_000, 3, ratio));
         let techniques = vec![
-            Technique::Acquire(EvalLayerKind::GridIndex),
+            Technique::Acquire(EvalLayerKind::CachedScore),
             Technique::TopK,
             Technique::TqGen(TqGenParams {
                 levels_per_dim: 4,

@@ -15,7 +15,7 @@ fn bench_fig9(c: &mut Criterion) {
     for dims in 1..=4usize {
         let w = count_workload(&WorkloadSpec::new(10_000, dims, 0.3));
         let techniques = vec![
-            Technique::Acquire(EvalLayerKind::GridIndex),
+            Technique::Acquire(EvalLayerKind::CachedScore),
             Technique::TopK,
             Technique::TqGen(TqGenParams {
                 levels_per_dim: 4,

@@ -39,7 +39,7 @@ impl Opts {
 
     fn techniques(&self) -> Vec<Technique> {
         vec![
-            Technique::Acquire(EvalLayerKind::GridIndex),
+            Technique::Acquire(EvalLayerKind::CachedScore),
             Technique::TopK,
             Technique::TqGen(self.tqgen()),
             Technique::BinSearch(BinSearchParams::default()),
@@ -233,7 +233,7 @@ fn fig10b(opts: &Opts) -> Vec<Table> {
     let w = count_workload(&WorkloadSpec::new(opts.rows, 3, 0.3));
     for gamma in [2.0, 4.0, 6.0, 8.0, 10.0, 12.0] {
         let cfg = AcquireConfig::default().with_gamma(gamma);
-        match run_technique(&w, &Technique::Acquire(EvalLayerKind::GridIndex), &cfg) {
+        match run_technique(&w, &Technique::Acquire(EvalLayerKind::CachedScore), &cfg) {
             Ok(r) => t.push(vec![
                 cell(gamma),
                 cell(r.time_ms),
@@ -256,7 +256,7 @@ fn fig10c(opts: &Opts) -> Vec<Table> {
     let w = count_workload(&WorkloadSpec::new(opts.rows, 3, 0.3));
     for delta in [0.0001, 0.001, 0.01, 0.1] {
         let cfg = AcquireConfig::default().with_delta(delta);
-        match run_technique(&w, &Technique::Acquire(EvalLayerKind::GridIndex), &cfg) {
+        match run_technique(&w, &Technique::Acquire(EvalLayerKind::CachedScore), &cfg) {
             Ok(r) => t.push(vec![
                 cell(delta),
                 cell(r.time_ms),
@@ -292,7 +292,7 @@ fn fig11(opts: &Opts) -> Vec<Table> {
         let mut rrow = vec![cell(ratio)];
         for agg in [AggFunc::Sum, AggFunc::Count, AggFunc::Max] {
             let w = q2_sum_workload(&WorkloadSpec::new(rows, 2, ratio), agg);
-            match run_technique(&w, &Technique::Acquire(EvalLayerKind::GridIndex), &cfg) {
+            match run_technique(&w, &Technique::Acquire(EvalLayerKind::CachedScore), &cfg) {
                 Ok(r) => {
                     trow.push(cell(r.time_ms));
                     rrow.push(cell(r.qscore));
@@ -328,7 +328,7 @@ fn joins(opts: &Opts) -> Vec<Table> {
     );
     for density in [0.5, 1.0, 2.0, 5.0, 10.0] {
         let w = acq_bench::join_workload(rows, density, 0xACC);
-        match run_technique(&w, &Technique::Acquire(EvalLayerKind::GridIndex), &cfg) {
+        match run_technique(&w, &Technique::Acquire(EvalLayerKind::CachedScore), &cfg) {
             Ok(r) => {
                 // Join PScores use the denominator-100 convention: the score
                 // IS the absolute band width.
@@ -367,7 +367,7 @@ fn table1(opts: &Opts) -> Vec<Table> {
     );
     let count_w = count_workload(&WorkloadSpec::new(rows, 2, 0.5));
     let sum_w = q2_sum_workload(&WorkloadSpec::new(rows, 2, 0.5), AggFunc::Sum);
-    let acq = Technique::Acquire(EvalLayerKind::GridIndex);
+    let acq = Technique::Acquire(EvalLayerKind::CachedScore);
     let acq_count = run_technique(&count_w, &acq, &cfg).expect("acquire count");
     let techniques: Vec<Technique> = vec![
         acq.clone(),
@@ -434,7 +434,6 @@ fn workshare(opts: &Opts) -> Vec<Table> {
     let techniques: Vec<Technique> = vec![
         Technique::Acquire(EvalLayerKind::Scan),
         Technique::Acquire(EvalLayerKind::CachedScore),
-        Technique::Acquire(EvalLayerKind::GridIndex),
         Technique::TqGen(opts.tqgen()),
         Technique::BinSearch(BinSearchParams::default()),
     ];

@@ -27,8 +27,7 @@ impl Technique {
     pub fn name(&self) -> &'static str {
         match self {
             Self::Acquire(EvalLayerKind::Scan) => "ACQUIRE(scan)",
-            Self::Acquire(EvalLayerKind::CachedScore) => "ACQUIRE(cached)",
-            Self::Acquire(EvalLayerKind::GridIndex) => "ACQUIRE",
+            Self::Acquire(EvalLayerKind::CachedScore) => "ACQUIRE",
             Self::TopK => "Top-k",
             Self::TqGen(_) => "TQGen",
             Self::BinSearch(_) => "BinSearch",
@@ -158,7 +157,7 @@ mod tests {
         let w = count_workload(&WorkloadSpec::new(3_000, 2, 0.5));
         let cfg = AcquireConfig::default();
         for t in [
-            Technique::Acquire(EvalLayerKind::GridIndex),
+            Technique::Acquire(EvalLayerKind::CachedScore),
             Technique::TopK,
             Technique::TqGen(TqGenParams {
                 levels_per_dim: 4,
@@ -178,7 +177,7 @@ mod tests {
     fn acquire_meets_the_constraint_where_baselines_vary() {
         let w = count_workload(&WorkloadSpec::new(3_000, 3, 0.3));
         let cfg = AcquireConfig::default();
-        let acq = run_technique(&w, &Technique::Acquire(EvalLayerKind::GridIndex), &cfg).unwrap();
+        let acq = run_technique(&w, &Technique::Acquire(EvalLayerKind::CachedScore), &cfg).unwrap();
         assert!(acq.satisfied, "error {}", acq.error);
         assert!(acq.error <= cfg.delta);
     }

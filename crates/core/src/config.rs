@@ -89,9 +89,10 @@ pub struct AcquireConfig {
     /// interrupted, closest-so-far outcome.
     pub fault_policy: FaultPolicy,
     /// Classify zone-map blocks against each cell to skip or bulk-fold them
-    /// instead of filtering every tuple (default on). Outcomes are
-    /// bit-identical either way; turning it off is an ablation/debugging
-    /// knob, not a correctness one.
+    /// instead of filtering every tuple (default on). Only the scan layer
+    /// walks zone maps; the cached layer answers cells from its table.
+    /// Outcomes are bit-identical either way; turning it off is an
+    /// ablation/debugging knob, not a correctness one.
     pub zone_pruning: bool,
 }
 

@@ -244,7 +244,7 @@ mod tests {
             &mut exec,
             &q,
             &AcquireConfig::default(),
-            EvalLayerKind::GridIndex,
+            EvalLayerKind::CachedScore,
         )
         .unwrap();
         assert!(out.satisfied);

@@ -682,7 +682,7 @@ pub(crate) fn search<E: EvaluationLayer + ?Sized>(
 ///
 /// let mut exec = Executor::new(catalog);
 /// let outcome = run_acquire(&mut exec, &query, &AcquireConfig::default(),
-///                           EvalLayerKind::GridIndex)?;
+///                           EvalLayerKind::CachedScore)?;
 /// assert!(outcome.satisfied);
 /// let best = outcome.best().unwrap();
 /// assert!((best.aggregate - 50.0).abs() <= 50.0 * 0.05); // within delta
@@ -841,11 +841,7 @@ mod tests {
 
     #[test]
     fn expands_to_meet_count_target() {
-        for kind in [
-            EvalLayerKind::Scan,
-            EvalLayerKind::CachedScore,
-            EvalLayerKind::GridIndex,
-        ] {
+        for kind in [EvalLayerKind::Scan, EvalLayerKind::CachedScore] {
             let mut exec = Executor::new(catalog());
             // Need 200 tuples: x <= ~19.9, i.e. ~100% refinement of [0,10].
             let out = run_acquire(
@@ -871,11 +867,7 @@ mod tests {
     #[test]
     fn all_evaluators_agree_on_the_outcome() {
         let mut results = Vec::new();
-        for kind in [
-            EvalLayerKind::Scan,
-            EvalLayerKind::CachedScore,
-            EvalLayerKind::GridIndex,
-        ] {
+        for kind in [EvalLayerKind::Scan, EvalLayerKind::CachedScore] {
             let mut exec = Executor::new(catalog());
             let out = run_acquire(
                 &mut exec,
@@ -888,7 +880,6 @@ mod tests {
             results.push((best.qscore, best.aggregate));
         }
         assert_eq!(results[0], results[1]);
-        assert_eq!(results[0], results[2]);
     }
 
     #[test]
@@ -990,7 +981,7 @@ mod tests {
             &mut exec,
             &q,
             &AcquireConfig::default(),
-            EvalLayerKind::GridIndex,
+            EvalLayerKind::CachedScore,
         )
         .unwrap();
         assert!(out.satisfied);

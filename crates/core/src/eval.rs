@@ -5,7 +5,7 @@
 //! and can be replaced with other techniques such as estimation, and/or
 //! sampling."* (§3)
 //!
-//! Three implementations with increasing amounts of precomputation:
+//! Two implementations:
 //!
 //! * [`ScanEvaluator`] — every cell query re-executes against the engine
 //!   (scan + per-tuple scoring over the materialised base relation). This is
@@ -17,19 +17,20 @@
 //!   tuples and **empty cells are skipped without any execution**: the §7.4
 //!   bitmap-grid-index idea applied in score space, storing each cell's
 //!   answer instead of its rows. A cell the table cannot answer filters the
-//!   cached score matrix, walking its zone blocks when zone pruning is on.
-//! * [`GridIndexEvaluator`] — the same, with the table folded at
-//!   construction for a given grid instead of when a search names it.
+//!   cached score matrix.
 //!
-//! What the two cached layers precompute depends on the predicates and the
+//! What the cached layer precomputes depends on the predicates and the
 //! grid, not on the target, so it is an immutable product of its own
-//! (`Prepared`) that the evaluators hold by `Arc`: the scored, clustered,
-//! zone-stat'd score matrix, and — given the grid's step — the cell table.
-//! `prepare_layer`, the one place layers are built, always gives the step
-//! and can take the product out of a [`PreparedCache`] instead of building
-//! it. The table stores each cell's rows folded in stored order, the order
-//! the matrix scan folds them in, so a lookup returns the scan's bits; a
-//! cell that is not exactly one of the grid's cells is scanned.
+//! (`Prepared`) that the evaluator holds by `Arc`: the score matrix and —
+//! given the grid's step — the cell table. `prepare_layer`, the one place
+//! layers are built, always gives the step and can take the product out of
+//! a [`PreparedCache`] instead of building it.
+//!
+//! Every layer folds a cell's rows in relation order: the matrix keeps its
+//! admissible rows in base-relation order, the table folds each cell's rows
+//! in that order, and so does the matrix filter, so the cached layer returns
+//! the scan layer's bits on every aggregate. A cell that is not exactly one
+//! of the grid's cells is filtered.
 
 use std::sync::Arc;
 
@@ -156,10 +157,23 @@ pub trait EvaluationLayer {
 pub enum EvalLayerKind {
     /// Re-execute every cell query (the paper's Postgres-style deployment).
     Scan,
-    /// Cache per-tuple scores once, scan the cache per query.
+    /// Score every tuple once and fold every occupied grid cell once; skip
+    /// empty cells without execution (§7.4).
     CachedScore,
-    /// Bucket tuples by grid cell; skip empty cells without execution (§7.4).
-    GridIndex,
+}
+
+impl std::str::FromStr for EvalLayerKind {
+    type Err = String;
+
+    /// Parses a layer name as the command lines spell it: `scan` or
+    /// `cached`.
+    fn from_str(name: &str) -> Result<Self, String> {
+        match name {
+            "scan" => Ok(Self::Scan),
+            "cached" => Ok(Self::CachedScore),
+            other => Err(format!("unknown layer {other} (expected scan | cached)")),
+        }
+    }
 }
 
 /// A prepared evaluation layer of whichever [`EvalLayerKind`] was asked for.
@@ -174,8 +188,8 @@ pub(crate) type PreparedLayer<'e> = Box<dyn EvaluationLayer + Send + 'e>;
 /// [`crate::Session::new`] all come through here, so every path honours the
 /// same configuration.
 ///
-/// With a `cache`, the scored and clustered matrix under the two cached
-/// layers is looked up there first and shared with every other request over
+/// With a `cache`, the score matrix and cell table under the cached layer
+/// are looked up there first and shared with every other request over
 /// the same predicate set (see [`PreparedCache`]); the layer handed back,
 /// its counters included, is the one a fresh build would have produced.
 /// [`ScanEvaluator`] models a backend that keeps nothing between queries and
@@ -199,9 +213,8 @@ pub(crate) fn prepare_layer<'e>(
     exec.set_zone_pruning(cfg.zone_pruning);
     let (threads, step) = (cfg.parallelism.workers(), space.step());
     let searched = &query;
-    // The product under the two cached layers, its cell table folded for
-    // this space's grid: from the cache when there is one, built here
-    // otherwise.
+    // The product under the cached layer, its cell table folded for this
+    // space's grid: from the cache when there is one, built here otherwise.
     let shared = |exec: &mut Executor| -> EngineResult<Arc<Prepared>> {
         let started = obs.uptime();
         let build =
@@ -225,10 +238,6 @@ pub(crate) fn prepare_layer<'e>(
             EvalLayerKind::CachedScore => {
                 let prepared = shared(exec)?;
                 Box::new(CachedScoreEvaluator::over(exec, searched, prepared))
-            }
-            EvalLayerKind::GridIndex => {
-                let prepared = shared(exec)?;
-                Box::new(GridIndexEvaluator::over(exec, searched, prepared))
             }
         })
     })?;
@@ -304,70 +313,6 @@ impl ParallelCells for ScanEvaluator<'_> {
 // Shared score-matrix machinery
 // ---------------------------------------------------------------------------
 
-/// Rows per score-matrix zone block. Smaller than the engine's table
-/// blocks: matrix rows are score-sorted, so tight blocks buy sharper
-/// per-cell bands at negligible metadata cost.
-const MATRIX_ZONE_BLOCK: usize = 256;
-
-/// The stored row order of a [`ScoreMatrix`]: the permutation that sorts
-/// the `n × d` rows of `scores` by `(⌊s₀⌋, …, ⌊s_{d−1}⌋, original index)`,
-/// with `−0.0` and `0.0` one key. That order is a contract — SUM folds rows
-/// in it, so it decides result bits — and a property test pins it against
-/// the comparator that first defined it (`reference_order`, in the tests).
-///
-/// A score's floor, counted from its dimension's smallest, is its bucket
-/// number there, and [`counting_order`] gives the rows one stable counting
-/// pass per dimension, last dimension first: `2·d` floors per row,
-/// where a comparison sort took `2·d` per comparison. A matrix with a score
-/// that is not a number, or a dimension whose floors span more buckets than
-/// a counting pass is worth (infinitely many, for an infinite score), takes
-/// [`comparison_order`] instead.
-fn cluster_order(scores: &[f64], d: usize) -> Vec<u32> {
-    let n = scores.len() / d;
-    let mut low = Vec::with_capacity(d);
-    let mut buckets = Vec::with_capacity(d);
-    for k in 0..d {
-        // `floor` is monotone, so the dimension's extreme floors are the
-        // floors of its extreme scores.
-        let (mut lo, mut hi, mut numbers) = (f64::INFINITY, f64::NEG_INFINITY, true);
-        for &s in scores.iter().skip(k).step_by(d) {
-            lo = lo.min(s);
-            hi = hi.max(s);
-            numbers &= !s.is_nan();
-        }
-        // Integer-valued floats this close together subtract exactly; the
-        // span between infinities is infinite or NaN, and neither is `<=`.
-        let span = hi.floor() - lo.floor() + 1.0;
-        if !(numbers && span <= counting_limit(n) as f64) {
-            return comparison_order(scores, d);
-        }
-        low.push(lo.floor());
-        buckets.push(span as usize);
-    }
-    counting_order(n, &buckets, |row, k| {
-        (floor_finite(scores[row * d + k]) - low[k]) as usize
-    })
-}
-
-/// `s.floor()` for a finite `s` (a zero may come back with the other sign),
-/// without the library call `f64::floor` is on targets with no rounding
-/// instruction (x86-64's baseline): the counting passes take `2·d` floors
-/// per row.
-#[inline]
-fn floor_finite(s: f64) -> f64 {
-    // From 2⁵² up every float is an integer.
-    if s.abs() < 4_503_599_627_370_496.0 {
-        let t = s as i64 as f64;
-        if t > s {
-            t - 1.0
-        } else {
-            t
-        }
-    } else {
-        s
-    }
-}
-
 /// The most buckets per dimension a counting pass over `n` rows is worth.
 fn counting_limit(n: usize) -> usize {
     (2 * n).max(4096)
@@ -399,32 +344,12 @@ fn counting_order(n: usize, buckets: &[usize], key: impl Fn(usize, usize) -> usi
     order
 }
 
-/// [`cluster_order`] for any finite or infinite scores, by comparison sort
-/// over floors taken once.
-fn comparison_order(scores: &[f64], d: usize) -> Vec<u32> {
-    // `+ 0.0` folds −0.0 into 0.0, so `total_cmp` sees them as one key.
-    let floors: Vec<f64> = scores.iter().map(|s| s.floor() + 0.0).collect();
-    let mut order: Vec<u32> = (0..(scores.len() / d) as u32).collect();
-    order.sort_unstable_by(|&a, &b| {
-        let (ra, rb) = (a as usize * d, b as usize * d);
-        floors[ra..ra + d]
-            .iter()
-            .zip(&floors[rb..rb + d])
-            .map(|(qa, qb)| qa.total_cmp(qb))
-            .find(|ord| ord.is_ne())
-            .unwrap_or_else(|| a.cmp(&b))
-    });
-    order
-}
-
 /// Per-tuple scores and aggregate inputs, computed once.
 ///
-/// Rows are stored clustered: sorted by their integer-quantised score
-/// vector (lexicographic, original index as tie-break). The sort is
-/// unconditional — it happens whether or not zone pruning is enabled and is
-/// independent of the thread count used to score tuples — so every
-/// consumer folds the exact same row order and results stay bit-identical
-/// across pruning on/off and threads 1–N.
+/// Rows are the base relation's admissible rows in relation order, whatever
+/// the thread count that scored them: the order [`ScanEvaluator`] folds
+/// them in. Every consumer folds a cell's rows in that order, so the cached
+/// layer's answers are the scan layer's bits on every aggregate.
 #[derive(Debug)]
 struct ScoreMatrix {
     /// Flattened `n × d` refinement scores of admissible tuples.
@@ -432,9 +357,6 @@ struct ScoreMatrix {
     /// Aggregate-column value per admissible tuple.
     vals: Vec<f64>,
     d: usize,
-    /// Per-block, per-dimension exact score bounds:
-    /// `zones[b * d + k] = (min, max)` of dimension `k` in block `b`.
-    zones: Vec<(f64, f64)>,
 }
 
 impl ScoreMatrix {
@@ -488,50 +410,7 @@ impl ScoreMatrix {
             }
             (scores, vals)
         };
-        Ok(Self::finalize(scores, vals, d))
-    }
-
-    /// Clusters rows by quantised score and computes the per-block zone
-    /// bounds. Deterministic given `(scores, vals, d)`.
-    fn finalize(mut scores: Vec<f64>, mut vals: Vec<f64>, d: usize) -> Self {
-        let n = vals.len();
-        if d > 0 && n > 1 {
-            let mut s2 = Vec::with_capacity(scores.len());
-            let mut v2 = Vec::with_capacity(n);
-            for p in cluster_order(&scores, d) {
-                let p = p as usize;
-                s2.extend_from_slice(&scores[p * d..(p + 1) * d]);
-                v2.push(vals[p]);
-            }
-            scores = s2;
-            vals = v2;
-        }
-        let blocks = n.div_ceil(MATRIX_ZONE_BLOCK);
-        let mut zones = Vec::with_capacity(blocks * d);
-        for b in 0..blocks {
-            let start = b * MATRIX_ZONE_BLOCK;
-            let end = (start + MATRIX_ZONE_BLOCK).min(n);
-            for k in 0..d {
-                let mut mn = f64::INFINITY;
-                let mut mx = f64::NEG_INFINITY;
-                for i in start..end {
-                    let s = scores[i * d + k];
-                    if s < mn {
-                        mn = s;
-                    }
-                    if s > mx {
-                        mx = s;
-                    }
-                }
-                zones.push((mn, mx));
-            }
-        }
-        Self {
-            scores,
-            vals,
-            d,
-            zones,
-        }
+        Ok(Self { scores, vals, d })
     }
 
     fn len(&self) -> usize {
@@ -540,92 +419,21 @@ impl ScoreMatrix {
 
     /// Heap bytes held: what one retained matrix costs a [`PreparedCache`].
     fn bytes(&self) -> usize {
-        use std::mem::size_of;
-        (self.scores.capacity() + self.vals.capacity()) * size_of::<f64>()
-            + self.zones.capacity() * size_of::<(f64, f64)>()
+        (self.scores.capacity() + self.vals.capacity()) * std::mem::size_of::<f64>()
     }
 
-    /// How block `b` relates to `cell` in score space: exact comparisons
-    /// against the block's per-dimension bounds, no arithmetic that could
-    /// round (see DESIGN, "Zone-map pruning and the determinism contract").
-    fn classify_block(&self, b: usize, cell: &[CellRange]) -> acq_engine::BlockClass {
-        use acq_engine::BlockClass;
-        let zs = &self.zones[b * self.d..(b + 1) * self.d];
-        let mut cls = BlockClass::Full;
-        for (r, &(mn, mx)) in cell.iter().zip(zs) {
-            let c = match r {
-                CellRange::Zero => {
-                    if mn > 0.0 || mx < 0.0 {
-                        BlockClass::Skip
-                    } else if mn == 0.0 && mx == 0.0 {
-                        BlockClass::Full
-                    } else {
-                        BlockClass::Scan
-                    }
-                }
-                CellRange::Open { lo, hi } => {
-                    if mx <= *lo || mn > *hi {
-                        BlockClass::Skip
-                    } else if mn > *lo && mx <= *hi {
-                        BlockClass::Full
-                    } else {
-                        BlockClass::Scan
-                    }
-                }
-            };
-            cls = cls.and(c);
-            if cls == BlockClass::Skip {
-                return BlockClass::Skip;
+    /// Folds the rows whose score vector lies in `cell` into `state`, in
+    /// row order, and returns the deferred accounting: every row is read.
+    fn cell_scan_into(&self, cell: &[CellRange], state: &mut AggState) -> CellCost {
+        for i in 0..self.len() {
+            if self.row(i).iter().zip(cell).all(|(s, r)| r.contains(*s)) {
+                state.update(self.vals[i]);
             }
         }
-        cls
-    }
-
-    /// The shared cell scan of the cached-score layer: zone-pruned block
-    /// walk when enabled, full filter otherwise. Folds qualifying rows into
-    /// `state` in row order (bit-identical either way) and returns the
-    /// deferred accounting.
-    fn cell_scan_into(&self, cell: &[CellRange], state: &mut AggState, pruned: bool) -> CellCost {
-        use acq_engine::BlockClass;
-        let n = self.len();
-        let mut cost = CellCost::default();
-        if !pruned {
-            cost.tuples_scanned = n as u64;
-            for i in 0..n {
-                if self.row(i).iter().zip(cell).all(|(s, r)| r.contains(*s)) {
-                    state.update(self.vals[i]);
-                }
-            }
-            return cost;
+        CellCost {
+            tuples_scanned: self.len() as u64,
+            ..CellCost::default()
         }
-        let mut start = 0usize;
-        let mut b = 0usize;
-        while start < n {
-            let end = (start + MATRIX_ZONE_BLOCK).min(n);
-            match self.classify_block(b, cell) {
-                BlockClass::Skip => cost.zones_pruned += 1,
-                BlockClass::Full => {
-                    cost.zones_full += 1;
-                    if let AggState::Count(c) = state {
-                        *c += (end - start) as u64;
-                    } else {
-                        state.update_many(self.vals[start..end].iter().copied());
-                    }
-                }
-                BlockClass::Scan => {
-                    cost.zones_scanned += 1;
-                    cost.tuples_scanned += (end - start) as u64;
-                    for i in start..end {
-                        if self.row(i).iter().zip(cell).all(|(s, r)| r.contains(*s)) {
-                            state.update(self.vals[i]);
-                        }
-                    }
-                }
-            }
-            start = end;
-            b += 1;
-        }
-        cost
     }
 
     #[inline]
@@ -633,8 +441,8 @@ impl ScoreMatrix {
         &self.scores[i * self.d..(i + 1) * self.d]
     }
 
-    /// Folds every tuple admitted by `bounds` into `state` (the shared
-    /// full-query scan of the cached-score layers).
+    /// Folds every tuple admitted by `bounds` into `state` (the full-query
+    /// scan of the cached-score layer).
     fn full_aggregate_into(&self, bounds: &[f64], state: &mut AggState) {
         for i in 0..self.len() {
             if self.row(i).iter().zip(bounds).all(|(s, b)| s <= b) {
@@ -696,8 +504,8 @@ fn first_past(mut lo: usize, mut hi: usize, past: impl Fn(usize) -> bool) -> usi
 
 /// Every occupied cell of one grid, folded once: the §7.4 grid index as
 /// answers rather than row lists. A cell's state folds its rows in stored
-/// order — the order the matrix scan folds them in — so a lookup returns
-/// the scan's bits.
+/// order — relation order, the order both scans fold them in — so a lookup
+/// returns the scans' bits.
 #[derive(Debug)]
 struct CellTable {
     step: f64,
@@ -710,31 +518,33 @@ struct CellTable {
 }
 
 impl CellTable {
-    /// Folds `matrix`'s rows for `spec` into their cells on the grid of
-    /// `step`, in stored order, then puts the cells in coordinate order with
-    /// one counting pass per dimension. `None` for a user-defined aggregate
-    /// — its fold belongs to the registry of whichever executor asks, and a
-    /// table may be shared between executors — and when the coordinates
-    /// span more buckets than a counting pass is worth.
+    /// Folds `matrix`'s rows from `empty`, the aggregate's identity state,
+    /// into their cells on the grid of `step`, in stored order, then puts
+    /// the cells in coordinate order with one counting pass per dimension.
+    /// `None` when the coordinates span more buckets than a counting pass
+    /// is worth.
     ///
     /// Each row is read once, in order, and lands in its cell's state
     /// through a map keyed by the cell's coordinates read as one mixed-radix
     /// number. Sorting the rows by cell first would give the same states, at
     /// the price of random reads over every row that cost more than the
     /// fold itself.
-    fn build(matrix: &ScoreMatrix, step: f64, spec: &AggregateSpec) -> Option<Self> {
+    fn build(matrix: &ScoreMatrix, step: f64, empty: AggState) -> Option<Self> {
         let d = matrix.d;
-        if d == 0 || matches!(spec.func, AggFunc::Uda(_)) {
+        if d == 0 {
             return None;
         }
-        let empty = AggState::empty(spec, &UdaRegistry::default()).ok()?;
         // Dimension `k`'s coordinates run from 0 to its greatest score's; a
         // cell's key reads them as one mixed-radix number, which must fit.
+        let mut top = vec![0.0f64; d];
+        for scores in matrix.scores.chunks_exact(d) {
+            for (top, &s) in top.iter_mut().zip(scores) {
+                *top = top.max(s);
+            }
+        }
         let mut radix = Vec::with_capacity(d);
         let mut room = 1u64;
-        for k in 0..d {
-            let top = matrix.zones.iter().skip(k).step_by(d);
-            let top = top.fold(0.0, |top: f64, &(_, hi)| top.max(hi));
+        for top in top {
             let r = bucket_of(top, step) as usize + 1;
             if r > counting_limit(matrix.len()) {
                 return None;
@@ -824,8 +634,8 @@ impl CellTable {
 pub(crate) struct Prepared {
     matrix: ScoreMatrix,
     /// Every occupied cell of the grid the product was built for, folded;
-    /// `None` for a build without a grid and wherever [`CellTable::build`]
-    /// declines.
+    /// `None` for a build without a grid, for a user-defined aggregate and
+    /// wherever [`CellTable::build`] declines.
     table: Option<Arc<CellTable>>,
     /// The [`ExecStats`] the build cost. Every evaluator over this product
     /// adds it to its own executor's counters — the one that ran the build
@@ -837,9 +647,12 @@ pub(crate) struct Prepared {
 
 impl Prepared {
     /// The one place that runs resolve → base relation → score matrix:
-    /// materialises `query`'s tuple universe within `caps` and scores,
-    /// clusters and zone-stats it on `threads` workers — then, given the
-    /// grid's `step`, folds every occupied cell of that grid once.
+    /// materialises `query`'s tuple universe within `caps` and scores it on
+    /// `threads` workers — then, given the grid's `step`, folds every
+    /// occupied cell of that grid once. Not for a user-defined aggregate:
+    /// its fold belongs to the registry of whichever executor asks, and a
+    /// product may be shared between executors, so its evaluator folds the
+    /// table itself (see [`EvaluationLayer::use_grid`]).
     pub(crate) fn build(
         exec: &mut Executor,
         query: &AcqQuery,
@@ -857,7 +670,14 @@ impl Prepared {
         let (matrix, universe) = built?;
         receipt.tuples_scanned += universe as u64;
         let spec = &query.constraint.spec;
-        let table = step.and_then(|step| CellTable::build(&matrix, step, spec));
+        let table = match step {
+            Some(step) if !matches!(spec.func, AggFunc::Uda(_)) => CellTable::build(
+                &matrix,
+                step,
+                AggState::empty(spec, &UdaRegistry::default())?,
+            ),
+            _ => None,
+        };
         Ok(Self {
             table: table.map(Arc::new),
             matrix,
@@ -879,7 +699,11 @@ impl Prepared {
     #[cfg(test)]
     pub(crate) fn stub(rows: usize) -> Self {
         Self {
-            matrix: ScoreMatrix::finalize(vec![0.0; rows], vec![0.0; rows], 1),
+            matrix: ScoreMatrix {
+                scores: vec![0.0; rows],
+                vals: vec![0.0; rows],
+                d: 1,
+            },
             table: None,
             receipt: ExecStats::default(),
         }
@@ -901,10 +725,6 @@ pub struct CachedScoreEvaluator<'a> {
     /// The folded cells of the grid last named: the product's own when it
     /// was built for that grid, else folded by [`EvaluationLayer::use_grid`].
     table: Option<Arc<CellTable>>,
-    /// Captured from the executor at construction: whether cell queries
-    /// the table cannot answer walk the score-matrix zone blocks or filter
-    /// every cached row.
-    zone_pruning: bool,
 }
 
 impl<'a> CachedScoreEvaluator<'a> {
@@ -930,13 +750,11 @@ impl<'a> CachedScoreEvaluator<'a> {
     /// The evaluator over an already built product for `query`.
     fn over(exec: &'a mut Executor, query: &AcqQuery, prepared: Arc<Prepared>) -> Self {
         *exec.stats_mut() += prepared.receipt;
-        let zone_pruning = exec.zone_pruning();
         Self {
             exec,
             spec: query.constraint.spec.clone(),
             table: prepared.table.clone(),
             prepared,
-            zone_pruning,
         }
     }
 }
@@ -979,7 +797,12 @@ impl EvaluationLayer for CachedScoreEvaluator<'_> {
 
     fn use_grid(&mut self, step: f64) {
         if self.table.as_ref().is_none_or(|t| t.step != step) {
-            let table = CellTable::build(&self.prepared.matrix, step, &self.spec);
+            // From this executor's own identity state, so a user-defined
+            // aggregate folds through this executor's registry.
+            let table = self
+                .empty_state()
+                .ok()
+                .and_then(|empty| CellTable::build(&self.prepared.matrix, step, empty));
             self.table = table.map(Arc::new);
         }
     }
@@ -995,100 +818,8 @@ impl ParallelCells for CachedScoreEvaluator<'_> {
             return Ok(answer);
         }
         let mut state = self.empty_state()?;
-        let cost = self
-            .prepared
-            .matrix
-            .cell_scan_into(cell, &mut state, self.zone_pruning);
+        let cost = self.prepared.matrix.cell_scan_into(cell, &mut state);
         Ok((state, cost))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// GridIndexEvaluator
-// ---------------------------------------------------------------------------
-
-/// Folds every occupied grid cell once at construction; a cell query is a
-/// lookup that touches no tuples, and an empty cell is skipped (§7.4).
-#[derive(Debug)]
-pub struct GridIndexEvaluator<'a> {
-    inner: CachedScoreEvaluator<'a>,
-}
-
-impl<'a> GridIndexEvaluator<'a> {
-    /// Builds the evaluator for searches over a grid of the given `step`
-    /// (PScore percent per unit — [`crate::RefinedSpace::step`]).
-    pub fn new(
-        exec: &'a mut Executor,
-        query: &AcqQuery,
-        caps: &[f64],
-        step: f64,
-    ) -> EngineResult<Self> {
-        Self::with_threads(exec, query, caps, step, 1)
-    }
-
-    /// Like [`GridIndexEvaluator::new`] but scores tuples on `threads`
-    /// worker threads (deterministic; identical table to a serial build).
-    pub fn with_threads(
-        exec: &'a mut Executor,
-        query: &AcqQuery,
-        caps: &[f64],
-        step: f64,
-        threads: usize,
-    ) -> EngineResult<Self> {
-        assert!(step > 0.0 && step.is_finite(), "grid step must be positive");
-        let prepared = Arc::new(Prepared::build(exec, query, caps, Some(step), threads)?);
-        Ok(Self::over(exec, query, prepared))
-    }
-
-    /// The evaluator over an already built product for `query`.
-    fn over(exec: &'a mut Executor, query: &AcqQuery, prepared: Arc<Prepared>) -> Self {
-        Self {
-            inner: CachedScoreEvaluator::over(exec, query, prepared),
-        }
-    }
-
-    /// Number of distinct occupied cells (index footprint gauge).
-    #[must_use]
-    pub fn occupied_cells(&self) -> usize {
-        self.inner.table.as_ref().map_or(0, |t| t.len())
-    }
-}
-
-impl EvaluationLayer for GridIndexEvaluator<'_> {
-    fn cell_aggregate(&mut self, cell: &[CellRange]) -> EngineResult<AggState> {
-        self.inner.cell_aggregate(cell)
-    }
-
-    fn full_aggregate(&mut self, bounds: &[f64]) -> EngineResult<AggState> {
-        self.inner.full_aggregate(bounds)
-    }
-
-    fn empty_state(&self) -> EngineResult<AggState> {
-        self.inner.empty_state()
-    }
-
-    fn stats(&self) -> ExecStats {
-        self.inner.stats()
-    }
-
-    fn universe_size(&self) -> usize {
-        self.inner.universe_size()
-    }
-
-    fn parallel_cells(&self) -> Option<&dyn ParallelCells> {
-        self.inner.parallel_cells()
-    }
-
-    fn commit_cell_cost(&mut self, cost: &CellCost) {
-        self.inner.commit_cell_cost(cost);
-    }
-
-    fn use_grid(&mut self, step: f64) {
-        self.inner.use_grid(step);
-    }
-
-    fn kind_name(&self) -> &'static str {
-        "grid-index"
     }
 }
 
@@ -1168,28 +899,28 @@ mod tests {
         let (mut e2, _) = setup();
         let mut cached = CachedScoreEvaluator::new(&mut e2, &q, &caps()).unwrap();
         let (mut e3, _) = setup();
-        let mut grid = GridIndexEvaluator::new(&mut e3, &q, &caps(), step).unwrap();
+        let mut table = table_layer(&mut e3, &q, &caps(), step);
 
         for cell in &cells {
             let a = scan.cell_aggregate(cell).unwrap().value();
             let b = cached.cell_aggregate(cell).unwrap().value();
-            let c = grid.cell_aggregate(cell).unwrap().value();
+            let c = table.cell_aggregate(cell).unwrap().value();
             assert_eq!(a, b, "cell {cell:?}");
             assert_eq!(a, c, "cell {cell:?}");
         }
         for b in &bounds {
             let x = scan.full_aggregate(b).unwrap().value();
             let y = cached.full_aggregate(b).unwrap().value();
-            let z = grid.full_aggregate(b).unwrap().value();
+            let z = table.full_aggregate(b).unwrap().value();
             assert_eq!(x, y, "bounds {b:?}");
             assert_eq!(x, z, "bounds {b:?}");
         }
     }
 
     #[test]
-    fn grid_index_skips_empty_cells() {
+    fn the_cell_table_skips_empty_cells() {
         let (mut exec, q) = setup();
-        let mut grid = GridIndexEvaluator::new(&mut exec, &q, &caps(), 5.0).unwrap();
+        let mut table = table_layer(&mut exec, &q, &caps(), 5.0);
         // x and y are perfectly correlated (y = 2x); most off-diagonal cells
         // are empty.
         let empty = vec![
@@ -1199,10 +930,10 @@ mod tests {
                 hi: 405.0,
             },
         ];
-        let s0 = grid.stats();
-        let a = grid.cell_aggregate(&empty).unwrap();
+        let s0 = table.stats();
+        let a = table.cell_aggregate(&empty).unwrap();
         assert_eq!(a.value(), Some(0.0));
-        let s1 = grid.stats();
+        let s1 = table.stats();
         assert_eq!(s1.cells_skipped - s0.cells_skipped, 1);
         assert_eq!(s1.tuples_scanned, s0.tuples_scanned, "no tuples touched");
     }
@@ -1342,88 +1073,9 @@ mod tests {
             let mut cached = CachedScoreEvaluator::new(&mut e2, &q, &caps()).unwrap();
             check_shared_matches(&mut cached, cell);
             let (mut e3, _) = setup();
-            let mut grid = GridIndexEvaluator::new(&mut e3, &q, &caps(), step).unwrap();
-            check_shared_matches(&mut grid, cell);
+            let mut table = table_layer(&mut e3, &q, &caps(), step);
+            check_shared_matches(&mut table, cell);
         }
-    }
-
-    #[test]
-    fn cached_zone_pruning_is_bit_identical_and_prunes() {
-        fn zsetup() -> (Executor, AcqQuery) {
-            let mut b = TableBuilder::new("t", vec![Field::new("x", DataType::Float)]).unwrap();
-            // Deliberately unsorted insertion order: the matrix clustering
-            // sort, not the on-disk layout, has to produce the pruning.
-            for i in 0..2048u32 {
-                b.push_row(vec![Value::Float(f64::from((i * 1021) % 2048))]);
-            }
-            let mut cat = Catalog::new();
-            cat.register(b.finish().unwrap()).unwrap();
-            let q = AcqQuery::builder()
-                .table("t")
-                .predicate(
-                    Predicate::select(
-                        ColRef::new("t", "x"),
-                        Interval::new(0.0, 100.0),
-                        RefineSide::Upper,
-                    )
-                    .with_domain(Interval::new(0.0, 2047.0)),
-                )
-                .constraint(AggConstraint::new(
-                    AggregateSpec::sum(ColRef::new("t", "x")),
-                    CmpOp::Ge,
-                    1.0,
-                ))
-                .build()
-                .unwrap();
-            (Executor::new(cat), q)
-        }
-        // Scores are x - 100 (clamped at 0), so with 2048 rows the sorted
-        // matrix has eight 256-row blocks with disjoint score bands.
-        let cells = [
-            vec![CellRange::Zero],
-            vec![CellRange::Open {
-                lo: 500.0,
-                hi: 600.0,
-            }],
-            // Spans block 2's whole band: exercises the full-block fold.
-            vec![CellRange::Open {
-                lo: 411.5,
-                hi: 668.5,
-            }],
-            // Beyond every score: every block is pruned.
-            vec![CellRange::Open {
-                lo: 5000.0,
-                hi: 5010.0,
-            }],
-        ];
-        let (mut e_on, q) = zsetup();
-        let mut on = CachedScoreEvaluator::new(&mut e_on, &q, &[5000.0]).unwrap();
-        let (mut e_off, _) = zsetup();
-        e_off.set_zone_pruning(false);
-        let mut off = CachedScoreEvaluator::new(&mut e_off, &q, &[5000.0]).unwrap();
-        assert_eq!(on.universe_size(), 2048);
-        for cell in &cells {
-            // SUM over floats: bitwise equality proves fold-order identity,
-            // not just set equality of the qualifying rows.
-            assert_eq!(
-                on.cell_aggregate(cell).unwrap().value(),
-                off.cell_aggregate(cell).unwrap().value(),
-                "cell {cell:?}"
-            );
-        }
-        let son = on.stats();
-        let soff = off.stats();
-        assert!(son.zones_pruned > 0, "pruning never fired: {son}");
-        assert!(son.zones_full > 0, "full-block fold never fired: {son}");
-        assert!(
-            son.tuples_scanned < soff.tuples_scanned,
-            "pruned path must scan strictly fewer tuples ({} vs {})",
-            son.tuples_scanned,
-            soff.tuples_scanned
-        );
-        assert_eq!(soff.zones_pruned, 0, "disabled path classifies nothing");
-        assert_eq!(soff.zones_full, 0);
-        assert_eq!(soff.zones_scanned, 0);
     }
 
     /// The fault injector wraps a layer from outside, so where the product
@@ -1465,96 +1117,9 @@ mod tests {
         assert!(faulted > 0, "the schedules must actually fault");
     }
 
-    /// The comparator that first defined the clustering order, verbatim: it
-    /// floors inside every comparison, which is what [`cluster_order`] is
-    /// there to avoid, and it is what the stored order is pinned against.
-    fn reference_order(scores: &[f64], d: usize) -> Vec<u32> {
-        let mut perm: Vec<u32> = (0..(scores.len() / d) as u32).collect();
-        perm.sort_unstable_by(|&a, &b| {
-            let (ra, rb) = (a as usize * d, b as usize * d);
-            for k in 0..d {
-                let (qa, qb) = (scores[ra + k].floor(), scores[rb + k].floor());
-                if qa != qb {
-                    return qa.total_cmp(&qb);
-                }
-            }
-            a.cmp(&b)
-        });
-        perm
-    }
-
-    /// Score palettes for the order property: few distinct floors (heavy
-    /// ties, both zeros), subnormals either side of zero, floors at and
-    /// above 2³² a few buckets apart (the counting passes must number them
-    /// from the dimension's minimum), floors too far apart to count (the
-    /// comparison sort), infinities included, and plain scores either side
-    /// of zero.
-    fn palette_score(palette: usize, pick: u64) -> f64 {
-        const TIES: [f64; 10] = [0.0, -0.0, 0.25, -0.25, 0.999, 1.0, 1.5, 2.0, 2.999, 3.0];
-        const TINY: [f64; 7] = [
-            5e-324,
-            -5e-324,
-            f64::MIN_POSITIVE,
-            -f64::MIN_POSITIVE,
-            0.0,
-            -0.0,
-            1.0,
-        ];
-        const TWO_32: f64 = 4_294_967_296.0;
-        const HIGH: [f64; 6] = [
-            TWO_32,
-            TWO_32 + 0.5,
-            TWO_32 + 1.0,
-            TWO_32 + 7.5,
-            TWO_32 + 100.0,
-            2.0 * TWO_32 - 1.0,
-        ];
-        const WIDE: [f64; 9] = [
-            0.0,
-            -0.0,
-            TWO_32,
-            1e15,
-            -1e15,
-            1e300,
-            -1e300,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-        ];
-        let of = |values: &[f64]| values[(pick % values.len() as u64) as usize];
-        match palette {
-            0 => of(&TIES),
-            1 => of(&TINY),
-            2 => of(&HIGH[..5]),
-            3 => of(&HIGH),
-            4 => of(&WIDE),
-            _ => (pick % 50_000) as f64 / 100.0 - 250.0,
-        }
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig {
-            cases: 256,
-            ..proptest::prelude::ProptestConfig::default()
-        })]
-
-        #[test]
-        fn cluster_order_is_the_reference_comparators(
-            d in 1usize..5,
-            palette in 0usize..6,
-            picks in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..1600),
-        ) {
-            let scores: Vec<f64> = picks[..picks.len() / d * d]
-                .iter()
-                .map(|&pick| palette_score(palette, pick))
-                .collect();
-            let reference = reference_order(&scores, d);
-            proptest::prop_assert_eq!(&cluster_order(&scores, d), &reference);
-            proptest::prop_assert_eq!(&comparison_order(&scores, d), &reference);
-        }
-    }
-
-    /// A cached-score layer over a product built for the grid of `step`:
-    /// what `prepare_layer` hands out.
+    /// A cached-score layer over a product built for the grid of `step`,
+    /// told that grid the way a search tells it: what `prepare_layer` hands
+    /// out, once the search has begun.
     fn table_layer<'a>(
         exec: &'a mut Executor,
         query: &AcqQuery,
@@ -1562,15 +1127,23 @@ mod tests {
         step: f64,
     ) -> CachedScoreEvaluator<'a> {
         let prepared = Prepared::build(exec, query, caps, Some(step), 1).unwrap();
-        CachedScoreEvaluator::over(exec, query, Arc::new(prepared))
+        let mut layer = CachedScoreEvaluator::over(exec, query, Arc::new(prepared));
+        layer.use_grid(step);
+        layer
+    }
+
+    /// A registry that knows `SUMSQ`.
+    fn registry() -> UdaRegistry {
+        let mut registry = UdaRegistry::new();
+        registry.register("SUMSQ", || Box::<acq_engine::SumSquares>::default());
+        registry
     }
 
     /// A table whose column `x{k}` refines `x{k} <= 100`, so a row's score
     /// on dimension `k` is (nearly exactly) `x{k} − 100`, and whose column
-    /// `v` holds small integers: every fold order sums them to the same
-    /// bits, so a layer that folds rows in another order than the stored one
-    /// (the scan layer) can be compared bit for bit. Returns the executor
-    /// and the query aggregating `spec(v)` (`COUNT(*)` for `None`).
+    /// `v` holds the given values, read by an executor that knows `SUMSQ`.
+    /// Returns the executor and the query aggregating `spec(v)` (`COUNT(*)`
+    /// for `None`).
     fn scored_table(rows: &[(Vec<f64>, f64)], d: usize, spec: OverV) -> (Executor, AcqQuery) {
         let mut fields: Vec<Field> = (0..d)
             .map(|k| Field::new(format!("x{k}"), DataType::Float))
@@ -1595,19 +1168,20 @@ mod tests {
             .constraint(AggConstraint::new(spec, CmpOp::Ge, 1.0))
             .build()
             .unwrap();
-        (Executor::new(cat), q)
+        (Executor::new(cat).with_uda_registry(registry()), q)
     }
 
     /// An aggregate over `v`; `None` is `COUNT(*)`.
     type OverV = Option<fn(ColRef) -> AggregateSpec>;
 
-    /// The five built-in aggregates.
-    const SPECS: [OverV; 5] = [
+    /// The five built-in aggregates and the user-defined `SUMSQ`.
+    const SPECS: [OverV; 6] = [
         None,
         Some(AggregateSpec::sum),
         Some(AggregateSpec::avg),
         Some(AggregateSpec::min),
         Some(AggregateSpec::max),
+        Some(|v| AggregateSpec::uda("SUMSQ", v)),
     ];
 
     /// A cell on some grid of `step` that is not one of its cells used to be
@@ -1644,12 +1218,9 @@ mod tests {
             let mut cached = CachedScoreEvaluator::new(&mut e1, &q, &caps).unwrap();
             let (mut e2, _) = scored_table(&rows, 1, spec);
             let mut table = table_layer(&mut e2, &q, &caps, step);
-            let (mut e3, _) = scored_table(&rows, 1, spec);
-            let mut grid = GridIndexEvaluator::new(&mut e3, &q, &caps, step).unwrap();
-            let layers: [&mut dyn EvaluationLayer; 3] = [&mut cached, &mut table, &mut grid];
-            for layer in layers {
+            for layer in [&mut cached, &mut table] {
                 let got = [&misaligned, &aligned].map(|c| layer.cell_aggregate(c).unwrap().value());
-                assert_eq!(got, expected, "{} {spec:?}", layer.kind_name());
+                assert_eq!(got, expected, "{spec:?}");
             }
             // The table answers the aligned cell and scans the other.
             let par = table.parallel_cells().unwrap();
@@ -1720,9 +1291,10 @@ mod tests {
             ..proptest::prelude::ProptestConfig::default()
         })]
 
-        /// Every cell's table answer is the matrix scan's, bit for bit, with
-        /// pruning on and off — over values whose sums depend on the fold
-        /// order — and the table-backed layers give the scan layer's answer.
+        /// Every cell's table answer is the matrix filter's, bit for bit —
+        /// over values whose sums depend on the fold order — and the cached
+        /// layer gives the scan layer's answers, cells and full queries
+        /// alike, on every built-in aggregate and on a user-defined one.
         #[test]
         fn the_cell_table_answers_every_cell_with_the_scans_bits(
             d in 1usize..4,
@@ -1737,44 +1309,45 @@ mod tests {
             let cells = every_cell(d, limit, step);
 
             let scores: Vec<f64> = rows.iter().flat_map(|(s, _)| s.clone()).collect();
-            let vals = rows.iter().map(|&(_, p)| (p % 20_011) as f64 / 7.0 - 1_000.0).collect();
-            let matrix = ScoreMatrix::finalize(scores, vals, d);
+            let vals: Vec<f64> =
+                rows.iter().map(|&(_, p)| (p % 20_011) as f64 / 7.0 - 1_000.0).collect();
+            let matrix = ScoreMatrix { scores, vals: vals.clone(), d };
             for spec in SPECS {
                 let spec = spec.map_or_else(AggregateSpec::count, |f| f(ColRef::new("t", "v")));
-                let empty = AggState::empty(&spec, &UdaRegistry::default()).unwrap();
-                let table = CellTable::build(&matrix, step, &spec).unwrap();
+                let empty = AggState::empty(&spec, &registry()).unwrap();
+                let table = CellTable::build(&matrix, step, empty.clone()).unwrap();
                 for cell in &cells {
                     let found = table.lookup(cell).expect("an aligned cell is looked up");
+                    let mut scanned = empty.clone();
+                    matrix.cell_scan_into(cell, &mut scanned);
                     let got = format!("{:?}", found.unwrap_or(&table.empty));
-                    for pruned in [true, false] {
-                        let mut scanned = empty.clone();
-                        matrix.cell_scan_into(cell, &mut scanned, pruned);
-                        proptest::prop_assert_eq!(&got, &format!("{scanned:?}"), "{:?}", cell);
-                    }
+                    proptest::prop_assert_eq!(&got, &format!("{scanned:?}"), "{:?}", cell);
                     let mut rows_in = AggState::Count(0);
-                    matrix.cell_scan_into(cell, &mut rows_in, false);
+                    matrix.cell_scan_into(cell, &mut rows_in);
                     proptest::prop_assert_eq!(found.is_some(), rows_in.count() != Some(0));
                 }
             }
 
             let rows: Vec<(Vec<f64>, f64)> =
-                rows.into_iter().map(|(s, p)| (s, (p % 97) as f64)).collect();
+                rows.into_iter().map(|(s, _)| s).zip(vals).collect();
             let caps = vec![f64::from(limit) * step; d];
             for spec in SPECS {
                 let (mut e0, q) = scored_table(&rows, d, spec);
                 let mut scan = ScanEvaluator::new(&mut e0, &q, &caps).unwrap();
                 let (mut e1, _) = scored_table(&rows, d, spec);
                 let mut table = table_layer(&mut e1, &q, &caps, step);
-                let (mut e2, _) = scored_table(&rows, d, spec);
-                let mut grid = GridIndexEvaluator::new(&mut e2, &q, &caps, step).unwrap();
                 for cell in &cells {
                     let expected = format!("{:?}", scan.cell_aggregate(cell).unwrap());
                     let before = table.stats();
                     proptest::prop_assert_eq!(&format!("{:?}", table.cell_aggregate(cell).unwrap()), &expected);
-                    proptest::prop_assert_eq!(&format!("{:?}", grid.cell_aggregate(cell).unwrap()), &expected);
                     let after = table.stats();
                     proptest::prop_assert_eq!(after.index_probes - before.index_probes, 1);
                     proptest::prop_assert_eq!(after.tuples_scanned, before.tuples_scanned);
+                }
+                for u in [0, limit / 2, limit] {
+                    let bounds = vec![f64::from(u) * step; d];
+                    let expected = format!("{:?}", scan.full_aggregate(&bounds).unwrap());
+                    proptest::prop_assert_eq!(&format!("{:?}", table.full_aggregate(&bounds).unwrap()), &expected);
                 }
             }
         }

@@ -19,8 +19,8 @@
 //!   (what the paper's Postgres deployment does), [`CachedScoreEvaluator`]
 //!   caches per-tuple scores and folds every occupied cell of the searched
 //!   grid once, so a cell is a lookup and empty cells are skipped without
-//!   execution (§7.4), and [`GridIndexEvaluator`] folds its grid's cells at
-//!   construction;
+//!   execution (§7.4); both fold a cell's rows in relation order, so they
+//!   return the same bits on every aggregate;
 //! * the **driver** — [`acquire`] / [`run_acquire`], Algorithm 4 with the
 //!   aggregate-error threshold `δ`, proximity threshold `γ`, answer-layer
 //!   collection, and cell repartitioning for overshooting queries: one
@@ -84,8 +84,7 @@ pub use driver::{acquire, acquire_progress, run_acquire, run_acquire_progress, H
 pub use error::CoreError;
 pub use estimate::HistogramEstimator;
 pub use eval::{
-    CachedScoreEvaluator, CellCost, EvalLayerKind, EvaluationLayer, GridIndexEvaluator,
-    ParallelCells, ScanEvaluator,
+    CachedScoreEvaluator, CellCost, EvalLayerKind, EvaluationLayer, ParallelCells, ScanEvaluator,
 };
 pub use fault::{FaultInjectingLayer, FaultSchedule};
 pub use govern::{CancellationToken, ExecutionBudget, FaultPolicy, InterruptReason, Termination};

@@ -4,9 +4,9 @@
 //! on the target (§1, Example 1), and its economy is that a region of data
 //! is executed at most once however many refined queries contain it (§5).
 //! A host that builds a fresh evaluation layer per request honours that
-//! inside a request and breaks it across requests: scoring, clustering and
-//! zone-stat'ing every admissible tuple depends on the predicates, not on
-//! the target, and is most of a request's time. A [`PreparedCache`] sits
+//! inside a request and breaks it across requests: scoring every admissible
+//! tuple and folding the grid's cells depends on the predicates, not on the
+//! target, and is most of a request's time. A [`PreparedCache`] sits
 //! behind the one layer-construction seam (`eval::prepare_layer`) and lets
 //! every request over the same predicate set — expanding, contracting or
 //! falling through from one to the other — stand on one shared, immutable

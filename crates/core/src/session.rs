@@ -40,7 +40,7 @@
 //!
 //! let mut exec = Executor::new(catalog);
 //! let mut session = Session::new(&mut exec, &query, &AcquireConfig::default(),
-//!                                EvalLayerKind::GridIndex)?;
+//!                                EvalLayerKind::CachedScore)?;
 //! let a = session.run(150.0)?; // first budget
 //! let b = session.run(400.0)?; // Alice doubles the budget — no re-scan
 //! assert!(a.satisfied && b.satisfied);
@@ -220,7 +220,7 @@ mod tests {
             &mut exec,
             &q,
             &AcquireConfig::default(),
-            EvalLayerKind::GridIndex,
+            EvalLayerKind::CachedScore,
         )
         .unwrap();
         let scanned_after_build = session.eval.stats().tuples_scanned;
@@ -244,13 +244,13 @@ mod tests {
     fn session_matches_one_shot_runs() {
         let (mut exec, q) = setup();
         let cfg = AcquireConfig::default();
-        let mut session = Session::new(&mut exec, &q, &cfg, EvalLayerKind::GridIndex).unwrap();
+        let mut session = Session::new(&mut exec, &q, &cfg, EvalLayerKind::CachedScore).unwrap();
         let via_session = session.run(800.0).unwrap();
 
         let (mut exec2, mut q2) = setup();
         q2.constraint.target = 800.0;
         let one_shot =
-            crate::driver::run_acquire(&mut exec2, &q2, &cfg, EvalLayerKind::GridIndex).unwrap();
+            crate::driver::run_acquire(&mut exec2, &q2, &cfg, EvalLayerKind::CachedScore).unwrap();
         assert_eq!(via_session.satisfied, one_shot.satisfied);
         assert_eq!(
             via_session.best().map(|r| (r.qscore, r.aggregate)),
@@ -265,7 +265,7 @@ mod tests {
             &mut exec,
             &q,
             &AcquireConfig::default(),
-            EvalLayerKind::GridIndex,
+            EvalLayerKind::CachedScore,
         )
         .unwrap();
         let loose = session.run_with_delta(777.0, 0.1).unwrap();

@@ -110,7 +110,7 @@ fn answer_set_equals_brute_force_oracle() {
 
         let expected = oracle(&catalog, &query, &cfg);
         let mut exec = Executor::new(catalog.clone());
-        let out = run_acquire(&mut exec, &query, &cfg, EvalLayerKind::GridIndex).unwrap();
+        let out = run_acquire(&mut exec, &query, &cfg, EvalLayerKind::CachedScore).unwrap();
 
         // Grid answers only (repartitioned fractional hits have empty
         // points and only appear when no grid answer exists in the layer).

@@ -30,8 +30,8 @@ use acquire_core::govern::Termination;
 use acquire_core::{
     acquire, acquire_progress, contract_with, contraction_query, AcquireConfig,
     CachedScoreEvaluator, CancellationToken, CoreError, EvalLayerKind, EvaluationLayer,
-    ExecutionBudget, FaultInjectingLayer, FaultPolicy, FaultSchedule, GridIndexEvaluator,
-    InterruptReason, Obs, RefinedSpace, Session,
+    ExecutionBudget, FaultInjectingLayer, FaultPolicy, FaultSchedule, InterruptReason, Obs,
+    RefinedSpace, Session,
 };
 
 /// 1000 rows: x = 0.0, 0.1, …, 99.9 and y = i mod 100.
@@ -112,7 +112,7 @@ fn search<E: EvaluationLayer>(
     }
 }
 
-/// Runs the search over a fresh grid-index layer.
+/// Runs the search over a fresh cached-score layer.
 fn run(query: &AcqQuery, cfg: &AcquireConfig) -> acquire_core::AcqOutcome {
     run_with(query, cfg, &CancellationToken::new())
 }
@@ -126,7 +126,7 @@ fn run_with(
     let (query, searched) = prepared(&exec, query);
     let space = RefinedSpace::new(&searched, cfg).unwrap();
     let caps = space.caps();
-    let mut eval = GridIndexEvaluator::new(&mut exec, &searched, &caps, space.step()).unwrap();
+    let mut eval = CachedScoreEvaluator::new(&mut exec, &searched, &caps).unwrap();
     search(&mut eval, &query, cfg, cancel).unwrap()
 }
 
@@ -305,7 +305,7 @@ fn manual_prefix_closest(query: &AcqQuery, cfg: &AcquireConfig, k: u64) -> Optio
     exec.populate_domains(&mut query).unwrap();
     let space = RefinedSpace::new(&query, cfg).unwrap();
     let caps = space.caps();
-    let mut eval = GridIndexEvaluator::new(&mut exec, &query, &caps, space.step()).unwrap();
+    let mut eval = CachedScoreEvaluator::new(&mut exec, &query, &caps).unwrap();
     let mut explorer = Explorer::new();
     let mut expander = BfsExpander::new(&space);
 
@@ -395,7 +395,7 @@ fn cancellation_mid_run_equals_budget_truncation() {
         let cfg = AcquireConfig::default();
         let space = RefinedSpace::new(&q, &cfg).unwrap();
         let caps = space.caps();
-        let inner = GridIndexEvaluator::new(&mut exec, &q, &caps, space.step()).unwrap();
+        let inner = CachedScoreEvaluator::new(&mut exec, &q, &caps).unwrap();
         let mut eval = RecordingLayer::cancelling(inner, k, token.clone());
         let cancelled =
             acquire_progress(&mut eval, &q, &cfg, &token, &Obs::disabled(), None).unwrap();
@@ -436,7 +436,7 @@ fn no_cell_is_executed_twice_with_or_without_interrupts() {
         exec.populate_domains(&mut q).unwrap();
         let space = RefinedSpace::new(&q, &cfg).unwrap();
         let caps = space.caps();
-        let inner = GridIndexEvaluator::new(&mut exec, &q, &caps, space.step()).unwrap();
+        let inner = CachedScoreEvaluator::new(&mut exec, &q, &caps).unwrap();
         let mut eval = RecordingLayer::new(inner);
         let _ = acquire(&mut eval, &q, &cfg).unwrap();
         let unique: std::collections::HashSet<&String> = eval.cells.iter().collect();
@@ -563,7 +563,7 @@ fn session_cancellation_is_sticky_until_reset() {
         &mut exec,
         &query,
         &AcquireConfig::default(),
-        EvalLayerKind::GridIndex,
+        EvalLayerKind::CachedScore,
     )
     .unwrap();
 
@@ -598,7 +598,7 @@ fn session_budget_applies_per_run() {
         &mut exec,
         &query,
         &AcquireConfig::default(),
-        EvalLayerKind::GridIndex,
+        EvalLayerKind::CachedScore,
     )
     .unwrap();
     session.set_budget(ExecutionBudget::unlimited().with_max_explored(1));

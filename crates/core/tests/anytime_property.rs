@@ -12,7 +12,7 @@ use acquire_core::expand::{BfsExpander, Expander};
 use acquire_core::explore::Explorer;
 use acquire_core::{
     acquire, AcquireConfig, CachedScoreEvaluator, CoreError, ExecutionBudget, FaultInjectingLayer,
-    FaultPolicy, FaultSchedule, GridIndexEvaluator, InterruptReason, RefinedSpace,
+    FaultPolicy, FaultSchedule, InterruptReason, RefinedSpace,
 };
 
 fn build_catalog(rows: &[Vec<f64>]) -> Catalog {
@@ -60,7 +60,7 @@ fn run(catalog: &Catalog, query: &AcqQuery, cfg: &AcquireConfig) -> acquire_core
     exec.populate_domains(&mut query).unwrap();
     let space = RefinedSpace::new(&query, cfg).unwrap();
     let caps = space.caps();
-    let mut eval = GridIndexEvaluator::new(&mut exec, &query, &caps, space.step()).unwrap();
+    let mut eval = CachedScoreEvaluator::new(&mut exec, &query, &caps).unwrap();
     acquire(&mut eval, &query, cfg).unwrap()
 }
 
@@ -77,7 +77,7 @@ fn manual_prefix_closest(
     exec.populate_domains(&mut query).unwrap();
     let space = RefinedSpace::new(&query, cfg).unwrap();
     let caps = space.caps();
-    let mut eval = GridIndexEvaluator::new(&mut exec, &query, &caps, space.step()).unwrap();
+    let mut eval = CachedScoreEvaluator::new(&mut exec, &query, &caps).unwrap();
     let mut explorer = Explorer::new();
     let mut expander = BfsExpander::new(&space);
 

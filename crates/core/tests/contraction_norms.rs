@@ -56,7 +56,7 @@ fn contraction_under_linf_balances_both_dimensions() {
         &mut exec,
         &overshooting(CmpOp::Le, 900.0),
         &cfg,
-        EvalLayerKind::GridIndex,
+        EvalLayerKind::CachedScore,
     )
     .unwrap();
     assert!(out.satisfied);
@@ -82,7 +82,7 @@ fn weighted_contraction_protects_the_heavy_dimension() {
         &mut exec,
         &overshooting(CmpOp::Le, 900.0),
         &cfg,
-        EvalLayerKind::GridIndex,
+        EvalLayerKind::CachedScore,
     )
     .unwrap();
     assert!(out.satisfied);
@@ -132,7 +132,7 @@ fn lt_constraint_is_strict_about_direction() {
         &mut exec,
         &overshooting(CmpOp::Lt, 500.0),
         &AcquireConfig::default(),
-        EvalLayerKind::GridIndex,
+        EvalLayerKind::CachedScore,
     )
     .unwrap();
     assert!(out.satisfied);
@@ -140,35 +140,30 @@ fn lt_constraint_is_strict_about_direction() {
     assert!(out.best().unwrap().aggregate <= 500.0 * 1.05);
 }
 
-/// The zone-pruning flag steers the matrix scan, and the layers
-/// `run_contraction` builds answer every grid cell from the prepared
+/// The zone-pruning flag steers only the scan layer, and the cached layer
+/// `run_contraction` builds answers every grid cell from the prepared
 /// product's cell table instead: the flag changes nothing, not even the
 /// work counters, and no zone block is classified.
 #[test]
 fn contraction_answers_alike_with_zone_pruning_on_and_off() {
-    for kind in [EvalLayerKind::CachedScore, EvalLayerKind::GridIndex] {
-        let run = |zone_pruning: bool| {
-            let cfg = AcquireConfig::default().with_zone_pruning(zone_pruning);
-            let mut exec = Executor::new(catalog());
-            run_contraction(&mut exec, &overshooting(CmpOp::Le, 900.0), &cfg, kind).unwrap()
-        };
-        let (on, off) = (run(true), run(false));
-        let answers = |out: &AcqOutcome| -> Vec<(String, u64, u64)> {
-            out.queries
-                .iter()
-                .map(|r| (r.sql.clone(), r.aggregate.to_bits(), r.qscore.to_bits()))
-                .collect()
-        };
-        assert!(on.satisfied, "{kind:?}");
-        assert_eq!(answers(&on), answers(&off), "{kind:?}");
-        assert_eq!(on.explored, off.explored, "{kind:?}");
-        assert_eq!(on.stats, off.stats, "{kind:?}");
-        let s = on.stats;
-        assert_eq!(s.index_probes, s.cell_queries, "{kind:?}: {s}");
-        assert_eq!(
-            s.zones_pruned + s.zones_full + s.zones_scanned,
-            0,
-            "{kind:?}: {s}"
-        );
-    }
+    let run = |zone_pruning: bool| {
+        let cfg = AcquireConfig::default().with_zone_pruning(zone_pruning);
+        let mut exec = Executor::new(catalog());
+        let query = overshooting(CmpOp::Le, 900.0);
+        run_contraction(&mut exec, &query, &cfg, EvalLayerKind::CachedScore).unwrap()
+    };
+    let (on, off) = (run(true), run(false));
+    let answers = |out: &AcqOutcome| -> Vec<(String, u64, u64)> {
+        out.queries
+            .iter()
+            .map(|r| (r.sql.clone(), r.aggregate.to_bits(), r.qscore.to_bits()))
+            .collect()
+    };
+    assert!(on.satisfied);
+    assert_eq!(answers(&on), answers(&off));
+    assert_eq!(on.explored, off.explored);
+    assert_eq!(on.stats, off.stats);
+    let s = on.stats;
+    assert_eq!(s.index_probes, s.cell_queries, "{s}");
+    assert_eq!(s.zones_pruned + s.zones_full + s.zones_scanned, 0, "{s}");
 }

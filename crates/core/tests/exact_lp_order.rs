@@ -85,9 +85,15 @@ fn exact_order_never_worse_under_l2() {
     };
 
     let mut e1 = Executor::new(catalog());
-    let bfs = run_acquire(&mut e1, &query(450.0), &cfg_bfs, EvalLayerKind::GridIndex).unwrap();
+    let bfs = run_acquire(&mut e1, &query(450.0), &cfg_bfs, EvalLayerKind::CachedScore).unwrap();
     let mut e2 = Executor::new(catalog());
-    let exact = run_acquire(&mut e2, &query(450.0), &cfg_exact, EvalLayerKind::GridIndex).unwrap();
+    let exact = run_acquire(
+        &mut e2,
+        &query(450.0),
+        &cfg_exact,
+        EvalLayerKind::CachedScore,
+    )
+    .unwrap();
 
     assert!(bfs.satisfied && exact.satisfied);
     let (bq, eq) = (bfs.best().unwrap().qscore, exact.best().unwrap().qscore);
@@ -127,7 +133,7 @@ fn exact_order_results_verify() {
     };
     let cat = catalog();
     let mut exec = Executor::new(cat.clone());
-    let out = run_acquire(&mut exec, &query(450.0), &cfg, EvalLayerKind::GridIndex).unwrap();
+    let out = run_acquire(&mut exec, &query(450.0), &cfg, EvalLayerKind::CachedScore).unwrap();
     assert!(out.satisfied);
     let best = out.best().unwrap();
     // Independent re-execution.

@@ -67,7 +67,7 @@ fn unknown_column_surfaces() {
         &mut exec,
         &q,
         &AcquireConfig::default(),
-        EvalLayerKind::GridIndex,
+        EvalLayerKind::CachedScore,
     )
     .unwrap_err();
     assert!(
@@ -125,11 +125,7 @@ fn a_panic_while_preparing_surfaces_as_a_typed_error() {
         .unwrap();
     let cfg = AcquireConfig::default();
     let cache = PreparedCache::default();
-    for kind in [
-        EvalLayerKind::Scan,
-        EvalLayerKind::CachedScore,
-        EvalLayerKind::GridIndex,
-    ] {
+    for kind in [EvalLayerKind::Scan, EvalLayerKind::CachedScore] {
         let panicked = |r: Result<_, CoreError>, what: &str| match r {
             Err(CoreError::EvalPanicked(_)) => {}
             Err(other) => panic!("{kind:?} {what}: {other}"),
@@ -149,7 +145,7 @@ fn a_panic_while_preparing_surfaces_as_a_typed_error() {
         }
     }
     let c = cache.counters();
-    assert_eq!((c.misses, c.entries, c.bytes), (4, 0, 0), "{c:?}");
+    assert_eq!((c.misses, c.entries, c.bytes), (2, 0, 0), "{c:?}");
 }
 
 #[test]

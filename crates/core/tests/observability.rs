@@ -304,7 +304,7 @@ fn session_threads_its_observability_handle_through_runs() {
     let mut exec = Executor::new(catalog());
     let q = query(800.0);
     let cfg = AcquireConfig::default();
-    let mut session = Session::new(&mut exec, &q, &cfg, EvalLayerKind::GridIndex).unwrap();
+    let mut session = Session::new(&mut exec, &q, &cfg, EvalLayerKind::CachedScore).unwrap();
     assert!(
         !session.observability().is_enabled(),
         "sessions default to a disabled handle"

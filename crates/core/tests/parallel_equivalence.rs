@@ -32,7 +32,7 @@ use acquire_core::{
     AcquireConfig, CachedScoreEvaluator, CancellationToken, CellCost, CoreError, EvalLayerKind,
     EvaluationLayer, ExecutionBudget, FaultInjectingLayer, FaultPolicy, FaultSchedule, Host, Obs,
     ParallelCells, Parallelism, PreparedCache, PreparedCounters, ProgressSink, RefinedQueryResult,
-    RefinedSpace, Session,
+    RefinedSpace, ScanEvaluator, Session,
 };
 
 // ---------------------------------------------------------------------------
@@ -171,7 +171,7 @@ fn fingerprint(out: &AcqOutcome) -> String {
 // Runners
 // ---------------------------------------------------------------------------
 
-use EvalLayerKind::{CachedScore as Cached, GridIndex as Grid};
+use EvalLayerKind::{CachedScore as Cached, Scan};
 
 fn contracts(query: &AcqQuery) -> bool {
     matches!(query.constraint.op, CmpOp::Le | CmpOp::Lt)
@@ -345,7 +345,7 @@ fn request(
     cfg: &AcquireConfig,
     cache: Option<&PreparedCache>,
 ) -> Result<AcqOutcome, CoreError> {
-    let mut exec = Executor::new(catalog());
+    let mut exec = executor();
     let (cancel, obs) = (CancellationToken::new(), Obs::disabled());
     let host = Host {
         prepared: cache,
@@ -400,26 +400,22 @@ fn prepared_rows() -> [AcqQuery; 3] {
 #[test]
 fn every_thread_count_matches_serial_bit_for_bit() {
     for (query, delta) in query_rows() {
-        for kind in [Cached, Grid] {
-            let serial_cfg = AcquireConfig::default().with_delta(delta);
-            let baseline = fingerprint(&run(kind, &query, &serial_cfg));
-            for par in parallel_settings() {
-                let cfg = serial_cfg.clone().with_parallelism(par);
-                let got = fingerprint(&run(kind, &query, &cfg));
-                assert_eq!(got, baseline, "{par:?} diverged from serial");
-            }
+        let serial_cfg = AcquireConfig::default().with_delta(delta);
+        let baseline = fingerprint(&run(Cached, &query, &serial_cfg));
+        for par in parallel_settings() {
+            let cfg = serial_cfg.clone().with_parallelism(par);
+            let got = fingerprint(&run(Cached, &query, &cfg));
+            assert_eq!(got, baseline, "{par:?} diverged from serial");
         }
     }
     // And wherever the layers came from, on every thread count.
     for query in prepared_rows() {
-        for kind in [Cached, Grid] {
-            let baseline = fingerprint(&run(kind, &query, &AcquireConfig::default()));
-            for par in all_thread_settings() {
-                let cfg = AcquireConfig::default().with_parallelism(par);
-                for prep in PREPS {
-                    let got = fingerprint(&run_prepared(kind, &query, &cfg, prep));
-                    assert_eq!(got, baseline, "{kind:?}, {par:?}, {prep:?}");
-                }
+        let baseline = fingerprint(&run(Cached, &query, &AcquireConfig::default()));
+        for par in all_thread_settings() {
+            let cfg = AcquireConfig::default().with_parallelism(par);
+            for prep in PREPS {
+                let got = fingerprint(&run_prepared(Cached, &query, &cfg, prep));
+                assert_eq!(got, baseline, "{par:?}, {prep:?}");
             }
         }
     }
@@ -434,19 +430,19 @@ fn budget_interrupts_are_identical_across_thread_counts() {
         .into_iter()
         .chain(prepared_rows().map(|q| (q, &PREPS[..])));
     for (query, preps) in rows {
-        let full = run(Grid, &query, &AcquireConfig::default());
+        let full = run(Cached, &query, &AcquireConfig::default());
         assert!(full.explored > 8, "need a non-trivial search");
 
         // Explored budgets, including ones that land mid-layer.
         for k in [1, 2, 5, full.explored / 2] {
             let serial_cfg = AcquireConfig::default()
                 .with_budget(ExecutionBudget::unlimited().with_max_explored(k));
-            let baseline = fingerprint(&run(Grid, &query, &serial_cfg));
+            let baseline = fingerprint(&run(Cached, &query, &serial_cfg));
             assert!(baseline.contains("ExploredBudget"), "budget {k} must trip");
             for par in parallel_settings() {
                 let cfg = serial_cfg.clone().with_parallelism(par);
                 for &prep in preps {
-                    let got = fingerprint(&run_prepared(Grid, &query, &cfg, prep));
+                    let got = fingerprint(&run_prepared(Cached, &query, &cfg, prep));
                     assert_eq!(got, baseline, "budget {k}, {par:?}, {prep:?}");
                 }
             }
@@ -456,11 +452,11 @@ fn budget_interrupts_are_identical_across_thread_counts() {
         // deadlines are wall-clock dependent, hence not deterministic).
         let serial_cfg = AcquireConfig::default()
             .with_budget(ExecutionBudget::unlimited().with_deadline(Duration::ZERO));
-        let baseline = fingerprint(&run(Grid, &query, &serial_cfg));
+        let baseline = fingerprint(&run(Cached, &query, &serial_cfg));
         for par in parallel_settings() {
             let cfg = serial_cfg.clone().with_parallelism(par);
             for &prep in preps {
-                let got = fingerprint(&run_prepared(Grid, &query, &cfg, prep));
+                let got = fingerprint(&run_prepared(Cached, &query, &cfg, prep));
                 assert_eq!(got, baseline, "{par:?}, {prep:?}");
             }
         }
@@ -478,11 +474,11 @@ fn budget_interrupts_are_identical_across_thread_counts() {
 #[test]
 fn session_and_one_shot_runs_build_the_same_layer_once() {
     let (t1, t2) = (400.0, 800.0);
-    for kind in [EvalLayerKind::Scan, Cached, Grid] {
+    for kind in [Scan, Cached] {
         // The scan layer models a backend that keeps nothing: never cached.
         let preps = match kind {
-            EvalLayerKind::Scan => &PREPS[..1],
-            _ => &PREPS[..],
+            Scan => &PREPS[..1],
+            Cached => &PREPS[..],
         };
         for par in [Parallelism::Serial, Parallelism::Fixed(2)] {
             let cfg = AcquireConfig::default().with_parallelism(par);
@@ -566,10 +562,8 @@ fn run_stepless(query: &AcqQuery, cfg: &AcquireConfig, sink: Option<&ProgressSin
     search(&mut eval, &query, cfg, &cancel, &Obs::disabled(), sink).unwrap()
 }
 
-/// `query` constrained on `SUMSQ(x)` instead: a user-defined aggregate, for
-/// which a cached layer folds no cell table and scans the score matrix for
-/// every cell, the zone-pruning flag deciding how — and a float fold, whose
-/// bits depend on the order it meets the rows in.
+/// `query` constrained on `SUMSQ(x)` instead: a user-defined aggregate, and
+/// a float fold, whose bits depend on the order it meets the rows in.
 fn sumsq(mut query: AcqQuery, target: f64) -> AcqQuery {
     query.constraint.spec = AggregateSpec::uda("SUMSQ", ColRef::new("t", "x"));
     query.constraint.target = target;
@@ -594,6 +588,119 @@ fn caller_built_layers_answer_like_seam_built_ones() {
     }
 }
 
+/// A user-defined aggregate gets the cell table too: the prepared product
+/// shared between executors folds none for it, and the layer folds one from
+/// its own executor's registry when the search names the grid. Every cell
+/// is then one probe that reads no tuple, so the only tuples an outcome
+/// counts are the build's — on every thread count — and its answers are
+/// the scan layer's.
+#[test]
+fn a_user_defined_aggregate_answers_every_cell_by_one_probe() {
+    let query = sumsq(ge_query(0.0), 2_000.0);
+    let cut = AcquireConfig {
+        max_explored: 0,
+        ..AcquireConfig::default()
+    };
+    let receipt = run(Cached, &query, &cut).stats;
+    assert_eq!(receipt.cell_queries, 0);
+    let scan = run(Scan, &query, &AcquireConfig::default());
+    for par in all_thread_settings() {
+        let out = run(
+            Cached,
+            &query,
+            &AcquireConfig::default().with_parallelism(par),
+        );
+        let s = out.stats;
+        assert!(out.explored > 8 && s.cell_queries > 8, "{par:?}: {s}");
+        assert_eq!(s.index_probes, s.cell_queries, "{par:?}: {s}");
+        assert_eq!(s.tuples_scanned, receipt.tuples_scanned, "{par:?}: {s}");
+        assert_eq!(
+            outcome_fingerprint(&out),
+            outcome_fingerprint(&scan),
+            "{par:?}"
+        );
+    }
+}
+
+/// 2 000 rows whose scores fall anywhere inside their grid cells, in no
+/// order, over fractional values `v`: summed in any order but relation
+/// order, a cell's rows come to other bits.
+fn scattered_executor() -> Executor {
+    let mut b = TableBuilder::new(
+        "s",
+        ["a", "b", "v"]
+            .map(|name| Field::new(name, DataType::Float))
+            .to_vec(),
+    )
+    .unwrap();
+    let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+    let mut uniform = || {
+        seed = seed
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (seed >> 11) as f64 / (1u64 << 53) as f64
+    };
+    for _ in 0..2000 {
+        let row = [
+            10.0 + 5.0 * uniform(),
+            10.0 + 5.0 * uniform(),
+            1e3 * uniform(),
+        ];
+        b.push_row(row.map(Value::Float).to_vec());
+    }
+    let mut cat = Catalog::new();
+    cat.register(b.finish().unwrap()).unwrap();
+    let mut exec = Executor::new(cat);
+    exec.uda_registry_mut()
+        .register("sumsq", || Box::<SumSquares>::default());
+    exec
+}
+
+/// Both layers fold a cell's rows in relation order, so float folds — a
+/// `SUM`, an `AVG` and a user-defined `SUMSQ` over fractional values, each
+/// with an `=` that repartitions overshooting cells — give
+/// the same answers and closest query, bit for bit, whichever layer runs
+/// the search.
+#[test]
+fn the_cached_layer_answers_float_folds_with_the_scan_layers_bits() {
+    let v = || ColRef::new("s", "v");
+    let rows = [
+        (AggregateSpec::sum(v()), 300_000.0),
+        (AggregateSpec::avg(v()), 520.0),
+        (AggregateSpec::uda("SUMSQ", v()), 2e8),
+    ];
+    let upper = |name: &str| {
+        let p = Predicate::select(
+            ColRef::new("s", name),
+            Interval::new(0.0, 10.0),
+            RefineSide::Upper,
+        );
+        p.with_domain(Interval::new(0.0, 15.0))
+    };
+    for (spec, target) in rows {
+        let query = AcqQuery::builder()
+            .table("s")
+            .predicate(upper("a"))
+            .predicate(upper("b"))
+            .constraint(AggConstraint::new(spec.clone(), CmpOp::Eq, target))
+            .build()
+            .unwrap();
+        let run = |kind| {
+            let mut exec = scattered_executor();
+            let (cancel, obs) = (CancellationToken::new(), Obs::disabled());
+            let cfg = AcquireConfig::default().with_delta(0.001);
+            run_acquire_progress(&mut exec, &query, &cfg, kind, Host::new(&cancel, &obs)).unwrap()
+        };
+        let (scan, cached) = (run(Scan), run(Cached));
+        assert!(cached.explored > 8, "{spec:?}: {}", cached.explored);
+        assert_eq!(
+            outcome_fingerprint(&cached),
+            outcome_fingerprint(&scan),
+            "{spec:?}"
+        );
+    }
+}
+
 #[test]
 fn zone_pruning_ablation_is_bit_identical_across_thread_counts() {
     let rows = [
@@ -603,8 +710,8 @@ fn zone_pruning_ablation_is_bit_identical_across_thread_counts() {
     for (query, delta) in rows {
         let on_cfg = AcquireConfig::default().with_delta(delta);
         let off_cfg = on_cfg.clone().with_zone_pruning(false);
-        let on = run_stepless(&query, &on_cfg, None);
-        let off = run_stepless(&query, &off_cfg, None);
+        let on = run(Scan, &query, &on_cfg);
+        let off = run(Scan, &query, &off_cfg);
         assert!(
             on.explored > 8,
             "need a non-trivial search: {}",
@@ -633,12 +740,12 @@ fn zone_pruning_ablation_is_bit_identical_across_thread_counts() {
             let on_cfg = on_cfg.clone().with_parallelism(par);
             let off_cfg = off_cfg.clone().with_parallelism(par);
             assert_eq!(
-                fingerprint(&run_stepless(&query, &on_cfg, None)),
+                fingerprint(&run(Scan, &query, &on_cfg)),
                 on_base,
                 "pruning on, {par:?}"
             );
             assert_eq!(
-                fingerprint(&run_stepless(&query, &off_cfg, None)),
+                fingerprint(&run(Scan, &query, &off_cfg)),
                 off_base,
                 "pruning off, {par:?}"
             );
@@ -674,8 +781,8 @@ fn zone_pruning_ablation_holds_under_budgets_and_faults() {
         let on_cfg =
             AcquireConfig::default().with_budget(ExecutionBudget::unlimited().with_max_explored(k));
         let off_cfg = on_cfg.clone().with_zone_pruning(false);
-        let on = run_stepless(&query, &on_cfg, None);
-        let off = run_stepless(&query, &off_cfg, None);
+        let on = run(Scan, &query, &on_cfg);
+        let off = run(Scan, &query, &off_cfg);
         assert_eq!(
             outcome_fingerprint(&on),
             outcome_fingerprint(&off),
@@ -687,12 +794,12 @@ fn zone_pruning_ablation_holds_under_budgets_and_faults() {
             let on_cfg = on_cfg.clone().with_parallelism(par);
             let off_cfg = off_cfg.clone().with_parallelism(par);
             assert_eq!(
-                fingerprint(&run_stepless(&query, &on_cfg, None)),
+                fingerprint(&run(Scan, &query, &on_cfg)),
                 on_base,
                 "budget {k}, pruning on, {par:?}"
             );
             assert_eq!(
-                fingerprint(&run_stepless(&query, &off_cfg, None)),
+                fingerprint(&run(Scan, &query, &off_cfg)),
                 off_base,
                 "budget {k}, pruning off, {par:?}"
             );
@@ -715,8 +822,8 @@ fn zone_pruning_ablation_holds_under_budgets_and_faults() {
                 Ok(out) => format!("Ok({})", fingerprint(out)),
                 Err(e) => format!("Err({e:?})"),
             };
-            let on = run_faulted(&query, &schedule, policy, &on_cfg);
-            let off = run_faulted(&query, &schedule, policy, &off_cfg);
+            let on = run_faulted(Scan, &query, &schedule, policy, &on_cfg);
+            let off = run_faulted(Scan, &query, &schedule, policy, &off_cfg);
             assert_eq!(key(&on), key(&off), "seed {seed}, {policy:?}");
             let on_base = full_key(&on);
             let off_base = full_key(&off);
@@ -724,12 +831,12 @@ fn zone_pruning_ablation_holds_under_budgets_and_faults() {
                 let on_cfg = on_cfg.clone().with_parallelism(par);
                 let off_cfg = off_cfg.clone().with_parallelism(par);
                 assert_eq!(
-                    full_key(&run_faulted(&query, &schedule, policy, &on_cfg)),
+                    full_key(&run_faulted(Scan, &query, &schedule, policy, &on_cfg)),
                     on_base,
                     "seed {seed}, {policy:?}, pruning on, {par:?}"
                 );
                 assert_eq!(
-                    full_key(&run_faulted(&query, &schedule, policy, &off_cfg)),
+                    full_key(&run_faulted(Scan, &query, &schedule, policy, &off_cfg)),
                     off_base,
                     "seed {seed}, {policy:?}, pruning off, {par:?}"
                 );
@@ -742,7 +849,10 @@ fn zone_pruning_ablation_holds_under_budgets_and_faults() {
 // Fault injection
 // ---------------------------------------------------------------------------
 
+/// One search over a caller-built layer of `kind` behind the fault
+/// injector.
 fn run_faulted(
+    kind: EvalLayerKind,
     query: &AcqQuery,
     schedule: &FaultSchedule,
     policy: FaultPolicy,
@@ -753,10 +863,26 @@ fn run_faulted(
     let (query, searched) = prepared(&exec, query);
     let cfg = cfg.clone().with_fault_policy(policy);
     let caps = RefinedSpace::new(&searched, &cfg).unwrap().caps();
-    let inner = CachedScoreEvaluator::new(&mut exec, &searched, &caps).unwrap();
-    let mut eval = FaultInjectingLayer::new(inner, schedule.clone());
-    let cancel = CancellationToken::new();
-    search(&mut eval, &query, &cfg, &cancel, &Obs::disabled(), None)
+    fn faulted<E: EvaluationLayer + Sync>(
+        inner: E,
+        schedule: &FaultSchedule,
+        query: &AcqQuery,
+        cfg: &AcquireConfig,
+    ) -> Result<AcqOutcome, CoreError> {
+        let mut eval = FaultInjectingLayer::new(inner, schedule.clone());
+        let cancel = CancellationToken::new();
+        search(&mut eval, query, cfg, &cancel, &Obs::disabled(), None)
+    }
+    match kind {
+        Scan => {
+            let inner = ScanEvaluator::new(&mut exec, &searched, &caps).unwrap();
+            faulted(inner, schedule, &query, &cfg)
+        }
+        Cached => {
+            let inner = CachedScoreEvaluator::new(&mut exec, &searched, &caps).unwrap();
+            faulted(inner, schedule, &query, &cfg)
+        }
+    }
 }
 
 #[test]
@@ -765,7 +891,8 @@ fn injected_faults_strike_the_same_cell_on_every_thread_count() {
         let mut faulted = 0;
         for seed in 0..12 {
             let schedule = FaultSchedule::mixed(seed, 0.15, 0.1);
-            let run = |policy, cfg: &AcquireConfig| run_faulted(&query, &schedule, policy, cfg);
+            let run =
+                |policy, cfg: &AcquireConfig| run_faulted(Cached, &query, &schedule, policy, cfg);
 
             // Best-effort: the fault is absorbed into the outcome, which must
             // be identical everywhere (coordinate-keyed schedules fire on the
@@ -1102,17 +1229,14 @@ fn all_thread_settings() -> Vec<Parallelism> {
 #[test]
 fn metrics_match_ground_truth_for_every_thread_count() {
     for (query, delta) in query_rows() {
-        for layer in [Cached, Grid] {
-            for par in all_thread_settings() {
-                let cfg = AcquireConfig::default()
-                    .with_delta(delta)
-                    .with_parallelism(par);
-                let obs = Obs::enabled();
-                let out =
-                    run_observed(layer, &query, &cfg, &CancellationToken::new(), &obs).unwrap();
-                assert!(out.explored > 0);
-                assert_metrics_ground_truth(&obs, &out, &format!("{par:?}"));
-            }
+        for par in all_thread_settings() {
+            let cfg = AcquireConfig::default()
+                .with_delta(delta)
+                .with_parallelism(par);
+            let obs = Obs::enabled();
+            let out = run_observed(Cached, &query, &cfg, &CancellationToken::new(), &obs).unwrap();
+            assert!(out.explored > 0);
+            assert_metrics_ground_truth(&obs, &out, &format!("{par:?}"));
         }
     }
 }
@@ -1128,7 +1252,7 @@ fn metrics_match_ground_truth_under_budgets_and_faults() {
                 .with_parallelism(par)
                 .with_budget(ExecutionBudget::unlimited().with_max_explored(k));
             let obs = Obs::enabled();
-            let out = run_observed(Grid, &query, &cfg, &CancellationToken::new(), &obs).unwrap();
+            let out = run_observed(Cached, &query, &cfg, &CancellationToken::new(), &obs).unwrap();
             assert_metrics_ground_truth(&obs, &out, &format!("budget {k}, {par:?}"));
             let snap = obs.snapshot().unwrap();
             assert_eq!(

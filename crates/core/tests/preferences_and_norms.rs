@@ -67,7 +67,7 @@ fn weighted_norm_steers_refinement() {
         &mut exec,
         &symmetric_query(1300.0),
         &cfg_weighted,
-        EvalLayerKind::GridIndex,
+        EvalLayerKind::CachedScore,
     )
     .unwrap();
     assert!(out.satisfied);
@@ -88,7 +88,7 @@ fn unweighted_norm_is_symmetric_in_cost() {
         &mut exec,
         &symmetric_query(1300.0),
         &AcquireConfig::default(),
-        EvalLayerKind::GridIndex,
+        EvalLayerKind::CachedScore,
     )
     .unwrap();
     assert!(out.satisfied);
@@ -119,7 +119,7 @@ fn max_refinement_cap_is_respected() {
         &mut exec,
         &q,
         &AcquireConfig::default(),
-        EvalLayerKind::GridIndex,
+        EvalLayerKind::CachedScore,
     )
     .unwrap();
     assert!(out.satisfied);
@@ -138,7 +138,7 @@ fn linf_prefers_balanced_refinement() {
         &mut exec,
         &symmetric_query(1300.0),
         &cfg,
-        EvalLayerKind::GridIndex,
+        EvalLayerKind::CachedScore,
     )
     .unwrap();
     assert!(out.satisfied);

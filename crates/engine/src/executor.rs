@@ -655,7 +655,7 @@ impl<'a> KernelPlan<'a> {
     }
 
     /// Meet of the per-dimension block classes (short-circuits on `Skip`).
-    fn classify_block(&self, b: usize) -> BlockClass {
+    fn block_class(&self, b: usize) -> BlockClass {
         let mut cls = BlockClass::Full;
         for d in &self.dims {
             cls = cls.and(classify(d.pred, d.range.as_ref(), &d.zones[b]));
@@ -693,7 +693,7 @@ impl<'a> KernelPlan<'a> {
         let mut b = 0usize;
         while start < n {
             let end = (start + ZONE_BLOCK).min(n);
-            match self.classify_block(b) {
+            match self.block_class(b) {
                 BlockClass::Skip => scan.zones_pruned += 1,
                 BlockClass::Full => {
                     scan.zones_full += 1;
@@ -730,7 +730,7 @@ impl<'a> KernelPlan<'a> {
                 j += 1;
             }
             let run = &rows[i..j];
-            match self.classify_block(b) {
+            match self.block_class(b) {
                 BlockClass::Skip => scan.zones_pruned += 1,
                 BlockClass::Full => {
                     scan.zones_full += 1;

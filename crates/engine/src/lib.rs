@@ -24,7 +24,7 @@
 //!   never read ([`ExecStats`] reports `zones_pruned` / `zones_full` /
 //!   `zones_scanned`). This is the engine's share of the §7.4 idea —
 //!   prove a region empty without executing it; the score-space grid index
-//!   lives in `acquire-core`'s cached evaluation layers;
+//!   lives in `acquire-core`'s cached evaluation layer;
 //! * [`ExecStats`] work counters (queries issued, tuples scanned, rows
 //!   joined) so experiments can report machine-independent costs.
 //!

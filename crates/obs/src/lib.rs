@@ -309,13 +309,13 @@ mod tests {
     fn meta_overwrites_and_exec_stats_replace() {
         let obs = Obs::enabled();
         obs.set_meta("layer", "scan");
-        obs.set_meta("layer", "grid-index");
+        obs.set_meta("layer", "cached-score");
         obs.record_exec_stats(&[("cell_queries", 1)]);
         obs.record_exec_stats(&[("cell_queries", 9)]);
         let snap = obs.snapshot().unwrap();
         assert_eq!(
             snap.meta,
-            vec![("layer".to_string(), "grid-index".to_string())]
+            vec![("layer".to_string(), "cached-score".to_string())]
         );
         assert_eq!(snap.exec_stats, vec![("cell_queries".to_string(), 9)]);
     }

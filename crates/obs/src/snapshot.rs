@@ -475,7 +475,7 @@ mod tests {
             &m,
             12,
             vec![("cell_queries".to_string(), 42)],
-            vec![("layer".to_string(), "grid-index".to_string())],
+            vec![("layer".to_string(), "cached-score".to_string())],
         )
     }
 
@@ -504,7 +504,7 @@ mod tests {
         );
         assert_eq!(
             v.pointer("/meta/layer").and_then(|v| v.as_str()),
-            Some("grid-index")
+            Some("cached-score")
         );
     }
 

@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use acq_datagen::{patients, tpch, users, GenConfig};
 use acq_engine::{csv, Catalog};
-use acquire_core::{AcquireConfig, EvalLayerKind};
+use acquire_core::AcquireConfig;
 
 use crate::server::Server;
 use crate::state::ServeConfig;
@@ -18,7 +18,7 @@ options:
   --table NAME=PATH    load a CSV file as table NAME (repeatable)
   --demo NAME          generate a demo table: users | patients | tpch (repeatable)
   --demo-rows N        demo table size (default 50000)
-  --layer KIND         evaluation layer: grid | cached | scan (default grid)
+  --layer KIND         evaluation layer: scan | cached (default cached)
   --gamma G            default refinement threshold when a request omits it
   --delta D            default aggregate error threshold when a request omits it
   --max-deadline SECS  hard per-query wall-clock cap (default 30)
@@ -128,12 +128,7 @@ pub fn parse_args<I: Iterator<Item = String>>(args: I) -> Result<ServeOpts, Stri
                     .map_err(|e| format!("--demo-rows: {e}"))?;
             }
             "--layer" => {
-                opts.config.layer = match need("--layer")?.as_str() {
-                    "grid" => EvalLayerKind::GridIndex,
-                    "cached" => EvalLayerKind::CachedScore,
-                    "scan" => EvalLayerKind::Scan,
-                    other => return Err(format!("unknown layer {other}")),
-                };
+                opts.config.layer = need("--layer")?.parse()?;
             }
             "--gamma" => {
                 opts.config.gamma = need("--gamma")?
@@ -322,6 +317,7 @@ pub fn run<I: Iterator<Item = String>>(args: I) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acquire_core::EvalLayerKind;
 
     fn parse(args: &[&str]) -> Result<ServeOpts, String> {
         parse_args(args.iter().map(|s| (*s).to_string()))
@@ -344,6 +340,9 @@ mod tests {
         assert_eq!(opts.demos, vec!["users".to_string()]);
         assert_eq!(opts.demo_rows, 100);
         assert_eq!(opts.config.max_threads, 4);
+        assert_eq!(opts.config.layer, EvalLayerKind::CachedScore, "the default");
+        let scan = parse(&["--demo", "users", "--layer", "scan"]).unwrap();
+        assert_eq!(scan.config.layer, EvalLayerKind::Scan);
     }
 
     #[test]
@@ -355,6 +354,11 @@ mod tests {
         assert!(parse(&["--delta", "-1"]).is_err());
         assert!(parse(&["--alerts", "x"]).is_err());
         assert!(parse(&["--alert-interval", "1"]).is_err());
+        assert!(parse(&["--layer"]).is_err());
+        assert_eq!(
+            parse(&["--layer", "grid"]).unwrap_err(),
+            "unknown layer grid (expected scan | cached)"
+        );
         assert!(parse(&["--help"]).unwrap_err().starts_with("usage:"));
     }
 

@@ -88,7 +88,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".to_string(),
-            layer: EvalLayerKind::GridIndex,
+            layer: EvalLayerKind::CachedScore,
             gamma: 10.0,
             delta: 0.05,
             trace_capacity: acq_obs::DEFAULT_TRACE_CAPACITY,

@@ -109,7 +109,7 @@ fn wait_for(what: &str, cond: impl Fn() -> bool) {
 #[test]
 fn flood_at_4x_admission_limit_returns_only_200_429_503() {
     let config = ServeConfig {
-        layer: EvalLayerKind::GridIndex,
+        layer: EvalLayerKind::CachedScore,
         max_concurrent: 2,
         max_queued: 1,
         queue_wait: Duration::from_millis(100),

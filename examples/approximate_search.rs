@@ -62,7 +62,7 @@ fn main() {
     // --- exact -------------------------------------------------------------
     let t0 = Instant::now();
     let mut exec = Executor::new(catalog.clone());
-    let exact = run_acquire(&mut exec, &query, &cfg, EvalLayerKind::GridIndex).expect("exact");
+    let exact = run_acquire(&mut exec, &query, &cfg, EvalLayerKind::CachedScore).expect("exact");
     let exact_ms = t0.elapsed().as_secs_f64() * 1e3;
     let best = exact.best().expect("satisfiable").clone();
     println!(
@@ -78,7 +78,7 @@ fn main() {
     let (sampled, rate) = sample_catalog_tables(&catalog, &["lineitem"], 0.1, 42).expect("sample");
     let squery = scale_target_for_sample(&query, rate);
     let mut exec = Executor::new(sampled);
-    let s = run_acquire(&mut exec, &squery, &cfg, EvalLayerKind::GridIndex).expect("sampled");
+    let s = run_acquire(&mut exec, &squery, &cfg, EvalLayerKind::CachedScore).expect("sampled");
     let sample_ms = t0.elapsed().as_secs_f64() * 1e3;
     let sbest = s.best().expect("satisfiable").clone();
     let verified = exact_count(&catalog, &query, &sbest.pscores);

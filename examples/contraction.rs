@@ -61,7 +61,7 @@ fn main() {
         &mut exec,
         &query,
         &AcquireConfig::default(),
-        EvalLayerKind::GridIndex,
+        EvalLayerKind::CachedScore,
     )
     .expect("contract");
 

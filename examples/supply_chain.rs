@@ -36,7 +36,7 @@ fn main() {
         &mut exec,
         &query,
         &AcquireConfig::default(),
-        EvalLayerKind::GridIndex,
+        EvalLayerKind::CachedScore,
     )
     .expect("acquire");
 

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! acq --table users=examples/data/users.csv \
-//!     [--gamma 10] [--delta 0.05] [--layer grid|cached|scan] [--top 5] \
+//!     [--gamma 10] [--delta 0.05] [--layer scan|cached] [--top 5] \
 //!     [--norm l1|l2|linf] [--stats] \
 //!     "SELECT * FROM users CONSTRAINT COUNT(*) = 10K WHERE age <= 30"
 //!
@@ -65,7 +65,7 @@ impl Default for Opts {
             sql: None,
             gamma: 10.0,
             delta: 0.05,
-            layer: EvalLayerKind::GridIndex,
+            layer: EvalLayerKind::CachedScore,
             norm: Norm::L1,
             top: 5,
             demo_rows: 50_000,
@@ -96,7 +96,7 @@ options:
   --demo-rows N       demo table size (default 50000)
   --gamma G           refinement threshold (default 10)
   --delta D           aggregate error threshold (default 0.05)
-  --layer KIND        evaluation layer: grid | cached | scan (default grid)
+  --layer KIND        evaluation layer: scan | cached (default cached)
   --norm NORM         l1 | l2 | linf (default l1)
   --top N             number of refined queries to print (default 5)
   --json              print the outcome as JSON instead of text
@@ -178,12 +178,7 @@ fn parse_args() -> Result<Opts, String> {
                     .map_err(|e| format!("--delta: {e}"))?;
             }
             "--layer" => {
-                opts.layer = match need("--layer")?.as_str() {
-                    "grid" => EvalLayerKind::GridIndex,
-                    "cached" => EvalLayerKind::CachedScore,
-                    "scan" => EvalLayerKind::Scan,
-                    other => return Err(format!("unknown layer {other}")),
-                };
+                opts.layer = need("--layer")?.parse()?;
             }
             "--norm" => {
                 opts.norm = match need("--norm")?.to_ascii_lowercase().as_str() {

@@ -15,8 +15,8 @@
 //! * [`sql`] (`acq-sql`) — the `CONSTRAINT` / `NOREFINE` SQL dialect;
 //! * [`core`] (`acquire-core`) — ACQUIRE itself: refined space, Expand,
 //!   Explore (incremental aggregate computation), driver, repartitioning,
-//!   contraction, and the three exact evaluation layers (scan / cached
-//!   score / §7.4 grid index);
+//!   contraction, and the two exact evaluation layers (scan / cached
+//!   score with its §7.4 cell table);
 //! * [`baselines`] (`acq-baselines`) — Top-k, TQGen, BinSearch;
 //! * [`obs`] (`acq-obs`) — zero-dependency observability: spans, counters,
 //!   gauges, latency histograms, JSON/Prometheus snapshot sinks;
@@ -46,7 +46,7 @@
 //! // 3. Refine it.
 //! let mut exec = Executor::new(catalog);
 //! let outcome =
-//!     run_acquire(&mut exec, &query, &AcquireConfig::default(), EvalLayerKind::GridIndex)
+//!     run_acquire(&mut exec, &query, &AcquireConfig::default(), EvalLayerKind::CachedScore)
 //!         .unwrap();
 //! assert!(outcome.satisfied);
 //! println!("{}", outcome.best().unwrap().sql);

@@ -67,7 +67,7 @@ fn sampled_search_approximates_full_search() {
         &mut exec,
         &sampled_query,
         &AcquireConfig::default(),
-        EvalLayerKind::GridIndex,
+        EvalLayerKind::CachedScore,
     )
     .unwrap();
     assert!(

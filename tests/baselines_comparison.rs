@@ -60,7 +60,7 @@ fn acquire_refines_less_than_baselines() {
     let cfg = AcquireConfig::default();
 
     let mut exec = Executor::new(catalog.clone());
-    let acq = run_acquire(&mut exec, &query, &cfg, EvalLayerKind::GridIndex).unwrap();
+    let acq = run_acquire(&mut exec, &query, &cfg, EvalLayerKind::CachedScore).unwrap();
     assert!(acq.satisfied);
     let acq_q = acq.best().unwrap().qscore;
 
@@ -104,7 +104,7 @@ fn acquire_error_always_within_delta() {
             let (catalog, query) = lineitem_query(8_000, ratio, zipf);
             let cfg = AcquireConfig::default();
             let mut exec = Executor::new(catalog);
-            let out = run_acquire(&mut exec, &query, &cfg, EvalLayerKind::GridIndex).unwrap();
+            let out = run_acquire(&mut exec, &query, &cfg, EvalLayerKind::CachedScore).unwrap();
             assert!(out.satisfied, "ratio {ratio} zipf {zipf}");
             assert!(
                 out.best().unwrap().error <= cfg.delta + 1e-12,
@@ -123,7 +123,7 @@ fn acquire_work_is_far_below_tqgen() {
     let cfg = AcquireConfig::default();
 
     let mut exec = Executor::new(catalog.clone());
-    let acq = run_acquire(&mut exec, &query, &cfg, EvalLayerKind::GridIndex).unwrap();
+    let acq = run_acquire(&mut exec, &query, &cfg, EvalLayerKind::CachedScore).unwrap();
     let acq_scanned = acq.stats.tuples_scanned;
 
     let mut exec = Executor::new(catalog);
@@ -143,7 +143,7 @@ fn topk_over_refines() {
     let (catalog, query) = lineitem_query(10_000, 0.3, false);
     let cfg = AcquireConfig::default();
     let mut exec = Executor::new(catalog.clone());
-    let acq = run_acquire(&mut exec, &query, &cfg, EvalLayerKind::GridIndex).unwrap();
+    let acq = run_acquire(&mut exec, &query, &cfg, EvalLayerKind::CachedScore).unwrap();
     let mut exec = Executor::new(catalog);
     let tk = topk(&mut exec, &query, &Norm::L1).unwrap();
     // Top-k returns exactly round(target) tuples; with fractional clamped

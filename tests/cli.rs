@@ -119,6 +119,18 @@ fn bad_usage_exits_nonzero() {
         String::from_utf8_lossy(&out.stderr).contains("CONSTRAINT"),
         "missing-constraint diagnostics"
     );
+
+    let sql = "SELECT * FROM users CONSTRAINT COUNT(*) = 50 WHERE age <= 30";
+    let out = acq()
+        .args(["--demo", "users", "--layer", "grid", sql])
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown layer grid (expected scan | cached)"),
+        "{stderr}"
+    );
 }
 
 #[test]

@@ -179,3 +179,49 @@ fn validator_rejects_garbage() {
     assert!(validate_json("{} trailing").is_err());
     assert!(validate_json("{\"a\": [true, null, -1.5e3, \"s\\\"q\"]}").is_ok());
 }
+
+/// The deterministic-instruments contract end to end, on a fig9-shaped
+/// search with four workers and every sink on: the metrics file counts one
+/// cell execution per explored query, never one twice, and says what the
+/// snapshot embedded in the outcome says.
+#[test]
+fn metrics_file_matches_the_outcome() {
+    let path = std::env::temp_dir().join(format!("acq_metrics_{}.json", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_acq"))
+        .args([
+            "--demo",
+            "tpch",
+            "--threads",
+            "4",
+            "--json",
+            "--metrics-out",
+        ])
+        .arg(&path)
+        .arg(
+            "SELECT * FROM lineitem CONSTRAINT COUNT(*) = 3K \
+             WHERE l_quantity <= 25 AND l_extendedprice <= 20000 AND l_discount <= 0.04",
+        )
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let file = std::fs::read_to_string(&path).expect("metrics file written");
+    std::fs::remove_file(&path).ok();
+    let outcome = acq_obs::json::parse(&String::from_utf8_lossy(&out.stdout)).expect("outcome");
+    let metrics = acq_obs::json::parse(&file).expect("metrics file");
+    let count = |doc: &acq_obs::json::JsonValue, at: &str| {
+        doc.pointer(at)
+            .and_then(acq_obs::json::JsonValue::as_u64)
+            .unwrap_or_else(|| panic!("no {at}"))
+    };
+    let executed = count(&metrics, "/counters/cells_executed");
+    assert_eq!(executed, count(&outcome, "/explored"));
+    assert_eq!(count(&metrics, "/counters/at_most_once_violations"), 0);
+    assert_eq!(
+        count(&outcome, "/metrics/counters/cells_executed"),
+        executed
+    );
+}

@@ -43,7 +43,7 @@ fn count_acq_from_sql_meets_target_and_verifies() {
         &mut exec,
         &query,
         &AcquireConfig::default(),
-        EvalLayerKind::GridIndex,
+        EvalLayerKind::CachedScore,
     )
     .unwrap();
     assert!(out.satisfied, "target should be reachable");
@@ -82,7 +82,7 @@ fn q2_sum_acq_from_sql_with_joins() {
         &mut exec,
         &query,
         &AcquireConfig::default(),
-        EvalLayerKind::GridIndex,
+        EvalLayerKind::CachedScore,
     )
     .unwrap();
     let best = out.best().or(out.closest.as_ref()).unwrap().clone();
@@ -115,18 +115,13 @@ fn all_evaluation_layers_agree_end_to_end() {
     )
     .unwrap();
     let mut results = Vec::new();
-    for kind in [
-        EvalLayerKind::Scan,
-        EvalLayerKind::CachedScore,
-        EvalLayerKind::GridIndex,
-    ] {
+    for kind in [EvalLayerKind::Scan, EvalLayerKind::CachedScore] {
         let mut exec = Executor::new(catalog.clone());
         let out = run_acquire(&mut exec, &query, &AcquireConfig::default(), kind).unwrap();
         let best = out.best().or(out.closest.as_ref()).unwrap().clone();
         results.push((out.satisfied, best.qscore, best.aggregate, out.explored));
     }
     assert_eq!(results[0], results[1]);
-    assert_eq!(results[0], results[2]);
 }
 
 #[test]
@@ -148,7 +143,7 @@ fn refined_sql_recompiles_to_a_superset_query() {
         &mut exec,
         &query,
         &AcquireConfig::default(),
-        EvalLayerKind::GridIndex,
+        EvalLayerKind::CachedScore,
     )
     .unwrap();
     let best = out.best().expect("reachable");

@@ -200,7 +200,7 @@ proptest! {
         query.constraint.target = actual / (f64::from(ratio_pct) / 100.0);
 
         let mut exec = Executor::new(catalog.clone());
-        let out = run_acquire(&mut exec, &query, &AcquireConfig::default(), EvalLayerKind::GridIndex)
+        let out = run_acquire(&mut exec, &query, &AcquireConfig::default(), EvalLayerKind::CachedScore)
             .unwrap();
         let best = out.best().or(out.closest.as_ref()).unwrap().clone();
         // Independent verification.

@@ -43,7 +43,7 @@ fn join_refinement_meets_count_target() {
         &mut exec,
         &query,
         &AcquireConfig::default(),
-        EvalLayerKind::GridIndex,
+        EvalLayerKind::CachedScore,
     )
     .unwrap();
     assert!(out.satisfied, "band join should reach 2000 pairs");
@@ -113,7 +113,7 @@ fn contraction_meets_budget_and_verifies() {
         &mut exec,
         &query,
         &AcquireConfig::default(),
-        EvalLayerKind::GridIndex,
+        EvalLayerKind::CachedScore,
     )
     .unwrap();
     assert!(out.satisfied);
@@ -233,7 +233,7 @@ fn user_defined_aggregate_end_to_end() {
         &mut exec,
         &query,
         &AcquireConfig::default(),
-        EvalLayerKind::GridIndex,
+        EvalLayerKind::CachedScore,
     )
     .unwrap();
     let best = out.best().or(out.closest.as_ref()).unwrap();
