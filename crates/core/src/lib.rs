@@ -5,15 +5,18 @@
 //! * [`RefinedSpace`] — the d-dimensional grid abstraction over predicate
 //!   refinement scores, with step size `γ/d` (§4, Theorem 1);
 //! * **Expand** — [`expand::BfsExpander`] (Algorithm 1, breadth-first over
-//!   the grid for `Lp` norms) and [`expand::LinfExpander`] (Algorithm 2,
-//!   per-layer enumeration for `L∞`), both emitting grid queries in
-//!   non-decreasing refinement order (Theorem 2);
+//!   the grid for `Lp` norms, emitted shell by shell in its FIFO order
+//!   without a queue) and [`expand::LinfExpander`] (Algorithm 2, per-layer
+//!   enumeration for `L∞`), both emitting grid queries in non-decreasing
+//!   refinement order (Theorem 2), each point in O(d) and lent as a slice;
 //! * **Explore** — [`explore::Explorer`], the incremental aggregate
 //!   computation of §5: each grid query decomposes into `d + 1` sub-queries
 //!   (cell/pillar/wall/block, Eq. 5–8) of which only the *cell* is executed;
 //!   the rest come from the recurrence `O_i(u) = O_{i-1}(u) + O_i(u -
 //!   e_{i-1})` (Eq. 17, Algorithm 3), so no region of data is ever executed
-//!   twice;
+//!   twice. [`AggStore`] keeps the sub-aggregates in two layer arenas and
+//!   finds each neighbour with a forward-only cursor, so a layered search
+//!   neither allocates nor hashes per point;
 //! * **evaluation layers** — the modular execution backends of Fig. 2:
 //!   [`ScanEvaluator`] re-executes every cell query against the engine
 //!   (what the paper's Postgres deployment does), [`CachedScoreEvaluator`]

@@ -16,7 +16,7 @@ use acq_engine::EngineResult;
 use acq_query::AggErrorFn;
 
 use crate::eval::EvaluationLayer;
-use crate::space::{GridPoint, RefinedSpace};
+use crate::space::RefinedSpace;
 
 /// A fractional candidate found inside a repartitioned cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,7 +35,7 @@ pub struct RepartitionHit {
 pub fn repartition<E: EvaluationLayer + ?Sized>(
     eval: &mut E,
     space: &RefinedSpace,
-    point: &GridPoint,
+    point: &[u32],
     target: f64,
     error_fn: AggErrorFn,
     depth: u32,
@@ -129,7 +129,7 @@ mod tests {
         let mut eval = CachedScoreEvaluator::new(&mut exec, &q, &caps).unwrap();
         // Grid point [1] = 10% refinement -> x <= 11 -> 111 tuples: overshoots
         // the 103 target; origin (101 tuples) undershoots beyond delta=0.01.
-        let hit = repartition(&mut eval, &space, &vec![1], 103.0, AggErrorFn::Relative, 12)
+        let hit = repartition(&mut eval, &space, &[1], 103.0, AggErrorFn::Relative, 12)
             .unwrap()
             .unwrap();
         assert!(hit.error < 0.01, "error {}", hit.error);
@@ -148,7 +148,7 @@ mod tests {
         let space = RefinedSpace::new(&q, &cfg).unwrap();
         let caps = space.caps();
         let mut eval = CachedScoreEvaluator::new(&mut exec, &q, &caps).unwrap();
-        let r = repartition(&mut eval, &space, &vec![0], 103.0, AggErrorFn::Relative, 4).unwrap();
+        let r = repartition(&mut eval, &space, &[0], 103.0, AggErrorFn::Relative, 4).unwrap();
         assert!(r.is_none());
     }
 }
