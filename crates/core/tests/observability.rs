@@ -13,8 +13,8 @@ use acq_query::{
 };
 use acquire_core::{
     acquire_progress, contract_with, contraction_query, AcqOutcome, AcquireConfig,
-    CachedScoreEvaluator, CancellationToken, EvalLayerKind, Obs, Parallelism, RefinedSpace,
-    Session,
+    CachedScoreEvaluator, CancellationToken, EvalLayerKind, FaultInjectingLayer, FaultPolicy,
+    FaultSchedule, Obs, Parallelism, RefinedSpace, Session,
 };
 
 fn catalog() -> Catalog {
@@ -130,6 +130,62 @@ fn enabling_observability_never_changes_the_outcome() {
             }
         }
     }
+}
+
+/// A fault that ends a search under `FaultPolicy::Propagate` leaves the
+/// instruments as they stood after the last committed cell: one cell count
+/// per latency observation, and the store and budget gauges of a clean run
+/// cut off at the same cell.
+#[test]
+fn a_propagated_fault_leaves_the_per_cell_instruments_committed() {
+    let mut q = query(800.0);
+    let mut exec = Executor::new(catalog());
+    exec.populate_domains(&mut q).unwrap();
+    let cfg = AcquireConfig {
+        max_explored: 10_000,
+        ..AcquireConfig::default().with_fault_policy(FaultPolicy::Propagate)
+    };
+    let caps = RefinedSpace::new(&q, &cfg).unwrap().caps();
+    let cancel = CancellationToken::new();
+    let mut faulted = 0;
+    for seed in 0..8 {
+        let mut schedule = FaultSchedule::errors(seed, 0.05);
+        schedule.skip_layers = 3;
+        let inner = CachedScoreEvaluator::new(&mut exec, &q, &caps).unwrap();
+        let mut eval = FaultInjectingLayer::new(inner, schedule);
+        let obs = Obs::enabled();
+        if acquire_progress(&mut eval, &q, &cfg, &cancel, &obs, None).is_ok() {
+            continue;
+        }
+        faulted += 1;
+        let snap = obs.snapshot().expect("enabled handle");
+        let cells = snap.counter("cells_executed").unwrap();
+        let hist = snap.histogram("cell_latency_ns").expect("known instrument");
+        assert_eq!(
+            cells, hist.count,
+            "seed {seed}: cell count != latency observations"
+        );
+        assert!(cells > 0, "seed {seed}: the skipped layers commit cells");
+
+        let clean = Obs::enabled();
+        let cut = AcquireConfig {
+            max_explored: cells,
+            ..cfg.clone()
+        };
+        let mut eval = CachedScoreEvaluator::new(&mut exec, &q, &caps).unwrap();
+        let out = acquire_progress(&mut eval, &q, &cut, &cancel, &clean, None).unwrap();
+        assert_eq!(out.explored, cells, "seed {seed}");
+        let want = clean.snapshot().expect("enabled handle");
+        for gauge in ["store_len", "store_peak", "store_bytes"] {
+            assert_eq!(snap.gauge(gauge), want.gauge(gauge), "seed {seed}: {gauge}");
+        }
+        assert_eq!(
+            snap.gauge("budget_headroom"),
+            Some(10_000 - cells),
+            "seed {seed}"
+        );
+    }
+    assert!(faulted > 0, "the schedules must actually fault");
 }
 
 /// A disabled handle costs one null check per instrument, so a run with
