@@ -120,8 +120,10 @@ impl PreparedKey {
             .collect::<EngineResult<Vec<_>>>()?;
         let cross_product_limit = exec.cross_product_limit();
 
-        // The derived `Debug` walks every field the derived `PartialEq`
-        // compares, so the fingerprint cannot fall behind the query type.
+        // The fingerprint hashes values only, so equal keys hash alike in
+        // every process: the query's `Debug` walks every field its
+        // `PartialEq` compares, so the fingerprint cannot fall behind the
+        // query type. Tables are told apart by the full comparison alone.
         let rendered = format!("{query:?}");
         let mut hasher = DefaultHasher::new();
         hasher.write(rendered.as_bytes());
@@ -129,9 +131,6 @@ impl PreparedKey {
             hasher.write_u64(cap);
         }
         hasher.write_u64(step);
-        for table in &tables {
-            hasher.write_usize(table.as_ptr() as usize);
-        }
         hasher.write_u64(cross_product_limit);
         Ok(Self {
             fingerprint: hasher.finish(),
@@ -584,6 +583,74 @@ mod tests {
         assert_eq!((c.misses, c.hits, c.entries), (4, 2, 2), "{c:?}");
     }
 
+    /// Fingerprints hash values only, so keys over two separately built,
+    /// equal catalogs fall in one bucket in every process — and the full
+    /// comparison still tells their tables apart.
+    #[test]
+    fn fingerprints_hash_values_and_comparison_tells_tables_apart() {
+        let cfg = AcquireConfig::default();
+        let one = key_for(&Executor::new(catalog()), &base_query(), &cfg);
+        let other = key_for(&Executor::new(catalog()), &base_query(), &cfg);
+        assert_eq!(one.fingerprint, other.fingerprint);
+        assert_ne!(one, other);
+    }
+
+    /// A request that binds SQL builds its categorical predicate's ontology
+    /// afresh, and the tree's name index is a map whose order differs from
+    /// one build to the next. The key depends on the tree's value alone, so
+    /// the second such request is admitted and every later one is a hit.
+    #[test]
+    fn a_repeated_categorical_request_is_hit() {
+        use crate::{run_acquire_progress, CancellationToken, EvalLayerKind, Host, Obs};
+        use acq_query::OntologyTree;
+
+        let fields = vec![
+            Field::new("cuisine", DataType::Str),
+            Field::new("price", DataType::Float),
+        ];
+        let mut b = TableBuilder::new("r", fields).unwrap();
+        let cuisines = ["Gyro", "Falafel", "Shawarma", "Sushi", "PadThai"];
+        for i in 0..300 {
+            b.push_row(vec![
+                Value::from(cuisines[i % cuisines.len()]),
+                Value::Float((i % 30) as f64),
+            ]);
+        }
+        let mut cat = Catalog::new();
+        cat.register(b.finish().unwrap()).unwrap();
+
+        let cache = PreparedCache::default();
+        for _ in 0..5 {
+            let cuisine = Predicate::categorical(
+                ColRef::new("r", "cuisine"),
+                Arc::new(OntologyTree::sample_cuisine()),
+                vec!["Gyro".to_string()],
+            );
+            let price = Predicate::select(
+                ColRef::new("r", "price"),
+                Interval::new(0.0, 10.0),
+                RefineSide::Upper,
+            );
+            let q = AcqQuery::builder()
+                .table("r")
+                .predicate(cuisine)
+                .predicate(price)
+                .constraint(count(CmpOp::Ge, 150.0))
+                .build()
+                .unwrap();
+            let mut exec = Executor::new(cat.clone());
+            let (cancel, obs) = (CancellationToken::new(), Obs::disabled());
+            let host = Host {
+                prepared: Some(&cache),
+                ..Host::new(&cancel, &obs)
+            };
+            let cfg = AcquireConfig::default();
+            run_acquire_progress(&mut exec, &q, &cfg, EvalLayerKind::CachedScore, host).unwrap();
+        }
+        let c = cache.counters();
+        assert_eq!((c.misses, c.hits, c.entries), (2, 3, 1), "{c:?}");
+    }
+
     /// Distinct keys by the thousand: `x <= bound`.
     fn key(exec: &Executor, bound: f64) -> PreparedKey {
         let q = query(upper("x", bound), upper("y", 40.0), count(CmpOp::Eq, 40.0));
@@ -640,8 +707,8 @@ mod tests {
         let cap = 3 * charge(&exec);
         let cache = PreparedCache::new(cap);
         // Four bounds whose keys take four slots of the second-sight ring:
-        // fingerprints hash table addresses, and a slot shared by chance
-        // would forget a sighting, which is not what this test is about.
+        // a slot shared by chance would forget a sighting, which is not
+        // what this test is about.
         let mut slots = Vec::new();
         let bounds: Vec<f64> = (10..)
             .map(f64::from)

@@ -32,7 +32,6 @@ pub mod metrics;
 pub mod registry;
 pub mod schema;
 pub mod snapshot;
-pub mod timeseries;
 pub mod trace;
 pub mod window;
 
@@ -43,10 +42,6 @@ pub use journal::{
 pub use metrics::{Counter, Gauge, Histogram, Metrics, WorkerStats, MAX_WORKERS};
 pub use registry::{QueryRecord, QueryRegistry, QueryStatus, QuerySummary};
 pub use snapshot::{HistogramSnapshot, MetricsSnapshot, SNAPSHOT_QUANTILES, SNAPSHOT_VERSION};
-pub use timeseries::{
-    CounterSource, FlightRecorder, DEFAULT_RECORDER_CADENCE, DEFAULT_RECORDER_CAPACITY,
-    TIMESERIES_VERSION,
-};
 pub use trace::{TraceBuf, TraceEvent};
 pub use window::{DecayingHistogram, RateCounter};
 

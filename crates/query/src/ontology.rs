@@ -47,10 +47,21 @@ struct Node {
 
 /// A rooted taxonomy tree over categorical values, e.g. the paper's Fig. 7
 /// food-preference and location ontologies.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct OntologyTree {
     nodes: Vec<Node>,
     by_name: HashMap<String, usize>,
+}
+
+/// Renders `nodes` alone: `by_name` is derived from them, and a map's
+/// iteration order differs from one map to the next, so rendering it would
+/// make two equal trees print differently.
+impl fmt::Debug for OntologyTree {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("OntologyTree")
+            .field("nodes", &self.nodes)
+            .finish_non_exhaustive()
+    }
 }
 
 impl OntologyTree {

@@ -25,8 +25,6 @@ options:
   --max-threads N      most search threads one request may ask for (default 8)
   --max-concurrent N   executing queries before new ones queue (default 16)
   --trace-capacity N   per-query trace buffer capacity (default 10000)
-  --recorder-cadence SECS  flight-recorder sampling cadence (default 1)
-  --recorder-capacity N    flight-recorder ring size in samples (default 600)
 
 overload / admission control:
   --workers N            connection-worker threads (default 8)
@@ -54,7 +52,7 @@ operations (journal):
   --help                 this message
 
 endpoints: POST /query[?explain=1]  GET /metrics /healthz /readyz /queries
-           GET /query/<id>/progress (chunked NDJSON)  GET /timeseries[?window=SECS]
+           GET /query/<id>/progress (chunked NDJSON)
            GET /trace/<id>[?format=chrome]  POST /shutdown
 
 The request body for POST /query is JSON:
@@ -158,15 +156,6 @@ pub fn parse_args<I: Iterator<Item = String>>(args: I) -> Result<ServeOpts, Stri
                 opts.config.trace_capacity = need("--trace-capacity")?
                     .parse()
                     .map_err(|e| format!("--trace-capacity: {e}"))?;
-            }
-            "--recorder-cadence" => {
-                opts.config.recorder_cadence =
-                    positive_secs("--recorder-cadence", &need("--recorder-cadence")?)?;
-            }
-            "--recorder-capacity" => {
-                opts.config.recorder_capacity = need("--recorder-capacity")?
-                    .parse()
-                    .map_err(|e| format!("--recorder-capacity: {e}"))?;
             }
             "--workers" => {
                 opts.config.workers = need("--workers")?
@@ -403,11 +392,6 @@ mod tests {
         assert_eq!(opts.config.global_burst, 50.0);
         assert_eq!(opts.config.degrade_watermark, 0.5);
         assert_eq!(opts.config.degrade_factor, 0.1);
-
-        let rec = parse(&["--recorder-cadence", "0.5", "--recorder-capacity", "120"]).unwrap();
-        assert_eq!(rec.config.recorder_cadence, Duration::from_millis(500));
-        assert_eq!(rec.config.recorder_capacity, 120);
-        assert!(parse(&["--recorder-cadence", "0"]).is_err());
 
         assert!(parse(&["--read-timeout", "0"]).is_err());
         assert!(parse(&["--queue-wait", "-1"]).is_err());

@@ -7,7 +7,6 @@
 //! | GET    | `/healthz`      | liveness: always 200 while the process runs  |
 //! | GET    | `/readyz`       | readiness: 200 accepting, 503 shutting down  |
 //! | GET    | `/metrics`      | Prometheus text: pipeline + serve telemetry  |
-//! | GET    | `/timeseries`   | flight-recorder ring + rates (`?window=SECS`)|
 //! | GET    | `/queries`      | registry JSON: running + completed queries   |
 //! | GET    | `/trace/<id>`   | that query's span tree, with `truncated`;    |
 //! |        |                 | `?format=chrome` re-renders for Perfetto     |
@@ -59,7 +58,6 @@ pub fn handle(state: &Arc<ServerState>, req: &Request, peer: Option<IpAddr>) -> 
         // for the 0.0.4 text exposition format; bare text/plain parses but
         // is out of spec.
         ("GET", "/metrics") => Response::new(200, PROMETHEUS_CONTENT_TYPE, render_metrics(state)),
-        ("GET", "/timeseries") => timeseries(state, req),
         ("GET", "/queries") => Response::json(200, state.registry.to_json()),
         ("GET", path) if path.starts_with("/trace/") => trace(state, req, &path["/trace/".len()..]),
         ("POST", "/query") => query(state, req, peer),
@@ -150,19 +148,6 @@ pub(crate) fn positive_secs(secs: f64) -> Option<Duration> {
     Duration::try_from_secs_f64(secs)
         .ok()
         .filter(|_| secs > 0.0)
-}
-
-/// `GET /timeseries`: the flight recorder's ring, with per-counter rates
-/// over `?window=SECS` (default [`acq_obs::window::DEFAULT_RATE_WINDOW_SECS`]).
-fn timeseries(state: &Arc<ServerState>, req: &Request) -> Response {
-    let window = match req.param("window") {
-        None | Some("") => Duration::from_secs(acq_obs::window::DEFAULT_RATE_WINDOW_SECS),
-        Some(raw) => match raw.parse().ok().and_then(positive_secs) {
-            Some(window) => window,
-            None => return json_err(400, "window must be positive seconds"),
-        },
-    };
-    Response::json(200, state.recorder.to_json(window))
 }
 
 /// `GET /trace/<id>`; `?format=chrome` converts the stored render to the

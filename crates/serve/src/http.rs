@@ -692,7 +692,7 @@ mod tests {
     #[test]
     fn query_params_parse_values_and_bare_keys() {
         let req = roundtrip(
-            "GET /timeseries?window=15&format=chrome&bare HTTP/1.1\r\nHost: x\r\n\r\n",
+            "GET /trace/1?window=15&format=chrome&bare HTTP/1.1\r\nHost: x\r\n\r\n",
             64,
         )
         .unwrap();

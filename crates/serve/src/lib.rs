@@ -13,8 +13,6 @@
 //!   line carrying the exact `POST /query` response body;
 //! * `GET /metrics` — Prometheus text: the absorbed per-query pipeline
 //!   instruments plus serve-level rates and decaying latency quantiles;
-//! * `GET /timeseries` — the metrics flight recorder: a bounded
-//!   delta-encoded ring of counter samples with per-counter rates;
 //! * `GET /queries` — the in-flight + recently-completed query registry;
 //! * `GET /trace/<id>` — a completed query's span tree, with honest
 //!   truncation reporting (`?format=chrome` re-renders it as Chrome

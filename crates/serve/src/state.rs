@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use acq_engine::Catalog;
 use acq_obs::journal::JournalRing;
-use acq_obs::{CounterSource, FlightRecorder, Journal, Metrics, QueryRegistry};
+use acq_obs::{Journal, Metrics, QueryRegistry};
 use acquire_core::{CancellationToken, EvalLayerKind, PreparedCache};
 
 use crate::admission::{QueryGate, RateLimiters};
@@ -72,10 +72,6 @@ pub struct ServeConfig {
     /// Budget multiplier applied to degraded admissions
     /// ([`acquire_core::ExecutionBudget::shrunk`]).
     pub degrade_factor: f64,
-    /// Sampling cadence of the metrics flight recorder (`GET /timeseries`).
-    pub recorder_cadence: Duration,
-    /// Samples the flight recorder retains before evicting the oldest.
-    pub recorder_capacity: usize,
     /// Durable query-journal path; `None` disables journaling.
     pub journal_path: Option<PathBuf>,
     /// Size at which the active journal segment rotates.
@@ -110,8 +106,6 @@ impl Default for ServeConfig {
             global_burst: 32.0,
             degrade_watermark: 0.75,
             degrade_factor: 0.25,
-            recorder_cadence: acq_obs::DEFAULT_RECORDER_CADENCE,
-            recorder_capacity: acq_obs::DEFAULT_RECORDER_CAPACITY,
             journal_path: None,
             journal_max_bytes: acq_obs::DEFAULT_JOURNAL_MAX_BYTES,
             journal_capacity: acq_obs::DEFAULT_JOURNAL_CAPACITY,
@@ -132,17 +126,12 @@ pub struct ServerState {
     /// earlier one did.
     pub prepared: PreparedCache,
     /// Process-scoped pipeline instruments; per-query snapshots are folded
-    /// in as requests complete ([`Metrics::absorb_snapshot`]). `Arc`'d so
-    /// the flight-recorder sampler thread can hold its own reference.
-    pub metrics: Arc<Metrics>,
-    /// Background sampler over `metrics`; `GET /timeseries` renders it.
-    pub recorder: FlightRecorder,
+    /// in as requests complete ([`Metrics::absorb_snapshot`]).
+    pub metrics: Metrics,
     /// Live progress channels for streaming `GET /query/<id>/progress`.
     pub progress: ProgressBroker,
     /// Serve-level request telemetry (rates, decaying latency, admission).
-    /// `Arc`'d so the flight recorder's counter-source closures can read
-    /// the same instruments the `/metrics` scrape reads.
-    pub telemetry: Arc<Telemetry>,
+    pub telemetry: Telemetry,
     /// In-flight + recently completed queries.
     pub registry: QueryRegistry,
     /// The admission gate: bounded query concurrency + bounded queue.
@@ -191,8 +180,6 @@ impl ServerState {
             config.global_burst,
         );
         let completed_capacity = config.completed_capacity;
-        let metrics = Arc::new(Metrics::new());
-        let telemetry = Arc::new(Telemetry::new());
         let journal = match &config.journal_path {
             Some(path) => Some(
                 Journal::open(path, config.journal_max_bytes, config.journal_capacity)
@@ -201,20 +188,13 @@ impl ServerState {
             None => None,
         };
         let journal_ring = journal.as_ref().map(Journal::ring);
-        let recorder = FlightRecorder::start_with_sources(
-            Arc::clone(&metrics),
-            config.recorder_cadence,
-            config.recorder_capacity,
-            Self::recorder_sources(&telemetry, journal_ring.as_ref()),
-        );
         Ok(Self {
             config,
             catalog,
             prepared: PreparedCache::default(),
-            metrics,
-            recorder,
+            metrics: Metrics::new(),
             progress: ProgressBroker::default(),
-            telemetry,
+            telemetry: Telemetry::new(),
             registry: QueryRegistry::new(completed_capacity),
             gate,
             limiters,
@@ -224,50 +204,6 @@ impl ServerState {
             ready: AtomicBool::new(false),
             start: Instant::now(),
         })
-    }
-
-    /// The serve-level counters exported as flight-recorder columns, which
-    /// is what gives shed/429/error/journal-drop rates a windowed history
-    /// on `GET /timeseries`.
-    fn recorder_sources(
-        telemetry: &Arc<Telemetry>,
-        journal_ring: Option<&Arc<JournalRing>>,
-    ) -> Vec<CounterSource> {
-        let t = |name: &str, read: Arc<dyn Fn() -> u64 + Send + Sync>| -> CounterSource {
-            (name.to_string(), read)
-        };
-        let c = Arc::clone;
-        let mut sources: Vec<CounterSource> = vec![
-            t("serve_requests", {
-                let t = c(telemetry);
-                Arc::new(move || t.requests.total())
-            }),
-            t("serve_queries_ok", {
-                let t = c(telemetry);
-                Arc::new(move || t.queries_ok.total())
-            }),
-            t("serve_queries_err", {
-                let t = c(telemetry);
-                Arc::new(move || t.queries_err.total())
-            }),
-            t("serve_shed", {
-                let t = c(telemetry);
-                Arc::new(move || t.admission.shed.get())
-            }),
-            t("serve_rate_limited", {
-                let t = c(telemetry);
-                Arc::new(move || t.admission.rate_limited.get())
-            }),
-            t("serve_degraded", {
-                let t = c(telemetry);
-                Arc::new(move || t.admission.degraded.get())
-            }),
-        ];
-        if let Some(ring) = journal_ring {
-            let ring = Arc::clone(ring);
-            sources.push(t("journal_dropped", Arc::new(move || ring.dropped())));
-        }
-        sources
     }
 
     /// The journal's wait-free producer handle, when journaling is on.

@@ -279,6 +279,13 @@ fn mid_body_disconnect_and_garbage_bytes_are_survived() {
     );
     assert!(raw.contains("malformed request"), "{raw}");
 
+    // A body nested far past the JSON reader's depth bound, yet inside the
+    // body cap, is refused with a position instead of overflowing the
+    // worker's stack and aborting the process.
+    let (status, body) = http(addr, "POST", "/query", &"[".repeat(60_000));
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("at byte 128"), "{body}");
+
     // And the lone worker still serves real traffic.
     let (status, _) = http(addr, "GET", "/healthz", "");
     assert_eq!(status, 200, "worker wedged by hostile clients");

@@ -714,9 +714,6 @@ fn overflowing_seconds_are_refused_and_cost_no_worker() {
     };
     let huge_timeout = post(&format!("{{\"sql\":\"{SQL}\",\"timeout_secs\":1e300}}"));
     for _ in 0..2 * workers {
-        let (status, reply) =
-            exchange("GET /timeseries?window=1e300 HTTP/1.1\r\nHost: test\r\n\r\n");
-        assert_eq!(status, 400, "window=1e300: {reply}");
         let (status, reply) = exchange(&huge_timeout);
         assert_eq!(status, 400, "timeout_secs=1e300: {reply}");
     }
@@ -843,43 +840,6 @@ fn progress_stream_error_statuses() {
     // streaming path.
     let (status, _) = http(addr, "POST", "/query/1/progress", "");
     assert_ne!(status, 200);
-}
-
-#[test]
-fn timeseries_surface_reports_recorder_state() {
-    let server = start(ServeConfig {
-        recorder_cadence: Duration::from_millis(20),
-        recorder_capacity: 16,
-        ..ServeConfig::default()
-    });
-    let addr = server.addr();
-    // Let the sampler take a few samples at its fast test cadence.
-    std::thread::sleep(Duration::from_millis(120));
-    let (status, body) = http(addr, "GET", "/timeseries", "");
-    assert_eq!(status, 200, "{body}");
-    let v = parse(&body).unwrap();
-    assert_eq!(v.pointer("/version").and_then(JsonValue::as_u64), Some(1));
-    assert_eq!(
-        v.pointer("/cadence_ms").and_then(JsonValue::as_u64),
-        Some(20)
-    );
-    assert_eq!(v.pointer("/capacity").and_then(JsonValue::as_u64), Some(16));
-    let counters = match v.pointer("/counters") {
-        Some(JsonValue::Arr(a)) => a.len(),
-        other => panic!("counters not an array: {other:?}"),
-    };
-    assert!(counters > 0, "{body}");
-    let samples = match v.pointer("/samples") {
-        Some(JsonValue::Arr(a)) => a.len(),
-        other => panic!("samples not an array: {other:?}"),
-    };
-    assert!(samples >= 2, "sampler took no samples: {body}");
-
-    // The rate window is a query parameter; non-positive values are refused.
-    let (status, _) = http(addr, "GET", "/timeseries?window=5", "");
-    assert_eq!(status, 200);
-    let (status, _) = http(addr, "GET", "/timeseries?window=0", "");
-    assert_eq!(status, 400);
 }
 
 #[test]
@@ -1215,7 +1175,7 @@ fn a_flood_is_counted_alike_by_metrics_queries_and_the_journal() {
     assert_eq!(summary.queries, shed + ok_ids.len() as u64, "{summary:?}");
     assert_eq!(summary.other, 0, "{summary:?}");
 
-    for path in ["/alerts", "/dashboard"] {
+    for path in ["/alerts", "/dashboard", "/timeseries"] {
         assert_eq!(http(addr, "GET", path, "").0, 404, "{path}");
     }
     drop(server);
