@@ -88,12 +88,6 @@ pub struct AcquireConfig {
     /// propagate a typed error (default) or absorb the fault into an
     /// interrupted, closest-so-far outcome.
     pub fault_policy: FaultPolicy,
-    /// Classify zone-map blocks against each cell to skip or bulk-fold them
-    /// instead of filtering every tuple (default on). Only the scan layer
-    /// walks zone maps; the cached layer answers cells from its table.
-    /// Outcomes are bit-identical either way; turning it off is an
-    /// ablation/debugging knob, not a correctness one.
-    pub zone_pruning: bool,
 }
 
 impl Default for AcquireConfig {
@@ -110,7 +104,6 @@ impl Default for AcquireConfig {
             exact_lp_order: false,
             budget: ExecutionBudget::default(),
             fault_policy: FaultPolicy::default(),
-            zone_pruning: true,
         }
     }
 }
@@ -185,14 +178,6 @@ impl AcquireConfig {
         self
     }
 
-    /// Convenience: same config with zone-map pruning toggled (ablation
-    /// knob; outcomes are bit-identical either way).
-    #[must_use]
-    pub fn with_zone_pruning(mut self, zone_pruning: bool) -> Self {
-        self.zone_pruning = zone_pruning;
-        self
-    }
-
     /// Convenience: same config with `threads` worker threads for both
     /// evaluation-layer construction (scoring) and the parallel Explore
     /// phase. This is what the CLI's `--threads` maps to.
@@ -219,7 +204,6 @@ mod tests {
         assert_eq!(c.delta, 0.05);
         assert_eq!(c.norm, Norm::L1);
         assert_eq!(c.repartition_depth, 3);
-        assert!(c.zone_pruning, "zone pruning defaults on");
     }
 
     #[test]

@@ -158,6 +158,11 @@ const TERMINAL_OFFERS: usize = 64;
 impl<'a> Feed<'a> {
     /// Runs `request` against a feed over `sink` (if there is one), then
     /// pushes the terminal event of the last search it ran.
+    ///
+    /// This is the search boundary of every entry point: a panic anywhere
+    /// inside the request — a layer build, a search loop, the rendering of
+    /// its results — comes back as [`CoreError::EvalPanicked`], so a host
+    /// answers it like any other failed request instead of unwinding.
     pub(crate) fn run(
         sink: Option<&'a ProgressSink>,
         request: impl FnOnce(Option<&mut Feed<'a>>) -> Result<AcqOutcome, CoreError>,
@@ -169,7 +174,9 @@ impl<'a> Feed<'a> {
             base: 0,
             terminal: None,
         });
-        let outcome = request(feed.as_mut())?;
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| request(feed.as_mut())))
+                .unwrap_or_else(|payload| Err(CoreError::EvalPanicked(panic_message(payload))))?;
         if let Some((feed, event)) = feed.as_ref().and_then(|f| Some((f, f.terminal?))) {
             // A stream may lose layer events, not its end. The search is
             // over, so a slot some reader holds for the length of one copy is
@@ -495,7 +502,6 @@ pub(crate) fn search<E: EvaluationLayer + ?Sized>(
                         explored,
                         frontier: batch_len as u64,
                         store_bytes: explorer.store().approx_bytes() as u64,
-                        zones_pruned: eval.stats().zones_pruned,
                         elapsed_ms: 0,
                         terminal: false,
                     });
@@ -646,7 +652,6 @@ pub(crate) fn search<E: EvaluationLayer + ?Sized>(
             explored,
             frontier: 0,
             store_bytes: explorer.store().approx_bytes() as u64,
-            zones_pruned: stats.zones_pruned,
             elapsed_ms: 0,
             terminal: true,
         });

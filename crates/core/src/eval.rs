@@ -64,12 +64,6 @@ pub struct CellCost {
     pub index_probes: u64,
     /// Cells skipped as provably empty (§7.4).
     pub cells_skipped: u64,
-    /// Zone-map blocks skipped outright by min/max classification.
-    pub zones_pruned: u64,
-    /// Zone-map blocks aggregated wholesale without predicate re-evaluation.
-    pub zones_full: u64,
-    /// Zone-map blocks that straddled the cell band and were scanned.
-    pub zones_scanned: u64,
 }
 
 impl CellCost {
@@ -79,20 +73,6 @@ impl CellCost {
         stats.tuples_scanned += self.tuples_scanned;
         stats.index_probes += self.index_probes;
         stats.cells_skipped += self.cells_skipped;
-        stats.zones_pruned += self.zones_pruned;
-        stats.zones_full += self.zones_full;
-        stats.zones_scanned += self.zones_scanned;
-    }
-
-    /// A cost carrying only a cell scan's accounting (no index work).
-    pub(crate) fn from_scan(scan: &acq_engine::CellScan) -> Self {
-        Self {
-            tuples_scanned: scan.tuples_scanned,
-            zones_pruned: scan.zones_pruned,
-            zones_full: scan.zones_full,
-            zones_scanned: scan.zones_scanned,
-            ..Self::default()
-        }
     }
 }
 
@@ -193,10 +173,10 @@ impl std::str::FromStr for EvalLayerKind {
 pub(crate) type PreparedLayer<'e> = Box<dyn EvaluationLayer + Send + 'e>;
 
 /// The one place a layer is built from an [`EvalLayerKind`]: fills `query`'s
-/// predicate domains from catalog statistics, sizes the refined space,
-/// applies `cfg.zone_pruning` to the executor and constructs the layer with
-/// the space's caps, scoring on `cfg.parallelism`'s workers. Returns the
-/// domain-populated query the layer was built for beside it.
+/// predicate domains from catalog statistics, sizes the refined space and
+/// constructs the layer with the space's caps, scoring on
+/// `cfg.parallelism`'s workers. Returns the domain-populated query the
+/// layer was built for beside it.
 /// [`crate::run_acquire_progress`], [`crate::run_contraction_with`] and
 /// [`crate::Session::new`] all come through here, so every path honours the
 /// same configuration.
@@ -223,7 +203,6 @@ pub(crate) fn prepare_layer<'e>(
     exec.populate_domains(&mut query)?;
     let space = RefinedSpace::new(&query, cfg)?;
     let caps = &space.caps();
-    exec.set_zone_pruning(cfg.zone_pruning);
     let (threads, step) = (cfg.parallelism.workers(), space.step());
     let searched = &query;
     // The product under the cached layer, its cell table folded for this
@@ -317,8 +296,12 @@ impl EvaluationLayer for ScanEvaluator<'_> {
 
 impl ParallelCells for ScanEvaluator<'_> {
     fn cell_aggregate_shared(&self, cell: &[CellRange]) -> EngineResult<(AggState, CellCost)> {
-        let (state, scan) = self.exec.cell_aggregate_shared(&self.rq, &self.rel, cell)?;
-        Ok((state, CellCost::from_scan(&scan)))
+        let (state, tuples_scanned) = self.exec.cell_aggregate_shared(&self.rq, &self.rel, cell)?;
+        let cost = CellCost {
+            tuples_scanned,
+            ..CellCost::default()
+        };
+        Ok((state, cost))
     }
 }
 
@@ -599,7 +582,7 @@ impl CellTable {
 
 /// What preparing a cached layer builds, immutable from then on: every
 /// search over the same predicate set and grid can stand on the same one,
-/// whatever its target, `δ`, budget, thread count or pruning flag.
+/// whatever its target, `δ`, budget or thread count.
 #[derive(Debug)]
 pub(crate) struct Prepared {
     matrix: ScoreMatrix,
@@ -1016,18 +999,6 @@ mod tests {
         assert_eq!(
             after.cells_skipped - mid.cells_skipped,
             mid.cells_skipped - before.cells_skipped
-        );
-        assert_eq!(
-            after.zones_pruned - mid.zones_pruned,
-            mid.zones_pruned - before.zones_pruned
-        );
-        assert_eq!(
-            after.zones_full - mid.zones_full,
-            mid.zones_full - before.zones_full
-        );
-        assert_eq!(
-            after.zones_scanned - mid.zones_scanned,
-            mid.zones_scanned - before.zones_scanned
         );
     }
 

@@ -523,7 +523,6 @@ mod tests {
         for (what, cfg) in [
             ("delta", cfg.clone().with_delta(0.001)),
             ("threads", cfg.clone().with_threads(4)),
-            ("zone_pruning", cfg.clone().with_zone_pruning(false)),
             (
                 "budget",
                 cfg.clone()

@@ -84,8 +84,6 @@ pub struct ProgressEvent {
     pub frontier: u64,
     /// Approximate bytes held by the result store.
     pub store_bytes: u64,
-    /// Zone-map cells pruned so far by the evaluator.
-    pub zones_pruned: u64,
     /// Milliseconds since the run started.
     pub elapsed_ms: u64,
     /// True only for the final event of a run.
@@ -98,13 +96,12 @@ impl ProgressEvent {
     pub fn json_fields(&self) -> String {
         format!(
             "\"query_id\":{},\"layer\":{},\"explored\":{},\"frontier\":{},\
-             \"store_bytes\":{},\"zones_pruned\":{},\"elapsed_ms\":{},\"terminal\":{}",
+             \"store_bytes\":{},\"elapsed_ms\":{},\"terminal\":{}",
             self.query_id,
             self.layer,
             self.explored,
             self.frontier,
             self.store_bytes,
-            self.zones_pruned,
             self.elapsed_ms,
             self.terminal
         )
@@ -254,7 +251,6 @@ mod tests {
             explored,
             frontier: 16,
             store_bytes: 1024,
-            zones_pruned: 3,
             elapsed_ms: 5,
             terminal,
         }
@@ -437,10 +433,6 @@ mod tests {
         assert_eq!(
             parsed.pointer("/query_id").and_then(|v| v.as_f64()),
             Some(7.0)
-        );
-        assert_eq!(
-            parsed.pointer("/zones_pruned").and_then(|v| v.as_f64()),
-            Some(3.0)
         );
     }
 

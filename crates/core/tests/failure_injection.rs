@@ -1,13 +1,17 @@
 //! Failure-injection tests: engine-level failures surface as typed errors
 //! through the driver instead of panics or silent wrong answers.
 
-use acq_engine::{Catalog, DataType, Executor, Field, TableBuilder, Value};
+use acq_engine::{
+    AggState, Catalog, CellRange, DataType, EngineResult, ExecStats, Executor, Field, TableBuilder,
+    Value,
+};
 use acq_query::{
     AcqQuery, AggConstraint, AggregateSpec, CmpOp, ColRef, Interval, Predicate, RefineSide,
 };
 use acquire_core::{
-    run_acquire, run_acquire_progress, AcquireConfig, CancellationToken, CoreError, EvalLayerKind,
-    Host, Obs, PreparedCache, Session,
+    acquire_progress, run_acquire, run_acquire_progress, AcquireConfig, CancellationToken,
+    CoreError, EvalLayerKind, EvaluationLayer, Host, Obs, PreparedCache, RefinedSpace,
+    ScanEvaluator, Session,
 };
 
 fn table(name: &str, rows: usize) -> acq_engine::Table {
@@ -146,6 +150,54 @@ fn a_panic_while_preparing_surfaces_as_a_typed_error() {
     }
     let c = cache.counters();
     assert_eq!((c.misses, c.entries, c.bytes), (2, 0, 0), "{c:?}");
+}
+
+/// A scan layer that answers every cell but panics when asked for its work
+/// counters, which the search does once, after its last cell and outside
+/// every evaluation-layer call it isolates.
+struct StatsPanics<'a>(ScanEvaluator<'a>);
+
+impl EvaluationLayer for StatsPanics<'_> {
+    fn cell_aggregate(&mut self, cell: &[CellRange]) -> EngineResult<AggState> {
+        self.0.cell_aggregate(cell)
+    }
+
+    fn full_aggregate(&mut self, bounds: &[f64]) -> EngineResult<AggState> {
+        self.0.full_aggregate(bounds)
+    }
+
+    fn empty_state(&self) -> EngineResult<AggState> {
+        self.0.empty_state()
+    }
+
+    fn stats(&self) -> ExecStats {
+        panic!("stats unavailable")
+    }
+
+    fn universe_size(&self) -> usize {
+        self.0.universe_size()
+    }
+}
+
+/// A panic outside every cell call is caught at the search boundary like
+/// one inside: the search answers `EvalPanicked` with the panic's message
+/// instead of unwinding into the host.
+#[test]
+fn a_panic_outside_cell_calls_surfaces_as_a_typed_error() {
+    let mut cat = Catalog::new();
+    cat.register(table("a", 50)).unwrap();
+    let mut exec = Executor::new(cat);
+    let mut q = base_query();
+    exec.populate_domains(&mut q).unwrap();
+    let cfg = AcquireConfig::default();
+    let caps = RefinedSpace::new(&q, &cfg).unwrap().caps();
+    let mut layer = StatsPanics(ScanEvaluator::new(&mut exec, &q, &caps).unwrap());
+    let (cancel, obs) = (CancellationToken::new(), Obs::disabled());
+    match acquire_progress(&mut layer, &q, &cfg, &cancel, &obs, None) {
+        Err(CoreError::EvalPanicked(msg)) => assert_eq!(msg, "stats unavailable"),
+        Err(other) => panic!("{other}"),
+        Ok(_) => panic!("no error"),
+    }
 }
 
 #[test]

@@ -242,8 +242,8 @@ impl Prep {
     /// The cache a request for `query` goes through at this point of the
     /// axis. What brought the cache there are earlier prepares over the same
     /// predicates that differ in everything a prepared layer must not depend
-    /// on: another target, and the defaults' `δ`, budget, thread count and
-    /// pruning flag.
+    /// on: another target, and the defaults' `δ`, budget and thread
+    /// count.
     fn cache(self, kind: EvalLayerKind, query: &AcqQuery) -> Option<PreparedCache> {
         let mut earlier = query.clone();
         earlier.constraint.target += 37.0;
@@ -523,12 +523,12 @@ fn session_and_one_shot_runs_build_the_same_layer_once() {
 }
 
 // ---------------------------------------------------------------------------
-// Zone-map pruning ablation
+// Layers against each other
 // ---------------------------------------------------------------------------
 
-/// [`fingerprint`] minus `stats`: disabling zone pruning legitimately
-/// changes `tuples_scanned` and zeroes the zone counters, while every
-/// answer-bearing field must stay bit-identical between the two modes.
+/// [`fingerprint`] minus `stats`: two layers count different work for one
+/// search, while every answer-bearing field must stay bit-identical
+/// between them.
 fn outcome_fingerprint(out: &AcqOutcome) -> String {
     let termination = match &out.termination {
         Termination::Interrupted {
@@ -554,7 +554,6 @@ fn outcome_fingerprint(out: &AcqOutcome) -> String {
 /// cell table when the search names the grid.
 fn run_stepless(query: &AcqQuery, cfg: &AcquireConfig, sink: Option<&ProgressSink>) -> AcqOutcome {
     let mut exec = executor();
-    exec.set_zone_pruning(cfg.zone_pruning);
     let (query, searched) = prepared(&exec, query);
     let caps = RefinedSpace::new(&searched, cfg).unwrap().caps();
     let mut eval = CachedScoreEvaluator::new(&mut exec, &searched, &caps).unwrap();
@@ -701,144 +700,71 @@ fn the_cached_layer_answers_float_folds_with_the_scan_layers_bits() {
     }
 }
 
+/// The scan layer's outcome, `stats` included, is the serial one on every
+/// thread count: a user-defined float fold, once answering without
+/// repartitioning and once repartitioning overshooting cells.
 #[test]
-fn zone_pruning_ablation_is_bit_identical_across_thread_counts() {
+fn scan_layer_is_bit_identical_across_thread_counts() {
     let rows = [
         (sumsq(ge_query(0.0), 2_000.0), 0.05),
         (sumsq(eq_query(0.0), 2_001.0), 0.001),
     ];
     for (query, delta) in rows {
-        let on_cfg = AcquireConfig::default().with_delta(delta);
-        let off_cfg = on_cfg.clone().with_zone_pruning(false);
-        let on = run(Scan, &query, &on_cfg);
-        let off = run(Scan, &query, &off_cfg);
+        let serial_cfg = AcquireConfig::default().with_delta(delta);
+        let serial = run(Scan, &query, &serial_cfg);
         assert!(
-            on.explored > 8,
+            serial.explored > 8,
             "need a non-trivial search: {}",
-            on.explored
+            serial.explored
         );
-        // The answers must agree bit for bit; only the scan accounting may
-        // differ between the two modes.
-        assert_eq!(outcome_fingerprint(&on), outcome_fingerprint(&off));
-        // The ablation must be real: pruning engages and saves tuple work,
-        // and with pruning off the zone counters stay untouched.
-        assert!(on.stats.zones_pruned > 0, "{:?}", on.stats);
-        assert!(
-            on.stats.tuples_scanned < off.stats.tuples_scanned,
-            "{:?} vs {:?}",
-            on.stats,
-            off.stats
-        );
-        assert_eq!(off.stats.zones_pruned, 0);
-        assert_eq!(off.stats.zones_full, 0);
-        assert_eq!(off.stats.zones_scanned, 0);
-        // Within each mode the full fingerprint — stats included — is
-        // thread-count invariant.
-        let on_base = fingerprint(&on);
-        let off_base = fingerprint(&off);
+        let baseline = fingerprint(&serial);
         for par in parallel_settings() {
-            let on_cfg = on_cfg.clone().with_parallelism(par);
-            let off_cfg = off_cfg.clone().with_parallelism(par);
-            assert_eq!(
-                fingerprint(&run(Scan, &query, &on_cfg)),
-                on_base,
-                "pruning on, {par:?}"
-            );
-            assert_eq!(
-                fingerprint(&run(Scan, &query, &off_cfg)),
-                off_base,
-                "pruning off, {par:?}"
-            );
-        }
-    }
-    // A layer built through the seam answers its grid's cells from the
-    // product's table, which the flag never reaches: with pruning off, too,
-    // its outcome does not depend on where the layer came from (for the
-    // default, `every_thread_count_matches_serial_bit_for_bit` says so),
-    // although the requests that prepared it ran with pruning on.
-    for query in prepared_rows() {
-        let off_cfg = AcquireConfig::default().with_zone_pruning(false);
-        let off = run(Cached, &query, &off_cfg);
-        assert_eq!(off.stats.zones_pruned, 0);
-        let baseline = fingerprint(&off);
-        for par in all_thread_settings() {
-            let cfg = off_cfg.clone().with_parallelism(par);
-            for prep in PREPS {
-                let got = fingerprint(&run_prepared(Cached, &query, &cfg, prep));
-                assert_eq!(got, baseline, "pruning off, {par:?}, {prep:?}");
-            }
+            let cfg = serial_cfg.clone().with_parallelism(par);
+            assert_eq!(fingerprint(&run(Scan, &query, &cfg)), baseline, "{par:?}");
         }
     }
 }
 
+/// Interrupts and faults strike the scan layer's search at the same logical
+/// cell on every thread count, so the outcome (or error), `stats`
+/// included, is the serial one.
 #[test]
-fn zone_pruning_ablation_holds_under_budgets_and_faults() {
+fn scan_layer_matches_serial_under_budgets_and_faults() {
     let query = sumsq(ge_query(0.0), 2_000.0);
+    let pools = [Parallelism::Fixed(4), Parallelism::Fixed(7)];
 
-    // Explored budgets that land mid-layer: the interrupt must strike the
-    // same logical cell in both modes and on every thread count.
+    // Explored budgets that land mid-layer.
     for k in [1, 5, 40] {
-        let on_cfg =
+        let serial_cfg =
             AcquireConfig::default().with_budget(ExecutionBudget::unlimited().with_max_explored(k));
-        let off_cfg = on_cfg.clone().with_zone_pruning(false);
-        let on = run(Scan, &query, &on_cfg);
-        let off = run(Scan, &query, &off_cfg);
-        assert_eq!(
-            outcome_fingerprint(&on),
-            outcome_fingerprint(&off),
-            "budget {k}"
-        );
-        let on_base = fingerprint(&on);
-        let off_base = fingerprint(&off);
-        for par in [Parallelism::Fixed(4), Parallelism::Fixed(7)] {
-            let on_cfg = on_cfg.clone().with_parallelism(par);
-            let off_cfg = off_cfg.clone().with_parallelism(par);
+        let baseline = fingerprint(&run(Scan, &query, &serial_cfg));
+        for par in pools {
+            let cfg = serial_cfg.clone().with_parallelism(par);
             assert_eq!(
-                fingerprint(&run(Scan, &query, &on_cfg)),
-                on_base,
-                "budget {k}, pruning on, {par:?}"
-            );
-            assert_eq!(
-                fingerprint(&run(Scan, &query, &off_cfg)),
-                off_base,
-                "budget {k}, pruning off, {par:?}"
+                fingerprint(&run(Scan, &query, &cfg)),
+                baseline,
+                "budget {k}, {par:?}"
             );
         }
     }
 
     // Deterministic fault schedules: coordinate-keyed faults strike the
-    // same cell whether or not its blocks were pruned, under both
-    // policies, and each mode stays thread-count invariant.
+    // same cell under both policies.
+    let key = |r: &Result<AcqOutcome, CoreError>| match r {
+        Ok(out) => format!("Ok({})", fingerprint(out)),
+        Err(e) => format!("Err({e:?})"),
+    };
     for seed in [2, 5, 9] {
         let schedule = FaultSchedule::mixed(seed, 0.15, 0.1);
         for policy in [FaultPolicy::BestEffort, FaultPolicy::Propagate] {
-            let on_cfg = AcquireConfig::default();
-            let off_cfg = on_cfg.clone().with_zone_pruning(false);
-            let key = |r: &Result<AcqOutcome, CoreError>| match r {
-                Ok(out) => format!("Ok({})", outcome_fingerprint(out)),
-                Err(e) => format!("Err({e:?})"),
-            };
-            let full_key = |r: &Result<AcqOutcome, CoreError>| match r {
-                Ok(out) => format!("Ok({})", fingerprint(out)),
-                Err(e) => format!("Err({e:?})"),
-            };
-            let on = run_faulted(Scan, &query, &schedule, policy, &on_cfg);
-            let off = run_faulted(Scan, &query, &schedule, policy, &off_cfg);
-            assert_eq!(key(&on), key(&off), "seed {seed}, {policy:?}");
-            let on_base = full_key(&on);
-            let off_base = full_key(&off);
-            for par in [Parallelism::Fixed(4), Parallelism::Fixed(7)] {
-                let on_cfg = on_cfg.clone().with_parallelism(par);
-                let off_cfg = off_cfg.clone().with_parallelism(par);
+            let serial_cfg = AcquireConfig::default();
+            let baseline = key(&run_faulted(Scan, &query, &schedule, policy, &serial_cfg));
+            for par in pools {
+                let cfg = serial_cfg.clone().with_parallelism(par);
                 assert_eq!(
-                    full_key(&run_faulted(Scan, &query, &schedule, policy, &on_cfg)),
-                    on_base,
-                    "seed {seed}, {policy:?}, pruning on, {par:?}"
-                );
-                assert_eq!(
-                    full_key(&run_faulted(Scan, &query, &schedule, policy, &off_cfg)),
-                    off_base,
-                    "seed {seed}, {policy:?}, pruning off, {par:?}"
+                    key(&run_faulted(Scan, &query, &schedule, policy, &cfg)),
+                    baseline,
+                    "seed {seed}, {policy:?}, {par:?}"
                 );
             }
         }
@@ -859,7 +785,6 @@ fn run_faulted(
     cfg: &AcquireConfig,
 ) -> Result<AcqOutcome, CoreError> {
     let mut exec = executor();
-    exec.set_zone_pruning(cfg.zone_pruning);
     let (query, searched) = prepared(&exec, query);
     let cfg = cfg.clone().with_fault_policy(policy);
     let caps = RefinedSpace::new(&searched, &cfg).unwrap().caps();

@@ -144,42 +144,6 @@ impl AggState {
         }
     }
 
-    /// Folds a run of values in iteration order. Bit-identical to calling
-    /// [`AggState::update`] once per value — same accumulator, same
-    /// operation order — with the variant dispatch hoisted out of the loop
-    /// so the kernels' inner fold stays branch-free.
-    pub fn update_many(&mut self, vals: impl Iterator<Item = f64>) {
-        match self {
-            Self::Count(c) => *c += vals.count() as u64,
-            Self::Sum(s) => {
-                for v in vals {
-                    *s += v;
-                }
-            }
-            Self::Min(m) => {
-                for v in vals {
-                    *m = Some(m.map_or(v, |cur| cur.min(v)));
-                }
-            }
-            Self::Max(m) => {
-                for v in vals {
-                    *m = Some(m.map_or(v, |cur| cur.max(v)));
-                }
-            }
-            Self::Avg { sum, count } => {
-                for v in vals {
-                    *sum += v;
-                    *count += 1;
-                }
-            }
-            Self::Uda(state) => {
-                for v in vals {
-                    state.update(v);
-                }
-            }
-        }
-    }
-
     /// Merges a partial aggregate over a disjoint tuple set into this one —
     /// the "+" of Eq. 9–17.
     pub fn merge(&mut self, other: &AggState) -> EngineResult<()> {

@@ -116,18 +116,6 @@ impl ColumnData {
         }
     }
 
-    /// Borrowed numeric view of the whole column, `None` for string
-    /// columns. The kernel paths use this to read values without the
-    /// per-row enum dispatch of [`ColumnData::get_f64`].
-    #[must_use]
-    pub fn num_slice(&self) -> Option<NumSlice<'_>> {
-        match self {
-            Self::Int(v) => Some(NumSlice::Int(v)),
-            Self::Float(v) => Some(NumSlice::Float(v)),
-            Self::Str(_) => None,
-        }
-    }
-
     /// Minimum and maximum of a numeric column, `None` for empty or string
     /// columns. NaN floats are ignored.
     #[must_use]
@@ -149,29 +137,6 @@ impl ColumnData {
                 Some((lo, hi))
             }
             Self::Str(_) => None,
-        }
-    }
-}
-
-/// A borrowed, typed view over one numeric column, letting tight loops
-/// hoist the column-type dispatch out of the per-row path. Values read as
-/// `f64` exactly like [`ColumnData::get_f64`].
-#[derive(Debug, Clone, Copy)]
-pub enum NumSlice<'a> {
-    /// View over an integer column.
-    Int(&'a [i64]),
-    /// View over a float column.
-    Float(&'a [f64]),
-}
-
-impl NumSlice<'_> {
-    /// Value at `row` as `f64` (same cast as [`ColumnData::get_f64`]).
-    #[inline]
-    #[must_use]
-    pub fn get(&self, row: usize) -> f64 {
-        match self {
-            Self::Int(v) => v[row] as f64,
-            Self::Float(v) => v[row],
         }
     }
 }

@@ -18,13 +18,6 @@
 //! * mergeable aggregate states ([`AggState`]) implementing the
 //!   optimal-substructure "+" of §2.6 (COUNT/SUM/MIN/MAX, AVG as SUM+COUNT,
 //!   and registered user-defined aggregates);
-//! * per-column block min/max **zone maps** built at table load time
-//!   ([`zone`]): the cell path classifies each block against the cell's
-//!   score band as skip / fully-inside / straddling, so most tuples are
-//!   never read ([`ExecStats`] reports `zones_pruned` / `zones_full` /
-//!   `zones_scanned`). This is the engine's share of the §7.4 idea —
-//!   prove a region empty without executing it; the score-space grid index
-//!   lives in `acquire-core`'s cached evaluation layer;
 //! * [`ExecStats`] work counters (queries issued, tuples scanned, rows
 //!   joined) so experiments can report machine-independent costs.
 //!
@@ -49,7 +42,6 @@ mod scoring;
 mod stats;
 mod table;
 mod value;
-pub mod zone;
 
 pub use aggregate::{AggState, SumSquares, UdaRegistry, UdaState};
 pub use catalog::Catalog;
@@ -64,4 +56,3 @@ pub use scoring::{BoundQuery, ResolvedQuery};
 pub use stats::ExecStats;
 pub use table::{Table, TableBuilder};
 pub use value::{DataType, Value};
-pub use zone::{BlockClass, BlockStat, CellScan, ColumnZones, ZONE_BLOCK};

@@ -81,25 +81,6 @@ impl Relation {
         self.len == 0
     }
 
-    /// Whether logical rows map 1:1 onto base-table rows (a full scan);
-    /// the kernel path walks zone blocks directly in that case.
-    #[must_use]
-    pub fn is_identity(&self) -> bool {
-        self.identity
-    }
-
-    /// Base-table row ids of a non-identity single-table relation, in
-    /// logical-row order (`None` otherwise). Lets the kernel path group
-    /// consecutive rows by zone block without per-row stride math.
-    #[must_use]
-    pub(crate) fn single_table_rows(&self) -> Option<&[u32]> {
-        if self.tables.len() == 1 && !self.identity {
-            Some(&self.row_ids)
-        } else {
-            None
-        }
-    }
-
     /// The base-table row id backing logical `row` for table `table_idx`.
     #[inline]
     #[must_use]

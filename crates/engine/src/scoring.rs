@@ -180,34 +180,6 @@ impl ResolvedQuery {
         }
     }
 
-    /// `Some` when `rel` is exactly one base table and every predicate is
-    /// an `Attr` selection on it — the shape the zone-pruned cell kernels
-    /// handle. Joins, categorical predicates, or a foreign aggregate column
-    /// opt out (the scalar path remains correct for them).
-    pub(crate) fn single_table_plan(&self, rel: &Relation) -> Option<SingleTablePlan> {
-        if rel.tables().len() != 1 {
-            return None;
-        }
-        let tname = rel.tables()[0].name();
-        let mut cols = Vec::with_capacity(self.sources.len());
-        for s in &self.sources {
-            match s {
-                Source::Attr { table, col } if table == tname => cols.push(*col),
-                _ => return None,
-            }
-        }
-        let agg = match &self.agg {
-            Some((table, col)) => {
-                if table != tname {
-                    return None;
-                }
-                Some(*col)
-            }
-            None => None,
-        };
-        Some(SingleTablePlan { cols, agg })
-    }
-
     /// Binds the resolved query to a concrete relation (mapping table names
     /// to the relation's table positions).
     pub fn bind<'a>(&'a self, rel: &Relation) -> EngineResult<BoundQuery<'a>> {
@@ -259,17 +231,6 @@ impl ResolvedQuery {
             agg,
         })
     }
-}
-
-/// Column layout of a query whose predicates all live on one base table;
-/// feeds the zone-pruned cell kernels in the executor.
-#[derive(Debug, Clone)]
-pub(crate) struct SingleTablePlan {
-    /// Base-table column index of each predicate's attribute, in predicate
-    /// order.
-    pub cols: Vec<usize>,
-    /// Aggregate column index (`None` for COUNT).
-    pub agg: Option<usize>,
 }
 
 #[derive(Debug, Clone, Copy)]

@@ -23,12 +23,6 @@ pub struct ExecStats {
     pub index_probes: u64,
     /// Cell queries skipped because the index proved them empty (§7.4).
     pub cells_skipped: u64,
-    /// Zone-map blocks skipped outright (no row could fall in the cell).
-    pub zones_pruned: u64,
-    /// Zone-map blocks aggregated wholesale without predicate re-evaluation.
-    pub zones_full: u64,
-    /// Zone-map blocks that straddled the cell band and were scanned.
-    pub zones_scanned: u64,
 }
 
 impl ExecStats {
@@ -47,7 +41,7 @@ impl ExecStats {
     /// observability snapshots and the CLI's JSON output, so neither needs
     /// to hard-code the field set.
     #[must_use]
-    pub fn fields(&self) -> [(&'static str, u64); 9] {
+    pub fn fields(&self) -> [(&'static str, u64); 6] {
         [
             ("cell_queries", self.cell_queries),
             ("full_queries", self.full_queries),
@@ -55,9 +49,6 @@ impl ExecStats {
             ("rows_joined", self.rows_joined),
             ("index_probes", self.index_probes),
             ("cells_skipped", self.cells_skipped),
-            ("zones_pruned", self.zones_pruned),
-            ("zones_full", self.zones_full),
-            ("zones_scanned", self.zones_scanned),
         ]
     }
 }
@@ -70,9 +61,6 @@ impl AddAssign for ExecStats {
         self.rows_joined += rhs.rows_joined;
         self.index_probes += rhs.index_probes;
         self.cells_skipped += rhs.cells_skipped;
-        self.zones_pruned += rhs.zones_pruned;
-        self.zones_full += rhs.zones_full;
-        self.zones_scanned += rhs.zones_scanned;
     }
 }
 
@@ -81,17 +69,13 @@ impl fmt::Display for ExecStats {
         write!(
             f,
             "cell_queries={} full_queries={} tuples_scanned={} rows_joined={} \
-             index_probes={} cells_skipped={} zones_pruned={} zones_full={} \
-             zones_scanned={}",
+             index_probes={} cells_skipped={}",
             self.cell_queries,
             self.full_queries,
             self.tuples_scanned,
             self.rows_joined,
             self.index_probes,
-            self.cells_skipped,
-            self.zones_pruned,
-            self.zones_full,
-            self.zones_scanned
+            self.cells_skipped
         )
     }
 }

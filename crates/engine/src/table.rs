@@ -8,7 +8,6 @@ use crate::column::ColumnData;
 use crate::error::{EngineError, EngineResult};
 use crate::schema::{Field, Schema};
 use crate::value::Value;
-use crate::zone::ColumnZones;
 
 /// An immutable in-memory table.
 #[derive(Debug, Clone)]
@@ -16,7 +15,6 @@ pub struct Table {
     name: String,
     schema: Arc<Schema>,
     columns: Vec<ColumnData>,
-    zones: Vec<ColumnZones>,
     /// Per-column [`ColumnData::min_max`], computed once at load.
     domains: Vec<Option<(f64, f64)>>,
     rows: usize,
@@ -55,15 +53,13 @@ impl Table {
                 });
             }
         }
-        // Zone maps and domains are built once at load time; tables are
-        // immutable so the stats can never go stale.
-        let zones = columns.iter().map(ColumnZones::build).collect();
+        // Domains are built once at load time; tables are immutable so the
+        // stats can never go stale.
         let domains = columns.iter().map(ColumnData::min_max).collect();
         Ok(Self {
             name,
             schema: Arc::new(schema),
             columns,
-            zones,
             domains,
             rows,
         })
@@ -97,14 +93,6 @@ impl Table {
     #[must_use]
     pub fn column_by_name(&self, name: &str) -> Option<&ColumnData> {
         self.schema.index_of(name).map(|i| &self.columns[i])
-    }
-
-    /// Zone map (per-block min/max statistics) for the column at `idx`,
-    /// built at load time over [`crate::zone::ZONE_BLOCK`]-row blocks.
-    /// Empty for string columns.
-    #[must_use]
-    pub fn zones(&self, idx: usize) -> &ColumnZones {
-        &self.zones[idx]
     }
 
     /// Value at `(row, col)`.

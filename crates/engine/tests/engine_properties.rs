@@ -82,9 +82,7 @@ proptest! {
 
     /// Splitting a value stream at any point and merging the two partial
     /// states equals folding the whole stream — for every aggregate kind.
-    /// The empty state is the identity of that merge on either side, and
-    /// `update_many` is the per-row `update` fold bit for bit (what its doc
-    /// promises and both zone kernels rely on).
+    /// The empty state is the identity of that merge on either side.
     #[test]
     fn merge_equals_concatenated_fold(
         vals in prop::collection::vec(-100.0f64..100.0, 1..50),
@@ -118,9 +116,6 @@ proptest! {
             }
 
             let bits = |s: &AggState| (s.value().map(f64::to_bits), s.count());
-            let mut bulk = empty.clone();
-            bulk.update_many(vals.iter().copied());
-            prop_assert_eq!(bits(&bulk), bits(&whole), "update_many vs update: {:?}", empty);
             let mut identity_right = whole.clone();
             identity_right.merge(&empty).unwrap();
             prop_assert_eq!(bits(&identity_right), bits(&whole), "x + 0: {:?}", empty);

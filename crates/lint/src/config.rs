@@ -17,7 +17,6 @@
 //!
 //! [obs-discipline]
 //! worker_paths = ["crates/core/src/pool.rs"]
-//! zone_stat_paths = ["crates/engine/src/zone.rs"]
 //! progress_sink_paths = ["crates/core/src/driver.rs"]
 //!
 //! [commit-reachability]
@@ -64,10 +63,6 @@ pub struct Config {
     /// callable from a root must stay wait-free unless a blocking site
     /// carries `// commit-io-ok: <reason>`.
     pub commit_roots: Vec<String>,
-    /// The only files allowed to mutate the zone-map counters
-    /// (`zones_pruned`/`zones_full`/`zones_scanned`): the serial emission
-    /// path plus the pure scan accounting it commits from.
-    pub zone_stat_paths: Vec<String>,
     /// The only files allowed to push into a progress sink
     /// (`.try_push(…)`): the driver's serial layer-boundary commits, the
     /// sink's own implementation, and the serve-side broker.
@@ -117,12 +112,6 @@ impl Config {
     #[must_use]
     pub fn parse_root(entry: &str) -> Option<(&str, &str)> {
         entry.rsplit_once("::")
-    }
-
-    /// Whether `rel_path` may mutate the zone-map counters.
-    #[must_use]
-    pub fn is_zone_stat_path(&self, rel_path: &str) -> bool {
-        prefix_match(&self.zone_stat_paths, rel_path)
     }
 
     /// Whether `rel_path` may push progress events into a sink.
@@ -186,7 +175,6 @@ impl Config {
                 ("determinism", "clock_allowed") => cfg.clock_allowed = values,
                 ("determinism", "sleep_allowed") => cfg.sleep_allowed = values,
                 ("obs-discipline", "worker_paths") => cfg.worker_paths = values,
-                ("obs-discipline", "zone_stat_paths") => cfg.zone_stat_paths = values,
                 ("obs-discipline", "progress_sink_paths") => cfg.progress_sink_paths = values,
                 ("commit-reachability", "roots") => cfg.commit_roots = values,
                 (s, k) => return Err(format!("line {lineno}: unknown key {k:?} in [{s}]")),
@@ -286,7 +274,6 @@ mod tests {
              \n\
              [obs-discipline]\n\
              worker_paths = [\"crates/core/src/pool.rs\"]\n\
-             zone_stat_paths = [\"crates/engine/src/zone.rs\"]\n\
              progress_sink_paths = [\"crates/core/src/driver.rs\"]\n\
              \n\
              [commit-reachability]\n\
@@ -308,8 +295,6 @@ mod tests {
             Config::parse_root(&cfg.commit_roots[1]),
             Some(("crates/core/src/driver.rs", "emit_progress"))
         );
-        assert!(cfg.is_zone_stat_path("crates/engine/src/zone.rs"));
-        assert!(!cfg.is_zone_stat_path("crates/engine/src/executor.rs"));
         assert!(cfg.is_progress_sink_path("crates/core/src/driver.rs"));
         assert!(!cfg.is_progress_sink_path("crates/core/src/pool.rs"));
     }

@@ -1,10 +1,9 @@
 //! **obs-discipline** — observability must not perturb determinism.
 //!
-//! Four contracts (the first two from PR 3, the third from PR 7, the
-//! fourth from PR 8). A fifth — no blocking calls in the textually listed
-//! instrument-commit *files* — was superseded in PR 9 by the
-//! call-graph-aware `commit-reachability` rule, which follows commit
-//! *functions* across files instead of trusting a file list:
+//! Three contracts. A fourth — no blocking calls in the textually listed
+//! instrument-commit *files* — was superseded by the call-graph-aware
+//! `commit-reachability` rule, which follows commit *functions* across
+//! files instead of trusting a file list:
 //!
 //! * **Lazy trace labels.** `Obs::trace`/`trace_span` take a label closure
 //!   so a disabled handle never builds a string. An eager argument (string
@@ -18,14 +17,6 @@
 //!   explicitly nondeterministic-class instruments, and each such commit
 //!   carries a `// worker-metric-ok: <reason>` annotation naming why the
 //!   instrument tolerates thread-schedule dependence.
-//! * **Zone counters commit only on the serial emission path.** The
-//!   zone-map accounting (`zones_pruned`/`zones_full`/`zones_scanned`) is
-//!   part of the §9 determinism contract: scans accumulate it in pure
-//!   per-cell values and the driver commits those in emission order.
-//!   Mutating a zone counter (`+=`, `-=` or assignment) anywhere outside
-//!   the files listed in `[obs-discipline] zone_stat_paths` would let
-//!   worker-side code perturb the deterministic stats, so it is flagged
-//!   wherever it appears. Reads and comparisons are free.
 //! * **Progress sinks are fed only from the serial emission path.** The
 //!   streaming progress contract (strictly monotone `explored`, terminal
 //!   event last) holds because every `acquire_core::ProgressSink` push
@@ -41,10 +32,6 @@ use super::{ident_at, is_method_call, matching_paren, punct_at, SourceFile};
 
 /// Metric-commit method names audited on worker paths.
 const COMMIT_METHODS: [&str; 5] = ["inc", "add", "observe", "record_exec_stats", "set_meta"];
-
-/// Zone-map counter fields whose mutation is confined to
-/// `[obs-discipline] zone_stat_paths`.
-const ZONE_COUNTERS: [&str; 3] = ["zones_pruned", "zones_full", "zones_scanned"];
 
 /// Runs the rule over one file.
 pub fn check(f: &SourceFile, cfg: &Config, out: &mut Vec<Diagnostic>) {
@@ -70,19 +57,6 @@ pub fn check(f: &SourceFile, cfg: &Config, out: &mut Vec<Diagnostic>) {
                 ),
             );
         }
-        if ZONE_COUNTERS.contains(&name)
-            && is_zone_mutation(toks, i)
-            && !cfg.is_zone_stat_path(&f.rel_path)
-        {
-            out.push(f.diag(
-                "obs-discipline",
-                t,
-                format!(
-                    "zone counter `{name}` mutated outside `[obs-discipline] zone_stat_paths`; \
-                     zone-map accounting commits only on the serial emission path"
-                ),
-            ));
-        }
         if !is_method_call(toks, i) {
             continue;
         }
@@ -105,16 +79,6 @@ pub fn check(f: &SourceFile, cfg: &Config, out: &mut Vec<Diagnostic>) {
             ));
         }
     }
-}
-
-/// Whether the zone-counter field at ident index `i` is being written:
-/// `+=`, `-=`, or a plain `=` that is not part of `==`. Struct-literal
-/// initialisation (`zones_pruned: 0`), reads and comparisons all pass.
-fn is_zone_mutation(toks: &[crate::lexer::Token], i: usize) -> bool {
-    if (punct_at(toks, i + 1, '+') || punct_at(toks, i + 1, '-')) && punct_at(toks, i + 2, '=') {
-        return true;
-    }
-    punct_at(toks, i + 1, '=') && !punct_at(toks, i + 2, '=') && !punct_at(toks, i + 2, '>')
 }
 
 /// Whether the last top-level argument of the call at ident index `i`
@@ -201,40 +165,6 @@ mod tests {
         .is_empty());
         // Off the worker paths the commit-side check does not apply.
         assert!(run("crates/core/src/driver.rs", src).is_empty());
-    }
-
-    #[test]
-    fn zone_counter_mutations_are_confined() {
-        // `+=`, `-=` and plain assignment are all flagged off the
-        // sanctioned paths…
-        for src in [
-            "fn f(s: &mut ExecStats) { s.zones_pruned += 1; }",
-            "fn f(s: &mut ExecStats) { s.zones_full -= 1; }",
-            "fn f(s: &mut ExecStats) { s.zones_scanned = 0; }",
-        ] {
-            assert_eq!(run("crates/core/src/pool.rs", src).len(), 1, "{src}");
-        }
-        // …while reads, comparisons, struct-literal init and match arms pass,
-        for src in [
-            "fn f(s: &ExecStats) -> u64 { s.zones_pruned + s.zones_full }",
-            "fn f(s: &ExecStats) -> bool { s.zones_pruned == 0 }",
-            "fn f() -> ExecStats { ExecStats { zones_pruned: 0, ..Default::default() } }",
-            "fn f(k: Kind) { match k { Kind::zones_pruned => {} _ => {} } }",
-        ] {
-            assert!(run("crates/core/src/pool.rs", src).is_empty(), "{src}");
-        }
-        // and a sanctioned zone_stat_path may commit them.
-        let f = SourceFile::new(
-            "crates/engine/src/zone.rs",
-            "fn f(s: &mut ExecStats) { s.zones_pruned += 1; }",
-            FileContext::Lib,
-        );
-        let cfg =
-            Config::parse("[obs-discipline]\nzone_stat_paths = [\"crates/engine/src/zone.rs\"]\n")
-                .unwrap();
-        let mut out = Vec::new();
-        check(&f, &cfg, &mut out);
-        assert!(out.is_empty());
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! stays behind, and a year later nobody knows whether deleting it is safe.
 //! This rule recomputes the workspace findings in a *raw* configuration —
 //! inline annotations ignored, `[allow]` and the grant lists
-//! (`clock_allowed`, `sleep_allowed`, `zone_stat_paths`,
-//! `progress_sink_paths`) emptied — and then checks that:
+//! (`clock_allowed`, `sleep_allowed`, `progress_sink_paths`) emptied — and then checks that:
 //!
 //! * every inline `lint-allow(<rule>)` / `relaxed-ok` / `worker-metric-ok`
 //!   / `commit-io-ok` annotation covers at least one raw finding of the
@@ -87,11 +86,6 @@ pub fn check(ws: &Workspace, cfg: &Config, out: &mut Vec<Diagnostic>) {
                     && d.message.contains("sleep")
                     && d.file.starts_with(&e.value)
             }),
-            ("obs-discipline", "zone_stat_paths") => raw.iter().any(|d| {
-                d.rule == "obs-discipline"
-                    && d.message.contains("zone counter")
-                    && d.file.starts_with(&e.value)
-            }),
             ("obs-discipline", "progress_sink_paths") => raw.iter().any(|d| {
                 d.rule == "obs-discipline"
                     && d.message.contains("progress sink push")
@@ -164,7 +158,6 @@ fn raw_findings(ws: &Workspace, cfg: &Config) -> Vec<Diagnostic> {
         sleep_allowed: Vec::new(),
         worker_paths: cfg.worker_paths.clone(),
         commit_roots: cfg.commit_roots.clone(),
-        zone_stat_paths: Vec::new(),
         progress_sink_paths: Vec::new(),
         entries: Vec::new(),
     };

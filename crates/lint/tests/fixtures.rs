@@ -133,30 +133,11 @@ fn obs_discipline_fixture_exact_positions() {
     );
     assert_eq!(
         positions(&v, "obs-discipline"),
-        [(5, 9), (7, 13), (12, 11)],
-        "eager trace label, unannotated worker metric commit, zone mutation"
+        [(5, 9), (7, 13)],
+        "eager trace label, unannotated worker metric commit"
     );
-    assert_eq!(v.len(), 3, "{v:?}");
+    assert_eq!(v.len(), 2, "{v:?}");
     assert!(a.is_empty());
-}
-
-#[test]
-fn obs_discipline_zone_mutation_is_silent_on_zone_stat_paths() {
-    // Granting the fixture's path in zone_stat_paths silences the zone
-    // check alone; the unrelated trace-label violation still fires (no
-    // worker_paths here, so the metric commit is off-contract anyway).
-    let cfg = Config::parse("[obs-discipline]\nzone_stat_paths = [\"virtual/\"]\n").unwrap();
-    let (v, _) = check_source(
-        "virtual/zone.rs",
-        &fixture("obs_discipline.rs"),
-        FileContext::Lib,
-        &cfg,
-    );
-    assert_eq!(
-        positions(&v, "obs-discipline"),
-        [(5, 9)],
-        "only the eager trace label remains: {v:?}"
-    );
 }
 
 #[test]

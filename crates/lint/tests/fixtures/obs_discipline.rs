@@ -1,14 +1,9 @@
-// Seeded obs-discipline fixture: eager trace label, unannotated worker
-// metric commit, and a zone-counter mutation off the zone_stat_paths.
+// Seeded obs-discipline fixture: eager trace label and unannotated worker
+// metric commit.
 
 pub fn seeded() {
     obs.trace(1, format!("eager label"));
     obs.trace(1, || format!("lazy label"));
     m.cells.inc();
     m.cells.inc(); // worker-metric-ok: fixture counter, order-free
-}
-
-pub fn zones(stats: &mut ExecStats) {
-    stats.zones_pruned += 1;
-    let _total = stats.zones_full + stats.zones_scanned;
 }

@@ -264,10 +264,10 @@ pub struct Metrics {
     /// Deterministic: Expand batch size distribution.
     pub batch_cells: Histogram,
     workers: Vec<WorkerStats>,
-    /// Accumulated engine work counters (`ExecStats` fields, including the
-    /// zone-map counters) summed across every absorbed per-query snapshot,
-    /// keyed by field name in first-seen order. This is what lets a
-    /// process-scoped `/metrics` scrape surface `acq_exec_*_total` lines.
+    /// Accumulated engine work counters (`ExecStats` fields) summed across
+    /// every absorbed per-query snapshot, keyed by field name in first-seen
+    /// order. This is what lets a process-scoped `/metrics` scrape surface
+    /// `acq_exec_*_total` lines.
     exec_stats: std::sync::Mutex<Vec<(String, u64)>>,
 }
 
@@ -534,7 +534,7 @@ mod tests {
             0,
             vec![
                 ("tuples_scanned".to_string(), 100),
-                ("zones_pruned".to_string(), 7),
+                ("cell_queries".to_string(), 7),
             ],
             vec![],
         );
@@ -545,7 +545,7 @@ mod tests {
             process.exec_stat_values(),
             vec![
                 ("tuples_scanned".to_string(), 200),
-                ("zones_pruned".to_string(), 14),
+                ("cell_queries".to_string(), 14),
             ]
         );
     }

@@ -10,9 +10,10 @@ use crate::metrics::{Histogram, Metrics};
 /// v2: histogram objects gained estimated `p50`/`p95`/`p99` quantiles
 /// (`null` while the histogram is empty).
 ///
-/// v3: `exec_stats` gained the zone-map pruning counters `zones_pruned`,
-/// `zones_full` and `zones_scanned`.
-pub const SNAPSHOT_VERSION: u64 = 3;
+/// v3: `exec_stats` gained three block-pruning counters of the scan layer.
+///
+/// v4: `exec_stats` dropped those three counters with the pruned cell path.
+pub const SNAPSHOT_VERSION: u64 = 4;
 
 /// Quantiles estimated for every histogram snapshot, `(label, q)`.
 pub const SNAPSHOT_QUANTILES: [(&str, f64); 3] = [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)];

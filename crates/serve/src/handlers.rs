@@ -28,7 +28,8 @@ use acq_query::{AcqQuery, Norm};
 use acq_sql::compile;
 use acquire_core::profile::{answers_json, termination_json};
 use acquire_core::{
-    run_acquire_progress, AcqOutcome, AcquireConfig, ExecutionBudget, ExplainProfile, Host,
+    run_acquire_progress, AcqOutcome, AcquireConfig, CoreError, EvalLayerKind, ExecutionBudget,
+    ExplainProfile, Host,
 };
 
 use crate::admission::Admission;
@@ -60,7 +61,7 @@ pub fn handle(state: &Arc<ServerState>, req: &Request, peer: Option<IpAddr>) -> 
         ("GET", "/metrics") => Response::new(200, PROMETHEUS_CONTENT_TYPE, render_metrics(state)),
         ("GET", "/queries") => Response::json(200, state.registry.to_json()),
         ("GET", path) if path.starts_with("/trace/") => trace(state, req, &path["/trace/".len()..]),
-        ("POST", "/query") => query(state, req, peer),
+        ("POST", "/query") => query(state, req, peer, run_acquire_progress),
         ("POST", "/shutdown") => {
             state.shutdown.cancel();
             Response::json(202, "{\"shutdown\":true}")
@@ -246,10 +247,25 @@ fn parse_query_request(body: &[u8]) -> Result<QueryRequest, String> {
     })
 }
 
+/// The search behind `POST /query`: [`run_acquire_progress`], or a stand-in
+/// in this module's tests.
+type Search = fn(
+    &mut Executor,
+    &AcqQuery,
+    &AcquireConfig,
+    EvalLayerKind,
+    Host<'_>,
+) -> Result<AcqOutcome, CoreError>;
+
 /// `POST /query`: rate-limit, parse, compile, pass the admission gate,
 /// register, run with a per-query handle, respond. Order matters — the
 /// cheap rejections (429s, 400s) happen before a gate slot is occupied.
-fn query(state: &Arc<ServerState>, req: &Request, peer: Option<IpAddr>) -> Response {
+fn query(
+    state: &Arc<ServerState>,
+    req: &Request,
+    peer: Option<IpAddr>,
+    search: Search,
+) -> Response {
     let stats = &state.telemetry.admission;
     if !state.is_ready() {
         stats.shed.inc();
@@ -285,7 +301,7 @@ fn query(state: &Arc<ServerState>, req: &Request, peer: Option<IpAddr>) -> Respo
         stats.degraded.inc();
     }
     let t0 = Instant::now();
-    let resp = run_query(state, req, t0, queued, degraded);
+    let resp = run_query(state, req, t0, queued, degraded, search);
     drop(permit);
     state
         .telemetry
@@ -299,6 +315,7 @@ fn run_query(
     t0: Instant,
     queued: bool,
     degraded: bool,
+    search: Search,
 ) -> Response {
     let reject = |msg: &str| {
         journal_query(
@@ -383,7 +400,7 @@ fn run_query(
         progress: Some(&channel.sink),
         prepared: Some(&state.prepared),
     };
-    let outcome = run_acquire_progress(&mut exec, &query, &cfg, state.config.layer, host);
+    let outcome = search(&mut exec, &query, &cfg, state.config.layer, host);
     let duration = t0.elapsed();
 
     match outcome {
@@ -414,7 +431,7 @@ fn run_query(
                 &format!(
                     "\"id\":{id},\"status\":200,\"queued\":{queued},\"degraded\":{degraded},\
                      \"satisfied\":{},\"termination\":\"{}\",\"layers\":{},\"explored\":{},\
-                     \"zones_pruned\":{},\"duration_ms\":{},\"outcome_key\":\"{key}\",\
+                     \"duration_ms\":{},\"outcome_key\":\"{key}\",\
                      \"digest\":{{\"dims\":{},\"layers\":{},\"explored\":{},\
                      \"cells_executed\":{},\"regions_reused\":{},\"subqueries_total\":{},\
                      \"at_most_once_violations\":{}}}",
@@ -422,7 +439,6 @@ fn run_query(
                     outcome.termination.slug(),
                     outcome.layers,
                     outcome.explored,
-                    outcome.stats.zones_pruned,
                     duration.as_millis(),
                     digest.dims,
                     digest.layers_expanded,
@@ -443,6 +459,12 @@ fn run_query(
             Response::json(200, body)
         }
         Err(e) => {
+            // A panic inside the search is the server's fault, not the
+            // request's; every other failure is the request's.
+            let status = match e {
+                CoreError::EvalPanicked(_) => 500,
+                _ => 400,
+            };
             let msg = e.to_string();
             state
                 .registry
@@ -451,13 +473,13 @@ fn run_query(
             journal_query(
                 state,
                 &format!(
-                    "\"id\":{id},\"status\":400,\"queued\":{queued},\"degraded\":{degraded},\
+                    "\"id\":{id},\"status\":{status},\"queued\":{queued},\"degraded\":{degraded},\
                      \"duration_ms\":{},\"error\":\"{}\"",
                     duration.as_millis(),
                     json_escape(&msg)
                 ),
             );
-            json_err(400, &format!("query {id} failed: {msg}"))
+            json_err(status, &format!("query {id} failed: {msg}"))
         }
     }
 }
@@ -536,4 +558,110 @@ fn outcome_json(
         answers_json(outcome, original, top),
         profile
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use acq_engine::{AggState, Catalog, CellRange, DataType, EngineResult, ExecStats};
+    use acq_engine::{Field, TableBuilder, Value};
+    use acquire_core::{acquire_progress, EvaluationLayer, RefinedSpace, ScanEvaluator};
+
+    use crate::state::ServeConfig;
+
+    /// A scan layer that panics when asked for its work counters, which a
+    /// search does once, after its last cell and outside every call into the
+    /// layer it isolates.
+    struct StatsPanics<'a>(ScanEvaluator<'a>);
+
+    impl EvaluationLayer for StatsPanics<'_> {
+        fn cell_aggregate(&mut self, cell: &[CellRange]) -> EngineResult<AggState> {
+            self.0.cell_aggregate(cell)
+        }
+
+        fn full_aggregate(&mut self, bounds: &[f64]) -> EngineResult<AggState> {
+            self.0.full_aggregate(bounds)
+        }
+
+        fn empty_state(&self) -> EngineResult<AggState> {
+            self.0.empty_state()
+        }
+
+        fn stats(&self) -> ExecStats {
+            panic!("stats unavailable")
+        }
+
+        fn universe_size(&self) -> usize {
+            self.0.universe_size()
+        }
+    }
+
+    /// The expanding search over [`StatsPanics`], through the library's
+    /// entry point and so through its search boundary.
+    fn search_with_failing_stats(
+        exec: &mut Executor,
+        query: &AcqQuery,
+        cfg: &AcquireConfig,
+        _: EvalLayerKind,
+        host: Host<'_>,
+    ) -> Result<AcqOutcome, CoreError> {
+        let mut query = query.clone();
+        exec.populate_domains(&mut query)?;
+        let caps = RefinedSpace::new(&query, cfg)?.caps();
+        let mut layer = StatsPanics(ScanEvaluator::new(exec, &query, &caps)?);
+        let Host {
+            cancel,
+            obs,
+            progress,
+            ..
+        } = host;
+        acquire_progress(&mut layer, &query, cfg, cancel, obs, progress)
+    }
+
+    /// A panic inside a search is answered 500 like the failure it is: the
+    /// registry entry finishes, nothing stays running, the failure is
+    /// counted and journaled once, and the progress channel is sealed.
+    #[test]
+    fn a_panicking_search_answers_500_and_finishes_its_record() {
+        let mut b = TableBuilder::new("t", vec![Field::new("x", DataType::Float)]).unwrap();
+        for i in 0..200 {
+            b.push_row(vec![Value::Float(f64::from(i))]);
+        }
+        let mut catalog = Catalog::new();
+        catalog.register(b.finish().unwrap()).unwrap();
+        let journal = std::env::temp_dir().join(format!(
+            "acq-serve-handlers-panic-{}.journal",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&journal);
+        let config = ServeConfig {
+            journal_path: Some(journal.clone()),
+            ..ServeConfig::default()
+        };
+        let state = Arc::new(ServerState::try_new(config, catalog).unwrap());
+        state.set_ready();
+
+        let body = r#"{"sql":"SELECT * FROM t CONSTRAINT COUNT(*) >= 150 WHERE x <= 100"}"#;
+        let req = Request::post("/query", body);
+        let resp = query(&state, &req, None, search_with_failing_stats);
+        assert_eq!(resp.status, 500, "{}", resp.body);
+        assert!(resp.body.contains("stats unavailable"), "{}", resp.body);
+
+        let metrics = render_metrics(&state);
+        assert!(
+            metrics.contains("\nacq_serve_queries_running 0\n"),
+            "{metrics}"
+        );
+
+        let written = state.journal.as_ref().unwrap();
+        assert!(written.flush(Duration::from_secs(5)));
+        let read = acq_obs::journal::read_journal(&journal).unwrap();
+        let _ = std::fs::remove_file(&journal);
+        assert_eq!(read.records.len(), 1, "{:?}", read.records);
+        let record = parse(&read.records[0]).unwrap();
+        let field = |name: &str| record.pointer(name).and_then(JsonValue::as_u64);
+        assert_eq!(field("/status"), Some(500), "{record:?}");
+        let id = field("/id").unwrap();
+        assert!(state.progress.get(id).unwrap().is_done());
+    }
 }

@@ -99,6 +99,22 @@ impl Request {
     }
 }
 
+#[cfg(test)]
+impl Request {
+    /// A keep-alive `POST` of `body` to `path`, as the session loop hands
+    /// it to the handlers.
+    pub(crate) fn post(path: &str, body: &str) -> Self {
+        Self {
+            method: "POST".to_string(),
+            path: path.to_string(),
+            query: String::new(),
+            headers: Vec::new(),
+            body: body.as_bytes().to_vec(),
+            keep_alive: true,
+        }
+    }
+}
+
 /// Errors from the read path; each maps to one connection outcome.
 #[derive(Debug)]
 #[non_exhaustive]

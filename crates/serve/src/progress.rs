@@ -351,7 +351,6 @@ mod tests {
             explored: i + 1,
             frontier: 1,
             store_bytes: 0,
-            zones_pruned: 0,
             elapsed_ms: i,
             terminal,
         }

@@ -418,7 +418,7 @@ fn series(metrics: &str, name: &str) -> u64 {
 /// The production layer, seen from outside: after one multi-predicate COUNT
 /// query the `exec_stats` block on `/metrics` agrees with the answer's
 /// ground truth, and every cell query was one lookup in the prepared
-/// product's cell table, never a walk of zone blocks.
+/// product's cell table.
 #[test]
 fn cached_score_metrics_match_the_answer_and_every_cell_is_a_lookup() {
     let server = start(ServeConfig {
@@ -441,10 +441,6 @@ fn cached_score_metrics_match_the_answer_and_every_cell_is_a_lookup() {
     assert_eq!(cell_queries, explored, "{metrics}");
     let probes = series(&metrics, "acq_exec_index_probes_total");
     assert_eq!(probes, cell_queries, "{metrics}");
-    let zones = series(&metrics, "acq_exec_zones_pruned_total")
-        + series(&metrics, "acq_exec_zones_full_total")
-        + series(&metrics, "acq_exec_zones_scanned_total");
-    assert_eq!(zones, 0, "{metrics}");
 }
 
 /// The server prepares once per predicate set: requests that repeat their
@@ -615,6 +611,30 @@ fn malformed_requests_get_4xx_not_a_hang() {
     let big = format!("{{\"sql\":\"{}\"}}", "x".repeat(512));
     let (status, _) = http(addr, "POST", "/query", &big);
     assert_eq!(status, 413);
+}
+
+/// A numeric literal past `f64`'s range, in its digits or through its
+/// magnitude suffix, is a parse error at the literal: a 400 naming the
+/// byte offset, and no query left running behind it.
+#[test]
+fn out_of_range_literals_get_400_with_their_offset() {
+    let server = start(ServeConfig::default());
+    let addr = server.addr();
+    for literal in ["1e309", "1e306M"] {
+        let sql = format!("SELECT * FROM t CONSTRAINT COUNT(*) >= 800 WHERE x <= {literal}");
+        let offset = sql.find(literal).unwrap();
+        let (status, resp) = http(addr, "POST", "/query", &format!("{{\"sql\":\"{sql}\"}}"));
+        assert_eq!(status, 400, "{resp}");
+        let expected = format!("parse error at byte {offset}: numeric literal out of range");
+        assert!(resp.contains(&expected), "{literal}: {resp}");
+    }
+    let (status, metrics) = http(addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    assert_eq!(
+        series(&metrics, "acq_serve_queries_running"),
+        0,
+        "{metrics}"
+    );
 }
 
 /// One request on a keep-alive connection: writes it, reads the framed
@@ -842,15 +862,59 @@ fn progress_stream_error_statuses() {
     assert_ne!(status, 200);
 }
 
+/// Whether `line` is one sample of the text exposition: a metric name
+/// (`[a-zA-Z_:][a-zA-Z0-9_:]*`), an optional `{labels}` set, one space and
+/// a value with no space in it.
+fn is_sample_line(line: &str) -> bool {
+    let is_name_char = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == ':';
+    let name_len = line.find(|c| !is_name_char(c)).unwrap_or(line.len());
+    let (name, rest) = line.split_at(name_len);
+    if !name.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_' || c == ':') {
+        return false;
+    }
+    let rest = match rest.strip_prefix('{') {
+        Some(labelled) => match labelled.split_once('}') {
+            Some((_, after)) => after,
+            None => return false,
+        },
+        None => rest,
+    };
+    rest.strip_prefix(' ')
+        .is_some_and(|value| !value.is_empty() && !value.contains(' '))
+}
+
+/// `/metrics` is served under the versioned Prometheus text content type,
+/// and after a query with its profile every line of it is a comment or a
+/// `name{labels} value` sample.
 #[test]
 fn metrics_content_type_is_versioned_prometheus_text() {
     let server = start(ServeConfig::default());
-    let raw = http_raw(server.addr(), "GET", "/metrics", "");
+    let addr = server.addr();
+    let (status, resp) = http(
+        addr,
+        "POST",
+        "/query?explain=1",
+        &format!("{{\"sql\":\"{SQL}\"}}"),
+    );
+    assert_eq!(status, 200, "{resp}");
+    let raw = http_raw(addr, "GET", "/metrics", "");
     assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
     assert!(
         raw.contains("Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"),
         "scrapers negotiate on the versioned text content type: {raw}"
     );
+    let (_, text) = raw.split_once("\r\n\r\n").unwrap();
+    let bad: Vec<&str> = text
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#') && !is_sample_line(l))
+        .collect();
+    assert!(bad.is_empty(), "not exposition lines: {bad:?}");
+    assert!(text
+        .lines()
+        .any(|l| l.starts_with("acq_exec_cell_queries_total ")));
+    for wrong in ["acq total 1", "acq{a=\"b\" 1", "acq 1 2", "9acq 1", "acq"] {
+        assert!(!is_sample_line(wrong), "{wrong}");
+    }
 }
 
 #[test]

@@ -273,6 +273,11 @@ fn lex_number(s: &str, offset: usize) -> Result<(f64, usize), ParseError> {
             }
         }
     }
+    // `1e309`, or a suffix that overflows (`1e306M`), reads as infinity:
+    // no bound can be refined from it.
+    if !value.is_finite() {
+        return Err(ParseError::new(offset, "numeric literal out of range"));
+    }
     Ok((value, len))
 }
 
@@ -369,6 +374,21 @@ mod tests {
             vec![TokenKind::Number(1000.0), TokenKind::Eof]
         );
         assert_eq!(kinds("2E-2"), vec![TokenKind::Number(0.02), TokenKind::Eof]);
+    }
+
+    #[test]
+    fn out_of_range_literals_are_positioned_errors() {
+        // An overflowing exponent, an overflowing suffix, and a negative
+        // literal (positioned at its digits, like any malformed number).
+        for (sql, offset) in [("age <= 1e309", 7), ("x < 1e306M", 4), ("y > -2e308", 5)] {
+            let err = tokenize(sql).unwrap_err();
+            assert_eq!(err.offset, offset, "{sql}");
+            assert_eq!(err.message, "numeric literal out of range", "{sql}");
+        }
+        assert_eq!(
+            kinds("1.7e308"),
+            vec![TokenKind::Number(1.7e308), TokenKind::Eof]
+        );
     }
 
     #[test]

@@ -3,7 +3,18 @@
 
 use proptest::prelude::*;
 
-use acq_sql::{parse, tokenize};
+use acq_sql::{parse, tokenize, TokenKind};
+
+/// Whether every `Number` token the lexer returns for `s` is finite (vacuous
+/// when `s` does not lex): an infinite bound would reach the search as a
+/// NaN interval.
+fn numbers_are_finite(s: &str) -> bool {
+    tokenize(s).map_or(true, |tokens| {
+        tokens
+            .iter()
+            .all(|t| !matches!(t.kind, TokenKind::Number(n) if !n.is_finite()))
+    })
+}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
@@ -11,8 +22,32 @@ proptest! {
     /// Arbitrary unicode strings never panic the lexer or parser.
     #[test]
     fn arbitrary_strings_never_panic(s in "\\PC{0,200}") {
-        let _ = tokenize(&s);
+        prop_assert!(numbers_are_finite(&s), "{s:?}");
         let _ = parse(&s);
+    }
+
+    /// Numeric literals of every shape — signs, fractions, exponents up to
+    /// three digits either way, magnitude suffixes — lex to finite numbers
+    /// or to a positioned error at the literal's digits, never to an
+    /// infinity.
+    #[test]
+    fn numeric_literals_are_finite_or_rejected(
+        negative in any::<bool>(),
+        mantissa in "[0-9]{1,4}",
+        fraction in prop::sample::select(vec!["", ".", ".5", ".125"]),
+        exponent in prop::sample::select(vec![
+            None, Some(-400i32), Some(-5), Some(0), Some(3), Some(305), Some(308), Some(309),
+            Some(999),
+        ]),
+        suffix in prop::sample::select(vec!["", "K", "M", "B"]),
+    ) {
+        let sign = if negative { "-" } else { "" };
+        let exp = exponent.map(|e| format!("e{e}")).unwrap_or_default();
+        let s = format!("age <= {sign}{mantissa}{fraction}{exp}{suffix}");
+        prop_assert!(numbers_are_finite(&s), "{s}");
+        if let Err(e) = tokenize(&s) {
+            prop_assert_eq!(e.offset, 7 + usize::from(negative), "{}", s);
+        }
     }
 
     /// Strings built from the dialect's own vocabulary (keywords, operators,
@@ -25,7 +60,7 @@ proptest! {
                 "SELECT", "FROM", "WHERE", "CONSTRAINT", "NOREFINE", "AND", "IN",
                 "COUNT", "SUM", "AVG", "STDDEV", "(", ")", "{", "}", "*", ",",
                 "<=", ">=", "<", ">", "=", ".", "users", "age", "t.x", "'str'",
-                "1", "2.5", "1M", "0.1K", ";",
+                "1", "2.5", "1M", "0.1K", "1e309", "1e306M", ";",
             ]),
             0..30,
         )

@@ -8,8 +8,7 @@
 //! * [`query`] (`acq-query`) — the ACQ model: predicates, intervals,
 //!   refinement scores, norms, aggregate constraints, ontologies;
 //! * [`engine`] (`acq-engine`) — the in-memory columnar evaluation layer:
-//!   tables, joins, cell queries, mergeable aggregates, block zone maps,
-//!   work counters;
+//!   tables, joins, cell queries, mergeable aggregates, work counters;
 //! * [`datagen`] (`acq-datagen`) — deterministic TPC-H-shaped / users /
 //!   patients datasets, uniform and Zipf-skewed;
 //! * [`sql`] (`acq-sql`) — the `CONSTRAINT` / `NOREFINE` SQL dialect;
