@@ -44,7 +44,7 @@ use crate::config::AcquireConfig;
 use crate::driver::isolated;
 use crate::error::CoreError;
 use crate::fasthash::FastMap;
-use crate::prepared::{PreparedCache, PreparedKey, Served};
+use crate::prepared::{BaseKey, PreparedCache, PreparedKey, Served};
 use crate::space::RefinedSpace;
 
 /// Deferred work accounting for one speculatively executed cell query.
@@ -210,17 +210,23 @@ pub(crate) fn prepare_layer<'e>(
     let shared = |exec: &mut Executor| -> EngineResult<Arc<Prepared>> {
         let started = obs.uptime();
         let build =
-            |exec: &mut Executor| Prepared::build(exec, searched, caps, Some(step), threads);
+            |exec: &mut Executor| Prepared::build(exec, searched, caps, Some(step), threads, cache);
         let (prepared, served) = match cache {
             Some(cache) => {
                 let key = PreparedKey::new(exec, searched, caps, step)?;
-                cache.get_or_build(key, || build(exec))?
+                cache.layer(key, || build(exec))?
             }
             None => (Arc::new(build(exec)?), Served::Built),
         };
         obs.trace_span(0, obs.uptime().saturating_sub(started), || {
             let (bytes, cells) = (prepared.bytes(), prepared.cells());
-            format!("prepare: {served}, {bytes} bytes, {cells} cells")
+            // What this request's build did for its level one; a hit built
+            // nothing.
+            let base = match (served, prepared.base) {
+                (Served::Built, Some(base)) => format!(", base {base}"),
+                _ => String::new(),
+            };
+            format!("prepare: {served}, {bytes} bytes, {cells} cells{base}")
         });
         Ok(prepared)
     };
@@ -590,34 +596,59 @@ pub(crate) struct Prepared {
     /// `None` for a build without a grid, for a user-defined aggregate and
     /// wherever [`CellTable::build`] declines.
     table: Option<Arc<CellTable>>,
-    /// The [`ExecStats`] the build cost. Every evaluator over this product
-    /// adds it to its own executor's counters — the one that ran the build
-    /// and the ones handed the result alike — so an outcome's `stats` say
-    /// what its answers rest on, not which request happened to do the work
-    /// (see DESIGN, "Prepared layers and the determinism contract").
+    /// The [`ExecStats`] the build cost, its level one's included. Every
+    /// evaluator over this product adds it to its own executor's counters —
+    /// the one that ran the build and the ones handed the result alike — so
+    /// an outcome's `stats` say what its answers rest on, not which request
+    /// happened to do the work (see DESIGN, "Prepared layers and the
+    /// determinism contract").
     receipt: ExecStats,
+    /// How the build came by its level-one base relation: `None` when it
+    /// built one with no cache to share it through, one with no join, or
+    /// one its caps cut.
+    base: Option<Served>,
 }
 
 impl Prepared {
     /// The one place that runs resolve → base relation → score matrix:
     /// materialises `query`'s tuple universe within `caps` and scores it on
     /// `threads` workers — then, given the grid's `step`, folds every
-    /// occupied cell of that grid once. Not for a user-defined aggregate:
-    /// its fold belongs to the registry of whichever executor asks, and a
-    /// product may be shared between executors, so its evaluator folds the
-    /// table itself (see [`EvaluationLayer::use_grid`]).
+    /// occupied cell of that grid once. The universe's level one
+    /// ([`Executor::structural`]) comes out of `cache` when the query joins
+    /// and `caps` keep every row of its tables — then the uncapped level
+    /// one is the capped one — and is built there (and offered to the
+    /// cache) if the cache lacks it; otherwise it is built with the caps.
+    /// [`Executor::refine`] then runs the refinable joins. Not for a
+    /// user-defined aggregate: its fold belongs to the registry of whichever
+    /// executor asks, and a product may be shared between executors, so its
+    /// evaluator folds the table itself (see [`EvaluationLayer::use_grid`]).
     pub(crate) fn build(
         exec: &mut Executor,
         query: &AcqQuery,
         caps: &[f64],
         step: Option<f64>,
         threads: usize,
+        cache: Option<&PreparedCache>,
     ) -> EngineResult<Self> {
         let rq = exec.resolve(query)?;
+        let shared = match cache {
+            Some(cache) => match BaseKey::new(exec, query)? {
+                Some(key) if exec.caps_keep_every_row(&rq, caps)? => Some((cache, key)),
+                _ => None,
+            },
+            None => None,
+        };
+        let (structural, base) = match shared {
+            Some((cache, key)) => {
+                let (structural, served) = cache.base(key, || exec.structural(&rq, None))?;
+                (structural, Some(served))
+            }
+            None => (Arc::new(exec.structural(&rq, Some(caps))?), None),
+        };
         // The build counts into a zeroed block of its own: the receipt.
         let outer = std::mem::take(exec.stats_mut());
         let built = exec
-            .base_relation(&rq, caps)
+            .refine(&structural, &rq, caps)
             .and_then(|rel| Ok((ScoreMatrix::build(&rq, &rel, threads)?, rel.len())));
         let mut receipt = std::mem::replace(exec.stats_mut(), outer);
         let (matrix, universe) = built?;
@@ -635,6 +666,7 @@ impl Prepared {
             table: table.map(Arc::new),
             matrix,
             receipt,
+            base,
         })
     }
 
@@ -659,6 +691,7 @@ impl Prepared {
             },
             table: None,
             receipt: ExecStats::default(),
+            base: None,
         }
     }
 }
@@ -696,7 +729,7 @@ impl<'a> CachedScoreEvaluator<'a> {
         caps: &[f64],
         threads: usize,
     ) -> EngineResult<Self> {
-        let prepared = Arc::new(Prepared::build(exec, query, caps, None, threads)?);
+        let prepared = Arc::new(Prepared::build(exec, query, caps, None, threads, None)?);
         Ok(Self::over(exec, query, prepared))
     }
 
@@ -1048,7 +1081,7 @@ mod tests {
         let (mut exec, mut q) = setup();
         q.constraint.target = 90.0;
         let caps = caps();
-        let shared = Arc::new(Prepared::build(&mut exec, &q, &caps, None, 1).unwrap());
+        let shared = Arc::new(Prepared::build(&mut exec, &q, &caps, None, 1, None).unwrap());
         let mut faulted = 0;
         for seed in 0..12 {
             let schedule = FaultSchedule::mixed(seed, 0.15, 0.1);
@@ -1085,7 +1118,7 @@ mod tests {
         caps: &[f64],
         step: f64,
     ) -> CachedScoreEvaluator<'a> {
-        let prepared = Prepared::build(exec, query, caps, Some(step), 1).unwrap();
+        let prepared = Prepared::build(exec, query, caps, Some(step), 1, None).unwrap();
         let mut layer = CachedScoreEvaluator::over(exec, query, Arc::new(prepared));
         layer.use_grid(step);
         layer

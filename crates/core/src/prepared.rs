@@ -33,12 +33,26 @@
 //!   key as well as its product, so the cap bounds the number of entries
 //!   too, however small their products.
 //!
+//! The cache retains two levels. A prepared layer (level two) depends on
+//! the caps and the grid, so requests whose bounds move miss it. Under it
+//! is the query's level-one base relation ([`acq_engine::Structural`]): the
+//! tables scanned with their NOREFINE predicates and connected by their
+//! NOREFINE equi-joins, which no bound reaches. A level-two miss takes its
+//! level one from here, keyed by a [`BaseKey`]: the identities of the
+//! tables, their NOREFINE predicates and the structural joins — what
+//! [`Executor::structural`] reads, and nothing else. Only a level one that contains a join is looked up
+//! or retained; without one it is a filtered scan, cheaper than its key.
+//! Both levels share the one retention core, the one byte cap and the one
+//! second-sight ring, and neither holds a table: a level one keeps row ids
+//! only, so a retained entry does not keep a replaced table's columns alive.
+//!
 //! The cache is a value its host owns and hands down — never a process
 //! global: a library call that passes no cache builds fresh, even inside a
 //! process that serves from one. Responses do not depend on it either: a
 //! product carries the receipt of what its build cost and every evaluator
-//! over it replays that receipt, so `stats` are the same on a miss, a hit
-//! and a rebuild after eviction. The work actually saved is what
+//! over it replays that receipt — a layer's receipt includes its level
+//! one's — so `stats` are the same on a miss, a hit and a rebuild after
+//! eviction, at either level. The work actually saved is what
 //! [`PreparedCache::counters`] reports.
 
 use std::collections::hash_map::Entry;
@@ -48,8 +62,8 @@ use std::hash::{DefaultHasher, Hasher};
 use std::mem::{size_of, size_of_val};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 
-use acq_engine::{EngineResult, Executor, Table};
-use acq_query::{AcqQuery, AggErrorFn, CmpOp};
+use acq_engine::{EngineResult, Executor, Structural, Table};
+use acq_query::{AcqQuery, AggErrorFn, CmpOp, EquiJoin, Predicate};
 
 use crate::eval::Prepared;
 
@@ -113,11 +127,7 @@ impl PreparedKey {
         query.error_fn = AggErrorFn::Relative;
         let caps: Vec<u64> = caps.iter().map(|c| c.to_bits()).collect();
         let step = step.to_bits();
-        let tables = query
-            .tables
-            .iter()
-            .map(|name| Ok(Arc::downgrade(&exec.catalog().table(name)?)))
-            .collect::<EngineResult<Vec<_>>>()?;
+        let tables = tables_of(exec, &query)?;
         let cross_product_limit = exec.cross_product_limit();
 
         // The fingerprint hashes values only, so equal keys hash alike in
@@ -147,27 +157,132 @@ impl PreparedKey {
     }
 }
 
+/// What a level-one product depends on (see the module docs): the tables
+/// by identity in the query's order, the NOREFINE table-local predicates
+/// and the structural joins — what [`Executor::structural`] reads. A
+/// table's identity pins its name, which the catalog keys it by.
+#[derive(Debug)]
+pub(crate) struct BaseKey {
+    fingerprint: u64,
+    norefine: Vec<Predicate>,
+    joins: Vec<EquiJoin>,
+    /// Weak, as in [`PreparedKey`].
+    tables: Vec<Weak<Table>>,
+    bytes: usize,
+}
+
+impl BaseKey {
+    /// The key of the level one `exec` would build for the
+    /// domain-populated `query`; `None` when that level one contains no
+    /// join, which is not worth a key.
+    pub(crate) fn new(exec: &Executor, query: &AcqQuery) -> EngineResult<Option<Self>> {
+        if query.structural_joins.is_empty() {
+            return Ok(None);
+        }
+        let norefine: Vec<Predicate> = query
+            .predicates
+            .iter()
+            .filter(|p| !p.refinable && !p.is_join())
+            .cloned()
+            .collect();
+        let tables = tables_of(exec, query)?;
+        let rendered = format!(
+            "base {:?} {norefine:?} {:?}",
+            query.tables, query.structural_joins
+        );
+        let mut hasher = DefaultHasher::new();
+        hasher.write(rendered.as_bytes());
+        Ok(Some(Self {
+            fingerprint: hasher.finish(),
+            bytes: size_of::<Retained>() + rendered.len() + size_of_val(&tables[..]),
+            norefine,
+            joins: query.structural_joins.clone(),
+            tables,
+        }))
+    }
+}
+
+/// Everything but the fingerprint, which has already picked the bucket.
+impl PartialEq for BaseKey {
+    fn eq(&self, other: &Self) -> bool {
+        same_tables(&self.tables, &other.tables)
+            && self.joins == other.joins
+            && self.norefine == other.norefine
+    }
+}
+
+/// The query's tables, by identity, in its order.
+fn tables_of(exec: &Executor, query: &AcqQuery) -> EngineResult<Vec<Weak<Table>>> {
+    query
+        .tables
+        .iter()
+        .map(|name| Ok(Arc::downgrade(&exec.catalog().table(name)?)))
+        .collect()
+}
+
+/// Whether two table lists are the same tables in the same order; the
+/// allocation a `Weak` pins cannot be handed to another table, so equal
+/// addresses are the same table.
+fn same_tables(a: &[Weak<Table>], b: &[Weak<Table>]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(a, b)| a.ptr_eq(b))
+}
+
 /// Everything but the fingerprint, which has already picked the bucket.
 impl PartialEq for PreparedKey {
     fn eq(&self, other: &Self) -> bool {
         self.caps == other.caps
             && self.step == other.step
             && self.cross_product_limit == other.cross_product_limit
-            && self.tables.len() == other.tables.len()
-            && self
-                .tables
-                .iter()
-                .zip(&other.tables)
-                .all(|(a, b)| a.ptr_eq(b))
+            && same_tables(&self.tables, &other.tables)
             && self.query == other.query
+    }
+}
+
+/// The key of either level.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Key {
+    Layer(PreparedKey),
+    Base(BaseKey),
+}
+
+impl Key {
+    fn fingerprint(&self) -> u64 {
+        match self {
+            Self::Layer(key) => key.fingerprint,
+            Self::Base(key) => key.fingerprint,
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        match self {
+            Self::Layer(key) => key.bytes,
+            Self::Base(key) => key.bytes,
+        }
+    }
+}
+
+/// A product of either level, shared.
+#[derive(Debug, Clone)]
+pub(crate) enum Stored {
+    Layer(Arc<Prepared>),
+    Base(Arc<Structural>),
+}
+
+impl Stored {
+    /// Heap bytes the product holds.
+    fn bytes(&self) -> usize {
+        match self {
+            Self::Layer(prepared) => prepared.bytes(),
+            Self::Base(structural) => structural.bytes(),
+        }
     }
 }
 
 /// A retained product.
 #[derive(Debug)]
 struct Retained {
-    key: PreparedKey,
-    prepared: Arc<Prepared>,
+    key: Key,
+    product: Stored,
     /// Bytes charged against the cap: the product's and the key's.
     charge: usize,
     /// [`Inner::clock`] at the last request served from this entry; its
@@ -178,13 +293,19 @@ struct Retained {
 /// Point-in-time readings of a [`PreparedCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PreparedCounters {
-    /// Requests served a retained product: prepares that were not redone.
+    /// Requests served a retained layer: prepares that were not redone.
     pub hits: u64,
-    /// Requests that found nothing for their key and ran a build.
+    /// Requests that found no layer for their key and ran a build.
     pub misses: u64,
-    /// Retained products dropped to stay under the byte cap.
+    /// Layer builds served a retained level-one base relation: joins that
+    /// were not redone.
+    pub base_hits: u64,
+    /// Layer builds over a join that found no level one for their key and
+    /// built it.
+    pub base_misses: u64,
+    /// Retained products of either level dropped to stay under the byte cap.
     pub evictions: u64,
-    /// Products retained now.
+    /// Products of either level retained now.
     pub entries: u64,
     /// Bytes the retained products and their keys are charged now.
     pub bytes: u64,
@@ -203,22 +324,32 @@ struct Inner {
     clock: u64,
     /// Direct-mapped ring of the fingerprints seen most recently.
     seen: Vec<Option<u64>>,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
+    counters: PreparedCounters,
 }
 
 impl Inner {
     /// The product retained for `key`, now the most recently used.
-    fn hit(&mut self, key: &PreparedKey) -> Option<Arc<Prepared>> {
-        let bucket = self.entries.get_mut(&key.fingerprint)?;
+    fn hit(&mut self, key: &Key) -> Option<Stored> {
+        let fingerprint = key.fingerprint();
+        let bucket = self.entries.get_mut(&fingerprint)?;
         let entry = bucket.iter_mut().find(|e| e.key == *key)?;
         self.by_use.remove(&entry.last_used);
         self.clock += 1;
         entry.last_used = self.clock;
-        self.by_use.insert(self.clock, key.fingerprint);
-        self.hits += 1;
-        Some(Arc::clone(&entry.prepared))
+        self.by_use.insert(self.clock, fingerprint);
+        Some(entry.product.clone())
+    }
+
+    /// Counts a request for `key` as a hit or a miss of its level.
+    fn tally(&mut self, key: &Key, hit: bool) {
+        let c = &mut self.counters;
+        let counter = match (key, hit) {
+            (Key::Layer(_), true) => &mut c.hits,
+            (Key::Layer(_), false) => &mut c.misses,
+            (Key::Base(_), true) => &mut c.base_hits,
+            (Key::Base(_), false) => &mut c.base_misses,
+        };
+        *counter += 1;
     }
 
     /// Records a sighting of `fingerprint`; `true` if it was seen before
@@ -228,14 +359,14 @@ impl Inner {
         slot.replace(fingerprint) == Some(fingerprint)
     }
 
-    /// Retains `prepared` for `key` if the two fit `cap_bytes` at all, and
+    /// Retains `product` for `key` if the two fit `cap_bytes` at all, and
     /// drops the least recently used entries until everything retained does.
-    fn retain(&mut self, key: PreparedKey, prepared: &Arc<Prepared>, cap_bytes: usize) {
-        let charge = key.bytes + prepared.bytes();
+    fn retain(&mut self, key: Key, product: Stored, cap_bytes: usize) {
+        let charge = key.bytes() + product.bytes();
         if charge > cap_bytes {
             return;
         }
-        let fingerprint = key.fingerprint;
+        let fingerprint = key.fingerprint();
         let bucket = self.entries.entry(fingerprint).or_default();
         if bucket.iter().any(|e| e.key == key) {
             // A concurrent request's build of this key got here first.
@@ -244,7 +375,7 @@ impl Inner {
         self.clock += 1;
         bucket.push(Retained {
             key,
-            prepared: Arc::clone(prepared),
+            product,
             charge,
             last_used: self.clock,
         });
@@ -261,7 +392,7 @@ impl Inner {
         if let Entry::Occupied(mut bucket) = self.entries.entry(fingerprint) {
             if let Some(at) = bucket.get().iter().position(|e| e.last_used == oldest) {
                 self.bytes -= bucket.get_mut().swap_remove(at).charge;
-                self.evictions += 1;
+                self.counters.evictions += 1;
             }
             if bucket.get().is_empty() {
                 bucket.remove();
@@ -319,35 +450,62 @@ impl PreparedCache {
     pub fn counters(&self) -> PreparedCounters {
         let inner = self.lock();
         PreparedCounters {
-            hits: inner.hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
             entries: inner.by_use.len() as u64,
             bytes: inner.bytes as u64,
+            ..inner.counters
         }
     }
 
-    /// The product for `key`: the retained one, or built here by `build`
-    /// (outside the lock) — and then retained if the key was seen before
-    /// and fits the cap.
-    pub(crate) fn get_or_build(
+    /// The product for `key`, of either level: the retained one, or built
+    /// here by `build` (outside the lock) — and then retained if the key
+    /// was seen before and fits the cap.
+    fn get_or_build(
+        &self,
+        key: Key,
+        build: impl FnOnce() -> EngineResult<Stored>,
+    ) -> EngineResult<(Stored, Served)> {
+        let admitted = {
+            let mut inner = self.lock();
+            let hit = inner.hit(&key);
+            inner.tally(&key, hit.is_some());
+            if let Some(product) = hit {
+                return Ok((product, Served::Hit));
+            }
+            inner.seen_before(key.fingerprint())
+        };
+        let product = build()?;
+        if admitted {
+            self.lock().retain(key, product.clone(), self.cap_bytes);
+        }
+        Ok((product, Served::Built))
+    }
+
+    /// The prepared layer for `key`, as [`PreparedCache::get_or_build`]
+    /// serves it.
+    pub(crate) fn layer(
         &self,
         key: PreparedKey,
         build: impl FnOnce() -> EngineResult<Prepared>,
     ) -> EngineResult<(Arc<Prepared>, Served)> {
-        let admitted = {
-            let mut inner = self.lock();
-            if let Some(prepared) = inner.hit(&key) {
-                return Ok((prepared, Served::Hit));
-            }
-            inner.misses += 1;
-            inner.seen_before(key.fingerprint)
-        };
-        let prepared = Arc::new(build()?);
-        if admitted {
-            self.lock().retain(key, &prepared, self.cap_bytes);
+        let build = || Ok(Stored::Layer(Arc::new(build()?)));
+        match self.get_or_build(Key::Layer(key), build)? {
+            (Stored::Layer(prepared), served) => Ok((prepared, served)),
+            (Stored::Base(_), _) => unreachable!("a layer's key matches layers only"),
         }
-        Ok((prepared, Served::Built))
+    }
+
+    /// The level-one base relation for `key`, as
+    /// [`PreparedCache::get_or_build`] serves it.
+    pub(crate) fn base(
+        &self,
+        key: BaseKey,
+        build: impl FnOnce() -> EngineResult<Structural>,
+    ) -> EngineResult<(Arc<Structural>, Served)> {
+        let build = || Ok(Stored::Base(Arc::new(build()?)));
+        match self.get_or_build(Key::Base(key), build)? {
+            (Stored::Base(structural), served) => Ok((structural, served)),
+            (Stored::Layer(_), _) => unreachable!("a level one's key matches level ones only"),
+        }
     }
 }
 
@@ -582,6 +740,74 @@ mod tests {
         assert_eq!((c.misses, c.hits, c.entries), (4, 2, 2), "{c:?}");
     }
 
+    /// A level-one key names what the join depends on and nothing that only
+    /// the caps reach: flexible bounds, the constraint and the
+    /// cross-product limit leave it alone;
+    /// a NOREFINE predicate, the joins and the tables' identities do not.
+    #[test]
+    fn base_key_separates_the_join_from_the_bounds() {
+        let mut cat = catalog();
+        let mut u = TableBuilder::new("u", vec![Field::new("x", DataType::Float)]).unwrap();
+        for i in 0..10 {
+            u.push_row(vec![Value::Float(f64::from(i))]);
+        }
+        cat.register(u.finish().unwrap()).unwrap();
+        let exec = Executor::new(cat);
+        let joined = |x: Predicate, constraint: AggConstraint, on: &str| {
+            AcqQuery::builder()
+                .table("t")
+                .table("u")
+                .join(ColRef::new("t", on), ColRef::new("u", "x"))
+                .predicate(x)
+                .constraint(constraint)
+                .build()
+                .unwrap()
+        };
+        let key = |q: &AcqQuery| BaseKey::new(&exec, q).unwrap().expect("a join");
+        let base = key(&joined(upper("y", 40.0), count(CmpOp::Eq, 40.0), "x"));
+        for (what, q) in [
+            (
+                "bound",
+                joined(upper("y", 50.0), count(CmpOp::Eq, 40.0), "x"),
+            ),
+            (
+                "constraint",
+                joined(upper("y", 40.0), count(CmpOp::Le, 9.0), "x"),
+            ),
+        ] {
+            assert_eq!(key(&q), base, "{what}");
+        }
+        // The cross-product limit is read by `refine`, not by level one.
+        let limited = Executor::new(exec.catalog().clone()).with_cross_product_limit(10);
+        let q = joined(upper("y", 40.0), count(CmpOp::Eq, 40.0), "x");
+        assert_eq!(
+            BaseKey::new(&limited, &q).unwrap().unwrap(),
+            base,
+            "the cross-product limit"
+        );
+        let fixed = |hi| upper("y", hi).no_refine();
+        let with_fixed = |hi| {
+            let mut q = joined(upper("y", 40.0), count(CmpOp::Eq, 40.0), "x");
+            q.predicates.push(fixed(hi));
+            q
+        };
+        assert_ne!(key(&with_fixed(30.0)), base, "a NOREFINE predicate");
+        assert_ne!(key(&with_fixed(30.0)), key(&with_fixed(31.0)), "its bound");
+        let other_join = joined(upper("y", 40.0), count(CmpOp::Eq, 40.0), "z");
+        assert_ne!(key(&other_join), base, "the join");
+        let mut swapped = exec.catalog().clone();
+        swapped.replace(table());
+        let replaced = Executor::new(swapped);
+        let q = joined(upper("y", 40.0), count(CmpOp::Eq, 40.0), "x");
+        assert_ne!(
+            BaseKey::new(&replaced, &q).unwrap().unwrap(),
+            base,
+            "a table"
+        );
+        // A query over one table has no join to share.
+        assert!(BaseKey::new(&exec, &base_query()).unwrap().is_none());
+    }
+
     /// Fingerprints hash values only, so keys over two separately built,
     /// equal catalogs fall in one bucket in every process — and the full
     /// comparison still tells their tables apart.
@@ -671,7 +897,7 @@ mod tests {
     fn a_key_is_retained_on_second_sight_and_hit_from_then_on() {
         let exec = Executor::new(catalog());
         let cache = PreparedCache::new(10 * charge(&exec));
-        let (first, served) = cache.get_or_build(key(&exec, 20.0), build).unwrap();
+        let (first, served) = cache.layer(key(&exec, 20.0), build).unwrap();
         assert_eq!(served, Served::Built);
         assert_eq!(
             cache.counters(),
@@ -681,12 +907,12 @@ mod tests {
             },
             "a key seen once retains nothing"
         );
-        let (second, served) = cache.get_or_build(key(&exec, 20.0), build).unwrap();
+        let (second, served) = cache.layer(key(&exec, 20.0), build).unwrap();
         assert_eq!(served, Served::Built);
         assert!(!Arc::ptr_eq(&first, &second));
         for hits in 1..=3 {
             let unreachable = || -> EngineResult<Prepared> { unreachable!("a hit never builds") };
-            let (hit, served) = cache.get_or_build(key(&exec, 20.0), unreachable).unwrap();
+            let (hit, served) = cache.layer(key(&exec, 20.0), unreachable).unwrap();
             assert_eq!(served, Served::Hit);
             assert!(Arc::ptr_eq(&hit, &second), "a hit is the retained product");
             let expected = PreparedCounters {
@@ -725,7 +951,7 @@ mod tests {
             unreachable!("take(4)")
         };
         let served = |bound: f64| {
-            let (_, served) = cache.get_or_build(key(&exec, bound), build).unwrap();
+            let (_, served) = cache.layer(key(&exec, bound), build).unwrap();
             assert!(cache.counters().bytes as usize <= cap);
             served
         };
@@ -756,7 +982,7 @@ mod tests {
         let exec = Executor::new(catalog());
         let cache = PreparedCache::new(charge(&exec) - 1);
         for _ in 0..3 {
-            let (prepared, served) = cache.get_or_build(key(&exec, 20.0), build).unwrap();
+            let (prepared, served) = cache.layer(key(&exec, 20.0), build).unwrap();
             assert_eq!(prepared.bytes(), Prepared::stub(ROWS).bytes());
             assert_eq!(served, Served::Built);
             let c = cache.counters();
@@ -775,9 +1001,7 @@ mod tests {
         assert_eq!(Prepared::stub(0).bytes(), 0);
         for bound in 1..=10_000 {
             for _ in 0..2 {
-                cache
-                    .get_or_build(key(&exec, f64::from(bound)), empty)
-                    .unwrap();
+                cache.layer(key(&exec, f64::from(bound)), empty).unwrap();
             }
         }
         let c = cache.counters();
@@ -785,7 +1009,7 @@ mod tests {
         assert!(c.entries as usize <= cap / size_of::<Retained>(), "{c:?}");
         assert_eq!(c.entries + c.evictions, 10_000, "{c:?}");
         // The survivors are the latest, and still served.
-        let (_, served) = cache.get_or_build(key(&exec, 10_000.0), empty).unwrap();
+        let (_, served) = cache.layer(key(&exec, 10_000.0), empty).unwrap();
         assert_eq!(served, Served::Hit);
     }
 
@@ -794,7 +1018,7 @@ mod tests {
         let exec = Executor::new(catalog());
         let cache = PreparedCache::new(10 * charge(&exec));
         // First sight.
-        cache.get_or_build(key(&exec, 20.0), build).unwrap();
+        cache.layer(key(&exec, 20.0), build).unwrap();
         let start = Barrier::new(8);
         let products: Vec<Arc<Prepared>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
@@ -809,7 +1033,7 @@ mod tests {
                             }
                             build()
                         };
-                        cache.get_or_build(key, all_missed).unwrap().0
+                        cache.layer(key, all_missed).unwrap().0
                     })
                 })
                 .collect();
@@ -818,7 +1042,7 @@ mod tests {
         let c = cache.counters();
         assert_eq!((c.misses, c.hits, c.entries), (9, 0, 1), "{c:?}");
         assert_eq!(c.bytes as usize, charge(&exec));
-        let (hit, served) = cache.get_or_build(key(&exec, 20.0), build).unwrap();
+        let (hit, served) = cache.layer(key(&exec, 20.0), build).unwrap();
         assert_eq!(served, Served::Hit);
         let retained = products.iter().filter(|p| Arc::ptr_eq(p, &hit)).count();
         assert_eq!(retained, 1, "the first build to finish is the one kept");
@@ -833,19 +1057,19 @@ mod tests {
         let exec = Executor::new(catalog());
         let cache = PreparedCache::new(10 * charge(&exec));
         for _ in 0..2 {
-            let failed = cache.get_or_build(key(&exec, 20.0), || Err(too_large()));
+            let failed = cache.layer(key(&exec, 20.0), || Err(too_large()));
             assert_eq!(failed.unwrap_err(), too_large());
             let panicked = catch_unwind(AssertUnwindSafe(|| {
-                cache.get_or_build(key(&exec, 20.0), || panic!("injected build panic"))
+                cache.layer(key(&exec, 20.0), || panic!("injected build panic"))
             }));
             assert!(panicked.is_err());
             assert_eq!(cache.counters().entries, 0);
         }
-        let (_, served) = cache.get_or_build(key(&exec, 20.0), build).unwrap();
+        let (_, served) = cache.layer(key(&exec, 20.0), build).unwrap();
         assert_eq!(served, Served::Built);
         let c = cache.counters();
         assert_eq!((c.misses, c.entries), (5, 1), "admitted: seen before");
-        let (_, served) = cache.get_or_build(key(&exec, 20.0), build).unwrap();
+        let (_, served) = cache.layer(key(&exec, 20.0), build).unwrap();
         assert_eq!(served, Served::Hit);
     }
 }

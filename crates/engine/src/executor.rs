@@ -9,9 +9,16 @@
 //!   admitted by this whole refined query" (§8.2).
 //!
 //! Both run against a *base relation*: the (possibly joined) tuple universe
-//! of the query, materialised once per search. NOREFINE predicates prefilter
-//! it (tuples violating them can never be admitted); refinable predicates
-//! keep every tuple within the search's per-dimension refinement caps.
+//! of the query, materialised once per search, in two levels. Level one
+//! ([`Executor::structural`]) prefilters the tables — NOREFINE predicates
+//! drop tuples that can never be admitted, refinable ones keep every tuple
+//! within the search's per-dimension refinement caps — and runs the
+//! NOREFINE equi-joins. Level two ([`Executor::refine`]) runs the refinable
+//! joins and any cross product. Built with caps that keep every row, level
+//! one is what no refinement touches, and searches can share it.
+
+use std::mem::size_of;
+use std::sync::Arc;
 
 use acq_query::{AcqQuery, Interval, PredFunction};
 
@@ -19,7 +26,7 @@ use crate::aggregate::{AggState, UdaRegistry};
 use crate::catalog::Catalog;
 use crate::error::{EngineError, EngineResult};
 use crate::join::{band_join, hash_equi_join};
-use crate::relation::Relation;
+use crate::relation::{Relation, RowIds};
 use crate::scoring::ResolvedQuery;
 use crate::stats::ExecStats;
 use crate::table::Table;
@@ -201,6 +208,8 @@ impl Executor {
     /// could be admitted by *some* refinement within `flex_caps` (one PScore
     /// cap per flexible predicate, parallel to `rq.flex()`).
     ///
+    /// [`Executor::structural`] followed by [`Executor::refine`]:
+    ///
     /// * NOREFINE selection predicates prefilter their tables;
     /// * flexible selection predicates prefilter to `score <= cap`;
     /// * NOREFINE equi-joins run as hash joins;
@@ -211,95 +220,107 @@ impl Executor {
         rq: &ResolvedQuery,
         flex_caps: &[f64],
     ) -> EngineResult<Relation> {
-        assert_eq!(flex_caps.len(), rq.dims(), "one cap per flexible predicate");
-        self.last_plan.clear();
-        let q = &rq.query;
+        let structural = self.structural(rq, Some(flex_caps))?;
+        self.refine(&structural, rq, flex_caps)
+    }
 
-        // Map predicate index -> cap (flexible) for quick lookup.
-        let mut cap_of = vec![f64::INFINITY; q.predicates.len()];
-        for (k, &i) in rq.flex().iter().enumerate() {
-            cap_of[i] = flex_caps[k];
-        }
-
-        // --- per-table scans with prefilters --------------------------------
-        let mut components: Vec<Relation> = Vec::with_capacity(q.tables.len());
-        let mut comp_of: Vec<usize> = Vec::with_capacity(q.tables.len());
-        for (ti, name) in q.tables.iter().enumerate() {
+    /// Whether `flex_caps` keep every row of every table the query's
+    /// flexible table-local predicates read: then the caps prefilter
+    /// nothing, and [`Executor::structural`] builds the same product
+    /// without them as with them. Stops at the first row they drop; counts
+    /// nothing.
+    pub fn caps_keep_every_row(&self, rq: &ResolvedQuery, flex_caps: &[f64]) -> EngineResult<bool> {
+        let cap_of = cap_of(rq, flex_caps);
+        for name in &rq.query.tables {
+            let local = local_predicates(rq, name, true);
+            if local.is_empty() {
+                continue;
+            }
             let table = self.catalog.table(name)?;
-            let scanned = self.scan_table(rq, &cap_of, name, &table)?;
-            self.last_plan.push(format!(
+            let kept = |row| local.iter().all(|&i| within(rq, &cap_of, i, &table, row));
+            if !(0..table.num_rows()).all(kept) {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Level one of the base relation: each table scanned with its
+    /// table-local predicates — NOREFINE ones keep a finite score, flexible
+    /// ones a score within `flex_caps` — then the NOREFINE equi-joins.
+    ///
+    /// With `flex_caps` `None` the flexible predicates filter nothing, and
+    /// the product is the part of the base relation no refinement reaches:
+    /// every search over the same tables, joins and NOREFINE predicates can
+    /// share it, and wherever [`Executor::caps_keep_every_row`] holds it is
+    /// the capped product, row for row and in the same order. Counts
+    /// nothing here: the work is the product's receipt, which
+    /// [`Executor::refine`] adds.
+    pub fn structural(
+        &self,
+        rq: &ResolvedQuery,
+        flex_caps: Option<&[f64]>,
+    ) -> EngineResult<Structural> {
+        let q = &rq.query;
+        let mut receipt = ExecStats::default();
+        let mut plan = Vec::new();
+        let cap_of = flex_caps.map(|caps| cap_of(rq, caps)).unwrap_or_default();
+
+        // --- per-table scans with the table-local prefilters ----------------
+        let mut components: Vec<Relation> = Vec::with_capacity(q.tables.len());
+        for name in &q.tables {
+            let table = self.catalog.table(name)?;
+            receipt.tuples_scanned += table.num_rows() as u64;
+            let fixed = local_predicates(rq, name, false);
+            let capped = match flex_caps {
+                Some(_) => local_predicates(rq, name, true),
+                None => Vec::new(),
+            };
+            let kept = Relation::table(Arc::clone(&table)).filter(|row| {
+                fixed
+                    .iter()
+                    .all(|&i| rq.score_local(i, &table, row).is_finite())
+                    && capped.iter().all(|&i| within(rq, &cap_of, i, &table, row))
+            });
+            plan.push(format!(
                 "scan {name}: {} of {} rows pass the table-local prefilters",
-                scanned.len(),
+                kept.len(),
                 table.num_rows()
             ));
-            components.push(scanned);
-            comp_of.push(ti);
+            components.push(kept);
         }
-
-        let table_pos = |q: &AcqQuery, name: &str| -> EngineResult<usize> {
-            q.tables
-                .iter()
-                .position(|t| t == name)
-                .ok_or_else(|| EngineError::UnknownTable(name.to_string()))
-        };
-
-        // Union-find-lite: merge components as joins connect them.
-        let merge = |components: &mut Vec<Relation>,
-                     comp_of: &mut Vec<usize>,
-                     a: usize,
-                     b: usize,
-                     joined: Relation| {
-            let (keep, drop) = (a.min(b), a.max(b));
-            components[keep] = joined;
-            components[drop] = Relation::from_rows(Vec::new(), Vec::new());
-            for c in comp_of.iter_mut() {
-                if *c == drop {
-                    *c = keep;
-                }
-            }
-        };
+        let mut comp_of: Vec<usize> = (0..q.tables.len()).collect();
 
         // --- structural NOREFINE equi-joins ---------------------------------
-        for ((lname, lcol), (rname, rcol)) in rq.structural_joins().iter().cloned() {
-            let (lt, rt) = (table_pos(q, &lname)?, table_pos(q, &rname)?);
+        for ((lname, lcol), (rname, rcol)) in rq.structural_joins() {
+            let (lt, rt) = (table_pos(q, lname)?, table_pos(q, rname)?);
             let (ca, cb) = (comp_of[lt], comp_of[rt]);
+            let on = format!(
+                "{lname}.{} = {rname}.{}",
+                self.col_name(lname, *lcol)?,
+                self.col_name(rname, *rcol)?
+            );
             if ca == cb {
                 let rel = &components[ca];
-                let (lp, rp) = (rel_pos(rel, &lname)?, rel_pos(rel, &rname)?);
-                self.stats.tuples_scanned += rel.len() as u64;
+                let (lp, rp) = (rel_pos(rel, lname)?, rel_pos(rel, rname)?);
+                receipt.tuples_scanned += rel.len() as u64;
                 let filtered = rel.filter(|row| {
                     matches!(
-                        (rel.get_f64(row, lp, lcol), rel.get_f64(row, rp, rcol)),
+                        (rel.get_f64(row, lp, *lcol), rel.get_f64(row, rp, *rcol)),
                         (Some(l), Some(r)) if l == r
                     )
                 });
-                let (lc_name, rc_name) = (
-                    self.catalog.table(&lname)?.schema().fields()[lcol]
-                        .name
-                        .clone(),
-                    self.catalog.table(&rname)?.schema().fields()[rcol]
-                        .name
-                        .clone(),
-                );
-                self.last_plan.push(format!(
-                    "filter {lname}.{lc_name} = {rname}.{rc_name} (same component): {} rows remain",
+                plan.push(format!(
+                    "filter {on} (same component): {} rows remain",
                     filtered.len()
                 ));
                 components[ca] = filtered;
             } else {
                 let (lrel, rrel) = (&components[ca], &components[cb]);
-                let (lp, rp) = (rel_pos(lrel, &lname)?, rel_pos(rrel, &rname)?);
-                let joined = hash_equi_join(lrel, (lp, lcol), rrel, (rp, rcol), &mut self.stats);
-                let (lc_name, rc_name) = (
-                    self.catalog.table(&lname)?.schema().fields()[lcol]
-                        .name
-                        .clone(),
-                    self.catalog.table(&rname)?.schema().fields()[rcol]
-                        .name
-                        .clone(),
-                );
-                self.last_plan.push(format!(
-                    "hash join on {lname}.{lc_name} = {rname}.{rc_name}: {} x {} -> {} rows",
+                let (lp, rp) = (rel_pos(lrel, lname)?, rel_pos(rrel, rname)?);
+                let joined = hash_equi_join(lrel, (lp, *lcol), rrel, (rp, *rcol), &mut receipt);
+                plan.push(format!(
+                    "hash join on {on}: {} x {} -> {} rows",
                     lrel.len(),
                     rrel.len(),
                     joined.len()
@@ -308,12 +329,73 @@ impl Executor {
             }
         }
 
+        // Keep each component's rows and the query positions of its tables,
+        // never the tables themselves.
+        let components = live_components(&comp_of)
+            .into_iter()
+            .map(|c| {
+                let rel = &components[c];
+                let positions = rel
+                    .tables()
+                    .iter()
+                    .map(|t| table_pos(q, t.name()))
+                    .collect::<EngineResult<Vec<usize>>>()?;
+                Ok((positions, rel.rows()))
+            })
+            .collect::<EngineResult<Vec<_>>>()?;
+        Ok(Structural {
+            components,
+            receipt,
+            plan,
+        })
+    }
+
+    /// Level two of the base relation: reattaches `structural` (built by
+    /// [`Executor::structural`] for `rq` over this catalog's tables, with
+    /// these caps or with caps that keep every row) to the tables, adds its
+    /// receipt to the work counters and its plan lines to
+    /// [`Executor::last_plan`], and then applies what joins across it:
+    ///
+    /// * join predicates run as band joins at their cap width;
+    /// * disconnected components fall back to a size-limited cross product.
+    ///
+    /// A component no band join or cross product touches keeps the level
+    /// one's rows uncopied.
+    pub fn refine(
+        &mut self,
+        structural: &Structural,
+        rq: &ResolvedQuery,
+        flex_caps: &[f64],
+    ) -> EngineResult<Relation> {
+        let q = &rq.query;
+        self.stats += structural.receipt;
+        self.last_plan.clone_from(&structural.plan);
+
+        let cap_of = cap_of(rq, flex_caps);
+
+        // --- the components, over the tables --------------------------------
+        // A component sits at the lowest position among its tables: a merge
+        // keeps the lower index, so that is where `structural` left it.
+        let tables = q
+            .tables
+            .iter()
+            .map(|name| self.catalog.table(name))
+            .collect::<EngineResult<Vec<_>>>()?;
+        let mut components: Vec<Relation> =
+            vec![Relation::from_rows(Vec::new(), Vec::new()); tables.len()];
+        let mut comp_of: Vec<usize> = (0..tables.len()).collect();
+        for (positions, rows) in &structural.components {
+            let at = positions.iter().copied().min().unwrap_or_default();
+            for &p in positions {
+                comp_of[p] = at;
+            }
+            let over = positions.iter().map(|&p| Arc::clone(&tables[p])).collect();
+            components[at] = Relation::with_rows(over, rows.clone());
+        }
+
         // --- join predicates as band joins at cap width ---------------------
         for (i, pred) in q.predicates.iter().enumerate() {
-            let Some(((lname, lcol, lscale, loff), (rname, rcol, rscale, roff))) =
-                rq.join_parts(i).map(|((a, b, c, d), (e, f, g, h))| {
-                    ((a.to_string(), b, c, d), (e.to_string(), f, g, h))
-                })
+            let Some(((lname, lcol, lscale, loff), (rname, rcol, rscale, roff))) = rq.join_parts(i)
             else {
                 continue;
             };
@@ -326,11 +408,11 @@ impl Executor {
                     None => f64::INFINITY,
                 }
             };
-            let (lt, rt) = (table_pos(q, &lname)?, table_pos(q, &rname)?);
+            let (lt, rt) = (table_pos(q, lname)?, table_pos(q, rname)?);
             let (ca, cb) = (comp_of[lt], comp_of[rt]);
             if ca == cb {
                 let rel = &components[ca];
-                let (lp, rp) = (rel_pos(rel, &lname)?, rel_pos(rel, &rname)?);
+                let (lp, rp) = (rel_pos(rel, lname)?, rel_pos(rel, rname)?);
                 self.stats.tuples_scanned += rel.len() as u64;
                 components[ca] = rel.filter(|row| {
                     match (rel.get_f64(row, lp, lcol), rel.get_f64(row, rp, rcol)) {
@@ -342,7 +424,7 @@ impl Executor {
                 });
             } else if width.is_finite() {
                 let (lrel, rrel) = (&components[ca], &components[cb]);
-                let (lp, rp) = (rel_pos(lrel, &lname)?, rel_pos(rrel, &rname)?);
+                let (lp, rp) = (rel_pos(lrel, lname)?, rel_pos(rrel, rname)?);
                 let joined = band_join(
                     lrel,
                     (lp, lcol),
@@ -353,16 +435,10 @@ impl Executor {
                     width,
                     &mut self.stats,
                 );
-                let (lc_name, rc_name) = (
-                    self.catalog.table(&lname)?.schema().fields()[lcol]
-                        .name
-                        .clone(),
-                    self.catalog.table(&rname)?.schema().fields()[rcol]
-                        .name
-                        .clone(),
-                );
                 self.last_plan.push(format!(
-                    "band join |{lname}.{lc_name} - {rname}.{rc_name}| <= {width}:                      {} x {} -> {} rows",
+                    "band join |{lname}.{} - {rname}.{}| <= {width}: {} x {} -> {} rows",
+                    self.col_name(lname, lcol)?,
+                    self.col_name(rname, rcol)?,
                     lrel.len(),
                     rrel.len(),
                     joined.len()
@@ -375,15 +451,7 @@ impl Executor {
         }
 
         // --- cross products for anything still disconnected -----------------
-        let mut live: Vec<usize> = {
-            let mut seen = Vec::new();
-            for &c in &comp_of {
-                if !seen.contains(&c) {
-                    seen.push(c);
-                }
-            }
-            seen
-        };
+        let mut live = live_components(&comp_of);
         while live.len() > 1 {
             let (a, b) = (live[0], live[1]);
             let (ra, rb) = (&components[a], &components[b]);
@@ -410,56 +478,17 @@ impl Executor {
                 joined.len()
             ));
             merge(&mut components, &mut comp_of, a, b, joined);
-            live = {
-                let mut seen = Vec::new();
-                for &c in &comp_of {
-                    if !seen.contains(&c) {
-                        seen.push(c);
-                    }
-                }
-                seen
-            };
+            live = live_components(&comp_of);
         }
 
         Ok(components.swap_remove(live[0]))
     }
 
-    /// Scans one table, applying the prefilters that are local to it.
-    fn scan_table(
-        &mut self,
-        rq: &ResolvedQuery,
-        cap_of: &[f64],
-        name: &str,
-        table: &std::sync::Arc<Table>,
-    ) -> EngineResult<Relation> {
-        self.stats.tuples_scanned += table.num_rows() as u64;
-        // Predicates entirely local to this table.
-        let local: Vec<usize> = (0..rq.query.predicates.len())
-            .filter(|&i| {
-                let tabs = rq.source_tables(i);
-                tabs.len() == 1 && tabs[0] == name && !rq.query.predicates[i].is_join()
-            })
-            .collect();
-        if local.is_empty() {
-            return Ok(Relation::table(table.clone()));
-        }
-        let kept: Vec<u32> = (0..table.num_rows())
-            .filter(|&row| {
-                local.iter().all(|&i| {
-                    let s = rq.score_local(i, table, row);
-                    // NOREFINE violations score infinite and are dropped;
-                    // flexible predicates keep tuples up to the search cap
-                    // (inclusive: a boundary tuple belongs to the top cell).
-                    s.is_finite() && s <= cap_of[i]
-                })
-            })
-            .map(|r| r as u32)
-            .collect();
-        if kept.len() == table.num_rows() {
-            Ok(Relation::table(table.clone()))
-        } else {
-            Ok(Relation::table_subset(table.clone(), kept))
-        }
+    /// The name of column `col` of table `table`.
+    fn col_name(&self, table: &str, col: usize) -> EngineResult<String> {
+        Ok(self.catalog.table(table)?.schema().fields()[col]
+            .name
+            .clone())
     }
 
     /// Executes a **cell query** (§5.1.1): aggregates the tuples of `rel`
@@ -541,6 +570,98 @@ impl Executor {
     }
 }
 
+/// Level one of a query's base relation (see [`Executor::structural`]):
+/// its tables scanned with their table-local predicates and connected by
+/// its NOREFINE equi-joins. It holds row ids and never a
+/// table, so keeping one does not keep a replaced table's columns alive;
+/// [`Executor::refine`] reattaches the rows to the catalog's tables.
+#[derive(Debug, Clone)]
+pub struct Structural {
+    /// The connected components: the positions, in the query's table list,
+    /// of the tables each spans, in its relation's table order, and its rows.
+    components: Vec<(Vec<usize>, RowIds)>,
+    /// The work the build cost, which [`Executor::refine`] adds to its
+    /// executor's counters however many times the product is refined.
+    receipt: ExecStats,
+    /// The build's lines of [`Executor::last_plan`].
+    plan: Vec<String>,
+}
+
+impl Structural {
+    /// Heap bytes held: the row ids and the plan lines.
+    #[must_use]
+    pub fn bytes(&self) -> usize {
+        let rows: usize = self
+            .components
+            .iter()
+            .map(|(positions, rows)| positions.capacity() * size_of::<usize>() + rows.bytes())
+            .sum();
+        rows + self.plan.iter().map(String::capacity).sum::<usize>()
+    }
+}
+
+/// The predicates local to table `name`: flexible ones if `flexible`, else
+/// the NOREFINE ones. Join predicates are never table-local.
+fn local_predicates(rq: &ResolvedQuery, name: &str, flexible: bool) -> Vec<usize> {
+    (0..rq.query.predicates.len())
+        .filter(|&i| {
+            let pred = &rq.query.predicates[i];
+            let tabs = rq.source_tables(i);
+            pred.refinable == flexible && !pred.is_join() && tabs.len() == 1 && tabs[0] == name
+        })
+        .collect()
+}
+
+/// Each predicate's cap, by predicate index: its entry of `flex_caps` if
+/// it is flexible, else infinite.
+fn cap_of(rq: &ResolvedQuery, flex_caps: &[f64]) -> Vec<f64> {
+    assert_eq!(flex_caps.len(), rq.dims(), "one cap per flexible predicate");
+    let mut cap_of = vec![f64::INFINITY; rq.query.predicates.len()];
+    for (k, &i) in rq.flex().iter().enumerate() {
+        cap_of[i] = flex_caps[k];
+    }
+    cap_of
+}
+
+/// Whether table-local predicate `i` keeps `row` of `table` within its cap
+/// (inclusive: a boundary tuple belongs to the top cell).
+fn within(rq: &ResolvedQuery, cap_of: &[f64], i: usize, table: &Table, row: usize) -> bool {
+    let s = rq.score_local(i, table, row);
+    s.is_finite() && s <= cap_of[i]
+}
+
+/// The position of table `name` in the query's table list.
+fn table_pos(q: &AcqQuery, name: &str) -> EngineResult<usize> {
+    q.tables
+        .iter()
+        .position(|t| t == name)
+        .ok_or_else(|| EngineError::UnknownTable(name.to_string()))
+}
+
+/// Union-find-lite: the component at `min(a, b)` becomes `joined`, the other
+/// is emptied, and every table of either now maps to the first.
+fn merge(components: &mut [Relation], comp_of: &mut [usize], a: usize, b: usize, joined: Relation) {
+    let (keep, drop) = (a.min(b), a.max(b));
+    components[keep] = joined;
+    components[drop] = Relation::from_rows(Vec::new(), Vec::new());
+    for c in comp_of.iter_mut() {
+        if *c == drop {
+            *c = keep;
+        }
+    }
+}
+
+/// The distinct components of `comp_of`, in order of first appearance.
+fn live_components(comp_of: &[usize]) -> Vec<usize> {
+    let mut seen = Vec::new();
+    for &c in comp_of {
+        if !seen.contains(&c) {
+            seen.push(c);
+        }
+    }
+    seen
+}
+
 fn rel_pos(rel: &Relation, name: &str) -> EngineResult<usize> {
     rel.tables()
         .iter()
@@ -554,6 +675,7 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Executor>();
     assert_send_sync::<Relation>();
+    assert_send_sync::<Structural>();
     assert_send_sync::<ResolvedQuery>();
     assert_send_sync::<AggState>();
     assert_send_sync::<CellRange>();

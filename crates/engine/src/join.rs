@@ -1,6 +1,7 @@
 //! Join operators: hash equi-joins and sort-merge band joins.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::relation::Relation;
 use crate::stats::ExecStats;
@@ -17,10 +18,45 @@ fn key_bits(v: f64) -> u64 {
     }
 }
 
+/// The hasher of the join's key map: splitmix64's finaliser over the key's
+/// bits. The `f64` bits of small integers differ only in their high bits,
+/// so a hash that does not mix them down leaves every key in one bucket.
+/// Unkeyed: join keys are values of the host's own tables, never of a
+/// request.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        let mut z = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        self.0 = z ^ (z >> 31);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The end of a build chain.
+const END: u32 = u32::MAX;
+
 /// Hash equi-join of two relations on numeric columns
-/// `left.(lt, lc) = right.(rt, rc)`; returns the combined relation.
+/// `left.(lt, lc) = right.(rt, rc)`; returns the combined relation, its
+/// tables the left's then the right's.
 ///
-/// Builds on the smaller input. NaN keys never match.
+/// Builds on the smaller input and probes with the other. Output rows come
+/// in probe order, and within one probe row in ascending build order. NaN
+/// keys never match.
 #[must_use]
 pub fn hash_equi_join(
     left: &Relation,
@@ -37,40 +73,55 @@ pub fn hash_equi_join(
     } else {
         (left, (lt, lc), right, (rt, rc))
     };
+    let key = |rel: &Relation, row: usize, (t, c): (usize, usize)| {
+        rel.get_f64(row, t, c).filter(|v| !v.is_nan()).map(key_bits)
+    };
 
-    let mut table: HashMap<u64, Vec<u32>> = HashMap::with_capacity(build.len());
-    for row in 0..build.len() {
-        if let Some(v) = build.get_f64(row, bt, bc) {
-            if !v.is_nan() {
-                table.entry(key_bits(v)).or_default().push(row as u32);
-            }
-        }
-    }
-
-    let mut pairs: Vec<(u32, u32)> = Vec::new();
-    for row in 0..probe.len() {
-        let Some(v) = probe.get_f64(row, pt, pc) else {
-            continue;
-        };
-        if v.is_nan() {
-            continue;
-        }
-        if let Some(matches) = table.get(&key_bits(v)) {
-            for &b in matches {
-                if swap {
-                    pairs.push((row as u32, b));
-                } else {
-                    pairs.push((b, row as u32));
+    // Each key's chain of build rows: `head` holds its first row and
+    // `next[row]` the row after `row`. Filled from the last row back, so
+    // every chain runs in ascending row order.
+    let mut head: HashMap<u64, u32, BuildHasherDefault<KeyHasher>> =
+        HashMap::with_capacity_and_hasher(build.len(), BuildHasherDefault::default());
+    let mut next = vec![END; build.len()];
+    for row in (0..build.len()).rev() {
+        if let Some(k) = key(build, row, (bt, bc)) {
+            match head.entry(k) {
+                Entry::Occupied(mut first) => next[row] = first.insert(row as u32),
+                Entry::Vacant(slot) => {
+                    slot.insert(row as u32);
                 }
             }
         }
     }
-    stats.rows_joined += pairs.len() as u64;
-    if swap {
-        Relation::zip_join(probe, build, &pairs)
-    } else {
-        Relation::zip_join(build, probe, &pairs)
+
+    let (lw, rw) = (left.tables().len(), right.tables().len());
+    let mut row_ids = Vec::with_capacity(probe.len() * (lw + rw));
+    let mut joined = 0u64;
+    for p in 0..probe.len() {
+        let Some(&first) = key(probe, p, (pt, pc)).and_then(|k| head.get(&k)) else {
+            continue;
+        };
+        let mut b = first;
+        while b != END {
+            let (l, r) = if swap {
+                (p, b as usize)
+            } else {
+                (b as usize, p)
+            };
+            row_ids.extend((0..lw).map(|t| left.base_row(l, t)));
+            row_ids.extend((0..rw).map(|t| right.base_row(r, t)));
+            joined += 1;
+            b = next[b as usize];
+        }
     }
+    stats.rows_joined += joined;
+    let tables = left
+        .tables()
+        .iter()
+        .chain(right.tables())
+        .cloned()
+        .collect();
+    Relation::from_rows(tables, row_ids)
 }
 
 /// Sort-merge band join: pairs `(l, r)` with `|lv - rv| <= width`, where
@@ -166,6 +217,41 @@ mod tests {
         for row in 0..j.len() {
             assert_eq!(j.get_f64(row, 0, 0), j.get_f64(row, 1, 0));
         }
+    }
+
+    /// Probe rows ascending, then build rows ascending within a key —
+    /// whichever side is the build side.
+    #[test]
+    fn equi_join_emits_probe_order_then_build_order() {
+        // Left is larger, so right (3 rows) is the build side.
+        let l = rel("l", &[2.0, 1.0, 2.0, 3.0]);
+        let r = rel("r", &[2.0, 9.0, 2.0]);
+        let mut stats = ExecStats::default();
+        let j = hash_equi_join(&l, (0, 0), &r, (0, 0), &mut stats);
+        let pairs: Vec<(u32, u32)> = (0..j.len())
+            .map(|row| (j.base_row(row, 0), j.base_row(row, 1)))
+            .collect();
+        assert_eq!(pairs, [(0, 0), (0, 2), (2, 0), (2, 2)]);
+        // Swapped sizes: left is the build side, right probes.
+        let j = hash_equi_join(&r, (0, 0), &l, (0, 0), &mut stats);
+        let pairs: Vec<(u32, u32)> = (0..j.len())
+            .map(|row| (j.base_row(row, 0), j.base_row(row, 1)))
+            .collect();
+        assert_eq!(pairs, [(0, 0), (2, 0), (0, 2), (2, 2)]);
+    }
+
+    /// The key hasher spreads the bits of small integral `f64`s, which
+    /// differ only in their high bits, over the low bits a table indexes by.
+    #[test]
+    fn key_hasher_spreads_integral_floats() {
+        let low: std::collections::HashSet<u64> = (0..256)
+            .map(|i| {
+                let mut h = KeyHasher::default();
+                h.write_u64(key_bits(f64::from(i)));
+                h.finish() & 0xff
+            })
+            .collect();
+        assert!(low.len() > 128, "{} distinct low bytes", low.len());
     }
 
     #[test]

@@ -7,9 +7,13 @@
 //! techniques need —
 //!
 //! * typed columnar [`Table`]s with a [`Catalog`] and per-column statistics;
-//! * materialisation of a query's *base relation*: hash equi-joins for
-//!   NOREFINE structural joins and band joins for refinable join predicates
-//!   ([`Executor::base_relation`]);
+//! * materialisation of a query's *base relation* in two levels: the
+//!   table prefilters (NOREFINE, and refinable ones within the refinement
+//!   caps) and hash equi-joins for NOREFINE structural joins
+//!   ([`Executor::structural`]; built with caps that keep every row, it is
+//!   what no refinement touches), then band joins for refinable join
+//!   predicates ([`Executor::refine`]; [`Executor::base_relation`] runs
+//!   both);
 //! * **cell queries** (§5.1): aggregates over the tuples whose per-predicate
 //!   refinement scores fall into one grid cell of the refined space
 //!   ([`Executor::cell_aggregate`]);
@@ -47,7 +51,7 @@ pub use aggregate::{AggState, SumSquares, UdaRegistry, UdaState};
 pub use catalog::Catalog;
 pub use column::ColumnData;
 pub use error::{EngineError, EngineResult};
-pub use executor::{CellRange, Executor};
+pub use executor::{CellRange, Executor, Structural};
 pub use join::{band_join, hash_equi_join};
 pub use relation::Relation;
 pub use sampling::{bernoulli_sample, sample_catalog_tables, scale_target_for_sample};

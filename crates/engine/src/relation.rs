@@ -9,14 +9,29 @@ use crate::table::Table;
 /// Each logical row is a tuple of row-ids, one per base table, stored
 /// flattened with stride `tables.len()`. Single-table relations use an
 /// implicit identity mapping to avoid materialising row-id vectors for
-/// full scans.
+/// full scans. The row ids are shared, so a clone — or the relation a
+/// level-one base relation reattaches to its tables — copies none of them.
 #[derive(Debug, Clone)]
 pub struct Relation {
     tables: Vec<Arc<Table>>,
+    rows: RowIds,
+}
+
+/// A relation's logical rows without its tables: what a relation keeps of
+/// its inputs when the tables themselves must not be kept alive.
+#[derive(Debug, Clone)]
+pub(crate) struct RowIds {
     /// Flattened row-id tuples; empty when `identity`.
-    row_ids: Vec<u32>,
+    ids: Arc<[u32]>,
     len: usize,
     identity: bool,
+}
+
+impl RowIds {
+    /// Heap bytes held.
+    pub(crate) fn bytes(&self) -> usize {
+        std::mem::size_of_val(&self.ids[..])
+    }
 }
 
 impl Relation {
@@ -26,21 +41,11 @@ impl Relation {
         let len = table.num_rows();
         Self {
             tables: vec![table],
-            row_ids: Vec::new(),
-            len,
-            identity: true,
-        }
-    }
-
-    /// A relation over one table restricted to the given rows.
-    #[must_use]
-    pub fn table_subset(table: Arc<Table>, rows: Vec<u32>) -> Self {
-        let len = rows.len();
-        Self {
-            tables: vec![table],
-            row_ids: rows,
-            len,
-            identity: false,
+            rows: RowIds {
+                ids: Arc::from([]),
+                len,
+                identity: true,
+            },
         }
     }
 
@@ -57,10 +62,24 @@ impl Relation {
         let len = row_ids.len() / stride;
         Self {
             tables,
-            row_ids,
-            len,
-            identity: false,
+            rows: RowIds {
+                ids: Arc::from(row_ids),
+                len,
+                identity: false,
+            },
         }
+    }
+
+    /// The relation of `rows` over `tables`, the tables `rows` was taken
+    /// from (or the same tables again), in the same order.
+    pub(crate) fn with_rows(tables: Vec<Arc<Table>>, rows: RowIds) -> Self {
+        debug_assert!(rows.identity || rows.ids.len() == rows.len * tables.len());
+        Self { tables, rows }
+    }
+
+    /// The relation's rows, shared.
+    pub(crate) fn rows(&self) -> RowIds {
+        self.rows.clone()
     }
 
     /// The base tables, in position order.
@@ -72,25 +91,25 @@ impl Relation {
     /// Number of logical rows.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.rows.len
     }
 
     /// Whether the relation has no rows.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.rows.len == 0
     }
 
     /// The base-table row id backing logical `row` for table `table_idx`.
     #[inline]
     #[must_use]
     pub fn base_row(&self, row: usize, table_idx: usize) -> u32 {
-        debug_assert!(row < self.len);
+        debug_assert!(row < self.rows.len);
         debug_assert!(table_idx < self.tables.len());
-        if self.identity {
+        if self.rows.identity {
             row as u32
         } else {
-            self.row_ids[row * self.tables.len() + table_idx]
+            self.rows.ids[row * self.tables.len() + table_idx]
         }
     }
 
@@ -112,18 +131,23 @@ impl Relation {
         self.tables[table_idx].column(col_idx).get_str(base)
     }
 
-    /// Keeps only the logical rows for which `keep` returns true.
+    /// Keeps only the logical rows for which `keep` returns true, in order.
+    /// A filter that drops nothing hands back this relation's rows
+    /// uncopied; one over a single table keeps an identity mapping.
     #[must_use]
     pub fn filter(&self, mut keep: impl FnMut(usize) -> bool) -> Relation {
-        let stride = self.tables.len();
-        let mut row_ids = Vec::new();
-        for row in 0..self.len {
-            if keep(row) {
-                for t in 0..stride {
-                    row_ids.push(self.base_row(row, t));
-                }
-            }
-        }
+        let Some(first) = (0..self.len()).find(|&row| !keep(row)) else {
+            return self.clone();
+        };
+        let kept = (0..first).chain((first + 1..self.len()).filter(|&row| keep(row)));
+        let row_ids: Vec<u32> = if self.rows.identity {
+            kept.map(|row| row as u32).collect()
+        } else {
+            let stride = self.tables.len();
+            let ids = &self.rows.ids;
+            kept.flat_map(|row| ids[row * stride..(row + 1) * stride].iter().copied())
+                .collect()
+        };
         Relation::from_rows(self.tables.clone(), row_ids)
     }
 
@@ -173,7 +197,7 @@ mod tests {
 
     #[test]
     fn subset() {
-        let rel = Relation::table_subset(t("a", &[10, 20, 30]), vec![2, 0]);
+        let rel = Relation::from_rows(vec![t("a", &[10, 20, 30])], vec![2, 0]);
         assert_eq!(rel.len(), 2);
         assert_eq!(rel.get_f64(0, 0, 0), Some(30.0));
         assert_eq!(rel.get_f64(1, 0, 0), Some(10.0));
@@ -185,6 +209,31 @@ mod tests {
         let f = rel.filter(|row| row % 2 == 0);
         assert_eq!(f.len(), 2);
         assert_eq!(f.get_f64(1, 0, 0), Some(3.0));
+        let g = f.filter(|row| row == 1);
+        assert_eq!((g.len(), g.base_row(0, 0)), (1, 2));
+    }
+
+    #[test]
+    fn a_filter_that_drops_nothing_shares_the_rows() {
+        let rel = Relation::from_rows(vec![t("a", &[1, 2, 3, 4])], vec![3, 1, 2]);
+        let all = rel.filter(|_| true);
+        assert!(Arc::ptr_eq(&all.rows.ids, &rel.rows.ids));
+        let identity = Relation::table(t("a", &[1, 2]));
+        let kept = identity.filter(|_| true);
+        assert!(kept.rows.identity && kept.len() == 2);
+        let none = rel.filter(|_| false);
+        assert!(none.is_empty());
+    }
+
+    #[test]
+    fn rows_reattach_to_their_tables() {
+        let a = t("a", &[1, 2]);
+        let j = Relation::from_rows(vec![a.clone(), t("b", &[7])], vec![1, 0, 0, 0]);
+        let again = Relation::with_rows(j.tables().to_vec(), j.rows());
+        assert_eq!(again.len(), 2);
+        assert_eq!(again.get_f64(0, 0, 0), Some(2.0));
+        assert_eq!(again.get_f64(1, 1, 0), Some(7.0));
+        assert!(j.rows().bytes() >= 4 * std::mem::size_of::<u32>());
     }
 
     #[test]

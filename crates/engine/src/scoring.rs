@@ -163,8 +163,8 @@ impl ResolvedQuery {
     }
 
     /// Scores a single-table (Attr or Categorical) predicate directly
-    /// against one base-table row, for per-table prefilters that run before
-    /// any join. Panics on join predicates, which are never table-local.
+    /// against one base-table row, for the per-table prefilters of the base
+    /// relation. Panics on join predicates, which are never table-local.
     pub(crate) fn score_local(&self, idx: usize, table: &crate::table::Table, row: usize) -> f64 {
         let pred = &self.query.predicates[idx];
         match &self.sources[idx] {
@@ -267,8 +267,11 @@ pub struct BoundQuery<'a> {
 impl BoundQuery<'_> {
     /// Computes the tuple's refinement scores over the flexible predicates
     /// into `out` (length = dims). Returns `false` when the tuple can never
-    /// be admitted (a NOREFINE violation, a fixed-side violation, or a
-    /// refinement beyond a predicate's cap).
+    /// be admitted: a NOREFINE violation, a fixed-side violation, or a
+    /// refinement beyond a predicate's own `max_refinement` (§7.1), all of
+    /// which score `+∞`. A search's per-dimension caps are not checked
+    /// here: [`crate::Executor::structural`] applies them when it scans
+    /// the tables of the base relation.
     #[inline]
     pub fn score_into(&self, rel: &Relation, row: usize, out: &mut [f64]) -> bool {
         debug_assert_eq!(out.len(), self.rq.flex.len());

@@ -110,15 +110,30 @@ fn render_metrics(state: &Arc<ServerState>) -> String {
          # TYPE acq_serve_prepared_hits_total counter\nacq_serve_prepared_hits_total {}\n\
          # HELP acq_serve_prepared_misses_total Requests that prepared a layer themselves\n\
          # TYPE acq_serve_prepared_misses_total counter\nacq_serve_prepared_misses_total {}\n\
-         # HELP acq_serve_prepared_evictions_total Prepared layers dropped at the byte cap\n\
+         # HELP acq_serve_prepared_base_hits_total Layer builds handed an already joined \
+         NOREFINE base relation: how often its joins were not redone\n\
+         # TYPE acq_serve_prepared_base_hits_total counter\n\
+         acq_serve_prepared_base_hits_total {}\n\
+         # HELP acq_serve_prepared_base_misses_total Layer builds that joined their NOREFINE \
+         base relation themselves\n\
+         # TYPE acq_serve_prepared_base_misses_total counter\n\
+         acq_serve_prepared_base_misses_total {}\n\
+         # HELP acq_serve_prepared_evictions_total Prepared layers and base relations dropped \
+         at the byte cap\n\
          # TYPE acq_serve_prepared_evictions_total counter\n\
          acq_serve_prepared_evictions_total {}\n\
-         # HELP acq_serve_prepared_entries Prepared layers retained\n\
+         # HELP acq_serve_prepared_entries Prepared layers and base relations retained\n\
          # TYPE acq_serve_prepared_entries gauge\nacq_serve_prepared_entries {}\n\
-         # HELP acq_serve_prepared_bytes Bytes the retained prepared layers and their keys are \
-         charged against the cap\n\
+         # HELP acq_serve_prepared_bytes Bytes the retained prepared layers, base relations \
+         and their keys are charged against the cap\n\
          # TYPE acq_serve_prepared_bytes gauge\nacq_serve_prepared_bytes {}\n",
-        prepared.hits, prepared.misses, prepared.evictions, prepared.entries, prepared.bytes,
+        prepared.hits,
+        prepared.misses,
+        prepared.base_hits,
+        prepared.base_misses,
+        prepared.evictions,
+        prepared.entries,
+        prepared.bytes,
     ));
     if let Some(ring) = state.journal_ring() {
         s.push_str(&format!(

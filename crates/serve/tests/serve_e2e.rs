@@ -313,6 +313,87 @@ fn seeded_outcome_keys_are_pinned_for_every_request_kind() {
     assert_eq!(prepared("entries"), 8, "{metrics}");
 }
 
+/// Fig. 11's join with bounds that never repeat misses every prepared
+/// layer, and from the join's second sight on the builds share it: the
+/// `prepare:` span says so, `/metrics` counts it, and the answer — `stats`
+/// included — is the one a server that never joined those tables gives.
+#[test]
+fn joined_requests_share_one_base_relation_and_answer_the_same() {
+    use acq_datagen::{tpch, GenConfig};
+
+    let catalog = || tpch::generate_q2(&GenConfig::uniform(5_000).with_seed(7)).unwrap();
+    let config = || ServeConfig {
+        layer: EvalLayerKind::CachedScore,
+        ..ServeConfig::default()
+    };
+    let sql = |price: u32, balance: u32| {
+        format!(
+            "SELECT * FROM supplier, part, partsupp CONSTRAINT SUM(ps_availqty) >= 3M \
+             WHERE (s_suppkey = ps_suppkey) NOREFINE AND (p_partkey = ps_partkey) NOREFINE \
+             AND (p_retailprice < {price}) AND (s_acctbal < {balance})"
+        )
+    };
+    let post = |server: &Server, sql: &str| {
+        let body = format!("{{\"sql\":\"{sql}\"}}");
+        let (status, resp) = http(server.addr(), "POST", "/query", &body);
+        assert_eq!(status, 200, "{sql}: {resp}");
+        resp
+    };
+    let server = Server::start(config(), catalog()).unwrap();
+    let span = |resp: &str| -> String {
+        let id = parse(resp)
+            .unwrap()
+            .pointer("/id")
+            .and_then(JsonValue::as_u64);
+        let (_, trace) = http(server.addr(), "GET", &format!("/trace/{}", id.unwrap()), "");
+        let Some(JsonValue::Arr(events)) = parse(&trace).unwrap().pointer("/events").cloned()
+        else {
+            panic!("no events in {trace}");
+        };
+        let labels: Vec<String> = events
+            .iter()
+            .filter_map(|e| e.pointer("/label").and_then(JsonValue::as_str))
+            .filter(|l| l.starts_with("prepare: "))
+            .map(str::to_owned)
+            .collect();
+        assert_eq!(labels.len(), 1, "{trace}");
+        labels[0].clone()
+    };
+    let mut counters = Vec::new();
+    for (i, (price, balance, base)) in [
+        (1190, 1980, "built"),
+        (1200, 2000, "built"),
+        (1210, 2020, "hit"),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let sql = sql(price, balance);
+        let resp = post(&server, &sql);
+        let line = span(&resp);
+        assert!(line.starts_with("prepare: built, "), "request {i}: {line}");
+        assert!(
+            line.ends_with(&format!(" cells, base {base}")),
+            "request {i}: {line}"
+        );
+        let fresh = post(&Server::start(config(), catalog()).unwrap(), &sql);
+        assert_eq!(strip_volatile(&resp), strip_volatile(&fresh), "request {i}");
+        let (_, metrics) = http(server.addr(), "GET", "/metrics", "");
+        let prepared = |name: &str| series(&metrics, &format!("acq_serve_prepared_{name}"));
+        counters.push((
+            prepared("misses_total"),
+            prepared("hits_total"),
+            prepared("base_misses_total"),
+            prepared("base_hits_total"),
+            prepared("entries"),
+        ));
+    }
+    assert_eq!(
+        counters,
+        [(1, 0, 1, 0, 0), (2, 0, 2, 0, 1), (3, 0, 2, 1, 1)]
+    );
+}
+
 #[test]
 fn explain_profile_reports_eq17_reuse_accounting() {
     let server = start(ServeConfig::default());

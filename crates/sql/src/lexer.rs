@@ -185,7 +185,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, ParseError> {
             '-' => {
                 // Negative numeric literal.
                 if i + 1 < bytes.len() && (bytes[i + 1].is_ascii_digit() || bytes[i + 1] == b'.') {
-                    let (n, len) = lex_number(&input[i + 1..], start + 1)?;
+                    let (n, len) = lex_number(&input[i + 1..], start)?;
                     tokens.push(Token {
                         kind: TokenKind::Number(-n),
                         offset: start,
@@ -379,8 +379,8 @@ mod tests {
     #[test]
     fn out_of_range_literals_are_positioned_errors() {
         // An overflowing exponent, an overflowing suffix, and a negative
-        // literal (positioned at its digits, like any malformed number).
-        for (sql, offset) in [("age <= 1e309", 7), ("x < 1e306M", 4), ("y > -2e308", 5)] {
+        // literal (positioned at its `-`, where its token starts).
+        for (sql, offset) in [("age <= 1e309", 7), ("x < 1e306M", 4), ("y > -2e308", 4)] {
             let err = tokenize(sql).unwrap_err();
             assert_eq!(err.offset, offset, "{sql}");
             assert_eq!(err.message, "numeric literal out of range", "{sql}");
