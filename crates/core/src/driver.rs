@@ -32,10 +32,10 @@
 //! batch), this is observably identical — bit for bit, including stats and
 //! termination — to the serial loop for any thread count.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use acq_engine::{EngineResult, Executor};
-use acq_obs::Obs;
+use acq_obs::{Metrics, Obs};
 use acq_query::{AcqQuery, AggFunc, CmpOp};
 
 use crate::config::AcquireConfig;
@@ -51,6 +51,7 @@ use crate::progress::{ProgressEvent, ProgressSink};
 use crate::repartition::repartition;
 use crate::result::{AcqOutcome, RefinedQueryResult};
 use crate::space::RefinedSpace;
+use crate::store::AggStore;
 
 /// Renders a `catch_unwind` payload as text (panics carry `&str` or
 /// `String` in practice).
@@ -90,6 +91,100 @@ pub(crate) enum Direction {
     /// overshooting non-answer is repartitioned, only non-answers may be
     /// `closest`, and the original aggregate is never observed.
     Contract { spans: Vec<f64> },
+}
+
+/// A search's per-cell instruments, tallied in plain fields and committed to
+/// [`Metrics`] once per layer: when the search leaves a layer for the next
+/// one, and — through `Drop` — on every exit: a clean end, a budget stop, a
+/// cancel, and the `?` of a faulting cell. It owns the search's
+/// [`Governor`], whose clock timestamps the layers, so the hot loop reads no
+/// clock and touches no atomic for its instruments.
+struct Tally<'m> {
+    governor: Governor,
+    metrics: Option<&'m Metrics>,
+    /// The effective explored cap, for the budget-headroom gauge.
+    explored_limit: u64,
+    /// Cells the search has committed.
+    explored: u64,
+    /// Cells of the open layer, not yet committed to `metrics`.
+    layer_cells: u64,
+    /// When the search entered the open layer, on the governor's clock.
+    entered: Duration,
+    /// The store as the last committed cell left it: len, peak, bytes.
+    store: Option<[u64; 3]>,
+}
+
+impl<'m> Tally<'m> {
+    fn new(governor: Governor, metrics: Option<&'m Metrics>, explored_limit: u64) -> Self {
+        Self {
+            governor,
+            metrics,
+            explored_limit,
+            explored: 0,
+            layer_cells: 0,
+            entered: Duration::ZERO,
+            store: None,
+        }
+    }
+
+    /// What, if anything, forbids the next grid query: the legacy safety cap
+    /// `max_explored` (it behaves like an explored-query budget), then the
+    /// governor.
+    fn spent(&mut self, max_explored: u64, store: &AggStore) -> Option<InterruptReason> {
+        if self.explored >= max_explored {
+            Some(InterruptReason::ExploredBudget)
+        } else {
+            self.governor.check(self.explored, store.approx_bytes())
+        }
+    }
+
+    /// One committed cell, and the store it left behind.
+    fn cell(&mut self, store: &AggStore) {
+        self.explored += 1;
+        self.layer_cells += 1;
+        if self.metrics.is_some() {
+            self.store =
+                Some([store.len(), store.peak_len(), store.approx_bytes()].map(|v| v as u64));
+        }
+    }
+
+    /// The search leaves the open layer for the next one.
+    fn next_layer(&mut self) {
+        if self.metrics.is_some() {
+            let now = self.governor.lap(self.explored);
+            self.commit(now);
+            self.entered = now;
+        }
+    }
+
+    /// Commits the open layer's tallies as of `now`.
+    fn commit(&mut self, now: Duration) {
+        let Some(m) = self.metrics else { return };
+        let took = now.saturating_sub(self.entered).as_nanos();
+        m.cells_executed.add(self.layer_cells);
+        m.batch_cells.observe(self.layer_cells);
+        m.layer_latency_ns
+            .observe(u64::try_from(took).unwrap_or(u64::MAX));
+        self.layer_cells = 0;
+        if let Some([len, peak, bytes]) = self.store {
+            m.store_len.set(len);
+            m.store_peak.set(peak);
+            m.store_bytes.set(bytes);
+            if self.explored_limit != u64::MAX {
+                m.budget_headroom
+                    .set(self.explored_limit.saturating_sub(self.explored));
+            }
+        }
+    }
+}
+
+impl Drop for Tally<'_> {
+    fn drop(&mut self) {
+        if self.metrics.is_some() {
+            let now = self.governor.elapsed();
+            self.commit(now);
+        }
+    }
 }
 
 /// Keeps `(scores, aggregate, error)` as the closest-so-far query if `error`
@@ -209,7 +304,8 @@ impl<'a> Feed<'a> {
 /// form of [`acquire`], and the expanding form of the one search loop.
 ///
 /// **Cancellation.** The search checks the token (and the configured
-/// budget) cooperatively once per grid query; on interrupt it returns `Ok`
+/// budget) cooperatively before every grid query — the deadline on the
+/// governor's read stride, see [`Governor::check`]; on interrupt it returns `Ok`
 /// with everything found so far — the answer set, the closest-so-far query,
 /// and a [`Termination::Interrupted`] status naming the reason — making the
 /// driver an anytime algorithm.
@@ -218,10 +314,11 @@ impl<'a> Feed<'a> {
 /// short-circuits on a null check. With an enabled handle the driver
 /// records phase spans (expand layer N, speculative pool, repartition),
 /// per-layer gauges (frontier batch size, store occupancy, budget
-/// headroom), per-cell execution latency, and the event counters of
-/// [`acq_obs::Metrics`]. All deterministic instruments are committed from
-/// this serial loop — in emission order, exactly where `explored` advances
-/// — so snapshot counters are reproducible for any thread count (see
+/// headroom), each layer's wall time and cell count, and the event
+/// counters of [`acq_obs::Metrics`]. The per-cell instruments are tallied
+/// in locals and committed from this serial loop once per layer and on
+/// every exit, so at every exit `cells_executed` equals `explored` and
+/// snapshot counters are reproducible for any thread count (see
 /// DESIGN.md). The outcome itself is bit-identical with observability on or
 /// off.
 ///
@@ -273,7 +370,6 @@ pub(crate) fn search<E: EvaluationLayer + ?Sized>(
         Box::new(BfsExpander::new(&space))
     };
     let mut explorer = Explorer::new(space.dims(), expander.emission());
-    let governor = Governor::with_obs(cfg.budget.clone(), cancel.clone(), obs.clone());
 
     let target = query.constraint.target;
     let err_fn = query.error_fn;
@@ -314,7 +410,6 @@ pub(crate) fn search<E: EvaluationLayer + ?Sized>(
     // Expansion only: the answer layer. Contraction collects every layer.
     let mut min_ref_layer = u64::MAX;
     let mut current_layer = 0u64;
-    let mut explored = 0u64;
     let mut original_aggregate = f64::NAN;
     let mut interrupt: Option<InterruptReason> = None;
 
@@ -330,16 +425,6 @@ pub(crate) fn search<E: EvaluationLayer + ?Sized>(
                 }
             }
         };
-
-    // What, if anything, forbids the next grid query: the legacy safety cap
-    // (it behaves like an explored-query budget), then the governor.
-    let spent = |explored: u64, explorer: &Explorer| {
-        if explored >= cfg.max_explored {
-            Some(InterruptReason::ExploredBudget)
-        } else {
-            governor.check(explored, explorer.store().approx_bytes())
-        }
-    };
 
     // Cap on one layer-batch: bounds the speculative work wasted if an
     // interrupt lands mid-layer, and the transient memory of prefetched
@@ -365,9 +450,12 @@ pub(crate) fn search<E: EvaluationLayer + ?Sized>(
     let explored_limit = cfg
         .max_explored
         .min(cfg.budget.max_explored.unwrap_or(u64::MAX));
-    // Last layer traced as an expand event: serial mode produces one
-    // single-query batch per grid point, which would flood the trace with
-    // identical lines; multi-cell batches always trace.
+    let governor = Governor::with_obs(cfg.budget.clone(), cancel.clone(), obs.clone());
+    let mut tally = Tally::new(governor, metrics, explored_limit);
+    // Last layer traced as an expand event and set on the layer gauges:
+    // serial mode produces one single-query batch per grid point, which
+    // would flood the trace with identical lines; multi-cell batches always
+    // trace.
     let mut traced_layer = u64::MAX;
     let query_id = obs.query_id().unwrap_or(0);
     if obs.is_enabled() {
@@ -414,14 +502,14 @@ pub(crate) fn search<E: EvaluationLayer + ?Sized>(
             && overshoot_cap.is_some_and(|cap| layer_min_actual > cap)
         {
             // A budget spent at this very boundary still reports itself.
-            interrupt = spent(explored, &explorer);
+            interrupt = tally.spent(cfg.max_explored, explorer.store());
             break;
         }
         let mut batch_len = 1usize;
         if workers > 1 {
             // Never drain past the explored budgets: cells beyond them
             // could only be wasted speculative work.
-            let remaining = explored_limit.saturating_sub(explored);
+            let remaining = explored_limit.saturating_sub(tally.explored);
             let cap = usize::try_from(remaining.clamp(1, MAX_BATCH as u64)).unwrap_or(MAX_BATCH);
             while batch_len < cap {
                 let Some(p) = expander.next_query() else {
@@ -438,13 +526,12 @@ pub(crate) fn search<E: EvaluationLayer + ?Sized>(
             }
         }
 
-        if let Some(m) = metrics {
-            m.current_layer.set(layer);
-            m.frontier_batch.set(batch_len as u64);
-            m.batch_cells.observe(batch_len as u64);
-        }
         if layer != traced_layer || batch_len > 1 {
             traced_layer = layer;
+            if let Some(m) = metrics {
+                m.current_layer.set(layer);
+                m.frontier_batch.set(batch_len as u64);
+            }
             // A trace is retained per request, so it must not grow with the
             // answers: each layer carries a running total, and only the
             // first answer of an expansion has a line of its own.
@@ -461,11 +548,14 @@ pub(crate) fn search<E: EvaluationLayer + ?Sized>(
             if workers > 1 && batch_len >= MIN_PARALLEL_BATCH {
                 eval.parallel_cells().map(|par| {
                     let cells: Vec<_> = batch.chunks_exact(d).map(|p| space.cell(p)).collect();
-                    // lint-allow(determinism): trace timing only; never branches the search
-                    let t0 = obs.is_tracing().then(Instant::now);
-                    let out = pool::execute_batch(par, &cells, workers, &governor, obs);
+                    let t0 = obs.is_tracing().then(|| tally.governor.elapsed());
+                    let out = pool::execute_batch(par, &cells, workers, &tally.governor, obs);
+                    // A worker abandons cells only once the search is
+                    // cancelled or past its deadline; reading the clock now
+                    // makes the commit loop's next check see it too.
+                    let t1 = tally.governor.lap(tally.explored);
                     if let Some(t0) = t0 {
-                        obs.trace_span(1, t0.elapsed(), || {
+                        obs.trace_span(1, t1.saturating_sub(t0), || {
                             format!(
                                 "explore: speculative pool ({workers} workers, {}/{} cells)",
                                 out.iter().filter(|s| s.is_some()).count(),
@@ -481,11 +571,12 @@ pub(crate) fn search<E: EvaluationLayer + ?Sized>(
 
         // -- commit phase: exactly the serial per-point loop --------------
         for (i, point) in batch.chunks_exact(d).enumerate() {
-            if let Some(reason) = spent(explored, &explorer) {
+            if let Some(reason) = tally.spent(cfg.max_explored, explorer.store()) {
                 interrupt = Some(reason);
                 break 'search;
             }
             if layer > current_layer {
+                tally.next_layer();
                 // The recurrence only reaches back one layer (layered
                 // expanders; best-first keeps everything).
                 explorer.begin_layer(layer);
@@ -499,7 +590,7 @@ pub(crate) fn search<E: EvaluationLayer + ?Sized>(
                     feed.push(ProgressEvent {
                         query_id,
                         layer,
-                        explored,
+                        explored: tally.explored,
                         frontier: batch_len as u64,
                         store_bytes: explorer.store().approx_bytes() as u64,
                         elapsed_ms: 0,
@@ -507,29 +598,21 @@ pub(crate) fn search<E: EvaluationLayer + ?Sized>(
                     });
                 }
             }
-            let (computed, cell_ns) = match prefetched.as_mut().and_then(|slots| slots[i].take()) {
-                Some(CellOutcome::Done(cell_state, cost, nanos)) => {
+            let computed = match prefetched.as_mut().and_then(|slots| slots[i].take()) {
+                Some(CellOutcome::Done(cell_state, cost)) => {
                     // Deferred accounting, applied in commit order so stats
                     // are bit-identical to a serial run.
                     eval.commit_cell_cost(&cost);
-                    (isolated(|| explorer.merge_cell(cell_state, point)), nanos)
+                    isolated(|| explorer.merge_cell(cell_state, point))
                 }
-                Some(CellOutcome::Failed(e)) => (Err(CoreError::from(e)), 0),
-                Some(CellOutcome::Panicked(msg)) => (Err(CoreError::EvalPanicked(msg)), 0),
+                Some(CellOutcome::Failed(e)) => Err(CoreError::from(e)),
+                Some(CellOutcome::Panicked(msg)) => Err(CoreError::EvalPanicked(msg)),
                 // Serial mode, or a slot the pool abandoned on abort — the
                 // governor check above fires first in that case, so this
                 // arm then only documents safety: the cell was never
                 // executed, and executing it here keeps at-most-once
                 // intact.
-                None => {
-                    // lint-allow(determinism): latency metric only; never branches the search
-                    let t0 = metrics.map(|_| Instant::now());
-                    let r = isolated(|| explorer.compute_aggregate(eval, &space, point));
-                    let nanos = t0
-                        .map(|t| t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64)
-                        .unwrap_or(0);
-                    (r, nanos)
-                }
+                None => isolated(|| explorer.compute_aggregate(eval, &space, point)),
             };
             let state = match computed {
                 Ok(state) => state,
@@ -538,22 +621,9 @@ pub(crate) fn search<E: EvaluationLayer + ?Sized>(
                     break 'search;
                 }
             };
-            explored += 1;
-            if let Some(m) = metrics {
-                // Deterministic instruments commit here, in emission order,
-                // right where `explored` advances: the cell-execution count
-                // and latency-histogram total track `explored` exactly.
-                m.cells_executed.inc();
-                m.cell_latency_ns.observe(cell_ns);
-                let store = explorer.store();
-                m.store_len.set(store.len() as u64);
-                m.store_peak.set(store.peak_len() as u64);
-                m.store_bytes.set(store.approx_bytes() as u64);
-                if explored_limit != u64::MAX {
-                    m.budget_headroom
-                        .set(explored_limit.saturating_sub(explored));
-                }
-            }
+            // Emission order, right where `explored` advances: the tally
+            // commits what it counts here once per layer and on every exit.
+            tally.cell(explorer.store());
 
             let value = state.value();
             if !contracting && point.iter().all(|&u| u == 0) {
@@ -639,11 +709,14 @@ pub(crate) fn search<E: EvaluationLayer + ?Sized>(
     answers.sort_by(|a, b| a.qscore.total_cmp(&b.qscore));
     let satisfied = !answers.is_empty();
     let closest = closest.map(|(s, aggregate, error)| render(Vec::new(), s, aggregate, error));
+    let explored = tally.explored;
     let termination = match interrupt {
-        Some(reason) => governor.interrupted(reason, explored),
+        Some(reason) => tally.governor.interrupted(reason, explored),
         None if satisfied => Termination::Satisfied,
         None => Termination::Exhausted,
     };
+    // The clean end's commit; every other exit commits as the tally drops.
+    drop(tally);
     let stats = eval.stats();
     if let Some(feed) = feed {
         feed.push(ProgressEvent {

@@ -8,17 +8,20 @@
 //!
 //! * [`ExecutionBudget`] — a wall-clock deadline, an explored-query budget,
 //!   and an approximate memory budget for retained sub-aggregates, all
-//!   checked cooperatively once per explored grid query.
+//!   checked cooperatively before every explored grid query (the deadline
+//!   on the clock's latest reading, see [`Governor::check`]).
 //! * [`CancellationToken`] — a cheaply clonable handle that lets the owner
 //!   of a [`crate::Session`] (or any other thread) interrupt a running
 //!   search.
 //! * [`Termination`] / [`InterruptReason`] — a machine-readable account of
 //!   why the search stopped, carried on every [`crate::AcqOutcome`].
-//! * [`Governor`] — the driver-internal combination of the above.
+//! * [`Governor`] — the driver-internal combination of the above, and the
+//!   search's one clock.
 //!
 //! Budgets are *cooperative*: they are checked between grid queries, never
-//! mid-evaluation, so a search overruns its deadline by at most one
-//! evaluation-layer call.
+//! mid-evaluation. A search overruns its deadline by at most one
+//! evaluation-layer call plus the read stride: about 100 µs of cells at the
+//! rate the search last ran at, and never more than 64 cells.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -258,13 +261,33 @@ pub enum FaultPolicy {
     BestEffort,
 }
 
-/// Driver-internal budget/cancellation checker; one per search.
+/// Most grid queries a [`Governor`] lets pass between two readings of the
+/// deadline clock.
+const MAX_READ_STRIDE: u64 = 64;
+
+/// Wall time a [`Governor`] aims to let pass between two readings of the
+/// deadline clock, at the cell rate it last observed.
+const READ_INTERVAL: Duration = Duration::from_micros(100);
+
+/// Driver-internal budget/cancellation checker, and the search's one clock;
+/// one per search.
+///
+/// A clock read costs about as much as a cached cell, so the deadline is not
+/// read before every grid query: after each reading the governor sizes the
+/// gap to the next one from the cell rate it has observed, so that about
+/// 100 µs pass between readings — every cell when cells are slow (a scan
+/// layer, a large table), every 64 cells at most when they are fast. Cancellation and the explored and memory budgets are checked on
+/// every call.
 #[derive(Debug)]
 pub struct Governor {
     start: Instant,
     budget: ExecutionBudget,
     token: CancellationToken,
     obs: Obs,
+    /// The explored count at which [`Governor::check`] next reads the clock.
+    next_read: u64,
+    /// The explored count and elapsed time of the latest clock reading.
+    last_read: (u64, Duration),
 }
 
 impl Governor {
@@ -283,6 +306,8 @@ impl Governor {
             budget,
             token,
             obs,
+            next_read: 0,
+            last_read: (0, Duration::ZERO),
         }
     }
 
@@ -292,11 +317,42 @@ impl Governor {
         self.start.elapsed()
     }
 
+    /// Reads the clock with `explored` grid queries done — a layer
+    /// timestamp for the caller — and counts the reading as one of the
+    /// deadline's, so the next [`Governor::check`] judges the deadline on it.
+    pub fn lap(&mut self, explored: u64) -> Duration {
+        let now = self.elapsed();
+        self.pace(explored, now);
+        now
+    }
+
+    /// Records a clock reading and schedules the next: `READ_INTERVAL`
+    /// ahead at the cell rate since the previous reading, at least one cell
+    /// and at most `MAX_READ_STRIDE`. With no cell
+    /// since the previous reading there is no rate yet: the next cell reads.
+    fn pace(&mut self, explored: u64, now: Duration) {
+        let (then, at) = self.last_read;
+        let cells = u128::from(explored.saturating_sub(then));
+        let gap = match (cells, now.saturating_sub(at).as_nanos()) {
+            (0, _) => 1,
+            (_, 0) => MAX_READ_STRIDE,
+            (cells, took) => (cells * READ_INTERVAL.as_nanos() / took)
+                .clamp(1, u128::from(MAX_READ_STRIDE)) as u64,
+        };
+        self.next_read = explored + gap;
+        self.last_read = (explored, now);
+    }
+
     /// Checks every limit against the current progress counters; returns
-    /// the first violated one. Called once per grid query, before its
-    /// evaluation.
+    /// the first violated one. Called before every grid query's evaluation.
+    ///
+    /// Cancellation and the explored and memory budgets are checked on
+    /// every call. The deadline is judged on the latest clock reading,
+    /// taken here at the first call and whenever the read stride (see
+    /// [`Governor`]) is used up, or by [`Governor::lap`]: an already-passed
+    /// deadline stops the search before its first grid query.
     #[must_use]
-    pub fn check(&self, explored: u64, store_bytes: usize) -> Option<InterruptReason> {
+    pub fn check(&mut self, explored: u64, store_bytes: usize) -> Option<InterruptReason> {
         if self.token.is_cancelled() {
             return Some(InterruptReason::Cancelled);
         }
@@ -311,7 +367,11 @@ impl Governor {
             }
         }
         if let Some(deadline) = self.budget.deadline {
-            if self.start.elapsed() >= deadline {
+            if explored >= self.next_read {
+                let now = self.elapsed();
+                self.pace(explored, now);
+            }
+            if self.last_read.1 >= deadline {
                 return Some(InterruptReason::DeadlineExceeded);
             }
         }
@@ -325,9 +385,10 @@ impl Governor {
     /// of draining its speculative batch. Explored/memory budgets are
     /// excluded on purpose — they are functions of commit-order progress,
     /// which workers cannot observe; the driver's commit loop enforces them.
-    /// Both conditions are monotone, so any cell a worker abandons is
-    /// guaranteed to sit behind a failing [`Governor::check`] in the commit
-    /// loop and is never reached.
+    /// Both conditions are monotone and the driver takes a
+    /// [`Governor::lap`] when the pool returns, so any cell a worker
+    /// abandons is guaranteed to sit behind a failing [`Governor::check`] in
+    /// the commit loop and is never reached.
     #[must_use]
     pub fn aborted(&self) -> bool {
         if self.token.is_cancelled() {
@@ -361,32 +422,75 @@ mod tests {
     fn default_budget_is_unlimited() {
         let b = ExecutionBudget::default();
         assert!(b.is_unlimited());
-        let g = Governor::new(b, CancellationToken::new());
+        let mut g = Governor::new(b, CancellationToken::new());
         assert_eq!(g.check(u64::MAX - 1, usize::MAX - 1), None);
     }
 
     #[test]
     fn each_limit_trips_independently() {
         let token = CancellationToken::new();
-        let g = Governor::new(
+        let mut g = Governor::new(
             ExecutionBudget::unlimited().with_max_explored(10),
             token.clone(),
         );
         assert_eq!(g.check(9, 0), None);
         assert_eq!(g.check(10, 0), Some(InterruptReason::ExploredBudget));
 
-        let g = Governor::new(
+        let mut g = Governor::new(
             ExecutionBudget::unlimited().with_max_store_bytes(1024),
             CancellationToken::new(),
         );
         assert_eq!(g.check(0, 1024), None);
         assert_eq!(g.check(0, 1025), Some(InterruptReason::MemoryBudget));
 
-        let g = Governor::new(
+        let mut g = Governor::new(
             ExecutionBudget::unlimited().with_deadline(Duration::ZERO),
             CancellationToken::new(),
         );
         assert_eq!(g.check(0, 0), Some(InterruptReason::DeadlineExceeded));
+    }
+
+    #[test]
+    fn the_read_stride_follows_the_cell_rate() {
+        let mut g = Governor::new(
+            ExecutionBudget::unlimited().with_deadline(Duration::from_secs(3600)),
+            CancellationToken::new(),
+        );
+        // The first check reads; with no cells behind it, the next one does
+        // too.
+        assert_eq!(g.check(0, 0), None);
+        assert_eq!(g.next_read, 1);
+        let ms = Duration::from_millis;
+        // Slow cells (2 ms each): every cell reads.
+        g.last_read = (0, Duration::ZERO);
+        g.pace(5, ms(10));
+        assert_eq!(g.next_read, 6);
+        // 10 cells in 100 µs: ten cells to the next reading.
+        g.pace(15, ms(10) + Duration::from_micros(100));
+        assert_eq!(g.next_read, 25);
+        // Fast cells, or a clock that did not move: the cap.
+        g.pace(1_015, ms(11));
+        assert_eq!(g.next_read, 1_015 + MAX_READ_STRIDE);
+        g.pace(1_016, ms(11));
+        assert_eq!(g.next_read, 1_016 + MAX_READ_STRIDE);
+    }
+
+    #[test]
+    fn the_deadline_is_judged_on_the_latest_reading() {
+        let mut g = Governor::new(
+            ExecutionBudget::unlimited().with_deadline(Duration::from_secs(3600)),
+            CancellationToken::new(),
+        );
+        assert_eq!(g.check(0, 0), None);
+        // A reading past the deadline — a lap's, say — stops the next check
+        // before the stride is used up.
+        g.next_read = 64;
+        g.last_read = (3, Duration::from_secs(3601));
+        assert_eq!(g.check(4, 0), Some(InterruptReason::DeadlineExceeded));
+        // Without a deadline nothing is read.
+        let mut g = Governor::new(ExecutionBudget::unlimited(), CancellationToken::new());
+        assert_eq!(g.check(0, 0), None);
+        assert_eq!(g.next_read, 0);
     }
 
     #[test]
@@ -422,7 +526,7 @@ mod tests {
     fn cancellation_is_shared_and_sticky() {
         let token = CancellationToken::new();
         let clone = token.clone();
-        let g = Governor::new(ExecutionBudget::unlimited(), token.clone());
+        let mut g = Governor::new(ExecutionBudget::unlimited(), token.clone());
         assert_eq!(g.check(0, 0), None);
         clone.cancel();
         assert!(token.is_cancelled());
@@ -434,7 +538,7 @@ mod tests {
     fn cancellation_wins_over_other_limits() {
         let token = CancellationToken::new();
         token.cancel();
-        let g = Governor::new(
+        let mut g = Governor::new(
             ExecutionBudget::unlimited()
                 .with_max_explored(0)
                 .with_deadline(Duration::ZERO),

@@ -48,7 +48,7 @@
 //! * **observability** — [`acquire_progress`] / [`run_acquire_progress`]
 //!   (the full forms of the two entry points above) thread an [`Obs`] handle
 //!   (re-exported from `acq-obs`) through the pipeline: phase spans,
-//!   per-layer gauges, cell-latency histograms,
+//!   per-layer gauges, per-layer latency and cell histograms,
 //!   worker utilisation, and an at-most-once violation counter, with JSON
 //!   and Prometheus snapshot sinks. Deterministic instruments commit in
 //!   serial emission order, so snapshots are reproducible for any thread

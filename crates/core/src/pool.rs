@@ -22,7 +22,6 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-use std::time::Instant;
 
 use acq_engine::{AggState, CellRange, EngineError};
 use acq_obs::Obs;
@@ -34,9 +33,8 @@ use crate::govern::Governor;
 /// What one speculative cell execution produced.
 #[derive(Debug)]
 pub(crate) enum CellOutcome {
-    /// The cell executed: its aggregate state plus deferred accounting and
-    /// its execution latency in nanoseconds (0 when observability is off).
-    Done(AggState, CellCost, u64),
+    /// The cell executed: its aggregate state plus deferred accounting.
+    Done(AggState, CellCost),
     /// The backend returned an error for this cell.
     Failed(EngineError),
     /// The backend panicked evaluating this cell (payload text).
@@ -48,8 +46,10 @@ pub(crate) enum CellOutcome {
 ///
 /// A slot is `None` only if every worker observed [`Governor::aborted`]
 /// before claiming it. Both abort conditions (sticky cancellation, passed
-/// deadline) are monotone, so the commit loop's own [`Governor::check`]
-/// necessarily fires before it reaches an abandoned slot; callers may still
+/// deadline) are monotone, so once the caller reads the governor's clock
+/// after the batch ([`Governor::lap`]), the commit loop's own
+/// [`Governor::check`] necessarily fires before it reaches an abandoned
+/// slot; callers may still
 /// fall back to serial evaluation for a `None` slot — the cell was provably
 /// never executed, so re-executing it cannot violate at-most-once.
 pub(crate) fn execute_batch(
@@ -91,17 +91,10 @@ pub(crate) fn execute_batch(
                         if i >= ends[victim] {
                             break;
                         }
-                        // lint-allow(determinism): latency metric only; never branches the search
-                        let t0 = metrics.map(|_| Instant::now());
                         let outcome = match catch_unwind(AssertUnwindSafe(|| {
                             par.cell_aggregate_shared(&cells[i])
                         })) {
-                            Ok(Ok((state, cost))) => {
-                                let nanos =
-                                    t0.map(|t| t.elapsed().as_nanos().min(u128::from(u64::MAX)))
-                                        .unwrap_or(0) as u64;
-                                CellOutcome::Done(state, cost, nanos)
-                            }
+                            Ok(Ok((state, cost))) => CellOutcome::Done(state, cost),
                             Ok(Err(e)) => CellOutcome::Failed(e),
                             Err(payload) => CellOutcome::Panicked(panic_message(payload)),
                         };
@@ -210,7 +203,7 @@ mod tests {
             assert_eq!(out.len(), 100);
             for (i, slot) in out.iter().enumerate() {
                 match slot {
-                    Some(CellOutcome::Done(state, cost, _)) => {
+                    Some(CellOutcome::Done(state, cost)) => {
                         assert_eq!(state.value(), Some(i as f64), "slot {i}");
                         assert_eq!(cost.tuples_scanned, i as u64);
                     }

@@ -143,16 +143,17 @@ pub struct ExplainProfile {
     pub peak_store: usize,
     /// §5 at-most-once violations observed (must be 0).
     pub at_most_once_violations: u64,
-    /// Wall-clock duration of the whole search.
+    /// Wall-clock duration of the whole request: layer preparation and
+    /// the search (both searches, when an `=` fell through).
     pub total: Duration,
-    /// Summed per-cell execution latency (the Explore phase's evaluation
-    /// work). `None` when the search ran without instrumentation.
-    pub explore_exec: Option<Duration>,
-    /// Everything outside cell execution: expansion, Eq. 17 merges, answer
-    /// bookkeeping. `None` without instrumentation. With parallel workers
-    /// `explore_exec` sums *per-worker* time and can legitimately exceed
-    /// `total`, in which case this reads zero.
-    pub overhead: Option<Duration>,
+    /// Summed search-layer latency: the time the search loop spent inside
+    /// its layers — Expand, cell execution, Eq. 17 merges, answers and
+    /// repartitions. `None` when the search ran without instrumentation.
+    pub search_layers: Option<Duration>,
+    /// The rest of `total`: preparing the evaluation layer (scoring, the
+    /// cell table), setting up the space, and rendering the answers. `None`
+    /// without instrumentation.
+    pub outside_layers: Option<Duration>,
 }
 
 impl ExplainProfile {
@@ -174,10 +175,10 @@ impl ExplainProfile {
         let cells_executed = snapshot
             .and_then(|s| s.counter("cells_executed"))
             .unwrap_or(explored);
-        let explore_exec = snapshot
-            .and_then(|s| s.histogram("cell_latency_ns"))
+        let search_layers = snapshot
+            .and_then(|s| s.histogram("layer_latency_ns"))
             .map(|h| Duration::from_nanos(h.sum));
-        let overhead = explore_exec.map(|e| total.saturating_sub(e));
+        let outside_layers = search_layers.map(|e| total.saturating_sub(e));
         Self {
             dims,
             gamma: cfg.gamma,
@@ -201,8 +202,8 @@ impl ExplainProfile {
                 .and_then(|s| s.counter("at_most_once_violations"))
                 .unwrap_or(0),
             total,
-            explore_exec,
-            overhead,
+            search_layers,
+            outside_layers,
         }
     }
 
@@ -236,13 +237,13 @@ impl ExplainProfile {
             self.at_most_once_violations,
             self.total.as_millis(),
         ));
-        match self.explore_exec {
-            Some(d) => s.push_str(&format!(",\"explore_exec_ms\":{}", d.as_millis())),
-            None => s.push_str(",\"explore_exec_ms\":null"),
+        match self.search_layers {
+            Some(d) => s.push_str(&format!(",\"search_layers_ms\":{}", d.as_millis())),
+            None => s.push_str(",\"search_layers_ms\":null"),
         }
-        match self.overhead {
-            Some(d) => s.push_str(&format!(",\"overhead_ms\":{}", d.as_millis())),
-            None => s.push_str(",\"overhead_ms\":null"),
+        match self.outside_layers {
+            Some(d) => s.push_str(&format!(",\"outside_layers_ms\":{}", d.as_millis())),
+            None => s.push_str(",\"outside_layers_ms\":null"),
         }
         s.push('}');
         s
@@ -277,10 +278,10 @@ impl ExplainProfile {
             "  invariants : at-most-once violations {}\n",
             self.at_most_once_violations
         ));
-        match (self.explore_exec, self.overhead) {
-            (Some(exec), Some(ovh)) => out.push_str(&format!(
-                "  latency    : total {:?} = cell execution {:?} + expand/merge overhead {:?}\n",
-                self.total, exec, ovh
+        match (self.search_layers, self.outside_layers) {
+            (Some(layers), Some(outside)) => out.push_str(&format!(
+                "  latency    : total {:?} = search layers {:?} + prepare/render {:?}\n",
+                self.total, layers, outside
             )),
             _ => out.push_str(&format!(
                 "  latency    : total {:?} (no instrumentation: phase split unavailable)\n",
@@ -350,8 +351,8 @@ mod tests {
         let m = obs.metrics().unwrap();
         m.cells_executed.add(12);
         m.repartitions.add(2);
-        for _ in 0..12 {
-            m.cell_latency_ns.observe(1_000_000); // 1ms each
+        for _ in 0..3 {
+            m.layer_latency_ns.observe(4_000_000); // 4ms each
         }
         let snap = obs.snapshot().unwrap();
         let p = ExplainProfile::new(
@@ -363,8 +364,14 @@ mod tests {
         );
         assert_eq!(p.cells_executed, 12);
         assert_eq!(p.repartitions, 2);
-        assert_eq!(p.explore_exec, Some(Duration::from_millis(12)));
-        assert_eq!(p.overhead, Some(Duration::from_millis(8)));
+        assert_eq!(p.search_layers, Some(Duration::from_millis(12)));
+        assert_eq!(p.outside_layers, Some(Duration::from_millis(8)));
+        assert!(
+            p.render_text()
+                .contains("total 20ms = search layers 12ms + prepare/render 8ms"),
+            "{}",
+            p.render_text()
+        );
         assert_eq!(p.at_most_once_violations, 0);
     }
 
@@ -388,7 +395,7 @@ mod tests {
             Some("exhausted")
         );
         assert!(matches!(
-            v.pointer("/explore_exec_ms"),
+            v.pointer("/search_layers_ms"),
             Some(acq_obs::json::JsonValue::Null)
         ));
         let text = p.render_text();

@@ -4,17 +4,22 @@
 //! exposition) must be well-formed — the snapshot is validated against the
 //! same committed schema CI uses (`schemas/metrics.schema.json`).
 
-use std::time::Instant;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
-use acq_engine::{Catalog, DataType, Executor, Field, TableBuilder, Value};
+use acq_engine::{
+    AggState, Catalog, CellRange, DataType, EngineResult, ExecStats, Executor, Field, TableBuilder,
+    Value,
+};
 use acq_query::{
     AcqQuery, AggConstraint, AggErrorFn, AggregateSpec, CmpOp, ColRef, Interval, Predicate,
     RefineSide,
 };
 use acquire_core::{
     acquire_progress, contract_with, contraction_query, AcqOutcome, AcquireConfig,
-    CachedScoreEvaluator, CancellationToken, EvalLayerKind, FaultInjectingLayer, FaultPolicy,
-    FaultSchedule, Obs, Parallelism, RefinedSpace, Session,
+    CachedScoreEvaluator, CancellationToken, CellCost, CoreError, EvalLayerKind, EvaluationLayer,
+    ExecutionBudget, FaultInjectingLayer, FaultPolicy, FaultSchedule, InterruptReason, Obs,
+    ParallelCells, Parallelism, RefinedSpace, Session,
 };
 
 fn catalog() -> Catalog {
@@ -133,9 +138,9 @@ fn enabling_observability_never_changes_the_outcome() {
 }
 
 /// A fault that ends a search under `FaultPolicy::Propagate` leaves the
-/// instruments as they stood after the last committed cell: one cell count
-/// per latency observation, and the store and budget gauges of a clean run
-/// cut off at the same cell.
+/// instruments as they stood after the last committed cell: every cell
+/// counted in its layer, one latency observation per layer entered, and
+/// the store and budget gauges of a clean run cut off at the same cell.
 #[test]
 fn a_propagated_fault_leaves_the_per_cell_instruments_committed() {
     let mut q = query(800.0);
@@ -160,10 +165,29 @@ fn a_propagated_fault_leaves_the_per_cell_instruments_committed() {
         faulted += 1;
         let snap = obs.snapshot().expect("enabled handle");
         let cells = snap.counter("cells_executed").unwrap();
-        let hist = snap.histogram("cell_latency_ns").expect("known instrument");
+        let per_layer = snap.histogram("batch_cells").expect("known instrument");
+        let latency = snap
+            .histogram("layer_latency_ns")
+            .expect("known instrument");
         assert_eq!(
-            cells, hist.count,
-            "seed {seed}: cell count != latency observations"
+            per_layer.sum, cells,
+            "seed {seed}: cells per layer don't sum to the cell count"
+        );
+        // The faulting cell's layer was entered: a clean run one cell longer
+        // ends in it.
+        let reach = AcquireConfig {
+            max_explored: cells + 1,
+            ..cfg.clone()
+        };
+        let mut eval = CachedScoreEvaluator::new(&mut exec, &q, &caps).unwrap();
+        let entered = acquire_progress(&mut eval, &q, &reach, &cancel, &Obs::disabled(), None)
+            .unwrap()
+            .layers
+            + 1;
+        assert_eq!(
+            (latency.count, per_layer.count),
+            (entered, entered),
+            "seed {seed}: one observation per layer entered"
         );
         assert!(cells > 0, "seed {seed}: the skipped layers commit cells");
 
@@ -186,6 +210,276 @@ fn a_propagated_fault_leaves_the_per_cell_instruments_committed() {
         );
     }
     assert!(faulted > 0, "the schedules must actually fault");
+}
+
+/// Cancels its token once `after` cells have committed: serial cells when
+/// they run, pooled ones when their cost is committed in emission order, so
+/// the cancel lands on the same cell for every thread count.
+struct CancelAfter<E> {
+    inner: E,
+    commits: AtomicU64,
+    after: u64,
+    token: CancellationToken,
+}
+
+impl<E> CancelAfter<E> {
+    fn bump(&self) {
+        if self.commits.fetch_add(1, Ordering::Relaxed) + 1 >= self.after {
+            self.token.cancel();
+        }
+    }
+}
+
+impl<E: EvaluationLayer + Sync> EvaluationLayer for CancelAfter<E> {
+    fn cell_aggregate(&mut self, cell: &[CellRange]) -> EngineResult<AggState> {
+        let out = self.inner.cell_aggregate(cell);
+        self.bump();
+        out
+    }
+
+    fn full_aggregate(&mut self, bounds: &[f64]) -> EngineResult<AggState> {
+        self.inner.full_aggregate(bounds)
+    }
+
+    fn empty_state(&self) -> EngineResult<AggState> {
+        self.inner.empty_state()
+    }
+
+    fn stats(&self) -> ExecStats {
+        self.inner.stats()
+    }
+
+    fn universe_size(&self) -> usize {
+        self.inner.universe_size()
+    }
+
+    fn parallel_cells(&self) -> Option<&dyn ParallelCells> {
+        self.inner
+            .parallel_cells()
+            .map(|_| self as &dyn ParallelCells)
+    }
+
+    fn commit_cell_cost(&mut self, cost: &CellCost) {
+        self.inner.commit_cell_cost(cost);
+        self.bump();
+    }
+}
+
+impl<E: EvaluationLayer + Sync> ParallelCells for CancelAfter<E> {
+    fn cell_aggregate_shared(&self, cell: &[CellRange]) -> EngineResult<(AggState, CellCost)> {
+        match self.inner.parallel_cells() {
+            Some(shared) => shared.cell_aggregate_shared(cell),
+            None => unreachable!("parallel_cells() is None whenever the inner layer's is"),
+        }
+    }
+}
+
+/// The ways a search can end.
+#[derive(Debug, Clone, Copy)]
+enum Exit {
+    Clean,
+    ExploredBudget,
+    MemoryBudget,
+    Cancel,
+    Deadline,
+    Fault(FaultPolicy),
+}
+
+/// The explored-query budget of [`Exit::ExploredBudget`].
+const EXPLORED_BUDGET: u64 = 40;
+
+/// Runs `query(800.0)` on a fresh cached layer so that it ends the way
+/// `exit` names, with faults from `seed`'s schedule.
+fn run_to(exit: Exit, seed: u64, cfg: &AcquireConfig, obs: &Obs) -> Result<AcqOutcome, CoreError> {
+    let mut q = query(800.0);
+    let mut exec = Executor::new(catalog());
+    exec.populate_domains(&mut q).unwrap();
+    let caps = RefinedSpace::new(&q, cfg).unwrap().caps();
+    let inner = CachedScoreEvaluator::new(&mut exec, &q, &caps).unwrap();
+    let token = CancellationToken::new();
+    let budget = ExecutionBudget::unlimited();
+    let mut schedule = FaultSchedule::none(seed);
+    let cfg = match exit {
+        Exit::Clean | Exit::Cancel => cfg.clone(),
+        Exit::ExploredBudget => cfg
+            .clone()
+            .with_budget(budget.with_max_explored(EXPLORED_BUDGET)),
+        Exit::MemoryBudget => cfg.clone().with_budget(budget.with_max_store_bytes(6_000)),
+        Exit::Deadline => {
+            // One cell in fifty sleeps 2 ms: the deadline lands mid-search.
+            schedule.latency_rate = 0.02;
+            schedule.latency = Duration::from_millis(2);
+            cfg.clone()
+                .with_budget(budget.with_deadline(Duration::from_millis(10)))
+        }
+        Exit::Fault(policy) => {
+            schedule.error_rate = 0.05;
+            schedule.skip_layers = 3;
+            cfg.clone().with_fault_policy(policy)
+        }
+    };
+    let mut eval = CancelAfter {
+        inner: FaultInjectingLayer::new(inner, schedule),
+        commits: AtomicU64::new(0),
+        after: if matches!(exit, Exit::Cancel) {
+            25
+        } else {
+            u64::MAX
+        },
+        token: token.clone(),
+    };
+    acquire_progress(&mut eval, &q, &cfg, &token, obs, None)
+}
+
+/// At every exit — a clean end, each budget, a cancel, a deadline and a
+/// fault under either policy, serial or pooled — the per-layer commits add
+/// up to the cells the search committed: `cells_executed == explored`, the
+/// cells per layer sum to it, there is one latency observation per layer
+/// entered, and the store and headroom gauges read what a clean run cut at
+/// the same cell leaves.
+#[test]
+fn every_exit_commits_the_tallies_of_every_layer_entered() {
+    use Exit::{Cancel, Clean, Deadline, ExploredBudget, Fault, MemoryBudget};
+    let exits = [
+        Clean,
+        ExploredBudget,
+        MemoryBudget,
+        Cancel,
+        Deadline,
+        Fault(FaultPolicy::Propagate),
+        Fault(FaultPolicy::BestEffort),
+    ];
+    for threads in [1, 2] {
+        let cfg = AcquireConfig::default().with_threads(threads);
+        for exit in exits {
+            // The first schedule that faults at all.
+            let seed = (0..16)
+                .find(|&seed| match exit {
+                    Fault(_) => {
+                        run_to(Fault(FaultPolicy::Propagate), seed, &cfg, &Obs::disabled()).is_err()
+                    }
+                    _ => true,
+                })
+                .expect("some schedule faults");
+            let obs = Obs::enabled();
+            let result = run_to(exit, seed, &cfg, &obs);
+            let what = format!("{exit:?} at {threads} thread(s)");
+            let snap = obs.snapshot().expect("enabled handle");
+            let cells = snap.counter("cells_executed").unwrap();
+            let clean_to = |max_explored: u64| {
+                let cut = AcquireConfig {
+                    max_explored,
+                    ..cfg.clone()
+                };
+                let clean = Obs::enabled();
+                let out = run_to(Clean, seed, &cut, &clean).unwrap();
+                (out, clean.snapshot().expect("enabled handle"))
+            };
+            let entered = match &result {
+                Ok(out) => {
+                    assert_eq!(cells, out.explored, "{what}: cells_executed != explored");
+                    let reason = out.termination.interrupt_reason();
+                    match exit {
+                        Clean => assert_eq!(reason, None, "{what}"),
+                        ExploredBudget => {
+                            assert_eq!(reason, Some(&InterruptReason::ExploredBudget), "{what}");
+                        }
+                        MemoryBudget => {
+                            assert_eq!(reason, Some(&InterruptReason::MemoryBudget), "{what}");
+                        }
+                        Cancel => assert_eq!(reason, Some(&InterruptReason::Cancelled), "{what}"),
+                        Deadline => {
+                            assert_eq!(reason, Some(&InterruptReason::DeadlineExceeded), "{what}");
+                        }
+                        Fault(_) => assert!(
+                            matches!(reason, Some(InterruptReason::Fault(_))),
+                            "{what}: {reason:?}"
+                        ),
+                    }
+                    out.layers + 1
+                }
+                // The faulting cell's layer was entered: a clean run one
+                // cell longer ends in it.
+                Err(_) => {
+                    assert!(matches!(exit, Fault(FaultPolicy::Propagate)), "{what}");
+                    clean_to(cells + 1).0.layers + 1
+                }
+            };
+            let per_layer = snap.histogram("batch_cells").expect("known instrument");
+            let latency = snap
+                .histogram("layer_latency_ns")
+                .expect("known instrument");
+            assert_eq!(per_layer.sum, cells, "{what}: cells per layer != cells");
+            assert_eq!(
+                (latency.count, per_layer.count),
+                (entered, entered),
+                "{what}: one observation per layer entered"
+            );
+            let (_, want) = clean_to(cells);
+            for gauge in ["store_len", "store_peak", "store_bytes"] {
+                assert_eq!(snap.gauge(gauge), want.gauge(gauge), "{what}: {gauge}");
+            }
+            let limit = match exit {
+                ExploredBudget => EXPLORED_BUDGET,
+                _ => cfg.max_explored,
+            };
+            assert_eq!(
+                snap.gauge("budget_headroom"),
+                (cells > 0).then(|| limit - cells),
+                "{what}: budget_headroom"
+            );
+        }
+    }
+}
+
+/// Slow cells are checked against the deadline on every cell: with every
+/// cell sleeping 2 ms, a 10 ms deadline has passed once five cells have
+/// run, and the check before the sixth stops the search. A deadline clock
+/// read on a fixed stride of cells would run on for dozens more.
+#[test]
+fn slow_cells_meet_the_deadline_on_the_next_cell() {
+    let mut q = query(800.0);
+    let mut exec = Executor::new(catalog());
+    exec.populate_domains(&mut q).unwrap();
+    let cfg = AcquireConfig::default()
+        .with_budget(ExecutionBudget::unlimited().with_deadline(Duration::from_millis(10)));
+    let caps = RefinedSpace::new(&q, &cfg).unwrap().caps();
+    let schedule = FaultSchedule {
+        latency_rate: 1.0,
+        latency: Duration::from_millis(2),
+        ..FaultSchedule::none(1)
+    };
+    let inner = CachedScoreEvaluator::new(&mut exec, &q, &caps).unwrap();
+    let mut eval = FaultInjectingLayer::new(inner, schedule);
+    let cancel = CancellationToken::new();
+    let out = acquire_progress(&mut eval, &q, &cfg, &cancel, &Obs::disabled(), None).unwrap();
+    assert_eq!(
+        out.termination.interrupt_reason(),
+        Some(&InterruptReason::DeadlineExceeded)
+    );
+    assert!(out.explored <= 5, "explored {} slow cells", out.explored);
+}
+
+/// A deadline that has already passed stops the search before its first
+/// grid query, whatever the read stride: the first check reads the clock.
+#[test]
+fn a_passed_deadline_stops_before_the_first_cell() {
+    for threads in [1, 2] {
+        let cfg = AcquireConfig::default()
+            .with_threads(threads)
+            .with_budget(ExecutionBudget::unlimited().with_deadline(Duration::ZERO));
+        let obs = Obs::enabled();
+        let out = run_with(&obs, &cfg);
+        assert_eq!(out.explored, 0, "{threads} thread(s)");
+        assert_eq!(
+            out.termination.interrupt_reason(),
+            Some(&InterruptReason::DeadlineExceeded)
+        );
+        let snap = obs.snapshot().expect("enabled handle");
+        assert_eq!(snap.counter("cells_executed"), Some(0));
+        assert_eq!(snap.histogram("layer_latency_ns").map(|h| h.count), Some(1));
+        assert_eq!(snap.gauge("store_len"), None, "no cell, no store gauge");
+    }
 }
 
 /// A disabled handle costs one null check per instrument, so a run with
@@ -276,7 +570,7 @@ fn prometheus_exposition_covers_every_instrument_family() {
     for needle in [
         "# TYPE acq_cells_executed_total counter",
         "acq_store_peak ",
-        "acq_cell_latency_ns_bucket{le=\"+Inf\"}",
+        "acq_layer_latency_ns_bucket{le=\"+Inf\"}",
         "acq_exec_cell_queries_total",
     ] {
         assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
@@ -459,7 +753,7 @@ fn explain_profile_matches_live_accounting() {
         assert_eq!(p.at_most_once_violations, 0);
         assert_eq!(p.workers, threads);
         assert!(
-            p.explore_exec.is_some(),
+            p.search_layers.is_some(),
             "instrumented run has a phase split"
         );
     }

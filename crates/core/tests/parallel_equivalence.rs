@@ -1095,9 +1095,10 @@ fn no_cell_is_ever_executed_twice_under_parallelism() {
 // ---------------------------------------------------------------------------
 
 /// The deterministic instruments must agree with the outcome **exactly**:
-/// the cell-execution counter and the latency-histogram population both
-/// commit in the driver's serial emission loop at the same site where
-/// `explored` advances, so equality holds by construction — this test
+/// the driver tallies each cell where `explored` advances in its serial
+/// emission loop and commits the tally once per layer and on every exit,
+/// so the cell-execution counter, the cells-per-layer histogram and one
+/// latency observation per layer entered hold by construction — this test
 /// pins that construction down for every thread count and under every
 /// disruption the suite knows (faults, budgets, cancellation).
 fn assert_metrics_ground_truth(obs: &Obs, out: &AcqOutcome, what: &str) {
@@ -1107,16 +1108,26 @@ fn assert_metrics_ground_truth(obs: &Obs, out: &AcqOutcome, what: &str) {
         Some(out.explored),
         "{what}: cells_executed != AcqOutcome.explored"
     );
-    let hist = snap.histogram("cell_latency_ns").expect("known instrument");
+    let per_layer = snap.histogram("batch_cells").expect("known instrument");
+    let latency = snap
+        .histogram("layer_latency_ns")
+        .expect("known instrument");
     assert_eq!(
-        hist.count, out.explored,
-        "{what}: latency histogram population != cells executed"
+        per_layer.sum, out.explored,
+        "{what}: cells committed per layer don't sum to cells executed"
     );
     assert_eq!(
-        hist.buckets.iter().map(|&(_, n)| n).sum::<u64>(),
-        hist.count,
-        "{what}: histogram buckets don't sum to its count"
+        (latency.count, per_layer.count),
+        (out.layers + 1, out.layers + 1),
+        "{what}: not one observation per layer entered"
     );
+    for hist in [per_layer, latency] {
+        assert_eq!(
+            hist.buckets.iter().map(|&(_, n)| n).sum::<u64>(),
+            hist.count,
+            "{what}: histogram buckets don't sum to its count"
+        );
+    }
     assert_eq!(
         snap.counter("at_most_once_violations"),
         Some(0),

@@ -79,7 +79,7 @@ impl Gauge {
     }
 }
 
-/// Bucket upper bounds (inclusive, nanoseconds) for cell execution latency.
+/// Bucket upper bounds (inclusive, nanoseconds) for search-layer latency.
 ///
 /// Log-spaced powers of four from 250 ns to ~4.2 s; observations above the
 /// last bound land in the implicit overflow (`+Inf`) bucket.
@@ -99,9 +99,11 @@ pub const LATENCY_BUCKETS_NS: &[u64] = &[
     4_194_304_000,
 ];
 
-/// Bucket upper bounds (inclusive, cells) for Expand batch sizes, matching
-/// the driver's power-of-two batching up to `MAX_BATCH`.
-pub const BATCH_BUCKETS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096];
+/// Bucket upper bounds (inclusive, cells) for the cells a search commits
+/// per layer: powers of two to 4 096, then powers of four to 2^20.
+pub const BATCH_BUCKETS: &[u64] = &[
+    1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 16_384, 65_536, 262_144, 1_048_576,
+];
 
 /// A fixed-bucket histogram with cumulative `count` and `sum`.
 ///
@@ -245,9 +247,11 @@ pub struct Metrics {
     pub worker_steals: Counter,
     /// Trace events discarded because the bounded buffer was full.
     pub trace_dropped: Counter,
-    /// Deterministic: the Expand layer currently being explored.
+    /// Deterministic: the Expand layer currently being explored, set when
+    /// the search enters it.
     pub current_layer: Gauge,
-    /// Deterministic: cells in the most recent Expand batch.
+    /// Deterministic: cells in the first Expand batch of that layer (1 in
+    /// serial mode).
     pub frontier_batch: Gauge,
     /// Deterministic: live entries in the aggregate store.
     pub store_len: Gauge,
@@ -257,11 +261,14 @@ pub struct Metrics {
     pub store_bytes: Gauge,
     /// Deterministic: remaining `max_explored` budget, if one is set.
     pub budget_headroom: Gauge,
-    /// Per-cell execution latency. The *count* is deterministic (one
-    /// observation per committed cell); the sampled durations are wall
-    /// clock and therefore vary.
-    pub cell_latency_ns: Histogram,
-    /// Deterministic: Expand batch size distribution.
+    /// Wall time of each search layer, from entering it to leaving it:
+    /// Expand, cell execution, Eq. 17 merges, answers and repartitions.
+    /// The *count* is deterministic (one observation per layer the search
+    /// entered); the durations are wall clock and therefore vary.
+    pub layer_latency_ns: Histogram,
+    /// Deterministic: cells committed per search layer, one observation
+    /// per `layer_latency_ns` observation; its sum equals
+    /// `cells_executed`.
     pub batch_cells: Histogram,
     workers: Vec<WorkerStats>,
     /// Accumulated engine work counters (`ExecStats` fields) summed across
@@ -296,7 +303,7 @@ impl Metrics {
             store_peak: Gauge::new(),
             store_bytes: Gauge::new(),
             budget_headroom: Gauge::new(),
-            cell_latency_ns: Histogram::new(LATENCY_BUCKETS_NS),
+            layer_latency_ns: Histogram::new(LATENCY_BUCKETS_NS),
             batch_cells: Histogram::new(BATCH_BUCKETS),
             workers: (0..MAX_WORKERS).map(|_| WorkerStats::default()).collect(),
             exec_stats: std::sync::Mutex::new(Vec::new()),
@@ -403,7 +410,7 @@ impl Metrics {
         }
         for h in &snap.histograms {
             match h.name {
-                "cell_latency_ns" => self.cell_latency_ns.absorb(h),
+                "layer_latency_ns" => self.layer_latency_ns.absorb(h),
                 "batch_cells" => self.batch_cells.absorb(h),
                 _ => {}
             }
@@ -509,7 +516,7 @@ mod tests {
         per_query.cells_executed.add(10);
         per_query.answers_found.add(2);
         per_query.store_peak.set(30);
-        per_query.cell_latency_ns.observe(500);
+        per_query.layer_latency_ns.observe(500);
         per_query.record_worker_cell(1, true);
         let snap = crate::snapshot::MetricsSnapshot::capture(&per_query, 0, vec![], vec![]);
 
@@ -521,7 +528,7 @@ mod tests {
         assert_eq!(process.cells_executed.get(), 25);
         assert_eq!(process.answers_found.get(), 4);
         assert_eq!(process.store_peak.get(), Some(40), "gauges keep the max");
-        assert_eq!(process.cell_latency_ns.count(), 2);
+        assert_eq!(process.layer_latency_ns.count(), 2);
         assert_eq!(process.worker_tallies(), vec![(1, 2, 2)]);
         assert_eq!(process.worker_steals.get(), 2);
     }

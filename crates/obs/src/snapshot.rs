@@ -13,7 +13,11 @@ use crate::metrics::{Histogram, Metrics};
 /// v3: `exec_stats` gained three block-pruning counters of the scan layer.
 ///
 /// v4: `exec_stats` dropped those three counters with the pruned cell path.
-pub const SNAPSHOT_VERSION: u64 = 4;
+///
+/// v5: the per-cell `cell_latency_ns` histogram became the per-layer
+/// `layer_latency_ns`, and `batch_cells` counts cells per layer (its
+/// buckets reach 2^20).
+pub const SNAPSHOT_VERSION: u64 = 5;
 
 /// Quantiles estimated for every histogram snapshot, `(label, q)`.
 pub const SNAPSHOT_QUANTILES: [(&str, f64); 3] = [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)];
@@ -131,7 +135,7 @@ impl MetricsSnapshot {
         meta: Vec<(String, String)>,
     ) -> Self {
         let histograms = [
-            ("cell_latency_ns", &metrics.cell_latency_ns),
+            ("layer_latency_ns", &metrics.layer_latency_ns),
             ("batch_cells", &metrics.batch_cells),
         ]
         .into_iter()
@@ -421,13 +425,13 @@ fn instrument_help(name: &str) -> &'static str {
         "worker_steals" => "Cross-chunk steals in the Explore worker pool",
         "trace_dropped" => "Trace events discarded because the bounded buffer was full",
         "current_layer" => "Expand layer currently being explored",
-        "frontier_batch" => "Cells in the most recent Expand batch",
+        "frontier_batch" => "Cells in the first Expand batch of the current layer",
         "store_len" => "Live entries in the aggregate store",
         "store_peak" => "Peak live entries in the aggregate store",
         "store_bytes" => "Approximate bytes held by the aggregate store",
         "budget_headroom" => "Remaining max_explored budget",
-        "cell_latency_ns" => "Per-cell execution latency in nanoseconds",
-        "batch_cells" => "Expand batch size distribution in cells",
+        "layer_latency_ns" => "Wall time of each search layer in nanoseconds",
+        "batch_cells" => "Cells committed per search layer",
         _ => "ACQ pipeline instrument",
     }
 }
@@ -470,7 +474,7 @@ mod tests {
         let m = Metrics::new();
         m.cells_executed.add(42);
         m.current_layer.set(3);
-        m.cell_latency_ns.observe(500);
+        m.layer_latency_ns.observe(500);
         m.record_worker_cell(1, true);
         MetricsSnapshot::capture(
             &m,
@@ -499,7 +503,7 @@ mod tests {
             Some(3)
         );
         assert_eq!(
-            v.pointer("/histograms/cell_latency_ns/count")
+            v.pointer("/histograms/layer_latency_ns/count")
                 .and_then(|v| v.as_u64()),
             Some(1)
         );
@@ -530,7 +534,7 @@ mod tests {
         assert!(text.contains("acq_cells_executed_total 42"), "{text}");
         assert!(text.contains("acq_current_layer 3"), "{text}");
         assert!(
-            text.contains("acq_cell_latency_ns_bucket{le=\"+Inf\"} 1"),
+            text.contains("acq_layer_latency_ns_bucket{le=\"+Inf\"} 1"),
             "{text}"
         );
         assert!(
@@ -579,7 +583,7 @@ mod tests {
         let full = MetricsSnapshot::capture(&m, 0, vec![], vec![]);
         let v = crate::json::parse(&full.to_json()).unwrap();
         assert!(matches!(
-            v.pointer("/histograms/cell_latency_ns/p50"),
+            v.pointer("/histograms/layer_latency_ns/p50"),
             Some(crate::json::JsonValue::Null)
         ));
     }
@@ -589,18 +593,18 @@ mod tests {
         let snap = sample();
         let v = crate::json::parse(&snap.to_json()).unwrap();
         // One observation of 500ns: every quantile sits in (250, 1000].
-        let p99 = match v.pointer("/histograms/cell_latency_ns/p99") {
+        let p99 = match v.pointer("/histograms/layer_latency_ns/p99") {
             Some(crate::json::JsonValue::Num(n)) => *n,
             other => panic!("p99 missing: {other:?}"),
         };
         assert!(p99 > 250.0 && p99 <= 1000.0, "p99={p99}");
         let text = snap.to_prometheus();
         assert!(
-            text.contains("acq_cell_latency_ns_quantile{quantile=\"0.99\"}"),
+            text.contains("acq_layer_latency_ns_quantile{quantile=\"0.99\"}"),
             "{text}"
         );
         assert!(
-            text.contains("# TYPE acq_cell_latency_ns_quantile gauge"),
+            text.contains("# TYPE acq_layer_latency_ns_quantile gauge"),
             "{text}"
         );
     }
@@ -658,6 +662,6 @@ mod tests {
         assert_eq!(snap.counter("cells_executed"), Some(42));
         assert_eq!(snap.counter("missing"), None);
         assert_eq!(snap.gauge("current_layer"), Some(3));
-        assert_eq!(snap.histogram("cell_latency_ns").unwrap().count, 1);
+        assert_eq!(snap.histogram("layer_latency_ns").unwrap().count, 1);
     }
 }

@@ -105,7 +105,7 @@ options:
                       value)
   --explain           print the base-relation materialisation plan and an
                       EXPLAIN-style search profile (grid dims, layers,
-                      Eq. 17 reuse accounting, phase latency split); with
+                      Eq. 17 reuse accounting, search-layer latency split); with
                       --json, adds a \"profile\" key to the output
   --stats             print evaluation-layer work counters
   --timeout SECS      wall-clock deadline for the search (fractional ok);
@@ -123,7 +123,8 @@ options:
   --progress          stream refinement progress to stderr while the search
                       runs: one NDJSON event per layer boundary
   --metrics-out PATH  write a JSON metrics snapshot (counters, gauges,
-                      latency histograms, worker utilisation) to PATH
+                      per-layer latency and cell histograms, worker
+                      utilisation) to PATH
   --help              this message
 
 The SQL dialect is the paper's: SELECT * FROM t [, t2 ...]

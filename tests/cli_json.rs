@@ -153,7 +153,7 @@ fn json_output_is_valid_and_complete() {
         "\"metrics\":{",
         "\"cells_executed\":",
         "\"at_most_once_violations\":0",
-        "\"cell_latency_ns\":{",
+        "\"layer_latency_ns\":{",
         "\"exec_stats\":{",
     ] {
         assert!(out.contains(key), "missing {key}\n{out}");
