@@ -35,7 +35,8 @@
 use std::sync::Arc;
 
 use acq_engine::{
-    AggState, CellRange, EngineResult, ExecStats, Executor, Relation, ResolvedQuery, UdaRegistry,
+    AggState, BoundQuery, CellRange, EngineResult, ExecStats, Executor, Relation, ResolvedQuery,
+    TableScores, UdaRegistry,
 };
 use acq_obs::Obs;
 use acq_query::{AcqQuery, AggFunc, AggregateSpec};
@@ -337,57 +338,64 @@ struct ScoreMatrix {
 }
 
 impl ScoreMatrix {
-    /// Scores every admissible tuple on `threads` worker threads (the
-    /// calling thread alone for `threads <= 1` or a tiny relation).
-    /// Deterministic: each worker scores one contiguous row chunk and the
-    /// chunks are concatenated in order, so the matrix is identical for
-    /// every thread count.
-    fn build(rq: &ResolvedQuery, rel: &Relation, threads: usize) -> EngineResult<Self> {
-        let d = rq.dims();
-        let n = rel.len();
-        let score_chunk = |lo: usize, hi: usize| -> EngineResult<(Vec<f64>, Vec<f64>)> {
-            let bound = rq.bind(rel)?;
-            let mut scores = Vec::with_capacity((hi - lo) * d);
-            let mut vals = Vec::with_capacity(hi - lo);
-            let mut row_scores = vec![0.0; d];
-            for row in lo..hi {
-                if bound.score_into(rel, row, &mut row_scores) {
-                    scores.extend_from_slice(&row_scores);
-                    vals.push(bound.agg_value(rel, row));
-                }
-            }
-            Ok((scores, vals))
-        };
-        let (scores, vals) = if threads <= 1 || n < 2 * threads {
-            score_chunk(0, n)?
+    /// Scores every tuple of `rel` a predicate at a time
+    /// ([`BoundQuery::score_rows`], gathering the per-table columns of
+    /// `memo`, which it first completes with [`BoundQuery::memoise`]) on
+    /// `threads` worker threads (the calling thread alone for
+    /// `threads <= 1` or a tiny relation), then drops the rows that are not
+    /// admissible. Deterministic: each worker scores one contiguous row
+    /// chunk in place, and the rows kept stay in relation order, so the
+    /// matrix is identical for every thread count.
+    fn build(bound: &BoundQuery, rel: &Relation, memo: &mut TableScores, threads: usize) -> Self {
+        let (n, d) = (rel.len(), bound.dims());
+        let mut scores = vec![0.0; n * d];
+        let mut vals = vec![0.0; n];
+        let mut kept = vec![true; n];
+        // The columns come after the matrix's own buffers: a transient
+        // buffer freed past the matrix, at the top of the heap, is handed
+        // back to the system and faulted in again by whatever is built
+        // next. With the
+        // columns allocated first, a `join_sum` base relation built right
+        // after a layer took ≈ 900 more minor faults and 1.3 ms more
+        // (glibc malloc, 2 vCPUs).
+        bound.memoise(rel, memo);
+        let memo = &*memo;
+        if threads <= 1 || n < 2 * threads {
+            bound.score_rows(rel, 0, memo, &mut scores, &mut vals, &mut kept);
         } else {
             let chunk = n.div_ceil(threads);
-            let score_chunk = &score_chunk;
-            let parts: Vec<EngineResult<(Vec<f64>, Vec<f64>)>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|t| {
-                        let hi = ((t + 1) * chunk).min(n);
-                        scope.spawn(move || score_chunk((t * chunk).min(hi), hi))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
+            std::thread::scope(|scope| {
+                let (mut s, mut v, mut k) = (&mut scores[..], &mut vals[..], &mut kept[..]);
+                let mut handles = Vec::with_capacity(threads);
+                for lo in (0..n).step_by(chunk) {
+                    let len = chunk.min(n - lo);
+                    let (s0, s1) = std::mem::take(&mut s).split_at_mut(len * d);
+                    let (v0, v1) = std::mem::take(&mut v).split_at_mut(len);
+                    let (k0, k1) = std::mem::take(&mut k).split_at_mut(len);
+                    (s, v, k) = (s1, v1, k1);
+                    handles.push(scope.spawn(move || bound.score_rows(rel, lo, memo, s0, v0, k0)));
+                }
+                for h in handles {
                     // A worker panic propagates as a panic on this thread;
                     // `prepare_layer` runs every build under the driver's
                     // isolation, which turns it into a typed error.
-                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect()
+                    h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+                }
             });
-            let mut scores = Vec::with_capacity(n * d);
-            let mut vals = Vec::with_capacity(n);
-            for part in parts {
-                let (s, v) = part?;
-                scores.extend(s);
-                vals.extend(v);
+        }
+        // Compact only if a row was dropped; the capacity stays what the
+        // whole relation needed.
+        if kept.contains(&false) {
+            let mut w = 0;
+            for (r, _) in kept.iter().enumerate().filter(|(_, &keep)| keep) {
+                scores.copy_within(r * d..(r + 1) * d, w * d);
+                vals[w] = vals[r];
+                w += 1;
             }
-            (scores, vals)
-        };
-        Ok(Self { scores, vals, d })
+            scores.truncate(w * d);
+            vals.truncate(w);
+        }
+        Self { scores, vals, d }
     }
 
     fn len(&self) -> usize {
@@ -483,6 +491,12 @@ struct CellTable {
     empty: AggState,
 }
 
+/// A dimension whose scores a [`ScoreMatrix`] gathered from a per-table
+/// column ([`BoundQuery::dimension_column`]): the relation it scored, the
+/// position there of the table whose row ids index the column, and the
+/// column.
+type Gathered<'a> = (&'a Relation, usize, &'a [f64]);
+
 impl CellTable {
     /// Folds `matrix`'s rows from `empty`, the aggregate's identity state,
     /// into their cells on the grid of `step`, in stored order. `None` when
@@ -493,7 +507,20 @@ impl CellTable {
     /// number. Sorting the rows by cell first would give the same states, at
     /// the price of random reads over every row that cost more than the
     /// fold itself.
-    fn build(matrix: &ScoreMatrix, step: f64, empty: AggState) -> Option<Self> {
+    ///
+    /// A row's coordinate is `bucket_of` its score, except on a dimension
+    /// `gathered` names (by dimension; a short slice names none) while the
+    /// matrix holds every row of that relation: `bucket_of` is monotone, so
+    /// that dimension is bucketed once per row of its table — every score
+    /// within the greatest one the matrix holds, which sets the radix — and
+    /// each row reads its coordinate by row id, as the matrix read its
+    /// score.
+    fn build(
+        matrix: &ScoreMatrix,
+        step: f64,
+        empty: AggState,
+        gathered: &[Option<Gathered<'_>>],
+    ) -> Option<Self> {
         let d = matrix.d;
         if d == 0 {
             return None;
@@ -508,7 +535,7 @@ impl CellTable {
         }
         let mut radix = Vec::with_capacity(d);
         let mut room = 1u64;
-        for top in top {
+        for &top in &top {
             let r = bucket_of(top, step) as usize + 1;
             if r > radix_limit(matrix.len()) {
                 return None;
@@ -516,12 +543,34 @@ impl CellTable {
             room = room.checked_mul(r as u64)?;
             radix.push(r as u64);
         }
+        let table_buckets: Vec<Option<(&Relation, usize, Vec<u32>)>> = (0..d)
+            .map(|k| {
+                let (rel, t, col) = gathered.get(k).copied().flatten()?;
+                // A score past the top is a row outside the matrix, whose
+                // coordinate is never read.
+                let bucket = |&s: &f64| {
+                    if s <= top[k] {
+                        bucket_of(s, step)
+                    } else {
+                        u32::MAX
+                    }
+                };
+                (rel.len() == matrix.len()).then(|| (rel, t, col.iter().map(bucket).collect()))
+            })
+            .collect();
         let mut slots: FastMap<u64, u32> = FastMap::default();
         let mut states = Vec::new();
-        for (scores, &v) in matrix.scores.chunks_exact(d).zip(&matrix.vals) {
-            let key = scores.iter().zip(&radix).fold(0u64, |key, (&s, &r)| {
-                key * r + u64::from(bucket_of(s, step))
-            });
+        let rows = matrix.scores.chunks_exact(d).zip(&matrix.vals);
+        for (i, (scores, &v)) in rows.enumerate() {
+            let mut key = 0u64;
+            for ((&s, &r), table) in scores.iter().zip(&radix).zip(&table_buckets) {
+                let u = match table {
+                    Some((rel, t, buckets)) => buckets[rel.base_row(i, *t) as usize],
+                    None => bucket_of(s, step),
+                };
+                debug_assert_eq!(u, bucket_of(s, step));
+                key = key * r + u64::from(u);
+            }
             let slot = *slots.entry(key).or_insert_with(|| {
                 states.push(empty.clone());
                 (states.len() - 1) as u32
@@ -618,7 +667,13 @@ impl Prepared {
     /// and `caps` keep every row of its tables — then the uncapped level
     /// one is the capped one — and is built there (and offered to the
     /// cache) if the cache lacks it; otherwise it is built with the caps.
-    /// [`Executor::refine`] then runs the refinable joins. Not for a
+    /// [`Executor::refine`] then runs the refinable joins. The caps check
+    /// reads per-table score columns ([`Executor::table_scores`]), one
+    /// score per table row, and the scoring gathers those — and scores
+    /// every other table with fewer rows than the universe the same way —
+    /// so a dimension row is scored once, not once per tuple it joins, and
+    /// the cell fold buckets it once too. The columns are dropped with the
+    /// build; the product keeps none. Not for a
     /// user-defined aggregate: its fold belongs to the registry of whichever
     /// executor asks, and a product may be shared between executors, so its
     /// evaluator folds the table itself (see [`EvaluationLayer::use_grid`]).
@@ -631,14 +686,18 @@ impl Prepared {
         cache: Option<&PreparedCache>,
     ) -> EngineResult<Self> {
         let rq = exec.resolve(query)?;
-        let shared = match cache {
-            Some(cache) => match BaseKey::new(exec, query)? {
-                Some(key) if exec.caps_keep_every_row(&rq, caps)? => Some((cache, key)),
-                _ => None,
-            },
+        let base = match cache {
+            Some(cache) => BaseKey::new(exec, query)?.map(|key| (cache, key)),
             None => None,
         };
-        let (structural, base) = match shared {
+        // A query whose level one may come from the cache scores its
+        // flexible table-local predicates once per table row, for the caps
+        // check and then for the scoring, which gathers them.
+        let mut columns = match base {
+            Some(_) => exec.table_scores(&rq)?,
+            None => TableScores::default(),
+        };
+        let (structural, base) = match base.filter(|_| columns.caps_keep_every_row(&rq, caps)) {
             Some((cache, key)) => {
                 let (structural, served) = cache.base(key, || exec.structural(&rq, None))?;
                 (structural, Some(served))
@@ -647,19 +706,25 @@ impl Prepared {
         };
         // The build counts into a zeroed block of its own: the receipt.
         let outer = std::mem::take(exec.stats_mut());
-        let built = exec
-            .refine(&structural, &rq, caps)
-            .and_then(|rel| Ok((ScoreMatrix::build(&rq, &rel, threads)?, rel.len())));
+        let refined = exec.refine(&structural, &rq, caps);
         let mut receipt = std::mem::replace(exec.stats_mut(), outer);
-        let (matrix, universe) = built?;
-        receipt.tuples_scanned += universe as u64;
+        let rel = refined?;
+        receipt.tuples_scanned += rel.len() as u64;
+        let bound = rq.bind(&rel)?;
+        let matrix = ScoreMatrix::build(&bound, &rel, &mut columns, threads);
         let spec = &query.constraint.spec;
         let table = match step {
-            Some(step) if !matches!(spec.func, AggFunc::Uda(_)) => CellTable::build(
-                &matrix,
-                step,
-                AggState::empty(spec, &UdaRegistry::default())?,
-            ),
+            Some(step) if !matches!(spec.func, AggFunc::Uda(_)) => {
+                let gathered: Vec<Option<Gathered<'_>>> = (0..bound.dims())
+                    .map(|k| {
+                        bound
+                            .dimension_column(k, &rel, &columns)
+                            .map(|(t, col)| (&rel, t, col))
+                    })
+                    .collect();
+                let empty = AggState::empty(spec, &UdaRegistry::default())?;
+                CellTable::build(&matrix, step, empty, &gathered)
+            }
             _ => None,
         };
         Ok(Self {
@@ -805,7 +870,7 @@ impl EvaluationLayer for CachedScoreEvaluator<'_> {
             let table = self
                 .empty_state()
                 .ok()
-                .and_then(|empty| CellTable::build(&self.prepared.matrix, step, empty));
+                .and_then(|empty| CellTable::build(&self.prepared.matrix, step, empty, &[]));
             self.table = table.map(Arc::new);
         }
     }
@@ -1307,7 +1372,7 @@ mod tests {
             for spec in SPECS {
                 let spec = spec.map_or_else(AggregateSpec::count, |f| f(ColRef::new("t", "v")));
                 let empty = AggState::empty(&spec, &registry()).unwrap();
-                let table = CellTable::build(&matrix, step, empty.clone()).unwrap();
+                let table = CellTable::build(&matrix, step, empty.clone(), &[]).unwrap();
                 for cell in &cells {
                     let found = table.lookup(cell).expect("an aligned cell is looked up");
                     let mut scanned = empty.clone();
@@ -1343,6 +1408,319 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// splitmix64, the draws of the random catalogs below.
+    struct Draws(u64);
+
+    impl Draws {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn one_in(&mut self, n: u64) -> bool {
+            self.below(n) == 0
+        }
+    }
+
+    /// A random catalog of one to three tables `t0`, `t1`, `t2` — `t0` of
+    /// up to 60 rows, the others of up to 12, so a join or cross product
+    /// outgrows them — each with an Int key `k`, a Float `x` (NaN now and
+    /// then, otherwise a value whose score on `x <= 100` is a multiple of
+    /// 2.5 or anywhere), an Int `i` and a Str `s` of cuisine leaves (and
+    /// one no ontology knows); and a domain-populated query over it. `t0`
+    /// joins each other table on `k`, by a band join on `x` or not at all (a
+    /// cross product). The predicates are numeric on `x` and `i`,
+    /// categorical on `s`, now and then numeric on `s` or categorical on
+    /// `x`, each but the first NOREFINE or capped by `max_refinement` at
+    /// random; the aggregate is COUNT or a SUM over a numeric or a Str
+    /// column.
+    fn random_catalog(d: &mut Draws) -> (Executor, AcqQuery) {
+        const LEAVES: [&str; 6] = ["Gyro", "Falafel", "Shawarma", "Sushi", "PadThai", "Pizza"];
+        let n = 1 + d.below(3) as usize;
+        let mut cat = Catalog::new();
+        for t in 0..n {
+            let fields = vec![
+                Field::new("k", DataType::Int),
+                Field::new("x", DataType::Float),
+                Field::new("i", DataType::Int),
+                Field::new("s", DataType::Str),
+            ];
+            let mut b = TableBuilder::new(format!("t{t}"), fields).unwrap();
+            let rows = d.below(if t == 0 { 61 } else { 12 }) + u64::from(t > 0);
+            for _ in 0..rows {
+                let x = match d.below(10) {
+                    0 => f64::NAN,
+                    1..=6 => 100.0 + 2.5 * d.below(12) as f64,
+                    _ => d.below(1600) as f64 / 8.0,
+                };
+                b.push_row(vec![
+                    Value::Int(d.below(3) as i64),
+                    Value::Float(x),
+                    Value::Int(d.below(50) as i64),
+                    Value::Str(LEAVES[d.below(6) as usize].into()),
+                ]);
+            }
+            cat.register(b.finish().unwrap()).unwrap();
+        }
+        let col = |t: usize, c: &str| ColRef::new(format!("t{t}"), c);
+        let cuisine = Arc::new(acq_query::OntologyTree::sample_cuisine());
+        let mut q = AcqQuery::builder();
+        for t in 0..n {
+            q = q.table(format!("t{t}"));
+        }
+        let mut preds = Vec::new();
+        for t in 1..n {
+            match d.below(3) {
+                0 => q = q.join(col(0, "k"), col(t, "k")),
+                1 => preds.push(Predicate::band_join(
+                    acq_query::LinearExpr::col(col(0, "x")),
+                    acq_query::LinearExpr::col(col(t, "x")),
+                    d.below(30) as f64,
+                )),
+                _ => {}
+            }
+        }
+        for _ in 0..1 + d.below(4) {
+            let t = d.below(n as u64) as usize;
+            preds.push(match d.below(12) {
+                0..=4 => {
+                    Predicate::select(col(t, "x"), Interval::new(0.0, 100.0), RefineSide::Upper)
+                }
+                5 | 6 => {
+                    Predicate::select(col(t, "x"), Interval::new(105.0, 200.0), RefineSide::Lower)
+                }
+                7 | 8 => {
+                    Predicate::select(col(t, "i"), Interval::new(0.0, 20.0), RefineSide::Upper)
+                }
+                9 | 10 => Predicate::categorical(col(t, "s"), cuisine.clone(), vec!["Gyro".into()]),
+                _ if d.one_in(2) => {
+                    Predicate::select(col(t, "s"), Interval::new(0.0, 1.0), RefineSide::Upper)
+                }
+                _ => Predicate::categorical(col(t, "x"), cuisine.clone(), vec!["Gyro".into()]),
+            });
+        }
+        for (i, p) in preds.into_iter().enumerate() {
+            // The first stays refinable: a query needs one.
+            let p = match d.below(6) {
+                0 if i > 0 => p.no_refine(),
+                1 => p.with_max_refinement(d.below(40) as f64),
+                _ => p,
+            };
+            q = q.predicate(p);
+        }
+        let t = d.below(n as u64) as usize;
+        let spec = match d.below(4) {
+            0 => AggregateSpec::count(),
+            1 => AggregateSpec::sum(col(t, "x")),
+            2 => AggregateSpec::sum(col(t, "i")),
+            _ => AggregateSpec::sum(col(t, "s")),
+        };
+        let mut q = q
+            .constraint(AggConstraint::new(spec, CmpOp::Ge, 1.0))
+            .build()
+            .unwrap();
+        let exec = Executor::new(cat);
+        exec.populate_domains(&mut q).unwrap();
+        (exec, q)
+    }
+
+    /// `rel`'s matrix scored row by row, with `score_into` and `agg_value`.
+    fn matrix_by_rows(rq: &ResolvedQuery, rel: &Relation) -> ScoreMatrix {
+        let bound = rq.bind(rel).unwrap();
+        let (mut scores, mut vals) = (Vec::new(), Vec::new());
+        let mut row_scores = vec![0.0; rq.dims()];
+        for row in 0..rel.len() {
+            if bound.score_into(rel, row, &mut row_scores) {
+                scores.extend_from_slice(&row_scores);
+                vals.push(bound.agg_value(rel, row));
+            }
+        }
+        ScoreMatrix {
+            scores,
+            vals,
+            d: rq.dims(),
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A cell table's radix, slots and states in slot order, and its answer
+    /// to every grid point up to one past each radix when there are few
+    /// enough of them, rendered.
+    fn table_bits(table: &CellTable) -> String {
+        let mut slots: Vec<(u64, u32)> = table.slots.iter().map(|(&k, &v)| (k, v)).collect();
+        slots.sort_unstable();
+        let mut points: Vec<Vec<u32>> = vec![Vec::new()];
+        if table.radix.iter().map(|&r| r + 2).product::<u64>() <= 4096 {
+            for &r in &table.radix {
+                points = points
+                    .into_iter()
+                    .flat_map(|p| {
+                        (0..=r as u32 + 1).map(move |u| {
+                            let mut p = p.clone();
+                            p.push(u);
+                            p
+                        })
+                    })
+                    .collect();
+            }
+        }
+        let answers: Vec<String> = points
+            .iter()
+            .map(|p| format!("{:?}", table.at(p.iter().copied().map(Some))))
+            .collect();
+        format!("{:?} {slots:?} {:?} {answers:?}", table.radix, table.states)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 96,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// The columnar build — scored a predicate at a time, dimension
+        /// tables scored once per row and gathered by row id, on 1–4
+        /// threads, with and without the caps check's columns — gives the
+        /// matrix a row-by-row scoring gives (scores, values, row order, bit
+        /// for bit), and the cell table folded from that matrix with
+        /// `bucket_of` per row: radix, slots, states in slot order and every
+        /// cell's answer. So does the scoring of a relation whose rows the
+        /// scores drop, which a layer's base relation has mostly filtered
+        /// out already: the level one no cap has cut.
+        #[test]
+        fn the_columnar_build_gives_the_row_by_row_bits(seed in 0u64..u64::MAX) {
+            let mut d = Draws(seed);
+            let (mut exec, q) = random_catalog(&mut d);
+            let rq = exec.resolve(&q).unwrap();
+            let caps: Vec<f64> = q
+                .flexible()
+                .iter()
+                .map(|&i| match d.below(3) {
+                    0 => f64::INFINITY,
+                    1 => q.predicates[i].max_useful_score().unwrap_or(f64::INFINITY),
+                    _ => 2.5 * d.below(16) as f64,
+                })
+                .collect();
+            let step = STEPS[d.below(3) as usize];
+            let threads = 1 + d.below(4) as usize;
+            let cache = PreparedCache::default();
+            let Ok(rel) = exec.base_relation(&rq, &caps) else {
+                // A cross product past the limit fails either way.
+                proptest::prop_assert!(Prepared::build(&mut exec, &q, &caps, Some(step), threads, None).is_err());
+                return Ok(());
+            };
+            let expected = matrix_by_rows(&rq, &rel);
+            let spec = &q.constraint.spec;
+            let empty = AggState::empty(spec, &UdaRegistry::default()).unwrap();
+            let expected_table = CellTable::build(&expected, step, empty, &[]);
+            for cache in [None, Some(&cache)] {
+                let built = Prepared::build(&mut exec, &q, &caps, Some(step), threads, cache).unwrap();
+                let m = &built.matrix;
+                proptest::prop_assert_eq!(m.d, expected.d);
+                proptest::prop_assert_eq!(bits(&m.scores), bits(&expected.scores), "{}", q.to_sql());
+                proptest::prop_assert_eq!(bits(&m.vals), bits(&expected.vals), "{}", q.to_sql());
+                proptest::prop_assert_eq!(
+                    built.table.as_deref().map(table_bits),
+                    expected_table.as_ref().map(table_bits),
+                    "{}", q.to_sql()
+                );
+            }
+
+            let loose = exec.refine(&exec.structural(&rq, None).unwrap(), &rq, &caps).unwrap();
+            let bound = rq.bind(&loose).unwrap();
+            let mut memo = exec.table_scores(&rq).unwrap();
+            let m = ScoreMatrix::build(&bound, &loose, &mut memo, threads);
+            let expected = matrix_by_rows(&rq, &loose);
+            proptest::prop_assert_eq!(bits(&m.scores), bits(&expected.scores), "{}", q.to_sql());
+            proptest::prop_assert_eq!(bits(&m.vals), bits(&expected.vals), "{}", q.to_sql());
+            let gathered: Vec<Option<Gathered<'_>>> = (0..bound.dims())
+                .map(|k| bound.dimension_column(k, &loose, &memo).map(|(t, col)| (&loose, t, col)))
+                .collect();
+            let table = |m: &ScoreMatrix, gathered: &[Option<Gathered<'_>>]| {
+                CellTable::build(m, step, AggState::empty(spec, &UdaRegistry::default()).unwrap(), gathered)
+            };
+            proptest::prop_assert_eq!(
+                table(&m, &gathered).as_ref().map(table_bits),
+                table(&expected, &[]).as_ref().map(table_bits),
+                "{}", q.to_sql()
+            );
+        }
+    }
+
+    /// A join's dimension tables are scored once per row and gathered: the
+    /// case the property test above must reach, pinned.
+    #[test]
+    fn a_join_gathers_its_dimension_tables() {
+        let mut cat = Catalog::new();
+        for (name, rows) in [("fact", 40i32), ("dim", 4)] {
+            let fields = vec![
+                Field::new("k", DataType::Int),
+                Field::new("x", DataType::Float),
+            ];
+            let mut b = TableBuilder::new(name, fields).unwrap();
+            for r in 0..rows {
+                b.push_row(vec![
+                    Value::Int(i64::from(r % 4)),
+                    Value::Float(100.0 + 2.5 * f64::from(r)),
+                ]);
+            }
+            cat.register(b.finish().unwrap()).unwrap();
+        }
+        let mut q = AcqQuery::builder()
+            .table("fact")
+            .table("dim")
+            .join(ColRef::new("fact", "k"), ColRef::new("dim", "k"))
+            .predicate(Predicate::select(
+                ColRef::new("dim", "x"),
+                Interval::new(0.0, 100.0),
+                RefineSide::Upper,
+            ))
+            .predicate(Predicate::select(
+                ColRef::new("fact", "x"),
+                Interval::new(0.0, 100.0),
+                RefineSide::Upper,
+            ))
+            .constraint(AggConstraint::new(
+                AggregateSpec::sum(ColRef::new("fact", "x")),
+                CmpOp::Ge,
+                1.0,
+            ))
+            .build()
+            .unwrap();
+        let mut exec = Executor::new(cat);
+        exec.populate_domains(&mut q).unwrap();
+        let rq = exec.resolve(&q).unwrap();
+        let caps = [f64::INFINITY; 2];
+        let rel = exec.base_relation(&rq, &caps).unwrap();
+        let bound = rq.bind(&rel).unwrap();
+        let mut memo = exec.table_scores(&rq).unwrap();
+        bound.memoise(&rel, &mut memo);
+        let dim = rel.tables().iter().position(|t| t.name() == "dim").unwrap();
+        assert_eq!(
+            bound
+                .dimension_column(0, &rel, &memo)
+                .map(|(t, c)| (t, c.len())),
+            Some((dim, 4))
+        );
+        assert!(
+            bound.dimension_column(1, &rel, &memo).is_none(),
+            "the fact table is scored per row"
+        );
+        let built = Prepared::build(&mut exec, &q, &caps, Some(2.5), 1, None).unwrap();
+        let expected = matrix_by_rows(&rq, &rel);
+        assert_eq!(bits(&built.matrix.scores), bits(&expected.scores));
+        assert_eq!(bits(&built.matrix.vals), bits(&expected.vals));
     }
 
     #[test]

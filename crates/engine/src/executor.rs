@@ -27,7 +27,7 @@ use crate::catalog::Catalog;
 use crate::error::{EngineError, EngineResult};
 use crate::join::{band_join, hash_equi_join};
 use crate::relation::{Relation, RowIds};
-use crate::scoring::ResolvedQuery;
+use crate::scoring::{ResolvedQuery, TableScores};
 use crate::stats::ExecStats;
 use crate::table::Table;
 
@@ -224,25 +224,20 @@ impl Executor {
         self.refine(&structural, rq, flex_caps)
     }
 
-    /// Whether `flex_caps` keep every row of every table the query's
-    /// flexible table-local predicates read: then the caps prefilter
-    /// nothing, and [`Executor::structural`] builds the same product
-    /// without them as with them. Stops at the first row they drop; counts
-    /// nothing.
-    pub fn caps_keep_every_row(&self, rq: &ResolvedQuery, flex_caps: &[f64]) -> EngineResult<bool> {
-        let cap_of = cap_of(rq, flex_caps);
+    /// The score column of every flexible table-local predicate of `rq`,
+    /// over every row of its table: what
+    /// [`TableScores::caps_keep_every_row`] reads, and what a scoring of
+    /// the query's base relation can gather instead of scoring its tuples
+    /// (see [`crate::BoundQuery::score_rows`]). Counts nothing.
+    pub fn table_scores(&self, rq: &ResolvedQuery) -> EngineResult<TableScores> {
+        let mut scores = TableScores::default();
         for name in &rq.query.tables {
-            let local = local_predicates(rq, name, true);
-            if local.is_empty() {
-                continue;
-            }
             let table = self.catalog.table(name)?;
-            let kept = |row| local.iter().all(|&i| within(rq, &cap_of, i, &table, row));
-            if !(0..table.num_rows()).all(kept) {
-                return Ok(false);
+            for i in local_predicates(rq, name, true) {
+                scores.insert(i, rq.score_table(i, &table));
             }
         }
-        Ok(true)
+        Ok(scores)
     }
 
     /// Level one of the base relation: each table scanned with its
@@ -252,7 +247,7 @@ impl Executor {
     /// With `flex_caps` `None` the flexible predicates filter nothing, and
     /// the product is the part of the base relation no refinement reaches:
     /// every search over the same tables, joins and NOREFINE predicates can
-    /// share it, and wherever [`Executor::caps_keep_every_row`] holds it is
+    /// share it, and wherever [`TableScores::caps_keep_every_row`] holds it is
     /// the capped product, row for row and in the same order. Counts
     /// nothing here: the work is the product's receipt, which
     /// [`Executor::refine`] adds.
@@ -924,6 +919,194 @@ mod tests {
         assert!(plan.contains("scan a:"), "{plan}");
         assert!(plan.contains("scan b:"), "{plan}");
         assert!(plan.contains("hash join on a.k = b.k"), "{plan}");
+    }
+
+    /// The caps check row by row, through `within`: every row of every
+    /// table within the cap of every flexible table-local predicate that
+    /// reads it.
+    fn caps_keep_every_row_by_rows(ex: &Executor, rq: &ResolvedQuery, caps: &[f64]) -> bool {
+        let cap_of = cap_of(rq, caps);
+        rq.query.tables.iter().all(|name| {
+            let table = ex.catalog().table(name).unwrap();
+            let local = local_predicates(rq, name, true);
+            (0..table.num_rows())
+                .all(|row| local.iter().all(|&i| within(rq, &cap_of, i, &table, row)))
+        })
+    }
+
+    /// Table `a` has a Float `x` (NaN now and then), an Int `i` and a Str
+    /// `s`; table `b` has a Float `y` no flexible predicate reads, NaN
+    /// included. Returns the executor and a query with flexible predicates
+    /// on `a.x`, `a.i`, numeric on the Str `a.s` when `on_str`, and
+    /// categorical on `a.s`.
+    fn caps_case(rows: &[(f64, i64, &str)], on_str: bool) -> (Executor, AcqQuery) {
+        let fields = vec![
+            Field::new("x", DataType::Float),
+            Field::new("i", DataType::Int),
+            Field::new("s", DataType::Str),
+        ];
+        let mut a = TableBuilder::new("a", fields).unwrap();
+        for &(x, i, s) in rows {
+            a.push_row(vec![Value::Float(x), Value::Int(i), Value::Str(s.into())]);
+        }
+        let mut b = TableBuilder::new("b", vec![Field::new("y", DataType::Float)]).unwrap();
+        for y in [f64::NAN, 1e9, -3.0] {
+            b.push_row(vec![Value::Float(y)]);
+        }
+        let mut cat = Catalog::new();
+        cat.register(a.finish().unwrap()).unwrap();
+        cat.register(b.finish().unwrap()).unwrap();
+        let cuisine = Arc::new(acq_query::OntologyTree::sample_cuisine());
+        let mut q = AcqQuery::builder()
+            .table("a")
+            .table("b")
+            .predicate(Predicate::select(
+                ColRef::new("a", "x"),
+                Interval::new(0.0, 10.0),
+                RefineSide::Upper,
+            ))
+            .predicate(Predicate::select(
+                ColRef::new("a", "i"),
+                Interval::new(20.0, 40.0),
+                RefineSide::Lower,
+            ))
+            .predicate(Predicate::categorical(
+                ColRef::new("a", "s"),
+                cuisine,
+                vec!["Gyro".into()],
+            ))
+            .predicate(
+                Predicate::select(
+                    ColRef::new("b", "y"),
+                    Interval::new(0.0, 1.0),
+                    RefineSide::Upper,
+                )
+                .no_refine(),
+            );
+        if on_str {
+            q = q.predicate(Predicate::select(
+                ColRef::new("a", "s"),
+                Interval::new(0.0, 1.0),
+                RefineSide::Upper,
+            ));
+        }
+        let q = q
+            .constraint(AggConstraint::new(AggregateSpec::count(), CmpOp::Ge, 1.0))
+            .build()
+            .unwrap();
+        (Executor::new(cat), q)
+    }
+
+    /// Every score the flexible predicates of `rq` give table `a`'s rows, by
+    /// dimension.
+    fn dimension_scores(ex: &Executor, rq: &ResolvedQuery) -> Vec<Vec<f64>> {
+        let a = ex.catalog().table("a").unwrap();
+        rq.flex()
+            .iter()
+            .map(|&i| {
+                (0..a.num_rows())
+                    .map(|row| rq.score_local(i, &a, row))
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn caps_keep_every_row_reads_the_columns_as_the_rows_did() {
+        let rows = [
+            (4.0, 30, "Gyro"),
+            (12.5, 18, "Falafel"),
+            (10.0, 25, "Sushi"),
+        ];
+        let (ex, q) = caps_case(&rows, false);
+        let rq = ex.resolve(&q).unwrap();
+        let columns = ex.table_scores(&rq).unwrap();
+        let scores = dimension_scores(&ex, &rq);
+        // A cap equal to the greatest score keeps its row; one ulp below
+        // drops it. Table `b`'s NaN is read by no flexible predicate.
+        let tops: Vec<f64> = scores
+            .iter()
+            .map(|s| s.iter().copied().fold(0.0, f64::max))
+            .collect();
+        assert!(columns.caps_keep_every_row(&rq, &tops));
+        assert!(caps_keep_every_row_by_rows(&ex, &rq, &tops));
+        for k in 0..tops.len() {
+            let mut cut = tops.clone();
+            cut[k] = cut[k].next_down();
+            assert!(!columns.caps_keep_every_row(&rq, &cut), "dimension {k}");
+            assert!(!caps_keep_every_row_by_rows(&ex, &rq, &cut));
+        }
+        // A NaN in a numeric predicate's column, or a numeric predicate
+        // over a Str column, scores +inf, which no cap keeps.
+        let wide = vec![f64::INFINITY; rq.dims()];
+        let (ex, q) = caps_case(&[(4.0, 30, "Gyro"), (f64::NAN, 30, "Gyro")], false);
+        let rq = ex.resolve(&q).unwrap();
+        assert!(!ex
+            .table_scores(&rq)
+            .unwrap()
+            .caps_keep_every_row(&rq, &wide));
+        assert!(!caps_keep_every_row_by_rows(&ex, &rq, &wide));
+        let (ex, q) = caps_case(&[(4.0, 30, "Gyro")], true);
+        let rq = ex.resolve(&q).unwrap();
+        let wide = vec![f64::INFINITY; rq.dims()];
+        assert!(!ex
+            .table_scores(&rq)
+            .unwrap()
+            .caps_keep_every_row(&rq, &wide));
+        assert!(!caps_keep_every_row_by_rows(&ex, &rq, &wide));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 128,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// On random tables and caps — a cap at a row's score, one ulp
+        /// either side of it, unbounded, or anywhere — the caps check read
+        /// from the per-table columns answers what the row-by-row check
+        /// answered.
+        #[test]
+        fn caps_keep_every_row_agrees_with_the_row_by_row_check(
+            picks in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..24),
+            on_str in proptest::prelude::any::<bool>(),
+            cap_picks in proptest::collection::vec(proptest::prelude::any::<u64>(), 5),
+        ) {
+            const LEAVES: [&str; 6] = ["Gyro", "Falafel", "Shawarma", "Sushi", "PadThai", "Pizza"];
+            let rows: Vec<(f64, i64, &str)> = picks
+                .iter()
+                .map(|&p| {
+                    let x = match p % 8 {
+                        0 => f64::NAN,
+                        _ => ((p >> 3) % 160) as f64 / 8.0,
+                    };
+                    (x, ((p >> 11) % 50) as i64, LEAVES[((p >> 17) % 6) as usize])
+                })
+                .collect();
+            let (ex, q) = caps_case(&rows, on_str);
+            let rq = ex.resolve(&q).unwrap();
+            let scores = dimension_scores(&ex, &rq);
+            let caps: Vec<f64> = scores
+                .iter()
+                .zip(&cap_picks)
+                .map(|(s, &p)| {
+                    let at = s.get((p >> 3) as usize % s.len().max(1)).copied().unwrap_or(0.0);
+                    let at = if at.is_finite() { at } else { 50.0 };
+                    match p % 5 {
+                        0 => at,
+                        1 => at.next_up(),
+                        2 => at.next_down(),
+                        3 => f64::INFINITY,
+                        _ => ((p >> 20) % 200) as f64,
+                    }
+                })
+                .collect();
+            let columns = ex.table_scores(&rq).unwrap();
+            proptest::prop_assert_eq!(
+                columns.caps_keep_every_row(&rq, &caps),
+                caps_keep_every_row_by_rows(&ex, &rq, &caps)
+            );
+        }
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub use join::{band_join, hash_equi_join};
 pub use relation::Relation;
 pub use sampling::{bernoulli_sample, sample_catalog_tables, scale_target_for_sample};
 pub use schema::{Field, Schema};
-pub use scoring::{BoundQuery, ResolvedQuery};
+pub use scoring::{BoundQuery, ResolvedQuery, TableScores};
 pub use stats::ExecStats;
 pub use table::{Table, TableBuilder};
 pub use value::{DataType, Value};

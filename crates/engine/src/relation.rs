@@ -1,5 +1,6 @@
 //! Materialised relations: a base table scan or the product of joins.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::table::Table;
@@ -110,6 +111,32 @@ impl Relation {
             row as u32
         } else {
             self.rows.ids[row * self.tables.len() + table_idx]
+        }
+    }
+
+    /// Calls `f(j, base)` for the `j`-th of the logical rows `rows`, in
+    /// order, with the base-table row id backing it for table `table_idx`:
+    /// the row ids of a gather, read without asking per row how the
+    /// relation stores them.
+    #[inline]
+    pub(crate) fn for_each_base_row(
+        &self,
+        table_idx: usize,
+        rows: Range<usize>,
+        mut f: impl FnMut(usize, usize),
+    ) {
+        debug_assert!(rows.end <= self.rows.len);
+        debug_assert!(table_idx < self.tables.len());
+        if self.rows.identity {
+            for (j, row) in rows.enumerate() {
+                f(j, row);
+            }
+        } else {
+            let stride = self.tables.len();
+            let ids = &self.rows.ids[rows.start * stride..rows.end * stride];
+            for (j, tuple) in ids.chunks_exact(stride).enumerate() {
+                f(j, tuple[table_idx] as usize);
+            }
         }
     }
 
@@ -234,6 +261,29 @@ mod tests {
         assert_eq!(again.get_f64(0, 0, 0), Some(2.0));
         assert_eq!(again.get_f64(1, 1, 0), Some(7.0));
         assert!(j.rows().bytes() >= 4 * std::mem::size_of::<u32>());
+    }
+
+    #[test]
+    fn base_rows_are_visited_in_order_from_any_offset() {
+        let visit = |rel: &Relation, pos: usize, rows: Range<usize>| {
+            let mut seen = Vec::new();
+            rel.for_each_base_row(pos, rows.clone(), |j, base| seen.push((j, base)));
+            let expected: Vec<(usize, usize)> = rows
+                .enumerate()
+                .map(|(j, row)| (j, rel.base_row(row, pos) as usize))
+                .collect();
+            assert_eq!(seen, expected);
+        };
+        let j = Relation::from_rows(
+            vec![t("a", &[1, 2, 3]), t("b", &[7, 8])],
+            vec![2, 0, 0, 1, 1, 1, 2, 0],
+        );
+        for pos in 0..2 {
+            for rows in [0..4, 1..3, 3..4, 2..2] {
+                visit(&j, pos, rows);
+            }
+        }
+        visit(&Relation::table(t("a", &[1, 2, 3])), 0, 1..3);
     }
 
     #[test]

@@ -366,9 +366,10 @@ proptest! {
             (0..r.len()).flat_map(|row| at.iter().map(move |&p| r.base_row(row, p))).collect()
         };
         let wide = vec![f64::INFINITY; caps.len()];
-        prop_assert!(exec.caps_keep_every_row(&rq, &wide).unwrap());
+        let columns = exec.table_scores(&rq).unwrap();
+        prop_assert!(columns.caps_keep_every_row(&rq, &wide));
         for caps in [caps, wide] {
-            if exec.caps_keep_every_row(&rq, &caps).unwrap() {
+            if columns.caps_keep_every_row(&rq, &caps) {
                 let capped = exec.base_relation(&rq, &caps).unwrap();
                 let structural = exec.structural(&rq, None).unwrap();
                 let shared = exec.refine(&structural, &rq, &caps).unwrap();
